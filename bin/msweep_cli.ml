@@ -73,9 +73,9 @@ let scheme_of_string = function
   | "pooled" -> Workloads.Harness.Pooled None
   | s -> invalid_arg ("unknown scheme " ^ s)
 
-(* --domains overrides the marker-domain count of any MineSweeper-family
-   scheme (the parallel marking engine, lib/parsweep); other schemes
-   have no marking phase to parallelise. *)
+(* --domains overrides the modeled marker-domain count of any
+   MineSweeper-family scheme (lib/parsweep); other schemes have no
+   marking phase to model. *)
 let apply_domains n scheme =
   if n <= 1 then scheme
   else
@@ -132,9 +132,11 @@ let domains_arg =
     value & opt int 1
     & info [ "domains" ]
         ~doc:
-          "Worker domains for the marking phase (1 = the sequential scan; \
-           n > 1 shards readable pages across n OCaml domains with \
-           identical results)")
+          "Marker domains modeled for the marking phase (1 = one marker). \
+           The scan always runs on one OCaml domain; n > 1 assigns page \
+           chunks to n modeled markers and exports the projected \
+           critical path as par.* telemetry. Every other output is \
+           identical at any n.")
 
 let list_cmd =
   let doc = "List available benchmarks" in
@@ -199,10 +201,10 @@ let bench_cmd =
       & info [ "repeat" ]
           ~doc:
             "Run the benchmark N times and report the median host \
-             wall-clock time. The simulation is deterministic — every \
-             repeat must land on the same simulated cycle count (verified) \
-             — so repeats denoise only the host-side timing that the \
-             speedup figures are guarded against.")
+             wall-clock time, and the median process CPU time beside it. \
+             The simulation is deterministic — every repeat must land on \
+             the same simulated cycle count (verified) — so repeats \
+             denoise only the host-side timing.")
   in
   let config_arg =
     Arg.(
@@ -234,9 +236,9 @@ let bench_cmd =
     let repeat = max 1 repeat in
     let timed =
       Array.init repeat (fun _ ->
-          let t0 = Sys.time () in
+          let w0 = Unix.gettimeofday () and c0 = Sys.time () in
           let result, stack = run_capturing ~suite ~bench ~scheme ~scale in
-          (Sys.time () -. t0, result, stack))
+          ((Unix.gettimeofday () -. w0, Sys.time () -. c0), result, stack))
     in
     let _, result, stack = timed.(0) in
     Array.iter
@@ -250,16 +252,20 @@ let bench_cmd =
       timed;
     print_result result;
     if repeat > 1 then begin
-      let times = Array.map (fun (dt, _, _) -> dt) timed in
-      Array.sort compare times;
-      let median =
-        if repeat mod 2 = 1 then times.(repeat / 2)
-        else (times.((repeat / 2) - 1) +. times.(repeat / 2)) /. 2.0
+      let report label pick =
+        let times = Array.map (fun (dt, _, _) -> pick dt) timed in
+        Array.sort compare times;
+        let median =
+          if repeat mod 2 = 1 then times.(repeat / 2)
+          else (times.((repeat / 2) - 1) +. times.(repeat / 2)) /. 2.0
+        in
+        Fmt.pr "%-14s %.1f ms median of %d (min %.1f, max %.1f)@." label
+          (median *. 1e3) repeat
+          (times.(0) *. 1e3)
+          (times.(repeat - 1) *. 1e3)
       in
-      Fmt.pr "host wall      %.1f ms median of %d (min %.1f, max %.1f)@."
-        (median *. 1e3) repeat
-        (times.(0) *. 1e3)
-        (times.(repeat - 1) *. 1e3)
+      report "host wall" fst;
+      report "host cpu" snd
     end;
     (match (metrics_out, stack.Workloads.Harness.obs) with
     | Some file, Some reg ->
@@ -861,10 +867,9 @@ let check_cmd =
              every sweep-protocol mutant, which the checker must flag")
   in
   let f files oracle corpus races config latency domains strict =
-    (* --domains routes every replayed configuration through the parallel
-       marking engine: the oracle then certifies the parallel mark's
-       releases against ground truth, and --races certifies the event
-       funnel stays sound under it. *)
+    (* --domains sets the modeled marker count of every replayed
+       configuration: the oracle and --races then certify that it moves
+       no release decision and no synchronization event. *)
     let oracle_config name =
       Minesweeper.Config.with_domains domains (ms_config name)
     in

@@ -192,9 +192,9 @@ fi
 echo "incremental swept strictly fewer bytes on every sweeping profile"
 
 echo "== parallel marking: equivalence suite + determinism across domains"
-# The dedicated equivalence suite: for every preset and domain count the
-# parallel mark's shadow set, stats and simulated clock equal the
-# sequential paths', certified by the sweep oracle.
+# The dedicated equivalence suite: for every preset and modeled domain
+# count the mark's shadow set, stats and simulated clock equal the
+# one-domain run's, certified by the sweep oracle.
 _build/default/test/test_main.exe test minesweeper.parsweep >/dev/null
 echo "parallel equivalence suite passed"
 
@@ -207,8 +207,8 @@ echo "sweep pipeline suite passed"
 # Metrics exports at 1 vs 4 domains must be byte-identical once the
 # schema header (it advertises the metric count, which grows with the
 # par.* family) and the par.* / sweep.stage.* lines themselves are
-# stripped: parallelism may add telemetry about itself but must not
-# perturb a single other exported value.
+# stripped: the modeled domain count may add telemetry about itself but
+# must not perturb a single other exported value.
 "$CLI" bench --suite spec2006 -b perlbench -s minesweeper --scale 0.02 \
   --domains 1 --metrics-out "$workdir/d1.jsonl" >/dev/null
 "$CLI" bench --suite spec2006 -b perlbench -s minesweeper --scale 0.02 \
@@ -225,9 +225,9 @@ grep -q '"metric":"par\.' "$workdir/d1.jsonl" \
   && { echo "FAIL: 1-domain run exported par.* telemetry" >&2; exit 1; }
 echo "1- and 4-domain exports identical modulo par.*/sweep.stage.* telemetry"
 
-# The race checker must stay sound with the parallel engine enabled: the
-# coordinator emits every synchronization event in canonical order, so
-# both seeded workloads must come back clean at 4 domains too.
+# The race checker must stay clean at any modeled domain count: the
+# Mark/Merge stages emit every synchronization event in canonical page
+# order, so both seeded workloads must come back clean at 4 domains too.
 for trace in espresso perl; do
   "$CLI" check -i "$workdir/$trace.trace" --races --domains 4 \
     >"$workdir/races4-$trace.txt" 2>&1 || true
@@ -243,9 +243,11 @@ echo "recorded event streams race-free at 4 domains"
 "$CLI" bench --suite mimalloc -b espresso -s minesweeper --scale 0.02 \
   --domains 4 --repeat 3 >"$workdir/repeat.txt" \
   || { echo "FAIL: repeats diverged on the simulated clock" >&2; exit 1; }
-grep -q "median of 3" "$workdir/repeat.txt" \
+grep -q "host wall .* median of 3" "$workdir/repeat.txt" \
   || { echo "FAIL: --repeat 3 did not report a median" >&2; exit 1; }
-echo "bench --repeat reports the median over agreeing repeats"
+grep -q "^host cpu .* median of 3" "$workdir/repeat.txt" \
+  || { echo "FAIL: --repeat 3 did not report the host CPU time" >&2; exit 1; }
+echo "bench --repeat reports the wall and CPU medians over agreeing repeats"
 
 echo "== bench smoke: parallel mark speedup figure"
 "$CLI" figures --only parallel-mark --scale 0.02 >"$workdir/parfig.txt" 2>/dev/null
@@ -268,28 +270,6 @@ if grep -q "REGRESSION" "$workdir/pipefig.txt"; then
   exit 1
 fi
 echo "sweep pipeline identical across domains with modeled speedup >= 2x"
-
-echo "== api: deprecated mark entry points stay quarantined"
-# The legacy mark_* entry points survive only as shims inside the
-# instance layer; nothing else in the tree may call them (the pipeline
-# suite's shim test is the one sanctioned caller).
-if grep -rn "mark_all_memory\|mark_incremental" lib bin test \
-    --include='*.ml' --include='*.mli' \
-    | grep -v "^lib/core/instance\.ml:" \
-    | grep -v "^lib/core/instance\.mli:" \
-    | grep -v "^lib/core/instance_intf\.ml:" \
-    | grep -v "^test/test_pipeline\.ml:" \
-    | grep -q .; then
-  grep -rn "mark_all_memory\|mark_incremental" lib bin test \
-    --include='*.ml' --include='*.mli' \
-    | grep -v "^lib/core/instance\.ml:" \
-    | grep -v "^lib/core/instance\.mli:" \
-    | grep -v "^lib/core/instance_intf\.ml:" \
-    | grep -v "^test/test_pipeline\.ml:" >&2
-  echo "FAIL: deprecated mark entry points called outside their shims" >&2
-  exit 1
-fi
-echo "no callers of the deprecated mark entry points outside the shims"
 
 echo "== telemetry: metrics export determinism + schema"
 # Two identical runs must export byte-identical JSONL (every value is an

@@ -13,8 +13,8 @@ type concurrency =
       (** dedicated sweeper thread plus [helpers] helper threads;
           [stop_the_world] adds the mostly-concurrent dirty-page re-scan *)
 
-(** The sweep knobs, collapsed into one record: marking mode, worker
-    domain count, and quarantine flush batching. A sweep-pipeline plan
+(** The sweep knobs, collapsed into one record: marking mode, modeled
+    marker-domain count, and quarantine flush batching. A sweep-pipeline plan
     ([Pipeline.plan_of_config]) is derived from exactly this record plus
     the concurrency/feature toggles — there is no other plumbing. *)
 module Sweep : sig
@@ -31,11 +31,12 @@ module Sweep : sig
   type t = {
     mode : mode;
     domains : int;
-        (** worker domains for the pipelined sweep stages. [1] (the
-            default) keeps the historical single-threaded sweep;
-            [n > 1] shards work across [n] OCaml domains through
-            [lib/parsweep]. Outputs are byte-identical for every value —
-            only the [par.*] / [sweep.stage.*] telemetry changes *)
+        (** marker domains of the cost model. The mark always runs on
+            the calling OCaml domain; [n > 1] assigns its page chunks
+            to [n] modeled markers ([lib/parsweep]) and projects the
+            parallel critical path and stage overlap from that. Outputs
+            are byte-identical for every value — only the [par.*] /
+            [sweep.stage.*] telemetry changes *)
     flush_batch : int;
         (** quarantine entries locked in per batched flush during sweep
             setup; each batch takes the quarantine lock once *)
@@ -79,8 +80,8 @@ type t = {
   purging : bool;  (** full allocator purge after each sweep (Section 4.5) *)
   concurrency : concurrency;
   sweep : Sweep.t;
-      (** the collapsed sweep knobs: marking mode, worker domains,
-          flush batching — see {!Sweep} *)
+      (** the collapsed sweep knobs: marking mode, modeled marker
+          domains, flush batching — see {!Sweep} *)
   threshold : float;
       (** sweep when pending quarantine exceeds this fraction of the
           heap (paper default 15 %) *)
@@ -167,7 +168,7 @@ val sweep_mode : t -> sweep_mode
 (** The marking mode of the nested sweep record. *)
 
 val domains : t -> int
-(** The worker-domain count of the nested sweep record. *)
+(** The modeled marker-domain count of the nested sweep record. *)
 
 val flush_batch : t -> int
 (** The quarantine flush batch size of the nested sweep record. *)
@@ -176,8 +177,8 @@ val with_sweep_mode : sweep_mode -> t -> t
 (** Replace the marking mode, keeping the other sweep knobs. *)
 
 val with_domains : int -> t -> t
-(** [with_domains n t] is [t] sweeping with [max 1 n] worker domains —
-    the CLI's [--domains] override, applicable to any preset. *)
+(** [with_domains n t] is [t] modeling [max 1 n] marker domains — the
+    CLI's [--domains] override, applicable to any preset. *)
 
 val with_flush_batch : int -> t -> t
 (** Replace the flush batch size (clamped to at least 1). *)

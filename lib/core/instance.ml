@@ -56,7 +56,7 @@ type page_summary = {
   targets : int array;
 }
 
-(* Telemetry of the parallel marking engine, registered only when the
+(* Telemetry of the modeled parallel mark, registered only when the
    configuration asks for more than one marker domain: a domains=1 run
    exports exactly the historical metric set, which is what lets the
    check.sh gate byte-compare 1-domain and n-domain exports after
@@ -64,7 +64,6 @@ type page_summary = {
 type par_telemetry = {
   par_domains : R.gauge;
   par_chunks : R.counter;
-  par_chunks_stolen : R.counter;
   par_imbalance : R.gauge;
   par_mark_cycles_est : R.counter;
   par_mark_cycles_seq_est : R.counter;
@@ -150,7 +149,6 @@ let create ?(config = Config.default) ?(threads = 1) ?obs machine =
         {
           par_domains = R.gauge registry "par.domains";
           par_chunks = R.counter registry "par.chunks";
-          par_chunks_stolen = R.counter registry "par.chunks_stolen";
           par_imbalance = R.gauge registry "par.imbalance";
           par_mark_cycles_est = R.counter registry "par.mark_cycles_est";
           par_mark_cycles_seq_est = R.counter registry "par.mark_cycles_seq_est";
@@ -270,13 +268,11 @@ let in_stage t stage f =
   emit_sync t (Stage_boundary { sweep; stage; enter = false });
   ({ Pipeline.stage; cycles; items; bytes }, result)
 
-(* ---- Worker scans (lib/parsweep) ----------------------------------- *)
+(* ---- Chunk scans (lib/parsweep) ------------------------------------ *)
 
-(* Record a parallel run into the [par.*] telemetry. Everything written
-   here is either deterministic (chunk counts, static-seeding imbalance,
-   the modeled critical path) or explicitly observational and stripped
-   from determinism gates ([par.chunks_stolen]). The per-domain mark
-   spans carry the deterministic static byte assignment. *)
+(* Record a modeled parallel mark into the [par.*] telemetry: chunk
+   counts, static-assignment imbalance and the modeled critical path.
+   The per-domain mark spans carry the static byte assignment. *)
 let record_par t (stats : Parsweep.stats) =
   match t.par with
   | None -> ()
@@ -284,7 +280,6 @@ let record_par t (stats : Parsweep.stats) =
     let c = cost t in
     R.Gauge.set p.par_domains stats.Parsweep.domains;
     count p.par_chunks stats.Parsweep.chunks;
-    count p.par_chunks_stolen stats.Parsweep.stolen;
     R.Gauge.set p.par_imbalance (Parsweep.imbalance stats);
     count p.par_mark_cycles_est
       (Parsweep.critical_path_cycles
@@ -304,8 +299,8 @@ let record_par t (stats : Parsweep.stats) =
           ())
       stats.Parsweep.seeded_bytes
 
-(* Worker-side page scan: the exact heap-range words of one page, as a
-   private array. Two passes (count, then fill) so the buffer is sized
+(* Mark-stage page scan: the exact heap-range words of one page, as a
+   fresh array. Two passes (count, then fill) so the buffer is sized
    exactly — the common page has no hits and allocates the shared empty
    array only. *)
 let empty_hits : int array = [||]
@@ -331,14 +326,13 @@ let page_hits bytes ~wilderness =
     hits
   end
 
-(* Full scan as a Mark/Merge stage pair, unified over every domain
-   count. The Mark stage has the workers compute per-page hit arrays
-   over a canonical (base-sorted, zero-copy) snapshot — at domains = 1
-   the chunk map runs inline on the calling domain, same structure, no
-   pool. The Merge stage then walks the chunks in chunk-id order: emits
-   the Mark_page events, writes the shadow map and counts swept bytes.
-   The merge is the only writer of shared state, so the outcome is
-   byte-identical for any domain count and steal schedule. Returns
+(* Full scan as a Mark/Merge stage pair, the same at every domain
+   count. The Mark stage computes per-page hit arrays over a canonical
+   (base-sorted, zero-copy) snapshot; the domain count only sets the
+   modeled marker assignment. The Merge stage then walks the chunks in
+   chunk-id order: emits the Mark_page events, writes the shadow map
+   and counts swept bytes. The merge is the only writer of instance
+   state, so the outcome is byte-identical for any domain count. Returns
    [(swept_bytes, stage_reports, mark_pipelined)]. *)
 let run_full_scan t =
   Shadow.clear t.shadow;
@@ -409,18 +403,17 @@ let summarize_page bytes =
   | [] -> [||]
   | l -> Array.of_list (List.sort_uniq compare l)
 
-(* Incremental marking as a Mark/Merge stage pair, unified over every
+(* Incremental marking as a Mark/Merge stage pair, the same at every
    domain count: rescan only pages written (or zeroed, decommitted,
    protected, remapped) since their summary was captured; replay the
-   cached summary for the rest. The summary table is not domain-safe,
-   so the coordinator classifies every page (replay vs rescan) against
-   it up front; the Mark stage ships only the rescan pages to the
-   workers, which run [summarize_page] — the expensive part — on
-   private buffers. The Merge stage then walks the full canonical
-   snapshot: replayed pages take their cached targets, rescanned pages
-   the worker-produced summary, and the table is rebuilt from scratch so
-   entries for unmapped pages fall away. Every counter, gauge and
-   Mark_page event is identical at any domain count. Returns
+   cached summary for the rest. Every page is classified (replay vs
+   rescan) up front; the Mark stage runs [summarize_page] — the
+   expensive part — over the rescan pages only, so only they enter the
+   modeled marker assignment. The Merge stage then walks the full
+   canonical snapshot: replayed pages take their cached targets,
+   rescanned pages the fresh summary, and the table is rebuilt from
+   scratch so entries for unmapped pages fall away. Every counter, gauge
+   and Mark_page event is identical at any domain count. Returns
    [(rescanned_bytes, replayed_targets, stage_reports, mark_pipelined)]. *)
 let run_incremental t =
   Shadow.clear t.shadow;
@@ -840,8 +833,7 @@ let start_sweep t = start_sweep_plan t (Pipeline.plan_of_config t.config)
    return its outcome — the [Sweep.run] entry point. A plan without a
    Release stage (see {!Pipeline.mark_only}) runs just the Mark/Merge
    stages: no quarantine flush or lock-in, no release decisions, no
-   sweep counted and no simulated cost charged — the semantics of the
-   deprecated [mark_all_memory]/[mark_incremental] entry points. *)
+   sweep counted and no simulated cost charged. *)
 let run_pipeline t (plan : Pipeline.plan) =
   if not (List.mem Pipeline.Release plan.Pipeline.stages) then begin
     let scanned_bytes, replayed_words, reports, mark_pipelined =
@@ -1074,9 +1066,6 @@ let calloc_result t count size =
     (* The backend already serves zeroed memory. *)
     Ok (malloc t (count * size))
 
-let calloc t count size =
-  match calloc_result t count size with Ok addr -> addr | Error _ -> 0
-
 let realloc_result t ?(thread = 0) addr size =
   if addr = 0 then Ok (malloc t size)
   else if t.config.Config.quarantining && Quarantine.contains t.quarantine addr
@@ -1113,11 +1102,6 @@ let realloc_result t ?(thread = 0) addr size =
     free t ~thread addr;
     Ok fresh
   end
-
-let realloc t ?(thread = 0) addr size =
-  match realloc_result t ~thread addr size with
-  | Ok fresh -> fresh
-  | Error _ -> 0
 
 let is_quarantined t addr = Quarantine.contains t.quarantine addr
 
@@ -1161,28 +1145,6 @@ module Sweep = struct
   let run = run_pipeline
   let last t = t.last_outcome
 end
-
-(* Deprecated shims over the pipeline; see instance_intf.ml. *)
-
-let mark_all_memory t =
-  let plan =
-    {
-      (Pipeline.mark_only (Pipeline.plan_of_config t.config)) with
-      Pipeline.mode = Config.Full_scan;
-    }
-  in
-  (run_pipeline t plan).Pipeline.scanned_bytes
-
-let mark_incremental t =
-  let plan =
-    {
-      (Pipeline.mark_only (Pipeline.plan_of_config t.config)) with
-      Pipeline.mode = Config.Incremental;
-    }
-  in
-  let o = run_pipeline t plan in
-  ( o.Pipeline.scanned_bytes - (o.Pipeline.replayed_words * word),
-    o.Pipeline.replayed_words )
 end
 
 include Make (Alloc.Backends.Jemalloc_backend)

@@ -9,7 +9,7 @@ type error =
       (** The address is currently quarantined: the application already
           freed it. MineSweeper absorbs the free (Section 3). *)
   | Size_overflow
-      (** [calloc count size] with [count * size] overflowing. *)
+      (** [calloc_result count size] with [count * size] overflowing. *)
 
 let pp_error ppf = function
   | Unknown_pointer addr -> Format.fprintf ppf "unknown pointer %#x" addr
@@ -73,6 +73,11 @@ module type S = sig
   (** Allocate. May stall (allocation pause) when a sweep is struggling
       to keep up with the free rate (Section 5.7). *)
 
+  val free : t -> ?thread:int -> int -> unit
+  (** The drop-in [free()]: {!free_result} with a double free absorbed
+      silently, as a program linked against the allocator expects, and
+      [Unknown_pointer] raised as [Invalid_argument]. *)
+
   (** {1 Typed result API}
 
       The primary entry points for the deallocation paths: outcomes a
@@ -94,25 +99,9 @@ module type S = sig
   val realloc_result : t -> ?thread:int -> int -> int -> (int, error) result
   (** [realloc_result t addr size] allocates, copies the overlapping
       prefix and frees the old block through the quarantine.
-      [realloc t 0 size] behaves as [malloc]; size 0 behaves as [free]
+      [realloc_result t 0 size] behaves as [malloc]; size 0 behaves as [free]
       and returns [Ok 0]. Quarantined or unknown [addr] is rejected
       with the corresponding error before any allocation happens. *)
-
-  (** {1 Deprecated shims}
-
-      Pre-redesign entry points, kept so existing call sites compile;
-      new code should use the [_result] forms. *)
-
-  val free : t -> ?thread:int -> int -> unit
-  (** [free_result] with the double-free outcome absorbed silently
-      (the historical behaviour) and [Unknown_pointer] raised as
-      [Invalid_argument]. *)
-
-  val calloc : t -> int -> int -> int
-  (** [calloc_result] with [Size_overflow] collapsed to address 0. *)
-
-  val realloc : t -> ?thread:int -> int -> int -> int
-  (** [realloc_result] with errors collapsed to address 0. *)
 
   (** {1 The sweep pipeline}
 
@@ -145,16 +134,6 @@ module type S = sig
     (** The most recently completed pipeline outcome (from the
         background schedule or from [run]), if any. *)
   end
-
-  val mark_all_memory : t -> int
-  (** @deprecated Shim over {!Sweep.run} with a mark-only [Full_scan]
-      plan; returns the swept bytes. New code should call [Sweep.run]
-      directly. *)
-
-  val mark_incremental : t -> int * int
-  (** @deprecated Shim over {!Sweep.run} with a mark-only [Incremental]
-      plan; returns [(rescanned_bytes, replayed_words)]. New code
-      should call [Sweep.run] directly. *)
 
   val tick : t -> unit
   (** Complete any sweep whose scheduled completion time has passed, and

@@ -16,7 +16,7 @@
     phase, extended to the whole sweep. *)
 
 type stage =
-  | Mark  (** scan readable pages for quarantine hits (parallelisable) *)
+  | Mark  (** scan readable pages for quarantine hits (modeled parallel) *)
   | Merge  (** canonical chunk-id-order merge into the shadow map *)
   | Release  (** shadow-test each locked-in entry; release or requeue *)
   | Purge  (** decommit retained extents back to the OS *)
@@ -34,7 +34,7 @@ val stage_index : stage -> int
 
 type plan = {
   mode : Config.sweep_mode;  (** marking mode of the Mark stage *)
-  domains : int;  (** worker domains available to the pipeline *)
+  domains : int;  (** modeled marker domains available to the pipeline *)
   flush_batch : int;
       (** quarantine flush batch size; also the batch granularity of
           the overlap model *)
@@ -53,9 +53,8 @@ val plan_of_config : Config.t -> plan
     toggles pick the stage list). *)
 
 val mark_only : plan -> plan
-(** The plan restricted to [Mark; Merge] — what the deprecated
-    mark-entry-point shims run: marking without lock-in, release or
-    purge. *)
+(** The plan restricted to [Mark; Merge]: marking into the live shadow
+    map without lock-in, release or purge. *)
 
 val batches : plan -> entries:int -> int
 (** Number of flush batches a sweep over [entries] locked-in entries

@@ -934,8 +934,8 @@ let parallel_mark env =
     | l -> Printf.sprintf "REGRESSION: %s\n" (String.concat "; " (List.rev l))
   in
   buf_figure
-    "Extension: parallel marking speedup (page chunks work-stolen across \
-     domains)"
+    "Extension: parallel marking speedup (page chunks statically assigned \
+     to modeled marker domains)"
     (Report.Table.render table
     ^ "\nmark output is byte-identical for every domain count (canonical \
        chunk-order merge); throughput is the deterministic cost-model \

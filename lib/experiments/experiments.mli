@@ -97,8 +97,8 @@ val incremental_sweep : env -> string
     mode. *)
 
 val parallel_mark : env -> string
-(** Extension: mark-phase scaling of the parallel marking engine
-    ([lib/parsweep]) at 1/2/4/8 domains on sweep-heavy mimalloc-bench
+(** Extension: modeled mark-phase scaling of the parallel mark
+    ([lib/parsweep]) at 1/2/4/8 marker domains on sweep-heavy mimalloc-bench
     and SPEC profiles. Verifies swept bytes are identical at every
     domain count and reports the modeled critical-path speedup (single
     marker streams 4 B/cycle against a 16 B/cycle DRAM wall, so scaling

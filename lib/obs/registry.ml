@@ -1,19 +1,13 @@
-(* Metric cells are Atomic.t so handles handed to worker domains (the
-   parallel marking engine bumps counters from its pool) are safe to
-   update without a lock: counter increments and histogram observations
-   are fetch-and-add, gauge high-water marks are a CAS loop. The public
-   API is unchanged — callers never see the atomics. *)
-
-type counter = { c_name : string; c_value : int Atomic.t }
-type gauge = { g_name : string; g_value : int Atomic.t }
+type counter = { c_name : string; mutable c_value : int }
+type gauge = { g_name : string; mutable g_value : int }
 
 let log2_buckets = 63
 
 type histogram = {
   h_name : string;
-  h_buckets : int Atomic.t array;
-  h_count : int Atomic.t;
-  h_sum : int Atomic.t;
+  h_buckets : int array;
+  mutable h_count : int;
+  mutable h_sum : int;
 }
 
 type metric =
@@ -24,8 +18,7 @@ type metric =
   | Derived_gauge of (unit -> int)
 
 (* Insertion-ordered assoc (reversed); reads sort by name, so the
-   export order is independent of registration order. Registration
-   itself stays coordinator-only — only the cells are domain-safe. *)
+   export order is independent of registration order. *)
 type t = { mutable entries : (string * metric) list }
 
 exception Duplicate of string
@@ -38,22 +31,20 @@ let register t name metric =
   t.entries <- (name, metric) :: t.entries
 
 let counter t name =
-  let c = { c_name = name; c_value = Atomic.make 0 } in
+  let c = { c_name = name; c_value = 0 } in
   register t name (Counter c);
   c
 
 let gauge t name =
-  let g = { g_name = name; g_value = Atomic.make 0 } in
+  let g = { g_name = name; g_value = 0 } in
   register t name (Gauge g);
   g
 
+let empty_histogram name =
+  { h_name = name; h_buckets = Array.make log2_buckets 0; h_count = 0; h_sum = 0 }
+
 let histogram t name =
-  let h =
-    { h_name = name;
-      h_buckets = Array.init log2_buckets (fun _ -> Atomic.make 0);
-      h_count = Atomic.make 0;
-      h_sum = Atomic.make 0 }
-  in
+  let h = empty_histogram name in
   register t name (Histogram h);
   h
 
@@ -70,21 +61,21 @@ let find t name = List.assoc_opt name t.entries
 let read t name =
   match find t name with
   | None -> None
-  | Some (Counter c) -> Some (Atomic.get c.c_value)
-  | Some (Gauge g) -> Some (Atomic.get g.g_value)
-  | Some (Histogram h) -> Some (Atomic.get h.h_count)
+  | Some (Counter c) -> Some c.c_value
+  | Some (Gauge g) -> Some g.g_value
+  | Some (Histogram h) -> Some h.h_count
   | Some (Derived_counter fn) | Some (Derived_gauge fn) -> Some (fn ())
 
 let reset t =
   List.iter
     (fun (_, m) ->
       match m with
-      | Counter c -> Atomic.set c.c_value 0
-      | Gauge g -> Atomic.set g.g_value 0
+      | Counter c -> c.c_value <- 0
+      | Gauge g -> g.g_value <- 0
       | Histogram h ->
-        Array.iter (fun b -> Atomic.set b 0) h.h_buckets;
-        Atomic.set h.h_count 0;
-        Atomic.set h.h_sum 0
+        Array.fill h.h_buckets 0 log2_buckets 0;
+        h.h_count <- 0;
+        h.h_sum <- 0
       | Derived_counter _ | Derived_gauge _ -> ())
     t.entries
 
@@ -101,48 +92,42 @@ let merge_into ?(prefix = "") src ~into =
   let add_counter name v =
     match List.assoc_opt name into.entries with
     | None ->
-      let c = { c_name = name; c_value = Atomic.make v } in
+      let c = { c_name = name; c_value = v } in
       register into name (Counter c)
-    | Some (Counter c) -> ignore (Atomic.fetch_and_add c.c_value v)
+    | Some (Counter c) -> c.c_value <- c.c_value + v
     | Some _ -> raise (Kind_mismatch name)
   in
   let add_gauge name v =
     match List.assoc_opt name into.entries with
     | None ->
-      let g = { g_name = name; g_value = Atomic.make v } in
+      let g = { g_name = name; g_value = v } in
       register into name (Gauge g)
-    | Some (Gauge g) -> ignore (Atomic.fetch_and_add g.g_value v)
+    | Some (Gauge g) -> g.g_value <- g.g_value + v
     | Some _ -> raise (Kind_mismatch name)
   in
   let add_histogram name (h : histogram) =
     let dst =
       match List.assoc_opt name into.entries with
       | None ->
-        let fresh =
-          { h_name = name;
-            h_buckets = Array.init log2_buckets (fun _ -> Atomic.make 0);
-            h_count = Atomic.make 0;
-            h_sum = Atomic.make 0 }
-        in
+        let fresh = empty_histogram name in
         register into name (Histogram fresh);
         fresh
       | Some (Histogram dst) -> dst
       | Some _ -> raise (Kind_mismatch name)
     in
     for i = 0 to log2_buckets - 1 do
-      let n = Atomic.get h.h_buckets.(i) in
-      if n > 0 then ignore (Atomic.fetch_and_add dst.h_buckets.(i) n)
+      dst.h_buckets.(i) <- dst.h_buckets.(i) + h.h_buckets.(i)
     done;
-    ignore (Atomic.fetch_and_add dst.h_count (Atomic.get h.h_count));
-    ignore (Atomic.fetch_and_add dst.h_sum (Atomic.get h.h_sum))
+    dst.h_count <- dst.h_count + h.h_count;
+    dst.h_sum <- dst.h_sum + h.h_sum
   in
   List.iter
     (fun (name, m) ->
       let name = prefix ^ name in
       match m with
-      | Counter c -> add_counter name (Atomic.get c.c_value)
+      | Counter c -> add_counter name c.c_value
       | Derived_counter fn -> add_counter name (fn ())
-      | Gauge g -> add_gauge name (Atomic.get g.g_value)
+      | Gauge g -> add_gauge name g.g_value
       | Derived_gauge fn -> add_gauge name (fn ())
       | Histogram h -> add_histogram name h)
     (metrics src)
@@ -150,22 +135,17 @@ let merge_into ?(prefix = "") src ~into =
 module Counter = struct
   let incr c n =
     assert (n >= 0);
-    ignore (Atomic.fetch_and_add c.c_value n)
+    c.c_value <- c.c_value + n
 
-  let reset c = Atomic.set c.c_value 0
-  let value c = Atomic.get c.c_value
+  let reset c = c.c_value <- 0
+  let value c = c.c_value
   let name c = c.c_name
 end
 
 module Gauge = struct
-  let set g v = Atomic.set g.g_value v
-
-  let rec set_max g v =
-    let cur = Atomic.get g.g_value in
-    if v > cur && not (Atomic.compare_and_set g.g_value cur v) then
-      set_max g v
-
-  let value g = Atomic.get g.g_value
+  let set g v = g.g_value <- v
+  let set_max g v = if v > g.g_value then g.g_value <- v
+  let value g = g.g_value
   let name g = g.g_name
 end
 
@@ -190,17 +170,17 @@ module Histogram = struct
   let observe h v =
     let v = max 0 v in
     let b = bucket_of v in
-    ignore (Atomic.fetch_and_add h.h_buckets.(b) 1);
-    ignore (Atomic.fetch_and_add h.h_count 1);
-    ignore (Atomic.fetch_and_add h.h_sum v)
+    h.h_buckets.(b) <- h.h_buckets.(b) + 1;
+    h.h_count <- h.h_count + 1;
+    h.h_sum <- h.h_sum + v
 
-  let count h = Atomic.get h.h_count
-  let sum h = Atomic.get h.h_sum
+  let count h = h.h_count
+  let sum h = h.h_sum
 
   let buckets h =
     let acc = ref [] in
     for i = log2_buckets - 1 downto 0 do
-      let n = Atomic.get h.h_buckets.(i) in
+      let n = h.h_buckets.(i) in
       if n > 0 then acc := (lower_bound i, n) :: !acc
     done;
     !acc
@@ -216,7 +196,7 @@ module Histogram = struct
        q >= 1 -> upper edge of the last non-empty bucket
        empty histogram -> 0.                                            *)
   let quantile h q =
-    let count = Atomic.get h.h_count in
+    let count = h.h_count in
     if count = 0 then 0.
     else begin
       let q = Float.min 1. (Float.max 0. q) in
@@ -224,7 +204,7 @@ module Histogram = struct
       let result = ref None and cum = ref 0 in
       let i = ref 0 in
       while !result = None && !i < log2_buckets do
-        let n = Atomic.get h.h_buckets.(!i) in
+        let n = h.h_buckets.(!i) in
         if n > 0 && float_of_int (!cum + n) >= target then begin
           let lo = float_of_int (lower_bound !i) in
           (* The last bucket is open-ended; interpolate against a synthetic

@@ -20,7 +20,6 @@ type stats = {
   domains : int;
   chunks : int;
   total_bytes : int;
-  stolen : int;
   seeded_bytes : int array;
 }
 
@@ -33,6 +32,9 @@ let imbalance s =
 let map_chunks ~domains ~scan chunks =
   let n = Array.length chunks in
   let d = max 1 (min domains (max 1 n)) in
+  (* Static round-robin seeding: chunk [i] belongs to modeled marker
+     [i mod d]. The per-marker bytes are the model's input; the scans
+     themselves all run here, in array order. *)
   let seeded_bytes = Array.make d 0 in
   Array.iter
     (fun c ->
@@ -40,55 +42,7 @@ let map_chunks ~domains ~scan chunks =
       seeded_bytes.(owner) <- seeded_bytes.(owner) + c.chunk_bytes)
     chunks;
   let total_bytes = Array.fold_left (fun acc c -> acc + c.chunk_bytes) 0 chunks in
-  let results = Array.make n None in
-  let stolen = Atomic.make 0 in
-  if d = 1 then
-    Array.iter (fun c -> results.(c.cid) <- Some (scan c)) chunks
-  else begin
-    let deques = Array.init d (fun _ -> Deque.create ()) in
-    (* Static round-robin seeding: chunk [i] starts on domain [i mod d].
-       Deterministic, so the imbalance gauge, per-domain spans and cost
-       projection don't depend on the host scheduler. *)
-    Array.iter (fun c -> Deque.push deques.(c.cid mod d) c) chunks;
-    let worker me =
-      (* Results land in disjoint slots indexed by chunk id; the joins
-         below publish them to the coordinator. No other shared state
-         is written from here. *)
-      let run c = results.(c.cid) <- Some (scan c) in
-      let steal_one () =
-        let rec go k =
-          if k >= d then None
-          else
-            match Deque.steal deques.((me + k) mod d) with
-            | Some c ->
-              ignore (Atomic.fetch_and_add stolen 1);
-              Some c
-            | None -> go (k + 1)
-        in
-        go 1
-      in
-      let rec loop () =
-        match Deque.pop deques.(me) with
-        | Some c -> run c; loop ()
-        | None -> (
-          match steal_one () with
-          | Some c -> run c; loop ()
-          | None -> ())
-      in
-      loop ()
-    in
-    (* All chunks are seeded before any worker starts, so a worker may
-       retire once every deque reads empty: nothing is pushed later. *)
-    let pool = Array.init (d - 1) (fun i -> Domain.spawn (fun () -> worker (i + 1))) in
-    worker 0;
-    Array.iter Domain.join pool
-  end;
-  let per_chunk =
-    Array.map (function Some r -> r | None -> assert false) results
-  in
-  ( per_chunk,
-    { domains = d; chunks = n; total_bytes; stolen = Atomic.get stolen;
-      seeded_bytes } )
+  (Array.map scan chunks, { domains = d; chunks = n; total_bytes; seeded_bytes })
 
 (* Modeled finish time of a batched stage pipeline: stage [s] of batch
    [k] may start only when stage [s-1] of the same batch and stage [s]
@@ -125,5 +79,3 @@ let critical_path_cycles ~single_per_byte ~bandwidth_per_byte stats =
       0 stats.seeded_bytes
   in
   max slowest (Sim.Cost.bytes_cost bandwidth_per_byte stats.total_bytes)
-
-module Deque = Deque

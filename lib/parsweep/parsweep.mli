@@ -1,29 +1,22 @@
-(** Parallel marking engine: domain-sharded page scans with a
-    deterministic merge.
+(** Modeled parallel marking: page sharding, a static marker
+    assignment, and the cost projections built on it.
 
-    The mark phase is embarrassingly parallel — every readable page can
-    be scanned for quarantine hits independently — but MineSweeper's
-    outputs (shadow set, counters, sweep decisions, telemetry exports)
-    must not depend on how many domains did the scanning or on which
-    domain happened to steal which chunk. This engine makes that a
-    structural property rather than a testing hope:
+    The paper's sweeper can mark with helper threads (Section 4.4).
+    This engine models that without running any: every scan executes
+    on the calling domain, and the number of marker domains is a
+    parameter of the cost model only. So MineSweeper's outputs (shadow
+    set, counters, sweep decisions, telemetry exports) cannot depend on
+    it, and the modeled speedup is a pure function of the shard plan:
 
-    - The coordinator takes a canonical snapshot of the readable pages
+    - The caller takes a canonical snapshot of the readable pages
       (sorted by base address, zero-copy) and slices it into fixed-size
       chunks of consecutive pages, numbered [0, 1, 2, ...].
-    - Chunks are seeded round-robin into per-domain work-stealing
-      deques ({!Deque}); idle domains steal from the top of their
-      neighbours' deques.
-    - Each domain runs a pure [scan] over the chunks it claims: it
-      reads page bytes and writes a private result buffer slot indexed
-      by chunk id. No shared mutable state is touched from workers —
-      the only cross-domain writes are disjoint result slots and the
-      steal counter.
-    - After joining the pool, the {e coordinator alone} merges the
-      per-chunk results in chunk-id order. Since each result is a pure
-      function of its pages' bytes and the merge order is fixed, the
-      merged outcome is bit-for-bit identical for any domain count and
-      any steal schedule.
+    - Chunk [i] is assigned to modeled marker [i mod domains]. The
+      bytes each marker would stream ([stats.seeded_bytes]) drive the
+      imbalance gauge, the per-domain mark spans and the critical-path
+      projection.
+    - [scan] runs once per chunk, in chunk-id order, and its results
+      come back in that order for the caller's Merge stage.
 
     The engine is policy-free: it does not know about shadow maps or
     summaries. The sweep pipeline's Mark stage ([Instance.Sweep.run])
@@ -44,9 +37,8 @@ type chunk = {
 }
 
 val default_chunk_pages : int
-(** Pages per chunk (32 = 128 KiB of 4 KiB pages): small enough that
-    stealing can rebalance a skewed address space, large enough that
-    deque traffic is noise against the scan cost. *)
+(** Pages per chunk (32 = 128 KiB of 4 KiB pages): the granule of the
+    static marker assignment. *)
 
 val shard : ?chunk_pages:int -> page array -> chunk array
 (** Slice a base-sorted page snapshot into chunks of [chunk_pages]
@@ -54,33 +46,26 @@ val shard : ?chunk_pages:int -> page array -> chunk array
     slices in address order. *)
 
 type stats = {
-  domains : int;  (** pool size actually used *)
+  domains : int;  (** modeled markers actually used *)
   chunks : int;  (** chunks sharded this run *)
   total_bytes : int;  (** payload bytes across all chunks *)
-  stolen : int;
-      (** chunks executed by a domain other than the one they were
-          seeded into — observational (depends on the host scheduler),
-          which is why it only ever feeds [par.*] telemetry *)
   seeded_bytes : int array;
-      (** per-domain payload bytes under the static round-robin seeding
-          — deterministic, the basis of the imbalance gauge, the
-          per-domain spans and the cost projection *)
+      (** per-marker payload bytes under the static round-robin
+          assignment — the basis of the imbalance gauge, the per-domain
+          spans and the cost projection *)
 }
 
 val imbalance : stats -> int
 (** Max minus min of {!stats.seeded_bytes}: how unevenly the static
-    seeding splits the address space (work stealing erases this at run
-    time; the gauge records what there was to erase). *)
+    assignment splits the address space. *)
 
 val map_chunks :
   domains:int -> scan:(chunk -> 'a) -> chunk array -> 'a array * stats
-(** [map_chunks ~domains ~scan chunks] executes [scan] on every chunk
-    across a pool of [domains] worker domains (the calling domain works
-    too: [domains - 1] are spawned, then joined before returning) and
-    returns the results indexed by chunk id, plus run statistics.
-    [scan] must be pure up to its private result (it runs off the
-    coordinator domain, concurrently with other chunks' scans).
-    [domains <= 1] runs inline on the caller with no spawns. *)
+(** [map_chunks ~domains ~scan chunks] runs [scan] on every chunk, in
+    order, on the calling domain, and returns the results in the same
+    order (chunk-id order for the output of {!shard}) plus the static
+    assignment of the chunks to [domains] modeled markers (clamped to
+    [1 .. number of chunks]). *)
 
 val pipeline_cycles : domains:int -> batches:int -> int array -> int
 (** [pipeline_cycles ~domains ~batches stage_cycles] is the modeled
@@ -99,15 +84,9 @@ val pipeline_cycles : domains:int -> batches:int -> int array -> int
 
 val critical_path_cycles :
   single_per_byte:float -> bandwidth_per_byte:float -> stats -> int
-(** Modeled mark-phase critical path under the static seeding: the
-    slowest domain's streaming cost
+(** Modeled mark-phase critical path under the static assignment: the
+    slowest marker's streaming cost
     [bytes_cost single_per_byte seeded_bytes.(d)] or the DRAM floor
-    [bytes_cost bandwidth_per_byte total_bytes], whichever binds. A
-    deterministic projection (it ignores the observed steal schedule),
-    so it can be exported as a [par.*] metric without breaking export
-    determinism; it is how the speedup figure measures scaling on a
-    host with fewer cores than domains. *)
-
-(** The work-stealing deque, re-exported for tests and tooling (the
-    library is wrapped, so [Deque] is otherwise hidden). *)
-module Deque = Deque
+    [bytes_cost bandwidth_per_byte total_bytes], whichever binds. It
+    is exported as a [par.*] metric and is how the speedup figures
+    measure scaling. *)

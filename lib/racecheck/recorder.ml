@@ -10,14 +10,6 @@ module Diagnostic = Sanitizer.Diagnostic
 type session = {
   ms : Instance.t;
   threads : int;
-  funnel : Mutex.t;
-      (** serialises [emit]: every observer callback funnels through one
-          append. Under parallel marking ([Config.domains > 1]) all
-          sync events are still emitted by the coordinator domain in
-          canonical page order — workers only fill private buffers — but
-          the lock makes the funnel safe by construction should a future
-          hook ever fire off-coordinator, so [check --races] stays sound
-          for any [--domains] value. *)
   mutable events_rev : Event.t list;
   mutable seq : int;
   mutable current : int;  (** mutator issuing the op being replayed *)
@@ -30,11 +22,9 @@ type session = {
 let mutator s = Event.Mutator (if s.current >= 0 && s.current < s.threads then s.current else 0)
 
 let emit s tid kind =
-  Mutex.lock s.funnel;
   let e = { Event.seq = s.seq; tid; kind } in
   s.events_rev <- e :: s.events_rev;
   s.seq <- s.seq + 1;
-  Mutex.unlock s.funnel;
   match s.on_event with
   | Some f -> f e
   | None -> ()
@@ -44,7 +34,6 @@ let attach ?on_event ms ~threads =
     {
       ms;
       threads;
-      funnel = Mutex.create ();
       events_rev = [];
       seq = 0;
       current = 0;

@@ -30,8 +30,8 @@ type t = {
    - mark_single_per_byte is what ONE marker thread moves through memory:
      a single core's load + range-test + buffer-append loop streams ~4
      bytes per cycle, a quarter of the DRAM bandwidth above. The gap is
-     exactly the headroom the parallel marking engine (lib/parsweep)
-     exploits: aggregate marker throughput scales with domains until it
+     exactly the headroom the modeled parallel mark (lib/parsweep)
+     projects: aggregate marker throughput scales with domains until it
      hits the 16 B/cycle memory wall at four of them.
    - mark_per_byte is much higher: transitive marking chases pointers and
      takes a cache miss on most object visits (MarkUs/Boehm behaviour).

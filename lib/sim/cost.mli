@@ -22,8 +22,8 @@ type t = {
       (** per-entry cost under the batched flush: a splice into the
           global list with the lock already held *)
   merge_per_page : int;
-      (** coordinator merge of one scanned page's hit list into the
-          shadow map (the pipeline's Merge stage) *)
+      (** merge of one scanned page's hit list into the shadow map
+          (the pipeline's Merge stage) *)
   zero_per_byte : float;  (** zero-filling a freed allocation *)
   sweep_per_byte : float;  (** linear streaming sweep (marking phase) *)
   mark_single_per_byte : float;

@@ -134,8 +134,7 @@ val iter_readable_pages : t -> (int -> Bytes.t -> unit) -> unit
 val snapshot_readable_pages : t -> (int * Bytes.t * int) array
 (** Zero-copy snapshot of every committed readable page as
     [(page_base, bytes, write_gen)] triples sorted by base address — the
-    canonical page order of the marking phase, the one every parallel
-    merge reproduces. The [bytes] are the live page frames (no copies,
+    canonical page order of the marking phase and its Merge stage. The [bytes] are the live page frames (no copies,
     no per-page allocation beyond the array itself): callers must treat
     them as read-only and must not interleave stores, protection changes
     or unmaps with reads of the snapshot. *)

@@ -180,9 +180,9 @@ let build scheme ~threads machine =
       extra =
         (fun () ->
           let s = stats () in
-          (* When the parallel marking engine ran (domains > 1), surface
-             its telemetry to the experiments layer: the speedup figure
-             reads the modeled critical-path cycles from here. *)
+          (* With more than one modeled marker domain, surface the
+             par.* telemetry to the experiments layer: the speedup
+             figure reads the modeled critical-path cycles from here. *)
           let reg = Minesweeper.Instance.registry ms in
           let par =
             List.filter_map
@@ -190,8 +190,8 @@ let build scheme ~threads machine =
                 match Obs.Registry.read reg ("par." ^ name) with
                 | Some v -> Some ("par_" ^ name, float_of_int v)
                 | None -> None)
-              [ "domains"; "chunks"; "chunks_stolen"; "imbalance";
-                "mark_cycles_est"; "mark_cycles_seq_est" ]
+              [ "domains"; "chunks"; "imbalance"; "mark_cycles_est";
+                "mark_cycles_seq_est" ]
           in
           (* The sweep pipeline's per-stage projections (always
              registered): the pipeline figure reads the modeled

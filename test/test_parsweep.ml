@@ -1,71 +1,15 @@
-(* Parallel marking engine tests: the deque and sharding primitives,
-   and the headline equivalence property — for every workload preset and
-   every domain count, the parallel mark produces exactly the sequential
-   paths' shadow set, counters, release decisions and simulated timing.
-   The only permitted difference is the [par.*] telemetry. *)
+(* Modeled parallel marking tests: sharding, the static marker
+   assignment, and the headline equivalence property — for every
+   workload preset and every modeled domain count, the mark produces
+   exactly the one-domain shadow set, counters, release decisions and
+   simulated timing. The only permitted difference is the [par.*]
+   telemetry. *)
 
 module I = Minesweeper.Instance
 module C = Minesweeper.Config
 module Shadow = Minesweeper.Shadow
-module Deque = Parsweep.Deque
 
-(* --- Deque ----------------------------------------------------------- *)
-
-let test_deque_orders () =
-  let d = Deque.create () in
-  for i = 1 to 5 do
-    Deque.push d i
-  done;
-  Alcotest.(check int) "length" 5 (Deque.length d);
-  Alcotest.(check (option int)) "owner pops LIFO" (Some 5) (Deque.pop d);
-  Alcotest.(check (option int)) "thief steals FIFO" (Some 1) (Deque.steal d);
-  Alcotest.(check (option int)) "next steal" (Some 2) (Deque.steal d);
-  Alcotest.(check (option int)) "next pop" (Some 4) (Deque.pop d);
-  Alcotest.(check (option int)) "last item either way" (Some 3) (Deque.pop d);
-  Alcotest.(check (option int)) "empty pop" None (Deque.pop d);
-  Alcotest.(check (option int)) "empty steal" None (Deque.steal d)
-
-let test_deque_growth () =
-  let d = Deque.create () in
-  for i = 0 to 999 do
-    Deque.push d i
-  done;
-  let seen = ref [] in
-  let rec drain () =
-    match Deque.steal d with
-    | Some x ->
-      seen := x :: !seen;
-      drain ()
-    | None -> ()
-  in
-  drain ();
-  Alcotest.(check (list int)) "grows and steals in FIFO order"
-    (List.init 1000 (fun i -> i))
-    (List.rev !seen)
-
-let test_deque_concurrent_steal () =
-  (* Four thief domains drain one deque concurrently: every item must be
-     taken exactly once. *)
-  let d = Deque.create () in
-  let n = 2000 in
-  for i = 0 to n - 1 do
-    Deque.push d i
-  done;
-  let thief () =
-    let rec go acc =
-      match Deque.steal d with Some x -> go (x :: acc) | None -> acc
-    in
-    go []
-  in
-  let pool = Array.init 4 (fun _ -> Domain.spawn thief) in
-  let batches = Array.to_list (Array.map Domain.join pool) in
-  let all = List.sort compare (List.concat batches) in
-  Alcotest.(check int) "deque drained" 0 (Deque.length d);
-  Alcotest.(check (list int)) "each item stolen exactly once"
-    (List.init n (fun i -> i))
-    all
-
-(* --- Sharding and the pool ------------------------------------------ *)
+(* --- Sharding and the chunk map --------------------------------------- *)
 
 let mk_pages n =
   Array.init n (fun i ->
@@ -99,9 +43,21 @@ let test_map_chunks_results_and_stats () =
         (Array.fold_left ( + ) 0 stats.Parsweep.seeded_bytes);
       Alcotest.(check int) "chunks counted" (Array.length chunks)
         stats.Parsweep.chunks)
-    [ 1; 2; 4; 8 ];
-  let _, seq_stats = Parsweep.map_chunks ~domains:1 ~scan chunks in
-  Alcotest.(check int) "no steals inline" 0 seq_stats.Parsweep.stolen
+    [ 1; 2; 4; 8 ]
+
+let test_map_chunks_runs_on_caller () =
+  let chunks = Parsweep.shard ~chunk_pages:4 (mk_pages 37) in
+  let caller = Domain.self () in
+  let scan (c : Parsweep.chunk) = (c.Parsweep.cid, Domain.self ()) in
+  let per_chunk, stats = Parsweep.map_chunks ~domains:4 ~scan chunks in
+  Alcotest.(check int) "four modeled markers" 4 stats.Parsweep.domains;
+  Array.iteri
+    (fun i (cid, runner) ->
+      Alcotest.(check int) "scans run in chunk order" i cid;
+      Alcotest.(check bool)
+        (Printf.sprintf "chunk %d scanned on the calling domain" cid)
+        true (runner = caller))
+    per_chunk
 
 let test_critical_path () =
   (* Perfectly balanced 4-way seeding of 4 MiB: a single marker at
@@ -114,7 +70,6 @@ let test_critical_path () =
       Parsweep.domains = 4;
       chunks = 4;
       total_bytes = 4 * mib;
-      stolen = 0;
       seeded_bytes = [| mib; mib; mib; mib |];
     }
   in
@@ -205,10 +160,9 @@ let check_equivalent name reference observed =
   Alcotest.(check bool)
     (name ^ ": full stats snapshot") true (reference.stats = observed.stats)
 
-(* The tentpole property: every preset, domains in {1, 2, 4, 8}, same
-   everything. The domains=1 run takes the historical sequential path,
-   so this is parallel-vs-sequential equivalence, not parallel-vs-
-   parallel. *)
+(* The headline property: every preset, domains in {1, 2, 4, 8}, same
+   everything. The modeled domain count may move only the [par.*]
+   telemetry, never a simulated value. *)
 let test_presets_equivalent () =
   List.iter
     (fun (preset, config) ->
@@ -258,8 +212,8 @@ let test_par_metrics_presence () =
       Alcotest.(check bool) (name ^ " registered") true
         (Obs.Registry.mem reg name))
     [
-      "par.domains"; "par.chunks"; "par.chunks_stolen"; "par.imbalance";
-      "par.mark_cycles_est"; "par.mark_cycles_seq_est";
+      "par.domains"; "par.chunks"; "par.imbalance"; "par.mark_cycles_est";
+      "par.mark_cycles_seq_est";
     ];
   Alcotest.(check (option int)) "domain count exported" (Some 4)
     (Obs.Registry.read reg "par.domains");
@@ -332,13 +286,11 @@ let test_races_clean_parallel () =
 let suite =
   ( "minesweeper.parsweep",
     [
-      Alcotest.test_case "deque LIFO pop / FIFO steal" `Quick test_deque_orders;
-      Alcotest.test_case "deque growth" `Quick test_deque_growth;
-      Alcotest.test_case "deque concurrent steal" `Quick
-        test_deque_concurrent_steal;
       Alcotest.test_case "canonical sharding" `Quick test_shard_canonical;
       Alcotest.test_case "map_chunks results + stats" `Quick
         test_map_chunks_results_and_stats;
+      Alcotest.test_case "map_chunks scans on the caller" `Quick
+        test_map_chunks_runs_on_caller;
       Alcotest.test_case "critical-path projection" `Quick test_critical_path;
       Alcotest.test_case "all presets equivalent at 1/2/4/8 domains" `Slow
         test_presets_equivalent;

@@ -183,32 +183,39 @@ let test_sweep_run_api () =
         (r.P.cycles >= 0 && r.P.items >= 0 && r.P.bytes >= 0))
     o.P.reports
 
-let test_mark_shims_route_through_pipeline () =
-  let machine, ms = fresh ~config:C.default () in
-  run_workload ~ops:2_000 machine ms 3;
-  let scanned = I.mark_all_memory ms in
-  (match I.Sweep.last ms with
-  | None -> Alcotest.fail "mark_all_memory published no outcome"
-  | Some o ->
-    Alcotest.(check int) "shim returns the outcome's scanned bytes" scanned
-      o.P.scanned_bytes;
-    Alcotest.(check bool) "shim plan is mark-only" true
-      (List.map (fun r -> r.P.stage) o.P.reports = [ P.Mark; P.Merge ]);
-    Alcotest.(check int) "no quarantine entries locked in" 0 o.P.entries;
-    Alcotest.(check bool) "shim forces a full scan" true
-      (o.P.plan.P.mode = C.Full_scan));
-  let machine_i, ms_i = fresh ~config:C.incremental () in
-  run_workload ~ops:2_000 machine_i ms_i 3;
-  let rescanned, replayed = I.mark_incremental ms_i in
-  match I.Sweep.last ms_i with
-  | None -> Alcotest.fail "mark_incremental published no outcome"
-  | Some o ->
-    Alcotest.(check int) "replayed words surface in the outcome" replayed
-      o.P.replayed_words;
-    Alcotest.(check int) "rescanned bytes = scanned minus replays" rescanned
-      (o.P.scanned_bytes - (o.P.replayed_words * 8));
-    Alcotest.(check bool) "shim plan marks incrementally" true
-      (o.P.plan.P.mode = C.Incremental)
+let test_mark_only_plans () =
+  List.iter
+    (fun (name, config, mode) ->
+      let machine, ms = fresh ~config () in
+      run_workload ~ops:2_000 machine ms 3;
+      let plan = P.mark_only (I.Sweep.plan ms) in
+      let sweeps = (I.stats ms).Minesweeper.Stats.sweeps in
+      let o = I.Sweep.run ms plan in
+      Alcotest.(check bool) (name ^ ": Sweep.last returns the outcome") true
+        (I.Sweep.last ms = Some o);
+      Alcotest.(check bool) (name ^ ": only Mark and Merge report") true
+        (List.map (fun r -> r.P.stage) o.P.reports = [ P.Mark; P.Merge ]);
+      Alcotest.(check int) (name ^ ": no quarantine entries locked in") 0
+        o.P.entries;
+      Alcotest.(check int) (name ^ ": no sweep counted") sweeps
+        (I.stats ms).Minesweeper.Stats.sweeps;
+      Alcotest.(check bool) (name ^ ": the plan's marking mode") true
+        (o.P.plan.P.mode = mode);
+      let merged =
+        List.fold_left
+          (fun acc r -> if r.P.stage = P.Merge then r.P.bytes else acc)
+          0 o.P.reports
+      in
+      Alcotest.(check int)
+        (name ^ ": scanned = merged rescans + replayed words")
+        o.P.scanned_bytes
+        (merged + (o.P.replayed_words * 8));
+      Alcotest.(check bool)
+        (name ^ ": replayed words surface in the outcome")
+        (mode = C.Incremental)
+        (o.P.replayed_words > 0))
+    [ ("full", C.default, C.Full_scan);
+      ("incremental", C.incremental, C.Incremental) ]
 
 (* --- Export determinism across the whole pipeline ---------------------- *)
 
@@ -227,7 +234,7 @@ let drop_span_seq line =
     | None -> line
   else line
 
-(* Everything parallelism is allowed to change: the [par.*] and
+(* Everything the domain count is allowed to change: the [par.*] and
    [sweep.stage.*] telemetry, the per-domain mark spans, and the header
    lines whose line counts include them. *)
 let strip text =
@@ -359,8 +366,8 @@ let suite =
         test_flush_batch_matches_flush_all;
       Alcotest.test_case "flush_batch edge cases" `Quick test_flush_batch_empty;
       Alcotest.test_case "Sweep.run outcome" `Quick test_sweep_run_api;
-      Alcotest.test_case "deprecated shims route through the pipeline" `Quick
-        test_mark_shims_route_through_pipeline;
+      Alcotest.test_case "mark-only plans in both modes" `Quick
+        test_mark_only_plans;
       Alcotest.test_case "exports equivalent at 1/2/4/8 domains" `Slow
         test_exports_equivalent_across_domains;
       Alcotest.test_case "sweep.stage.* telemetry" `Quick
