@@ -105,7 +105,7 @@ let print_result (r : Workloads.Driver.result) =
   Fmt.pr "failed frees   %d@." r.failed_frees;
   Fmt.pr "allocs/frees   %d/%d@." r.allocations r.frees;
   Fmt.pr "live at end    %.2f MiB@." (mb r.live_bytes_end);
-  List.iter (fun (k, v) -> Fmt.pr "%-14s %.0f@." k v) r.extra
+  List.iter (fun (name, v) -> Fmt.pr "%-14s %d@." name v) r.metrics
 
 let suite_arg =
   Arg.(value & opt string "spec2006" & info [ "suite" ] ~doc:"Benchmark suite")
@@ -359,19 +359,30 @@ let figures_cmd =
     Arg.(
       value
       & opt (some string) None
-      & info [ "only" ] ~doc:"Comma-separated figure ids (fig1..fig19, scudo, ...)")
+      & info [ "only" ]
+          ~doc:
+            "Comma-separated figure ids (fig1..fig19, scudo, ...). An \
+             unknown id exits 1 and lists the valid ones.")
   in
   let f only scale =
-    let env = Experiments.make_env ~scale ~verbose:true () in
+    let known = List.map fst Experiments.all_figures in
     let wanted =
       match only with
-      | None -> (fun _ -> true)
-      | Some s ->
+      | None -> known
+      | Some s -> (
         let ids = String.split_on_char ',' s in
-        fun key -> List.mem key ids
+        match List.filter (fun id -> not (List.mem id known)) ids with
+        | [] -> ids
+        | unknown ->
+          Fmt.epr "unknown figure id(s): %s@.valid ids: %s@."
+            (String.concat ", " unknown)
+            (String.concat ", " known);
+          exit 1)
     in
+    let env = Experiments.make_env ~scale ~verbose:true () in
     List.iter
-      (fun (key, render) -> if wanted key then print_string (render env))
+      (fun (key, render) ->
+        if List.mem key wanted then print_string (render env))
       Experiments.all_figures
   in
   Cmd.v (Cmd.info "figures" ~doc) Term.(const f $ only_arg $ scale_arg)

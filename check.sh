@@ -156,6 +156,17 @@ grep -q "witness:" "$workdir/flow1.txt" \
   && { echo "FAIL: analyze --strict must fail on findings" >&2; exit 1; }
 echo "analyze: deterministic output, static dangling coverage, shared --strict"
 
+echo "== figures: unknown ids are rejected"
+# Every figure gate below greps a figure's output for REGRESSION; an id
+# the CLI silently ignored would print nothing and pass vacuously.
+if "$CLI" figures --only no-such-figure --scale 0.02 >"$workdir/nofig.txt" 2>&1; then
+  echo "FAIL: figures --only accepted an unknown figure id" >&2
+  exit 1
+fi
+grep -q "valid ids: .*parallel-mark" "$workdir/nofig.txt" \
+  || { echo "FAIL: the unknown-id error does not list the valid ids" >&2; exit 1; }
+echo "figures --only rejects an unknown id and lists the valid ones"
+
 echo "== bench smoke: static bounds vs dynamic telemetry"
 # Every mimalloc-bench profile: the static quarantine-occupancy and
 # sweep bounds must dominate the measured ms.* values, and every
@@ -317,7 +328,18 @@ for name in vmem.committed_bytes alloc.mallocs ms.sweep_scan_bytes; do
   grep -q "\"metric\":\"$name\"" "$workdir/m1.jsonl" \
     || { echo "FAIL: $name absent from export" >&2; exit 1; }
 done
-echo "all registered counters present in the export"
+# ...on every backend MineSweeper layers over: the three protected
+# stacks share one builder, so they must export the same layers.
+for scheme in minesweeper scudo-ms dl-ms; do
+  "$CLI" bench --suite spec2006 -b perlbench -s "$scheme" --scale 0.02 \
+    --metrics-out "$workdir/layers-$scheme.jsonl" >/dev/null
+  for name in vmem.committed_bytes alloc.live_bytes ms.sweep_scan_bytes \
+      sweep.stage.seq_cycles_est; do
+    grep -q "\"metric\":\"$name\"" "$workdir/layers-$scheme.jsonl" \
+      || { echo "FAIL: $name absent from the $scheme export" >&2; exit 1; }
+  done
+done
+echo "all registered counters present in the export, on every protected stack"
 
 head -1 "$workdir/s1.jsonl" | grep -q '"schema":"msweep-spans-v1"' \
   || { echo "FAIL: missing spans schema header" >&2; exit 1; }

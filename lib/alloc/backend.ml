@@ -5,13 +5,11 @@
     to bound the heap (for cheap pointer filtering during sweeps), the
     extent hooks that let purged memory be protected out of sweeps, and
     explicit purge control for the post-sweep cleanup of Section 4.5.
-    [Jemalloc] implements this signature; [Scudo] is the second backend
-    the paper reports (Section 7). *)
+    [Jemalloc], [Scudo] (the second backend the paper reports, Section 7)
+    and [Dlmalloc] implement this signature directly. *)
 
 module type S = sig
   type t
-
-  val name : string
 
   val create : ?extra_byte:bool -> Machine.t -> t
   (** [extra_byte] enables the +1-byte modification that keeps C/C++
@@ -36,4 +34,10 @@ module type S = sig
   val set_extent_hooks : t -> Extent.hooks -> unit
   val purge_tick : t -> unit
   val purge_all : t -> unit
+
+  val attach_obs : t -> Obs.Registry.t -> unit
+  (** Register the allocator's accounting in a metrics registry as
+      read-through [alloc.*] metrics ([alloc.live_bytes] at least).
+      Raises {!Obs.Registry.Duplicate} if the names are already
+      claimed. *)
 end

@@ -1,5 +1,3 @@
-let name = "dlmalloc"
-
 let word = Vmem.word_size
 let header_bytes = word
 let min_payload = 16
@@ -155,6 +153,11 @@ let set_extent_hooks t hooks = Extent.set_hooks t.extent hooks
 (* dlmalloc trims via sbrk only at the very top; model as no-ops. *)
 let purge_tick _t = ()
 let purge_all _t = ()
+
+let attach_obs t reg =
+  Obs.Registry.derive_gauge reg "alloc.live_allocations" (fun () ->
+      t.live_allocs);
+  Obs.Registry.derive_gauge reg "alloc.live_bytes" (fun () -> t.live_bytes)
 
 let check_bin_integrity t =
   let ok = ref true in

@@ -22,7 +22,6 @@
 
 type t
 
-val name : string
 val create : ?extra_byte:bool -> Machine.t -> t
 val malloc : t -> int -> int
 val free : t -> int -> unit
@@ -37,6 +36,10 @@ val wilderness : t -> int
 val set_extent_hooks : t -> Extent.hooks -> unit
 val purge_tick : t -> unit
 val purge_all : t -> unit
+
+val attach_obs : t -> Obs.Registry.t -> unit
+(** Register [alloc.live_allocations] and [alloc.live_bytes] as
+    read-through metrics. *)
 
 val header_of : t -> int -> int
 (** Address of the chunk header for a payload address (tests/attacks). *)

@@ -49,10 +49,10 @@ type t = {
   mutable observer : (event -> unit) option;
 }
 
-let create ?(extra_byte = false) ?decay_cycles machine =
+let create ?(extra_byte = false) machine =
   {
     machine;
-    extent = Extent.create ?decay_cycles machine;
+    extent = Extent.create machine;
     bins = Array.init Size_class.count (fun _ -> { nonfull = [] });
     tcache = Array.init Size_class.count (fun _ -> { items = []; count = 0 });
     slab_of_page = Hashtbl.create 1024;

@@ -13,7 +13,7 @@
 
 type t
 
-val create : ?extra_byte:bool -> ?decay_cycles:int -> Machine.t -> t
+val create : ?extra_byte:bool -> Machine.t -> t
 
 val malloc : t -> int -> int
 (** [malloc t size] returns the address of a zero-filled allocation of at

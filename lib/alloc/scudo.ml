@@ -1,5 +1,3 @@
-let name = "scudo"
-
 let header_bytes = 16
 let checksum_cycles = 28 (* CRC32-based header checksum, each direction *)
 let pool_capacity = 32
@@ -69,3 +67,4 @@ let purge_all t =
   Jemalloc.purge_all t.heap
 
 let pool_size t = t.pool_len
+let attach_obs t reg = Jemalloc.attach_obs t.heap reg

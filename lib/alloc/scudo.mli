@@ -13,7 +13,6 @@
 
 type t
 
-val name : string
 val create : ?extra_byte:bool -> Machine.t -> t
 val malloc : t -> int -> int
 val free : t -> int -> unit
@@ -31,3 +30,7 @@ val purge_all : t -> unit
 
 val pool_size : t -> int
 (** Slots currently held in the randomisation pool (tests). *)
+
+val attach_obs : t -> Obs.Registry.t -> unit
+(** The underlying heap's [alloc.*] metrics ({!Jemalloc.attach_obs}):
+    pooled slots still count as live there. *)

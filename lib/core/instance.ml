@@ -102,7 +102,6 @@ type t = {
   unmapped_pages : (int, unit) Hashtbl.t; (* page index -> () *)
   par : par_telemetry option;
   stage_obs : stage_telemetry;
-  log : Event_log.t;
   mutable summaries : (int, page_summary) Hashtbl.t; (* page index *)
   mutable sweep : sweep_state option;
   mutable last_decay_tick : int;
@@ -187,7 +186,6 @@ let create ?(config = Config.default) ?(threads = 1) ?obs machine =
       unmapped_pages = Hashtbl.create 1024;
       par;
       stage_obs;
-      log = Event_log.create ~ring ();
       summaries = Hashtbl.create 1024;
       sweep = None;
       last_decay_tick = 0;
@@ -202,11 +200,7 @@ let create ?(config = Config.default) ?(threads = 1) ?obs machine =
   (* The surrounding layers publish their accounting into the same
      registry as read-through metrics — one export covers the stack. *)
   Vmem.attach_obs (mem t) registry;
-  (* Also publish the resident-set gauge under the instance namespace so
-     consumers that only see `ms.*` metrics (fleet aggregation, pressure
-     policies) can read RSS without knowing about the vmem layer. *)
-  R.derive_gauge registry "ms.vmem.committed_bytes" (fun () ->
-      Vmem.committed_bytes (mem t));
+  B.attach_obs je registry;
   (* Purge-stage accounting: every decommit the allocator performs while
      the Purge stage runs is one madvise-equivalent syscall. *)
   Vmem.set_decommit_observer (mem t) (fun ~addr:_ ~len ->
@@ -214,8 +208,6 @@ let create ?(config = Config.default) ?(threads = 1) ?obs machine =
         t.purge_decommits <- t.purge_decommits + 1;
         t.purge_decommit_bytes <- t.purge_decommit_bytes + len
       end);
-  R.derive_gauge registry "alloc.backend_live_bytes" (fun () ->
-      B.live_bytes je);
   R.derive_gauge registry "ms.quarantine_bytes" (fun () ->
       Quarantine.total_bytes t.quarantine);
   R.derive_gauge registry "ms.shadow_resident_bytes" (fun () ->
@@ -606,7 +598,9 @@ let sweep_sink t =
   | Config.Sequential -> Alloc.Machine.App
   | Config.Concurrent _ -> Alloc.Machine.Background
 
-let log_event t event = Event_log.record t.log ~now:(now t) event
+(* A lifecycle event: one zero-length span in the shared ring. *)
+let log_event t phase label attrs =
+  Ring.emit t.ring ~phase ~label ~t_start:(now t) ~t_end:(now t) ~attrs ()
 
 (* Fold a finished sweep's outcome into the [sweep.stage.*] telemetry
    and publish it as [last_outcome]. *)
@@ -658,7 +652,7 @@ let finish_sweep t state =
     Ring.exit t.ring pending ~now:(now t) ~bytes:dirty_bytes
       ~attrs:[ ("sweep", sweep_number t); ("pause_cycles", pause) ]
       ();
-    log_event t (Event_log.Stop_the_world { cycles = pause })
+    log_event t Ring.Scan "stw" [ ("cycles", pause) ]
   end;
   let c = cost t in
   let released_before = R.Counter.value t.stats.Stats.Live.releases in
@@ -707,8 +701,8 @@ let finish_sweep t state =
     ~attrs:[ ("sweep", sweep_number t); ("released", released);
              ("failed", failed) ]
     ();
-  log_event t
-    (Event_log.Sweep_finished { sweep = sweep_number t; released; failed });
+  log_event t Ring.Mark "sweep-finish"
+    [ ("sweep", sweep_number t); ("released", released); ("failed", failed) ];
   let entries_n = List.length state.entries in
   let reports = state.head_reports @ (release_report :: purge_reports) in
   let sequential_cycles, pipelined_cycles =
@@ -736,12 +730,9 @@ let finish_sweep t state =
 
 let start_sweep_plan t (plan : Pipeline.plan) =
   count t.stats.Stats.Live.sweeps 1;
-  log_event t
-    (Event_log.Sweep_started
-       {
-         sweep = sweep_number t;
-         quarantined_bytes = Quarantine.total_bytes t.quarantine;
-       });
+  log_event t Ring.Mark "sweep-start"
+    [ ("sweep", sweep_number t);
+      ("quarantined_bytes", Quarantine.total_bytes t.quarantine) ];
   (* Batched quarantine flush: drain every thread buffer into the global
      list taking the lock once per [flush_batch] entries, so the lock-in
      below sees the complete set at amortised per-entry cost. *)
@@ -940,7 +931,7 @@ let malloc t size =
       Ring.exit t.ring pending ~now:(now t)
         ~attrs:[ ("cycles", wait) ]
         ();
-      log_event t (Event_log.Allocation_paused { cycles = wait });
+      log_event t Ring.Alloc_slow "alloc-pause" [ ("cycles", wait) ];
       count t.stats.Stats.Live.alloc_pauses 1;
       count t.stats.Stats.Live.alloc_pause_cycles wait;
       R.Histogram.observe t.pause_hist wait;
@@ -975,7 +966,7 @@ let unmap_entry t (e : Quarantine.entry) (lo, len) =
     Hashtbl.replace t.unmapped_pages ((lo / page) + i) ()
   done;
   e.Quarantine.unmapped_len <- len;
-  log_event t (Event_log.Unmapped { addr = lo; len });
+  log_event t Ring.Quarantine "unmap" [ ("addr", lo); ("len", len) ];
   count t.stats.Stats.Live.unmapped_allocations 1;
   count t.stats.Stats.Live.unmapped_bytes len
 
@@ -1001,7 +992,7 @@ let forward_free t addr =
    quarantined. *)
 let quarantine_free t ~thread addr =
   let usable = B.usable_size t.je addr in
-  log_event t (Event_log.Free_intercepted { addr; usable });
+  log_event t Ring.Quarantine "free" [ ("addr", addr); ("usable", usable) ];
   let e = { Quarantine.addr; usable; unmapped_len = 0; failures = 0 } in
   let covered =
     if t.config.Config.unmapping then covered_pages ~addr ~len:usable
@@ -1033,7 +1024,7 @@ let free_result t ?(thread = 0) addr =
     (* Double free while quarantined: idempotent (Section 3). *)
     count t.stats.Stats.Live.frees_intercepted 1;
     count t.stats.Stats.Live.double_frees 1;
-    log_event t (Event_log.Double_free { addr });
+    log_event t Ring.Quarantine "double-free" [ ("addr", addr) ];
     if t.config.Config.debug_double_free then
       Logs.warn (fun m -> m "MineSweeper: double free of %#x" addr);
     Error (Double_free addr)
@@ -1117,7 +1108,6 @@ let registry t = t.registry
 let trace_ring t = t.ring
 let quarantine_bytes t = Quarantine.total_bytes t.quarantine
 let quarantine_entries t = Quarantine.entry_count t.quarantine
-let event_log t = t.log
 let shadow_resident_bytes t = Shadow.shadow_bytes t.shadow
 let sweep_in_progress t = t.sweep <> None
 let quarantine t = t.quarantine
@@ -1147,6 +1137,6 @@ module Sweep = struct
 end
 end
 
-include Make (Alloc.Backends.Jemalloc_backend)
+include Make (Alloc.Jemalloc)
 
 let jemalloc = backend

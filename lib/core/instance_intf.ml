@@ -65,7 +65,9 @@ module type S = sig
   (** Builds the layer over a fresh allocator (with the extra-byte
       modification). [threads] sizes the thread-local quarantine
       buffers. [obs] joins an existing metrics registry (the instance
-      registers its counters under the [ms.] prefix and raises
+      registers its counters under the [ms.] prefix, the address
+      space's under [vmem.] and the allocator's under [alloc.] via
+      {!Alloc.Backend.S.attach_obs}, and raises
       {!Obs.Registry.Duplicate} if another instance already claimed
       them); by default a private registry is created. *)
 
@@ -173,16 +175,13 @@ module type S = sig
       passed as [?obs], or the private one). *)
 
   val trace_ring : t -> Obs.Trace_ring.t
-  (** The span ring holding both the event log's entries and the
-      per-sweep phase profiling spans ([mark]/[scan]/[purge]/
-      [quarantine]/[alloc_slow]). *)
+  (** The span ring holding both the lifecycle events — zero-length
+      [free], [double-free], [unmap], [sweep-start], [sweep-finish],
+      [stw] and [alloc-pause] spans — and the per-sweep phase profiling
+      spans ([mark]/[scan]/[purge]/[quarantine]/[alloc_slow]). *)
 
   val quarantine_bytes : t -> int
   val quarantine_entries : t -> int
-
-  val event_log : t -> Event_log.t
-  (** The instance's bounded debug/telemetry event view (a decoder over
-      {!trace_ring}). *)
 
   val shadow_resident_bytes : t -> int
   (** Bytes of shadow-map backing currently resident (for memory

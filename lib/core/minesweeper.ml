@@ -25,5 +25,4 @@ module Pipeline = Pipeline
 module Shadow = Shadow
 module Stats = Stats
 module Quarantine = Quarantine
-module Event_log = Event_log
 module Instance = Instance

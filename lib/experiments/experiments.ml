@@ -776,6 +776,12 @@ let ablation_helpers env =
     ^ "\nmore helpers shorten each sweep (prompter recycling, less \
        allocation-pause risk) at the same total CPU cost (Section 4.4)\n")
 
+(* A run's end-of-run registry value under its registry name; 0 when the
+   stack does not register it. *)
+let metric (r : Workloads.Driver.result) name =
+  float_of_int
+    (Option.value ~default:0 (List.assoc_opt name r.Workloads.Driver.metrics))
+
 let incremental_benches =
   [
     ("spec2006", [ "perlbench"; "gcc"; "omnetpp"; "xalancbmk"; "dealII" ]);
@@ -783,9 +789,6 @@ let incremental_benches =
   ]
 
 let incremental_sweep env =
-  let extra (r : Workloads.Driver.result) key =
-    Option.value ~default:0. (List.assoc_opt key r.Workloads.Driver.extra)
-  in
   let mb v = v /. 1048576. in
   let table =
     Report.Table.create
@@ -803,8 +806,8 @@ let incremental_sweep env =
           let baseline = baseline_for env ~suite ~bench in
           let full = run env ~suite ~bench ~scheme:"minesweeper" in
           let inc = run env ~suite ~bench ~scheme:"minesweeper-incremental" in
-          let swept_full = extra full "swept_bytes" in
-          let swept_inc = extra inc "swept_bytes" in
+          let swept_full = metric full "ms.swept_bytes" in
+          let swept_inc = metric inc "ms.swept_bytes" in
           (* The first incremental sweep has no summaries to replay and
              necessarily rescans everything; incrementality can only pay
              off from the second sweep on. *)
@@ -816,9 +819,9 @@ let incremental_sweep env =
               Workloads.Driver.slowdown ~baseline inc;
               mb swept_full;
               mb swept_inc;
-              extra inc "pages_skipped";
-              extra inc "pages_rescanned";
-              extra inc "summary_cache_bytes" /. 1024.;
+              metric inc "ms.sweep_pages_skipped";
+              metric inc "ms.sweep_pages_rescanned";
+              metric inc "ms.summary_cache_bytes" /. 1024.;
             ])
         benches)
     incremental_benches;
@@ -849,9 +852,6 @@ let parallel_mark_benches =
   ]
 
 let parallel_mark env =
-  let extra (r : Workloads.Driver.result) key =
-    Option.value ~default:0. (List.assoc_opt key r.Workloads.Driver.extra)
-  in
   let mb v = v /. 1048576. in
   let domain_counts = [ 1; 2; 4; 8 ] in
   let table =
@@ -882,7 +882,7 @@ let parallel_mark env =
                     scheme ))
               domain_counts
           in
-          let swept d = extra (List.assoc d results) "swept_bytes" in
+          let swept d = metric (List.assoc d results) "ms.swept_bytes" in
           (* Determinism is the contract: any domain count must mark and
              sweep exactly the same bytes. *)
           List.iter
@@ -893,27 +893,27 @@ let parallel_mark env =
                     suite bench d
                   :: !regressions)
             domain_counts;
-          (* The modeled mark-phase critical path: [par_mark_cycles_est]
+          (* The modeled mark-phase critical path: [par.mark_cycles_est]
              accumulates max(slowest domain, DRAM floor) per sweep,
-             [par_mark_cycles_seq_est] the single-marker cost over the
+             [par.mark_cycles_seq_est] the single-marker cost over the
              same bytes — their ratio is the modeled speedup. *)
           let speedup d =
             if d = 1 then 1.0
             else
               let r = List.assoc d results in
-              let est = extra r "par_mark_cycles_est" in
-              if est > 0.0 then extra r "par_mark_cycles_seq_est" /. est
+              let est = metric r "par.mark_cycles_est" in
+              if est > 0.0 then metric r "par.mark_cycles_seq_est" /. est
               else 0.0
           in
           best_speedup4 := max !best_speedup4 (speedup 4);
           let seq_cycles =
-            extra (List.assoc 2 results) "par_mark_cycles_seq_est"
+            metric (List.assoc 2 results) "par.mark_cycles_seq_est"
           in
           let xput1 = if seq_cycles > 0.0 then swept 1 /. seq_cycles else 0.0 in
           Report.Table.add_row table (suite ^ "/" ^ bench)
             [
               mb (swept 1); xput1; speedup 2; speedup 4; speedup 8;
-              extra (List.assoc 4 results) "par_imbalance" /. 1024.;
+              metric (List.assoc 4 results) "par.imbalance" /. 1024.;
             ])
         benches)
     parallel_mark_benches;
@@ -949,9 +949,6 @@ let parallel_mark env =
    domain-independent — both totals are pure [sweep.stage.*] projections
    — so swept bytes must be byte-identical at every domain count. *)
 let sweep_pipeline env =
-  let extra (r : Workloads.Driver.result) key =
-    Option.value ~default:0. (List.assoc_opt key r.Workloads.Driver.extra)
-  in
   let mb v = v /. 1048576. in
   let domain_counts = [ 1; 2; 4; 8 ] in
   let table =
@@ -982,7 +979,7 @@ let sweep_pipeline env =
                     scheme ))
               domain_counts
           in
-          let swept d = extra (List.assoc d results) "swept_bytes" in
+          let swept d = metric (List.assoc d results) "ms.swept_bytes" in
           (* Determinism is the contract: the pipeline is a projection,
              so any domain count must mark and sweep the same bytes. *)
           List.iter
@@ -993,22 +990,23 @@ let sweep_pipeline env =
                     suite bench d
                   :: !regressions)
             domain_counts;
-          (* [pipe_seq_cycles_est] accumulates the single-threaded stage
-             totals per sweep, [pipe_pipeline_cycles_est] the overlapped
+          (* [sweep.stage.seq_cycles_est] accumulates the single-threaded stage
+             totals per sweep, [sweep.stage.pipeline_cycles_est] the overlapped
              schedule — their ratio is the modeled end-to-end sweep-cycle
              speedup. *)
           let speedup d =
             let r = List.assoc d results in
-            let pipe = extra r "pipe_pipeline_cycles_est" in
-            if pipe > 0.0 then extra r "pipe_seq_cycles_est" /. pipe else 1.0
+            let pipe = metric r "sweep.stage.pipeline_cycles_est" in
+            if pipe > 0.0 then metric r "sweep.stage.seq_cycles_est" /. pipe
+            else 1.0
           in
           best_speedup4 := max !best_speedup4 (speedup 4);
           Report.Table.add_row table (suite ^ "/" ^ bench)
             [
               mb (swept 1);
-              extra (List.assoc 1 results) "pipe_seq_cycles_est" /. 1e6;
+              metric (List.assoc 1 results) "sweep.stage.seq_cycles_est" /. 1e6;
               speedup 2; speedup 4; speedup 8;
-              extra (List.assoc 4 results) "pipe_flush_batches";
+              metric (List.assoc 4 results) "sweep.stage.flush_batches";
             ])
         benches)
     parallel_mark_benches;

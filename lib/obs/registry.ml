@@ -58,13 +58,14 @@ let names t = List.map fst (metrics t)
 let mem t name = List.mem_assoc name t.entries
 let find t name = List.assoc_opt name t.entries
 
-let read t name =
-  match find t name with
-  | None -> None
-  | Some (Counter c) -> Some c.c_value
-  | Some (Gauge g) -> Some g.g_value
-  | Some (Histogram h) -> Some h.h_count
-  | Some (Derived_counter fn) | Some (Derived_gauge fn) -> Some (fn ())
+let value = function
+  | Counter c -> c.c_value
+  | Gauge g -> g.g_value
+  | Histogram h -> h.h_count
+  | Derived_counter fn | Derived_gauge fn -> fn ()
+
+let read t name = Option.map value (find t name)
+let snapshot t = List.map (fun (name, m) -> (name, value m)) (metrics t)
 
 let reset t =
   List.iter

@@ -62,6 +62,9 @@ val read : t -> string -> int option
 (** Current scalar value: counter/gauge value, a histogram's observation
     count, or the callback's result for derived metrics. *)
 
+val snapshot : t -> (string * int) list
+(** Every metric's {!read} value, sorted by name. *)
+
 val reset : t -> unit
 (** Zero every stored counter, gauge and histogram. Derived metrics
     read through to live state and are unaffected. *)

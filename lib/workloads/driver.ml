@@ -17,7 +17,7 @@ type result = {
   oom_killed : bool;
       (* exceeded the memory budget and was terminated early, like the
          paper's unoptimised gcc/milc runs (Figure 16's ">" entries) *)
-  extra : (string * float) list;
+  metrics : (string * int) list;
 }
 
 type obj = {
@@ -309,7 +309,10 @@ let run ?(trace_points = 240) ?(ops_scale = 1.0) ?(rss_limit = 768 * 1024 * 1024
     frees = !frees;
     live_bytes_end = stack.Harness.live_bytes ();
     oom_killed = !oom;
-    extra = stack.Harness.extra ();
+    metrics =
+      (match stack.Harness.obs with
+      | Some reg -> Obs.Registry.snapshot reg
+      | None -> []);
   }
 
 let slowdown ~baseline r = float_of_int r.wall /. float_of_int baseline.wall

@@ -29,7 +29,11 @@ type result = {
   oom_killed : bool;
       (** the run exceeded its memory budget and was terminated early —
           the fate of the paper's unoptimised gcc/milc runs *)
-  extra : (string * float) list;
+  metrics : (string * int) list;
+      (** the stack's metrics registry ({!Harness.t.obs}) read once at
+          the end of the run: every metric under its registry name, in
+          name order ({!Obs.Registry.snapshot}); [[]] for stacks that
+          keep no registry *)
 }
 
 val run :

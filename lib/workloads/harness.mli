@@ -1,10 +1,12 @@
 (** Allocator stacks: a uniform face over the schemes under evaluation.
 
     A stack bundles the scheme's entry points with the accounting the
-    driver needs: how much extra metadata it keeps resident, how cold its
-    served memory is (delayed reuse causes the cache misses the paper
-    identifies as MineSweeper's main run-time cost), and scheme-specific
-    statistics for the result tables. *)
+    driver needs: how much extra metadata it keeps resident and how cold
+    its served memory is (delayed reuse causes the cache misses the
+    paper identifies as MineSweeper's main run-time cost). The three
+    plain allocators share one builder over {!Alloc.Backend.S}, and the
+    three MineSweeper stacks one builder over
+    {!Minesweeper.Instance.S}. *)
 
 type scheme =
   | Baseline  (** unmodified JeMalloc (the paper's comparison baseline) *)
@@ -37,9 +39,12 @@ type t = {
   scheme : string;
   machine : Alloc.Machine.t;
   obs : Obs.Registry.t option;
-      (** the stack's metrics registry (MineSweeper schemes: the
-          instance's, with the allocator's and address space's
-          read-through metrics attached); [None] for stacks that keep no
+      (** the stack's metrics registry: for the MineSweeper schemes the
+          instance's, which holds the [ms.*], [sweep.stage.*] (and, at
+          more than one modeled domain, [par.*]) metrics beside the
+          [vmem.*] and [alloc.*] read-through metrics that
+          {!Minesweeper.Instance.S.create} attaches; for [Pooled] the
+          pool allocator's [alloc.*]; [None] for stacks that keep no
           registry *)
   trace : Obs.Trace_ring.t option;
       (** the stack's span ring (events + sweep-phase profiling) *)
@@ -85,7 +90,6 @@ type t = {
           pointer-tracking schemes. *)
   sweeps : unit -> int;
   failed_frees : unit -> int;
-  extra : unit -> (string * float) list;
 }
 
 val build : scheme -> threads:int -> Alloc.Machine.t -> t

@@ -135,7 +135,6 @@ type result = {
   dangling_left : int;
   arrivals : int array;
   oom_killed : bool;
-  extra : (string * float) list;
 }
 
 exception Out_of_memory_budget
@@ -424,7 +423,6 @@ let finish s =
     dangling_left = s.dangling;
     arrivals = s.arrivals;
     oom_killed = s.oom;
-    extra = s.stack.Harness.extra ();
   }
 
 let scale_profile = scale

@@ -90,7 +90,6 @@ type result = {
           function of (profile, seed), identical across schemes (the
           open-loop property; asserted by tests) *)
   oom_killed : bool;
-  extra : (string * float) list;
 }
 
 (** {1 Session API}

@@ -1,43 +1,20 @@
-(* Event-log tests: ring semantics and instance integration. *)
+(* Lifecycle events: the zero-length spans an instance emits into its
+   trace ring, read back by label. *)
 
-module E = Minesweeper.Event_log
 module I = Minesweeper.Instance
+module Ring = Obs.Trace_ring
 
-let test_record_and_order () =
-  let log = E.create ~capacity:16 () in
-  E.record log ~now:10 (E.Double_free { addr = 1 });
-  E.record log ~now:20 (E.Allocation_paused { cycles = 5 });
-  match E.events log with
-  | [ (10, E.Double_free { addr = 1 }); (20, E.Allocation_paused { cycles = 5 }) ]
-    -> ()
-  | _ -> Alcotest.fail "events out of order"
+let lifecycle_labels =
+  [ "free"; "double-free"; "unmap"; "sweep-start"; "sweep-finish"; "stw";
+    "alloc-pause" ]
 
-let test_ring_wraps () =
-  let log = E.create ~capacity:4 () in
-  for i = 1 to 10 do
-    E.record log ~now:i (E.Double_free { addr = i })
-  done;
-  Alcotest.(check int) "total recorded" 10 (E.recorded log);
-  let retained = E.events log in
-  Alcotest.(check int) "only capacity retained" 4 (List.length retained);
-  (match retained with
-  | (7, _) :: _ -> ()
-  | (t, _) :: _ -> Alcotest.failf "oldest retained should be 7, got %d" t
-  | [] -> Alcotest.fail "empty");
-  match List.rev retained with
-  | (10, _) :: _ -> ()
-  | _ -> Alcotest.fail "newest must be 10"
+let lifecycle ms =
+  List.filter
+    (fun (s : Ring.span) -> List.mem s.Ring.label lifecycle_labels)
+    (Ring.spans (I.trace_ring ms))
 
-let test_pp_and_dump () =
-  let log = E.create () in
-  E.record log ~now:1
-    (E.Sweep_started { sweep = 1; quarantined_bytes = 4096 });
-  E.record log ~now:2 (E.Sweep_finished { sweep = 1; released = 3; failed = 1 });
-  let s = Format.asprintf "%a" E.dump log in
-  Alcotest.(check bool) "mentions sweep" true
-    (Astring_contains.contains s "sweep #1");
-  Alcotest.(check bool) "mentions released" true
-    (Astring_contains.contains s "released 3")
+let logged spans label =
+  List.exists (fun (s : Ring.span) -> s.Ring.label = label) spans
 
 let test_instance_logs_lifecycle () =
   let machine = Alloc.Machine.create () in
@@ -51,28 +28,23 @@ let test_instance_logs_lifecycle () =
   I.free ms p;
   let big = I.malloc ms 65536 in
   I.free ms big;
-  let early = E.events (I.event_log ms) in
-  let has_in evs pred = List.exists (fun (_, e) -> pred e) evs in
-  Alcotest.(check bool) "free logged" true
-    (has_in early (function E.Free_intercepted _ -> true | _ -> false));
-  Alcotest.(check bool) "double free logged" true
-    (has_in early (function E.Double_free _ -> true | _ -> false));
-  Alcotest.(check bool) "unmap logged" true
-    (has_in early (function E.Unmapped _ -> true | _ -> false));
+  let early = lifecycle ms in
+  Alcotest.(check bool) "free logged" true (logged early "free");
+  Alcotest.(check bool) "double free logged" true (logged early "double-free");
+  Alcotest.(check bool) "unmap logged" true (logged early "unmap");
   for _ = 1 to 20_000 do
     let q = I.malloc ms 64 in
     I.free ms q
   done;
   I.drain ms;
-  let events = E.events (I.event_log ms) in
-  let has pred = List.exists (fun (_, e) -> pred e) events in
-  Alcotest.(check bool) "sweep start logged" true
-    (has (function E.Sweep_started _ -> true | _ -> false));
+  let events = lifecycle ms in
+  Alcotest.(check bool) "sweep start logged" true (logged events "sweep-start");
   Alcotest.(check bool) "sweep finish logged" true
-    (has (function E.Sweep_finished _ -> true | _ -> false));
+    (logged events "sweep-finish");
   (* Timestamps must be non-decreasing. *)
   let rec monotone = function
-    | (a, _) :: ((b, _) :: _ as rest) -> a <= b && monotone rest
+    | (a : Ring.span) :: (b :: _ as rest) ->
+      a.Ring.t_start <= b.Ring.t_start && monotone rest
     | _ -> true
   in
   Alcotest.(check bool) "timestamps monotone" true (monotone events)
@@ -85,14 +57,15 @@ let test_sweep_counters_consistent () =
     I.free ms q
   done;
   I.drain ms;
-  let events = E.events (I.event_log ms) in
   let released_in_log =
     List.fold_left
-      (fun acc (_, e) ->
-        match e with E.Sweep_finished { released; _ } -> acc + released | _ -> acc)
-      0 events
+      (fun acc (s : Ring.span) ->
+        if s.Ring.label = "sweep-finish" then
+          acc + List.assoc "released" s.Ring.attrs
+        else acc)
+      0 (lifecycle ms)
   in
-  (* The log ring may have dropped early sweeps; what remains must not
+  (* The ring may have dropped early sweeps; what remains must not
      exceed the stats total. *)
   Alcotest.(check bool) "log releases <= stats releases" true
     (released_in_log <= (I.stats ms).Minesweeper.Stats.releases)
@@ -100,9 +73,6 @@ let test_sweep_counters_consistent () =
 let suite =
   ( "minesweeper.event_log",
     [
-      Alcotest.test_case "record and order" `Quick test_record_and_order;
-      Alcotest.test_case "ring wraps" `Quick test_ring_wraps;
-      Alcotest.test_case "pp and dump" `Quick test_pp_and_dump;
       Alcotest.test_case "instance logs lifecycle" `Quick
         test_instance_logs_lifecycle;
       Alcotest.test_case "sweep counters consistent" `Quick

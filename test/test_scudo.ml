@@ -1,7 +1,7 @@
 (* Scudo backend tests + MineSweeper-over-Scudo (the Section 7
    integration through the Instance functor). *)
 
-module Scudo_ms = Minesweeper.Instance.Make (Alloc.Backends.Scudo_backend)
+module Scudo_ms = Minesweeper.Instance.Make (Alloc.Scudo)
 
 let fresh () =
   let machine = Alloc.Machine.create () in

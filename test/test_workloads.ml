@@ -131,7 +131,66 @@ let test_scheme_names () =
        (Workloads.Harness.Mine_sweeper Minesweeper.Config.mostly_concurrent));
   Alcotest.(check string) "variant" "minesweeper-variant"
     (Workloads.Harness.scheme_name
-       (Workloads.Harness.Mine_sweeper Minesweeper.Config.unoptimised))
+       (Workloads.Harness.Mine_sweeper Minesweeper.Config.unoptimised));
+  Alcotest.(check string) "scudo mostly" "scudo-minesweeper-mostly"
+    (Workloads.Harness.scheme_name
+       (Workloads.Harness.Scudo_sweeper Minesweeper.Config.mostly_concurrent));
+  Alcotest.(check string) "dlmalloc mostly" "dlmalloc-minesweeper-mostly"
+    (Workloads.Harness.scheme_name
+       (Workloads.Harness.Dl_sweeper Minesweeper.Config.mostly_concurrent))
+
+(* The three MineSweeper stacks are one builder over three backends:
+   same registry layout, same allocator accounting, same cold-reuse
+   rule, same end-of-run metrics. *)
+let test_protected_stacks_agree () =
+  let p = tiny_profile ~ops:30_000 () in
+  let layered name =
+    List.exists
+      (fun prefix -> String.starts_with ~prefix name)
+      [ "ms."; "sweep.stage."; "vmem." ]
+  in
+  let layout (label, scheme) =
+    let stack = ref None in
+    let r =
+      Workloads.Driver.run ~on_build:(fun st -> stack := Some st) p
+        (scheme Minesweeper.Config.default)
+    in
+    let st = Option.get !stack in
+    let reg = Option.get st.Workloads.Harness.obs in
+    Alcotest.(check bool) (label ^ " swept") true (r.Workloads.Driver.sweeps > 0);
+    Alcotest.(check (option int))
+      (label ^ " alloc.live_bytes = live_bytes")
+      (Some (st.Workloads.Harness.live_bytes ()))
+      (Obs.Registry.read reg "alloc.live_bytes");
+    Alcotest.(check bool) (label ^ " metrics carry the stage projection") true
+      (match
+         List.assoc_opt "sweep.stage.seq_cycles_est" r.Workloads.Driver.metrics
+       with
+      | Some v -> v > 0
+      | None -> false);
+    let unquarantined =
+      Workloads.Harness.build
+        (scheme { Minesweeper.Config.default with quarantining = false })
+        ~threads:1 (Alloc.Machine.create ())
+    in
+    Alcotest.(check int) (label ^ " no cold reuse without quarantine") 0
+      (unquarantined.Workloads.Harness.cold_penalty 4096);
+    (label, List.filter layered (Obs.Registry.names reg))
+  in
+  match
+    List.map layout
+      [
+        ("minesweeper", fun c -> Workloads.Harness.Mine_sweeper c);
+        ("scudo", fun c -> Workloads.Harness.Scudo_sweeper c);
+        ("dlmalloc", fun c -> Workloads.Harness.Dl_sweeper c);
+      ]
+  with
+  | (_, names) :: rest ->
+    List.iter
+      (fun (label, other) ->
+        Alcotest.(check (list string)) (label ^ " registry layout") names other)
+      rest
+  | [] -> assert false
 
 let test_spec2006_live_heaps_reasonable () =
   (* Guard against profile regressions: each benchmark's implied live
@@ -168,6 +227,8 @@ let suite =
       Alcotest.test_case "rss limit kills" `Quick test_rss_limit_kills;
       Alcotest.test_case "overhead helpers" `Quick test_overhead_helpers;
       Alcotest.test_case "scheme names" `Quick test_scheme_names;
+      Alcotest.test_case "protected stacks agree" `Quick
+        test_protected_stacks_agree;
       Alcotest.test_case "live heaps reasonable" `Quick
         test_spec2006_live_heaps_reasonable;
     ] )
