@@ -1,119 +1,40 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation (Figures 1-19) from the simulation, then runs Bechamel
-   micro-benchmarks of the core primitives that back the cost model.
+   evaluation (Figures 1-19) from the simulation. Host-clock timings of
+   the core primitives live in msbench (its micro.* metrics).
 
    Usage:
      dune exec bench/main.exe                 -- everything
      dune exec bench/main.exe -- --only fig7,fig10
-     dune exec bench/main.exe -- --scale 0.2  -- quick pass
-     dune exec bench/main.exe -- --no-micro *)
+     dune exec bench/main.exe -- --scale 0.2  -- quick pass *)
 
-let only = ref []
+let only = ref None
 let scale = ref 1.0
-let micro = ref true
 let verbose = ref true
 
 let spec =
   [
     ( "--only",
-      Arg.String
-        (fun s -> only := String.split_on_char ',' s),
-      "FIGS comma-separated figure ids (fig1,fig2,fig7..fig19)" );
+      Arg.String (fun s -> only := Some (String.split_on_char ',' s)),
+      "FIGS comma-separated figure ids (fig1,fig2,fig7..fig19, ...); an \
+       unknown id exits 1 and lists the valid ones" );
     ("--scale", Arg.Set_float scale, "F trace-length scale factor (default 1.0)");
-    ("--no-micro", Arg.Clear micro, " skip the Bechamel micro-benchmarks");
     ("--quiet", Arg.Clear verbose, " do not log simulation runs to stderr");
   ]
-
-(* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks: the primitives whose measured costs back
-   the cycle model in [Sim.Cost].                                      *)
-
-let micro_tests () =
-  let open Bechamel in
-  let shadow = Minesweeper.Shadow.create () in
-  let mark_base = Layout.heap_base in
-  let shadow_mark =
-    Test.make ~name:"shadow mark+test"
-      (Staged.stage (fun () ->
-           Minesweeper.Shadow.mark shadow (mark_base + 4096);
-           ignore
-             (Minesweeper.Shadow.range_marked shadow ~addr:mark_base
-                ~len:8192)))
-  in
-  let page = Bytes.make Vmem.page_size '\042' in
-  let sweep_page =
-    (* The marking phase's inner loop: read each word of a page and test
-       whether it could be a heap pointer. *)
-    Test.make ~name:"sweep one 4K page"
-      (Staged.stage (fun () ->
-           let acc = ref 0 in
-           for k = 0 to (Vmem.page_size / 8) - 1 do
-             let w = Int64.to_int (Bytes.get_int64_le page (k * 8)) in
-             if w >= Layout.heap_base && w < Layout.heap_limit then incr acc
-           done;
-           ignore !acc))
-  in
-  let machine = Alloc.Machine.create () in
-  let je = Alloc.Jemalloc.create machine in
-  let malloc_free =
-    Test.make ~name:"jemalloc malloc+free 64B"
-      (Staged.stage (fun () ->
-           let p = Alloc.Jemalloc.malloc je 64 in
-           Alloc.Jemalloc.free je p))
-  in
-  let machine2 = Alloc.Machine.create () in
-  let ms = Minesweeper.Instance.create machine2 in
-  let ms_cycle =
-    Test.make ~name:"minesweeper malloc+free 64B"
-      (Staged.stage (fun () ->
-           let p = Minesweeper.Instance.malloc ms 64 in
-           Minesweeper.Instance.free ms p))
-  in
-  let mem = Vmem.create () in
-  Vmem.map mem ~addr:Layout.stack_base ~len:Layout.stack_size;
-  let vmem_store =
-    Test.make ~name:"vmem store+load"
-      (Staged.stage (fun () ->
-           Vmem.store mem Layout.stack_base 42;
-           ignore (Vmem.load mem Layout.stack_base)))
-  in
-  [ shadow_mark; sweep_page; malloc_free; ms_cycle; vmem_store ]
-
-let run_micro () =
-  let open Bechamel in
-  Fmt.pr "==== micro-benchmarks (Bechamel, wall-clock ns/op) ====@.@.";
-  let instance = Toolkit.Instance.monotonic_clock in
-  let cfg =
-    Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:(Some 1000) ()
-  in
-  let tests = micro_tests () in
-  List.iter
-    (fun test ->
-      let results = Benchmark.all cfg [ instance ] test in
-      let ols =
-        Analyze.all
-          (Analyze.ols ~bootstrap:0 ~r_square:false
-             ~predictors:[| Measure.run |])
-          instance results
-    in
-      Hashtbl.iter
-        (fun name ols ->
-          match Analyze.OLS.estimates ols with
-          | Some [ est ] -> Fmt.pr "  %-32s %10.1f ns/op@." name est
-          | Some _ | None -> Fmt.pr "  %-32s (no estimate)@." name)
-        ols)
-    tests;
-  Fmt.pr "@."
-
-(* ------------------------------------------------------------------ *)
 
 let () =
   Arg.parse spec
     (fun anon -> raise (Arg.Bad ("unexpected argument " ^ anon)))
     "MineSweeper reproduction benchmark harness";
+  let figures =
+    match Experiments.select_figures !only with
+    | Ok figures -> figures
+    | Error unknown ->
+      Printf.eprintf "unknown figure id(s): %s\nvalid ids: %s\n"
+        (String.concat ", " unknown)
+        (String.concat ", " (List.map fst Experiments.all_figures));
+      exit 1
+  in
   let env = Experiments.make_env ~scale:!scale ~verbose:!verbose () in
-  let wanted (key, _) = !only = [] || List.mem key !only in
-  let figures = List.filter wanted Experiments.all_figures in
   let t0 = Unix.gettimeofday () in
   List.iter
     (fun (key, f) ->
@@ -121,6 +42,5 @@ let () =
       print_string (f env);
       print_newline ())
     figures;
-  if !micro && !only = [] then run_micro ();
   if !verbose then
     Printf.eprintf "[done] total %.1f s\n%!" (Unix.gettimeofday () -. t0)

@@ -365,25 +365,17 @@ let figures_cmd =
              unknown id exits 1 and lists the valid ones.")
   in
   let f only scale =
-    let known = List.map fst Experiments.all_figures in
-    let wanted =
-      match only with
-      | None -> known
-      | Some s -> (
-        let ids = String.split_on_char ',' s in
-        match List.filter (fun id -> not (List.mem id known)) ids with
-        | [] -> ids
-        | unknown ->
-          Fmt.epr "unknown figure id(s): %s@.valid ids: %s@."
-            (String.concat ", " unknown)
-            (String.concat ", " known);
-          exit 1)
-    in
-    let env = Experiments.make_env ~scale ~verbose:true () in
-    List.iter
-      (fun (key, render) ->
-        if List.mem key wanted then print_string (render env))
-      Experiments.all_figures
+    match
+      Experiments.select_figures (Option.map (String.split_on_char ',') only)
+    with
+    | Error unknown ->
+      Fmt.epr "unknown figure id(s): %s@.valid ids: %s@."
+        (String.concat ", " unknown)
+        (String.concat ", " (List.map fst Experiments.all_figures));
+      exit 1
+    | Ok figures ->
+      let env = Experiments.make_env ~scale ~verbose:true () in
+      List.iter (fun (_, render) -> print_string (render env)) figures
   in
   Cmd.v (Cmd.info "figures" ~doc) Term.(const f $ only_arg $ scale_arg)
 

@@ -30,6 +30,14 @@ echo "== lint + sweep oracle over example traces"
 # --strict (any finding fails) must succeed.
 "$CLI" trace-gen --suite mimalloc -b espresso --scale 0.05 \
   -o "$workdir/espresso.trace" >/dev/null
+# The generator's output is pinned byte for byte: the static bounds, pool
+# plans and oracle certifications all read generated traces, so a change
+# to the generator must not move a single RNG draw.
+require_cksum() {
+  [ "$(cksum <"$workdir/$1")" = "$2" ] \
+    || { echo "FAIL: generated $1 differs from its pinned bytes (cksum $2)" >&2; exit 1; }
+}
+require_cksum espresso.trace "964890256 298721"
 "$CLI" check -i "$workdir/espresso.trace" --oracle --latency 100000 --strict
 
 # perlbench (spec2006): nonzero dangling rate — the lint must warn
@@ -37,6 +45,7 @@ echo "== lint + sweep oracle over example traces"
 # and the oracle must still certify MineSweeper sound on it.
 "$CLI" trace-gen --suite spec2006 -b perlbench --scale 0.05 \
   -o "$workdir/perl.trace" >/dev/null
+require_cksum perl.trace "642839022 616610"
 if "$CLI" check -i "$workdir/perl.trace" --strict >/dev/null; then
   echo "FAIL: lint found nothing on a dangling-rate workload" >&2
   exit 1
@@ -156,7 +165,7 @@ grep -q "witness:" "$workdir/flow1.txt" \
   && { echo "FAIL: analyze --strict must fail on findings" >&2; exit 1; }
 echo "analyze: deterministic output, static dangling coverage, shared --strict"
 
-echo "== figures: unknown ids are rejected"
+echo "== figures and bench harness: unknown ids are rejected"
 # Every figure gate below greps a figure's output for REGRESSION; an id
 # the CLI silently ignored would print nothing and pass vacuously.
 if "$CLI" figures --only no-such-figure --scale 0.02 >"$workdir/nofig.txt" 2>&1; then
@@ -166,6 +175,15 @@ fi
 grep -q "valid ids: .*parallel-mark" "$workdir/nofig.txt" \
   || { echo "FAIL: the unknown-id error does not list the valid ids" >&2; exit 1; }
 echo "figures --only rejects an unknown id and lists the valid ones"
+# The bench harness shares the selection: an unknown id must not turn
+# into an empty, successful run.
+if _build/default/bench/main.exe --only no-such-figure >"$workdir/nobench.txt" 2>&1; then
+  echo "FAIL: bench/main.exe --only accepted an unknown figure id" >&2
+  exit 1
+fi
+grep -q "valid ids: .*parallel-mark" "$workdir/nobench.txt" \
+  || { echo "FAIL: bench/main.exe's unknown-id error does not list the valid ids" >&2; exit 1; }
+echo "bench/main.exe --only rejects an unknown id and lists the valid ones"
 
 echo "== bench smoke: static bounds vs dynamic telemetry"
 # Every mimalloc-bench profile: the static quarantine-occupancy and

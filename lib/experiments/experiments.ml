@@ -1519,3 +1519,10 @@ let all_figures =
     ("tail-latency", tail_latency);
     ("fleet-pressure", fleet_pressure);
   ]
+
+let select_figures = function
+  | None -> Ok all_figures
+  | Some ids -> (
+    match List.filter (fun id -> not (List.mem_assoc id all_figures)) ids with
+    | [] -> Ok (List.filter (fun (key, _) -> List.mem key ids) all_figures)
+    | unknown -> Error unknown)

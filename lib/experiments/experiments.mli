@@ -131,3 +131,10 @@ val all_figures : (string * (env -> string)) list
 (** In paper order; keys are ["fig1"], ["fig2"], ["fig7"] ... ["fig19"],
     plus ["scudo"], ["ptrtrack"], ["ablation-threshold"] and
     ["ablation-helpers"]. *)
+
+val select_figures :
+  string list option -> ((string * (env -> string)) list, string list) result
+(** The [--only] selection shared by [msweep figures] and the bench
+    harness. [select_figures (Some ids)] is the figures named in [ids],
+    in paper order, or [Error unknown] with every id that names no
+    figure; [select_figures None] is {!all_figures}. *)

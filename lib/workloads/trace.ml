@@ -46,24 +46,71 @@ let site_of_size ~sites size =
     bucket 0 (max 1 size) mod sites
   end
 
+(* The generator's live set: a Fenwick tree of 0/1 counts over the
+   allocation ids [0, capacity). Insert, remove and "k-th smallest live
+   id" are each O(log capacity). *)
+module Live = struct
+  type t = {
+    tree : int array; (* 1-based; slot j sums ids [j - lowbit j, j) *)
+    top : int; (* highest power of two <= capacity, 0 when empty *)
+    mutable count : int;
+  }
+
+  let create capacity =
+    let rec top p = if 2 * p > capacity then p else top (2 * p) in
+    { tree = Array.make (capacity + 1) 0;
+      top = (if capacity = 0 then 0 else top 1);
+      count = 0 }
+
+  let update t id delta =
+    let j = ref (id + 1) in
+    while !j < Array.length t.tree do
+      t.tree.(!j) <- t.tree.(!j) + delta;
+      j := !j + (!j land (- !j))
+    done;
+    t.count <- t.count + delta
+
+  let add t id = update t id 1
+  let remove t id = update t id (-1)
+
+  (* The [k]-th smallest live id, [1 <= k <= count]: binary descent
+     from the highest power of two, skipping every subtree whose whole
+     count still falls short of [k]. *)
+  let nth_smallest t k =
+    let pos = ref 0 and rem = ref k and step = ref t.top in
+    while !step > 0 do
+      let next = !pos + !step in
+      if next < Array.length t.tree && t.tree.(next) < !rem then begin
+        pos := next;
+        rem := !rem - t.tree.(next)
+      end;
+      step := !step lsr 1
+    done;
+    !pos
+end
+
 let generate ?(seed = 1) profile =
   let rng = Sim.Rng.create (seed lxor profile.Profile.seed) in
   let size_rng = Sim.Rng.split rng in
   let life_rng = Sim.Rng.split rng in
   let ops = ref [] in
   let emit op = ops := op :: !ops in
-  let live = ref [] in (* (id, size, refs) most-recent first *)
-  let live_count = ref 0 in
+  let total = profile.Profile.ops in
+  let live = Live.create (max 0 total) in
+  let sizes = Array.make (max 0 total) 0 in (* allocation id -> size *)
   let deaths = Hashtbl.create 1024 in
   let refs = Hashtbl.create 1024 in (* id -> (location * target) list *)
+  (* A uniform draw over the live objects ranked most-recent first: rank
+     [n] is the [(count - n)]-th smallest live id, because ids are
+     handed out in increasing order. Pinned by the trace bytes. *)
   let pick_live () =
-    if !live_count = 0 then None
+    if live.Live.count = 0 then None
     else begin
-      let n = Sim.Rng.int rng !live_count in
-      List.nth_opt !live n
+      let n = Sim.Rng.int rng live.Live.count in
+      let id = Live.nth_smallest live (live.Live.count - n) in
+      Some (id, sizes.(id))
     end
   in
-  let total = profile.Profile.ops in
   for i = 0 to total - 1 do
     (match Hashtbl.find_opt deaths i with
     | Some ids ->
@@ -78,15 +125,14 @@ let generate ?(seed = 1) profile =
             (Option.value ~default:[] (Hashtbl.find_opt refs id));
           Hashtbl.remove refs id;
           emit (Free { id; thread = 0 });
-          live := List.filter (fun (x, _) -> x <> id) !live;
-          decr live_count)
+          Live.remove live id)
         ids
     | None -> ());
     let size = Sim.Dist.sample profile.Profile.size size_rng in
     let site = site_of_size ~sites:profile.Profile.sites size in
     emit (Alloc { id = i; size; site });
-    live := (i, size) :: !live;
-    incr live_count;
+    sizes.(i) <- size;
+    Live.add live i;
     if Sim.Rng.bool rng profile.Profile.pointer_density then begin
       let loc =
         if Sim.Rng.bool rng profile.Profile.root_fraction then

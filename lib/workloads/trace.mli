@@ -63,7 +63,15 @@ val generate : ?seed:int -> Profile.t -> t
 (** Derive a concrete trace from a profile: allocations with sampled
     sizes, deaths on schedule, pointer publications and (mostly) clears
     before frees, occasional unlucky integers. Deterministic in the
-    seed. *)
+    seed.
+
+    Each op costs O(log ops): the live set is a Fenwick tree over the
+    allocation ids. Whenever an op needs a live object (a holder for a
+    field store, the target of an unlucky integer), it draws [n]
+    uniformly from [[0, live)] and takes the live object of rank [n],
+    ranked from the most recently allocated (rank 0). That pick rule,
+    with the draws in their fixed order, is what fixes the trace bytes
+    for a seed. *)
 
 val replay : t -> Harness.t -> int
 (** Execute the trace against a stack; returns the number of operations

@@ -100,6 +100,134 @@ let test_roundtrip_property () =
         [ 1; 7; 42 ])
     profiles
 
+(* Reference model of [Trace.generate]: the live set as a most-recent-
+   first list, walked to pick an object and filtered on every free
+   (O(live) per op), with the same RNG draws in the same order.
+   [Trace.generate]'s Fenwick tree must reproduce its output byte for
+   byte. *)
+let reference_generate ?(seed = 1) (profile : Workloads.Profile.t) =
+  let open Workloads.Trace in
+  let module P = Workloads.Profile in
+  let rng = Sim.Rng.create (seed lxor profile.P.seed) in
+  let size_rng = Sim.Rng.split rng in
+  let life_rng = Sim.Rng.split rng in
+  let ops = ref [] in
+  let emit op = ops := op :: !ops in
+  let live = ref [] in (* (id, size) most-recent first *)
+  let live_count = ref 0 in
+  let deaths = Hashtbl.create 1024 in
+  let refs = Hashtbl.create 1024 in
+  let pick_live () =
+    if !live_count = 0 then None
+    else List.nth_opt !live (Sim.Rng.int rng !live_count)
+  in
+  let total = profile.P.ops in
+  for i = 0 to total - 1 do
+    (match Hashtbl.find_opt deaths i with
+    | Some ids ->
+      Hashtbl.remove deaths i;
+      List.iter
+        (fun id ->
+          List.iter
+            (fun loc ->
+              if not (Sim.Rng.bool rng profile.P.dangling_rate) then
+                emit (Clear_ptr { loc; target = id }))
+            (Option.value ~default:[] (Hashtbl.find_opt refs id));
+          Hashtbl.remove refs id;
+          emit (Free { id; thread = 0 });
+          live := List.filter (fun (x, _) -> x <> id) !live;
+          decr live_count)
+        ids
+    | None -> ());
+    let size = Sim.Dist.sample profile.P.size size_rng in
+    let site = site_of_size ~sites:profile.P.sites size in
+    emit (Alloc { id = i; size; site });
+    live := (i, size) :: !live;
+    incr live_count;
+    if Sim.Rng.bool rng profile.P.pointer_density then begin
+      let loc =
+        if Sim.Rng.bool rng profile.P.root_fraction then
+          Root (Sim.Rng.int rng root_window_words)
+        else
+          match pick_live () with
+          | Some (h, hsize) when h <> i && hsize >= 8 ->
+            Field (h, Sim.Rng.int rng (hsize / 8))
+          | Some _ | None -> Root (Sim.Rng.int rng root_window_words)
+      in
+      emit (Store_ptr { loc; target = i });
+      Hashtbl.replace refs i
+        (loc :: Option.value ~default:[] (Hashtbl.find_opt refs i))
+    end;
+    if Sim.Rng.bool rng profile.P.false_pointer_rate then
+      (match pick_live () with
+      | Some (target, _) ->
+        emit (Store_data { loc = Root (Sim.Rng.int rng root_window_words);
+                           value = - target - 1 })
+      | None -> ());
+    if not (Sim.Rng.bool rng profile.P.leak_rate) then begin
+      let lifetime = Sim.Dist.sample profile.P.lifetime life_rng in
+      let at = i + 1 + lifetime in
+      if at < total then
+        Hashtbl.replace deaths at
+          (i :: Option.value ~default:[] (Hashtbl.find_opt deaths at))
+    end;
+    emit (Work profile.P.work_per_op)
+  done;
+  { name = profile.P.name; threads = 1; sites = max 1 profile.P.sites;
+    ops = Array.of_list (List.rev !ops) }
+
+let test_generate_matches_reference () =
+  List.iter
+    (fun profile ->
+      let profile = Workloads.Profile.scale_ops 0.02 profile in
+      Alcotest.(check string)
+        (profile.Workloads.Profile.name ^ " seed 1")
+        (Workloads.Trace.to_string (reference_generate ~seed:1 profile))
+        (Workloads.Trace.to_string (Workloads.Trace.generate ~seed:1 profile)))
+    (Workloads.Spec2006.all @ Workloads.Mimalloc_bench.all)
+
+(* Small random profiles reach the corners the suite profiles miss: a
+   live set holding only the newest object (everything older already
+   dead), capacities at and just past a power of two, and runs where
+   nothing ever dies. *)
+let arb_small_profile =
+  let open QCheck.Gen in
+  let unit_rate = float_bound_inclusive 1. in
+  let gen =
+    map3
+      (fun (seed, ops, leak_rate) (pointer_density, root_fraction,
+                                   false_pointer_rate, dangling_rate)
+           (mean, sites) ->
+        ( seed,
+          Workloads.Profile.make ~name:"ref-prop" ~suite:"test" ~ops
+            ~size:(Sim.Dist.uniform ~lo:1 ~hi:512)
+            ~lifetime:(Sim.Dist.exponential ~mean)
+            ~work_per_op:10 ~pointer_density ~root_fraction
+            ~false_pointer_rate ~dangling_rate ~leak_rate ~sites () ))
+      (triple (int_range 0 1_000_000)
+         (oneof [ int_range 1 3000; map (fun k -> 1 lsl k) (int_range 0 11) ])
+         (oneofl [ 0.; 0.5; 1. ]))
+      (quad unit_rate unit_rate unit_rate unit_rate)
+      (pair (float_range 1. 5000.) (int_range 1 16))
+  in
+  let print (seed, p) =
+    let module P = Workloads.Profile in
+    Printf.sprintf
+      "seed %d ops %d leak %g density %g root %g false %g dangling %g \
+       lifetime-mean %g sites %d"
+      seed p.P.ops p.P.leak_rate p.P.pointer_density p.P.root_fraction
+      p.P.false_pointer_rate p.P.dangling_rate
+      (Sim.Dist.mean_estimate p.P.lifetime) p.P.sites
+  in
+  QCheck.make ~print gen
+
+let prop_generate_matches_reference =
+  QCheck.Test.make ~name:"generate == list-based reference (random profiles)"
+    ~count:200 arb_small_profile
+    (fun (seed, profile) ->
+      Workloads.Trace.to_string (Workloads.Trace.generate ~seed profile)
+      = Workloads.Trace.to_string (reference_generate ~seed profile))
+
 let test_parse_errors () =
   Alcotest.check_raises "bad op"
     (Failure "Trace.of_string: line 1: unrecognised op: zz 1 2") (fun () ->
@@ -367,6 +495,9 @@ let suite =
         test_threads_header_roundtrip;
       Alcotest.test_case "roundtrip across seeds and profiles" `Quick
         test_roundtrip_property;
+      Alcotest.test_case "generate == reference on every suite profile"
+        `Quick test_generate_matches_reference;
+      QCheck_alcotest.to_alcotest prop_generate_matches_reference;
       Alcotest.test_case "parse errors" `Quick test_parse_errors;
       Alcotest.test_case "parse error line numbers" `Quick
         test_parse_error_line_numbers;
