@@ -310,6 +310,12 @@ echo "== telemetry: metrics export determinism + schema"
 cmp "$workdir/m1.jsonl" "$workdir/m2.jsonl" \
   || { echo "FAIL: metrics exports differ across identical runs" >&2; exit 1; }
 echo "metrics export byte-identical across identical runs"
+# The simulated exports are pinned byte for byte too (here and for the
+# other stacks, serve and fleet below): a change to how the host runs
+# the simulation (page tables, shadow map, scan loops) must not move a
+# single simulated value.
+require_cksum m1.jsonl "112860682 2834"
+require_cksum s1.jsonl "3720498763 288011"
 
 # Schema: header line advertises the exact number of metric lines.
 awk '
@@ -357,6 +363,8 @@ for scheme in minesweeper scudo-ms dl-ms; do
       || { echo "FAIL: $name absent from the $scheme export" >&2; exit 1; }
   done
 done
+require_cksum layers-scudo-ms.jsonl "2615021423 2834"
+require_cksum layers-dl-ms.jsonl "3816147516 2643"
 echo "all registered counters present in the export, on every protected stack"
 
 head -1 "$workdir/s1.jsonl" | grep -q '"schema":"msweep-spans-v1"' \
@@ -375,6 +383,7 @@ echo "== server traffic: open-loop determinism, srv.* export, repeats"
   --metrics-out "$workdir/srv2.jsonl" >/dev/null
 cmp "$workdir/srv1.jsonl" "$workdir/srv2.jsonl" \
   || { echo "FAIL: server metric exports differ across identical runs" >&2; exit 1; }
+require_cksum srv1.jsonl "325684908 3654"
 # srv.* and ms.* must share one export (the server registers its metrics
 # into the stack's own registry).
 for name in srv.latency srv.stall_latency srv.queue_wait srv.service \
@@ -440,6 +449,7 @@ echo "== fleet: shared-budget determinism, aggregation, noisy neighbour"
   >/dev/null
 cmp "$workdir/fleet1.jsonl" "$workdir/fleet2.jsonl" \
   || { echo "FAIL: fleet metric exports differ across identical runs" >&2; exit 1; }
+require_cksum fleet1.jsonl "2216665580 26741"
 # The default budget must hold without pressure, and the export must
 # carry the per-tenant namespaces beside the machine-wide aggregation.
 grep -q "pressure       0 events, 0 reclaims, 0 oom kills" "$workdir/fleet1.txt" \

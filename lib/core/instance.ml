@@ -19,6 +19,70 @@ type sweep_event = Instance_intf.sweep_event =
   | Rescan_page of { sweep : int; base : int }
   | Sweep_completed of { sweep : int }
 
+(* ---- The word scan ------------------------------------------------- *)
+
+(* Every sweep reads program memory through this one kernel: the Mark
+   stage (both modes) and the stop-the-world rescan. It sits outside the
+   functor so it compiles once. The frame's length bounds the loop, so
+   the check is once per page and every word is then read by an
+   unchecked load. Other modules' constants are bound to locals first:
+   a build without cross-module optimization (dune's dev profile) would
+   otherwise reload them on every word. *)
+
+external unsafe_get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external swap64 : int64 -> int64 = "%bswap_int64"
+external big_endian : unit -> bool = "%big_endian"
+
+(* Word [k] of a frame, little-endian as {!Vmem.store} writes it. *)
+let unsafe_word bytes k =
+  let w = unsafe_get64 bytes (k lsl 3) in
+  Int64.to_int (if big_endian () then swap64 w else w)
+
+let empty_hits : int array = [||]
+
+(* The words of one page frame in [heap_base, limit), in page order, as a
+   fresh exactly sized array. Two passes (count, then fill): the common
+   page has no hits and returns the shared empty array. *)
+let page_hits bytes ~limit =
+  let words = Bytes.length bytes lsr 3 and lo = Layout.heap_base in
+  let n = ref 0 in
+  for k = 0 to words - 1 do
+    let w = unsafe_word bytes k in
+    if w >= lo && w < limit then incr n
+  done;
+  if !n = 0 then empty_hits
+  else begin
+    let hits = Array.make !n 0 in
+    let i = ref 0 in
+    for k = 0 to words - 1 do
+      let w = unsafe_word bytes k in
+      if w >= lo && w < limit then begin
+        Array.unsafe_set hits !i w;
+        incr i
+      end
+    done;
+    hits
+  end
+
+(* All words of a page that lie in the heap *address range*, deduped and
+   sorted. The wilderness is deliberately not consulted here: it grows
+   between sweeps, so a summary filtered by today's wilderness would miss
+   pointers into tomorrow's heap. Filtering happens at mark time. *)
+let summarize_page bytes =
+  let hits = page_hits bytes ~limit:Layout.heap_limit in
+  Array.sort Int.compare hits;
+  (* Drop repeats in place: [hits.(0 .. !n-1)] holds the distinct words
+     seen so far. *)
+  let n = ref 0 in
+  Array.iteri
+    (fun i w ->
+      if i = 0 || w <> hits.(!n - 1) then begin
+        hits.(!n) <- w;
+        incr n
+      end)
+    hits;
+  if !n = Array.length hits then hits else Array.sub hits 0 !n
+
 module Make (B : Alloc.Backend.S) = struct
   type backend = B.t
 
@@ -291,33 +355,6 @@ let record_par t (stats : Parsweep.stats) =
           ())
       stats.Parsweep.seeded_bytes
 
-(* Mark-stage page scan: the exact heap-range words of one page, as a
-   fresh array. Two passes (count, then fill) so the buffer is sized
-   exactly — the common page has no hits and allocates the shared empty
-   array only. *)
-let empty_hits : int array = [||]
-
-let page_hits bytes ~wilderness =
-  let words = page / word in
-  let n = ref 0 in
-  for k = 0 to words - 1 do
-    let w = Int64.to_int (Bytes.get_int64_le bytes (k * word)) in
-    if w >= Layout.heap_base && w < wilderness then incr n
-  done;
-  if !n = 0 then empty_hits
-  else begin
-    let hits = Array.make !n 0 in
-    let i = ref 0 in
-    for k = 0 to words - 1 do
-      let w = Int64.to_int (Bytes.get_int64_le bytes (k * word)) in
-      if w >= Layout.heap_base && w < wilderness then begin
-        hits.(!i) <- w;
-        incr i
-      end
-    done;
-    hits
-  end
-
 (* Full scan as a Mark/Merge stage pair, the same at every domain
    count. The Mark stage computes per-page hit arrays over a canonical
    (base-sorted, zero-copy) snapshot; the domain count only sets the
@@ -338,7 +375,8 @@ let run_full_scan t =
   let chunks = Parsweep.shard pages in
   let scan (ch : Parsweep.chunk) =
     Array.map
-      (fun (p : Parsweep.page) -> page_hits p.Parsweep.bytes ~wilderness)
+      (fun (p : Parsweep.page) ->
+        page_hits p.Parsweep.bytes ~limit:wilderness)
       ch.Parsweep.pages
   in
   let mark_report, (per_chunk, stats) =
@@ -379,21 +417,6 @@ let run_full_scan t =
       ~bandwidth_per_byte:bandwidth_cycles_per_byte stats
   in
   (swept, [ mark_report; merge_report ], mark_pipelined)
-
-(* All words of a page that lie in the heap *address range*, deduped and
-   sorted. The wilderness is deliberately not consulted here: it grows
-   between sweeps, so a summary filtered by today's wilderness would miss
-   pointers into tomorrow's heap. Filtering happens at mark time. *)
-let summarize_page bytes =
-  let acc = ref [] in
-  let words = page / word in
-  for k = words - 1 downto 0 do
-    let w = Int64.to_int (Bytes.get_int64_le bytes (k * word)) in
-    if w >= Layout.heap_base && w < Layout.heap_limit then acc := w :: !acc
-  done;
-  match !acc with
-  | [] -> [||]
-  | l -> Array.of_list (List.sort_uniq compare l)
 
 (* Incremental marking as a Mark/Merge stage pair, the same at every
    domain count: rescan only pages written (or zeroed, decommitted,
@@ -537,11 +560,10 @@ let reference_incremental_mark t =
 let mark_dirty_pages t =
   let swept = ref 0 in
   let sweep = sweep_number t in
-  Vmem.iter_soft_dirty_pages (mem t) (fun base ->
+  let wilderness = B.wilderness t.je in
+  Vmem.iter_soft_dirty_pages (mem t) (fun base bytes ->
       emit_sync t (Rescan_page { sweep; base });
-      Vmem.iter_committed_words (mem t) ~addr:base ~len:page (fun _ w ->
-          if w >= Layout.heap_base && w < B.wilderness t.je then
-            Shadow.mark t.shadow w);
+      Array.iter (Shadow.mark t.shadow) (page_hits bytes ~limit:wilderness);
       swept := !swept + page);
   !swept
 

@@ -20,9 +20,19 @@ type page = {
   mutable write_gen : int; (* scan generation of the last content change *)
 }
 
+(* The page table's [absent] sentinel, shared by every address space.
+   Never mutated: each access path compares against it first. *)
+let unmapped =
+  { data = None; prot = No_access; soft_dirty = false; write_gen = 0 }
+
+let readable = function
+  | { data = Some _; prot = Read_only | Read_write; _ } -> true
+  | { data = None; _ } | { prot = No_access; _ } -> false
+
 type t = {
-  pages : (int, page) Hashtbl.t; (* keyed by page index *)
+  pages : page Page_table.t; (* keyed by page index *)
   mutable committed : int; (* resident bytes *)
+  mutable readable_pages : int; (* committed pages not [No_access] *)
   mutable demand_commit_hook : pages:int -> unit;
   mutable generation : int; (* current scan generation (see mli) *)
   mutable write_observer : (addr:int -> value:int -> gen:int -> unit) option;
@@ -32,8 +42,9 @@ type t = {
 
 let create () =
   {
-    pages = Hashtbl.create 4096;
+    pages = Page_table.create ~absent:unmapped;
     committed = 0;
+    readable_pages = 0;
     demand_commit_hook = (fun ~pages:_ -> ());
     generation = 0;
     write_observer = None;
@@ -65,8 +76,17 @@ let page_base addr = addr - (addr mod page_size)
 
 let check_page_range addr len =
   assert (len > 0);
+  assert (addr >= 0 && addr + len <= Layout.heap_limit);
   assert (addr mod page_size = 0);
   assert (len mod page_size = 0)
+
+(* Keep [readable_pages] in step with a page that [was] readable or not
+   before a state change. *)
+let recount_readable t ~was p =
+  match (was, readable p) with
+  | false, true -> t.readable_pages <- t.readable_pages + 1
+  | true, false -> t.readable_pages <- t.readable_pages - 1
+  | false, false | true, true -> ()
 
 let iter_page_indices ~addr ~len f =
   let first = page_index addr in
@@ -78,28 +98,32 @@ let iter_page_indices ~addr ~len f =
 let map t ~addr ~len =
   check_page_range addr len;
   iter_page_indices ~addr ~len (fun i ->
-      assert (not (Hashtbl.mem t.pages i));
-      Hashtbl.replace t.pages i
+      assert (Page_table.find t.pages i == unmapped);
+      Page_table.set t.pages i
         { data = Some (Bytes.make page_size '\000');
           prot = Read_write;
           soft_dirty = false;
           write_gen = t.generation };
-      t.committed <- t.committed + page_size);
+      t.committed <- t.committed + page_size;
+      t.readable_pages <- t.readable_pages + 1);
   notify_commit t ~addr ~len
 
 let unmap t ~addr ~len =
   check_page_range addr len;
   iter_page_indices ~addr ~len (fun i ->
-      match Hashtbl.find_opt t.pages i with
-      | None -> ()
-      | Some p ->
+      let p = Page_table.find t.pages i in
+      if p != unmapped then begin
         if p.data <> None then t.committed <- t.committed - page_size;
-        Hashtbl.remove t.pages i)
+        if readable p then t.readable_pages <- t.readable_pages - 1;
+        Page_table.remove t.pages i
+      end)
 
 let find_page t addr =
-  match Hashtbl.find_opt t.pages (page_index addr) with
-  | None -> raise (Fault (Unmapped_access, addr))
-  | Some p -> p
+  let p = Page_table.find t.pages (page_index addr) in
+  if p == unmapped then raise (Fault (Unmapped_access, addr));
+  p
+
+let find_page_index t i = find_page t (i * page_size)
 
 let decommit t ~addr ~len =
   check_page_range addr len;
@@ -107,49 +131,46 @@ let decommit t ~addr ~len =
   | None -> ()
   | Some f -> f ~addr ~len);
   iter_page_indices ~addr ~len (fun i ->
-      let p =
-        match Hashtbl.find_opt t.pages i with
-        | None -> raise (Fault (Unmapped_access, i * page_size))
-        | Some p -> p
-      in
+      let p = find_page_index t i in
       if p.data <> None then begin
+        let was = readable p in
         p.data <- None;
         p.write_gen <- t.generation;
-        t.committed <- t.committed - page_size
+        t.committed <- t.committed - page_size;
+        recount_readable t ~was p
       end)
 
 let commit_page t i p =
   if p.data = None then begin
+    let was = readable p in
     p.data <- Some (Bytes.make page_size '\000');
     p.write_gen <- t.generation;
     t.committed <- t.committed + page_size;
+    recount_readable t ~was p;
     notify_commit t ~addr:(i * page_size) ~len:page_size
   end
 
 let commit t ~addr ~len =
   check_page_range addr len;
-  iter_page_indices ~addr ~len (fun i ->
-      match Hashtbl.find_opt t.pages i with
-      | None -> raise (Fault (Unmapped_access, i * page_size))
-      | Some p -> commit_page t i p)
+  iter_page_indices ~addr ~len (fun i -> commit_page t i (find_page_index t i))
 
 let protect t ~addr ~len prot =
   check_page_range addr len;
   iter_page_indices ~addr ~len (fun i ->
-      match Hashtbl.find_opt t.pages i with
-      | None -> raise (Fault (Unmapped_access, i * page_size))
-      | Some p ->
-        (* Conservative: visibility changes invalidate cached page
-           summaries even though the bytes themselves are untouched. *)
-        if p.prot <> prot then p.write_gen <- t.generation;
-        p.prot <- prot)
+      let p = find_page_index t i in
+      (* Conservative: visibility changes invalidate cached page
+         summaries even though the bytes themselves are untouched. *)
+      if p.prot <> prot then begin
+        let was = readable p in
+        p.write_gen <- t.generation;
+        p.prot <- prot;
+        recount_readable t ~was p
+      end)
 
-let is_mapped t addr = Hashtbl.mem t.pages (page_index addr)
+let is_mapped t addr = Page_table.find t.pages (page_index addr) != unmapped
 
 let is_committed t addr =
-  match Hashtbl.find_opt t.pages (page_index addr) with
-  | None -> false
-  | Some p -> p.data <> None
+  (Page_table.find t.pages (page_index addr)).data <> None
 
 let protection t addr = (find_page t addr).prot
 
@@ -214,7 +235,7 @@ let zero_range t ~addr ~len =
 
 let committed_bytes t = t.committed
 
-let mapped_bytes t = Hashtbl.length t.pages * page_size
+let mapped_bytes t = Page_table.length t.pages * page_size
 
 let iter_committed_words t ~addr ~len f =
   if len > 0 then begin
@@ -227,8 +248,8 @@ let iter_committed_words t ~addr ~len f =
     while !pos < finish do
       let next_page = page_base !pos + page_size in
       let chunk_end = min next_page finish in
-      (match Hashtbl.find_opt t.pages (page_index !pos) with
-      | Some { data = Some bytes; prot = Read_only | Read_write; _ } ->
+      (match Page_table.find t.pages (page_index !pos) with
+      | { data = Some bytes; prot = Read_only | Read_write; _ } ->
         let off0 = !pos mod page_size in
         let words = (chunk_end - !pos) / word_size in
         for k = 0 to words - 1 do
@@ -236,78 +257,60 @@ let iter_committed_words t ~addr ~len f =
           let w = Int64.to_int (Bytes.get_int64_le bytes off) in
           f (page_base !pos + off) w
         done
-      | Some _ | None -> ());
+      | { data = None; _ } | { prot = No_access; _ } -> ());
       pos := chunk_end
     done
   end
 
 let iter_readable_pages t f =
-  Hashtbl.iter
-    (fun i p ->
+  Page_table.iter t.pages (fun i p ->
       match p with
       | { data = Some bytes; prot = Read_only | Read_write; _ } ->
         f (i * page_size) bytes
       | { data = None; _ } | { prot = No_access; _ } -> ())
-    t.pages
 
 let iter_readable_pages_gen t f =
-  Hashtbl.iter
-    (fun i p ->
+  Page_table.iter t.pages (fun i p ->
       match p with
       | { data = Some bytes; prot = Read_only | Read_write; write_gen; _ } ->
         f (i * page_size) bytes ~write_gen
       | { data = None; _ } | { prot = No_access; _ } -> ())
-    t.pages
 
 (* Zero-copy snapshot for the markers: the live page frames themselves,
-   sorted by base address so every consumer sees the one canonical
-   order regardless of hash-table iteration order. No Bytes are copied —
-   callers must treat the frames as read-only and must not interleave
-   stores, protection changes or unmaps with reads of the snapshot
-   (the marking phase holds that property: nothing mutates the address
-   space while it scans). *)
+   in the page table's ascending order, in an array sized by the
+   readable-page count. No Bytes are copied — callers must treat the
+   frames as read-only and must not interleave stores, protection
+   changes or unmaps with reads of the snapshot (the marking phase holds
+   that property: nothing mutates the address space while it scans). *)
 let snapshot_readable_pages t =
-  let acc =
-    Hashtbl.fold
-      (fun i p acc ->
-        match p with
-        | { data = Some bytes; prot = Read_only | Read_write; write_gen; _ } ->
-          (i * page_size, bytes, write_gen) :: acc
-        | { data = None; _ } | { prot = No_access; _ } -> acc)
-      t.pages []
-  in
-  let pages = Array.of_list acc in
-  Array.sort (fun (a, _, _) (b, _, _) -> compare a b) pages;
-  pages
+  let snapshot = Array.make t.readable_pages (0, Bytes.empty, 0) in
+  let n = ref 0 in
+  iter_readable_pages_gen t (fun base bytes ~write_gen ->
+      snapshot.(!n) <- (base, bytes, write_gen);
+      incr n);
+  snapshot
 
 let write_generation t addr = (find_page t addr).write_gen
 
-let readable_bytes t =
-  Hashtbl.fold
-    (fun _ p acc ->
-      match p with
-      | { data = Some _; prot = Read_only | Read_write; _ } -> acc + page_size
-      | { data = None; _ } | { prot = No_access; _ } -> acc)
-    t.pages 0
+let readable_bytes t = t.readable_pages * page_size
 
 let clear_soft_dirty t =
-  Hashtbl.iter (fun _ p -> p.soft_dirty <- false) t.pages
+  Page_table.iter t.pages (fun _ p -> p.soft_dirty <- false)
 
 let soft_dirty_pages t =
-  Hashtbl.fold (fun _ p acc -> if p.soft_dirty then acc + 1 else acc) t.pages 0
+  let n = ref 0 in
+  Page_table.iter t.pages (fun _ p -> if p.soft_dirty then incr n);
+  !n
 
 (* Pages that were dirtied and then decommitted or protected [No_access]
    carry nothing a re-scan could read: visiting them would inflate the
    simulated pause with bytes no sweep ever touches. *)
 let iter_soft_dirty_pages t f =
-  Hashtbl.iter
-    (fun i p ->
+  Page_table.iter t.pages (fun i p ->
       match p with
-      | { soft_dirty = true; data = Some _; prot = Read_only | Read_write; _ }
-        ->
-        f (i * page_size)
-      | _ -> ())
-    t.pages
+      | { data = Some bytes; prot = Read_only | Read_write; soft_dirty; _ } ->
+        if soft_dirty then f (i * page_size) bytes
+      | { data = None; _ } | { prot = No_access; _ } -> ())
 
 (* Publish the address-space accounting as read-through metrics: the
    registry consults these at export time, so the hot paths above carry

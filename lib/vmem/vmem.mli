@@ -8,7 +8,9 @@
 
     Addresses are plain OCaml [int]s. Loads and stores operate on aligned
     8-byte words so that sweeps can interpret every word of memory as a
-    potential pointer, exactly as the paper does. *)
+    potential pointer, exactly as the paper does. Pages live in a
+    {!Page_table}, so every mapping lies in [\[0, Layout.heap_limit)] and
+    the page walks below visit pages in ascending address order. *)
 
 type t
 
@@ -114,6 +116,7 @@ val committed_bytes : t -> int
 (** Resident set size of the simulated process. *)
 
 val mapped_bytes : t -> int
+(** Bytes of mapped pages, committed or not (a counter, O(1)). *)
 
 (** {1 Sweeping support} *)
 
@@ -128,16 +131,19 @@ val iter_readable_pages : t -> (int -> Bytes.t -> unit) -> unit
 (** [iter_readable_pages t f] calls [f page_base bytes] for every
     committed page that is readable. This is the sweep's view of "all
     program memory": decommitted and [No_access] (unmapped-in-quarantine)
-    pages are excluded. Iteration order is unspecified. The [bytes] are
-    the live page frame, not a copy — callers must not mutate it. *)
+    pages are excluded. Pages are visited in ascending address order.
+    The [bytes] are the live page frame, not a copy — callers must not
+    mutate it. *)
 
 val snapshot_readable_pages : t -> (int * Bytes.t * int) array
 (** Zero-copy snapshot of every committed readable page as
-    [(page_base, bytes, write_gen)] triples sorted by base address — the
-    canonical page order of the marking phase and its Merge stage. The [bytes] are the live page frames (no copies,
-    no per-page allocation beyond the array itself): callers must treat
-    them as read-only and must not interleave stores, protection changes
-    or unmaps with reads of the snapshot. *)
+    [(page_base, bytes, write_gen)] triples in ascending base order — the
+    canonical page order of the marking phase and its Merge stage. One
+    ordered walk of the page table fills an array sized by the
+    readable-page count; nothing is sorted. The [bytes] are the live page
+    frames (no copies): callers must treat them as read-only and must not
+    interleave stores, protection changes or unmaps with reads of the
+    snapshot. *)
 
 (** {1 Scan generations}
 
@@ -166,10 +172,10 @@ val iter_readable_pages_gen :
   t -> (int -> Bytes.t -> write_gen:int -> unit) -> unit
 (** {!iter_readable_pages}, additionally passing each page's last-write
     generation so callers can decide between a cached summary and a
-    rescan. *)
+    rescan. Ascending address order. *)
 
 val readable_bytes : t -> int
-(** Total bytes {!iter_readable_pages} would visit. *)
+(** Total bytes {!iter_readable_pages} would visit (a counter, O(1)). *)
 
 val clear_soft_dirty : t -> unit
 
@@ -177,9 +183,11 @@ val soft_dirty_pages : t -> int
 (** Number of pages written since the last {!clear_soft_dirty}
     (readable or not — the raw kernel-style counter). *)
 
-val iter_soft_dirty_pages : t -> (int -> unit) -> unit
-(** Iterate the start addresses of soft-dirty pages that are still
-    committed and readable. Pages dirtied and then decommitted or
+val iter_soft_dirty_pages : t -> (int -> Bytes.t -> unit) -> unit
+(** [iter_soft_dirty_pages t f] calls [f page_base bytes] for every
+    soft-dirty page that is still committed and readable, in ascending
+    address order; [bytes] is the live page frame, as in
+    {!iter_readable_pages}. Pages dirtied and then decommitted or
     protected [No_access] (e.g. unmapped-in-quarantine allocations) are
     skipped: a re-scan has nothing to read there, so counting them would
     overstate the stop-the-world pause. *)

@@ -119,6 +119,116 @@ let prop_range_equivalent_to_pointwise =
       in
       Minesweeper.Shadow.range_marked s ~addr ~len = expected)
 
+let granules = [ 16; 64; 256; 512; 1024; 2048; 4096 ]
+
+(* Bytes one marked page accounts for: one bit per granule, rounded up
+   to a whole byte. *)
+let page_bytes g = ((Vmem.page_size / g) + 7) / 8
+
+let test_every_granule () =
+  (* Regression: at granules of 1 KiB and more a page has fewer than 8
+     granules, and the bitmap used to be 0 bytes long — the mark landed
+     in padding, so [marked_granules], [iter_marked] and [shadow_bytes]
+     all missed it. *)
+  List.iter
+    (fun g ->
+      let s = Minesweeper.Shadow.create ~granule:g () in
+      let p = base + Vmem.page_size + g + 8 in
+      let start = p - (p mod g) in
+      Minesweeper.Shadow.mark s p;
+      let name what = Printf.sprintf "granule %d: %s" g what in
+      Alcotest.(check bool) (name "is_marked") true
+        (Minesweeper.Shadow.is_marked s start);
+      Alcotest.(check bool) (name "range_marked") true
+        (Minesweeper.Shadow.range_marked s ~addr:base
+           ~len:(3 * Vmem.page_size));
+      Alcotest.(check int) (name "marked_granules") 1
+        (Minesweeper.Shadow.marked_granules s);
+      let seen = ref [] in
+      Minesweeper.Shadow.iter_marked s (fun a -> seen := a :: !seen);
+      Alcotest.(check (list int)) (name "iter_marked") [ start ] !seen;
+      Alcotest.(check int) (name "shadow_bytes") (page_bytes g)
+        (Minesweeper.Shadow.shadow_bytes s);
+      Minesweeper.Shadow.clear s;
+      Alcotest.(check int) (name "cleared") 0
+        (Minesweeper.Shadow.marked_granules s);
+      Alcotest.(check int) (name "cleared bytes") 0
+        (Minesweeper.Shadow.shadow_bytes s);
+      Alcotest.(check bool) (name "cleared bit") false
+        (Minesweeper.Shadow.is_marked s start))
+    granules
+
+(* ---- Reference model ------------------------------------------------
+
+   Random mark and clear sequences against the set of marked granule
+   numbers (and the set of pages marked since the last clear), at every
+   granule. Addresses fall in the first eight heap pages, so marks
+   collide, repeat across clears, and ranges cross pages. *)
+
+module IS = Set.Make (Int)
+
+type shadow_op = Mark of int | Clear
+
+let span = 8 * Vmem.page_size
+
+let gen_shadow_case =
+  let open QCheck.Gen in
+  let op =
+    frequency
+      [ (12, map (fun o -> Mark o) (int_bound (span - 1))); (1, return Clear) ]
+  in
+  let range = pair (int_bound (span - 1)) (int_range 1 (2 * Vmem.page_size)) in
+  triple (oneofl granules) (list_size (int_range 0 80) op)
+    (list_repeat 20 range)
+
+let show_shadow_case (g, ops, ranges) =
+  Printf.sprintf "granule %d; ops [%s]; ranges [%s]" g
+    (String.concat "; "
+       (List.map
+          (function Mark o -> Printf.sprintf "mark +%d" o | Clear -> "clear")
+          ops))
+    (String.concat "; "
+       (List.map (fun (o, l) -> Printf.sprintf "+%d,%d" o l) ranges))
+
+let prop_shadow_matches_model =
+  QCheck.Test.make ~name:"shadow == set-of-granules model (every granule)"
+    ~count:300
+    (QCheck.make ~print:show_shadow_case gen_shadow_case)
+    (fun (g, ops, ranges) ->
+      let s = Minesweeper.Shadow.create ~granule:g () in
+      let marks, pages =
+        List.fold_left
+          (fun (marks, pages) op ->
+            match op with
+            | Mark o ->
+              Minesweeper.Shadow.mark s (base + o);
+              (IS.add ((base + o) / g) marks,
+               IS.add ((base + o) / Vmem.page_size) pages)
+            | Clear ->
+              Minesweeper.Shadow.clear s;
+              (IS.empty, IS.empty))
+          (IS.empty, IS.empty) ops
+      in
+      let iterated = ref [] in
+      Minesweeper.Shadow.iter_marked s (fun a -> iterated := a :: !iterated);
+      let expected_range (o, len) =
+        let addr = base + o in
+        IS.exists (fun m -> m >= addr / g && m <= (addr + len - 1) / g) marks
+      in
+      List.rev !iterated = List.map (fun m -> m * g) (IS.elements marks)
+      && Minesweeper.Shadow.marked_granules s = IS.cardinal marks
+      && Minesweeper.Shadow.shadow_bytes s = IS.cardinal pages * page_bytes g
+      && List.for_all
+           (fun (o, _) ->
+             Minesweeper.Shadow.is_marked s (base + o)
+             = IS.mem ((base + o) / g) marks)
+           ranges
+      && List.for_all
+           (fun (o, len) ->
+             Minesweeper.Shadow.range_marked s ~addr:(base + o) ~len
+             = expected_range (o, len))
+           ranges)
+
 let suite =
   ( "minesweeper.shadow",
     [
@@ -134,4 +244,7 @@ let suite =
       QCheck_alcotest.to_alcotest prop_mark_then_query;
       QCheck_alcotest.to_alcotest prop_unmarked_ranges_clean;
       QCheck_alcotest.to_alcotest prop_range_equivalent_to_pointwise;
+      Alcotest.test_case "every granule (16 B - 4 KiB)" `Quick
+        test_every_granule;
+      QCheck_alcotest.to_alcotest prop_shadow_matches_model;
     ] )

@@ -103,7 +103,7 @@ let test_soft_dirty () =
   Vmem.store m (base + (2 * page)) 3;
   Alcotest.(check int) "two dirty pages" 2 (Vmem.soft_dirty_pages m);
   let seen = ref [] in
-  Vmem.iter_soft_dirty_pages m (fun p -> seen := p :: !seen);
+  Vmem.iter_soft_dirty_pages m (fun p _ -> seen := p :: !seen);
   Alcotest.(check bool) "first page dirty" true (List.mem base !seen);
   Alcotest.(check bool) "third page dirty" true
     (List.mem (base + (2 * page)) !seen)
@@ -120,7 +120,7 @@ let test_dirty_walk_skips_unreadable () =
   Vmem.decommit m ~addr:base ~len:page;
   Vmem.protect m ~addr:(base + page) ~len:page Vmem.No_access;
   let seen = ref [] in
-  Vmem.iter_soft_dirty_pages m (fun p -> seen := p :: !seen);
+  Vmem.iter_soft_dirty_pages m (fun p _ -> seen := p :: !seen);
   Alcotest.(check (list int)) "only the readable dirty page is walked"
     [ base + (2 * page) ]
     !seen;
@@ -269,6 +269,352 @@ let prop_store_load_roundtrip =
       Vmem.store m addr value;
       Vmem.load m addr = value)
 
+(* ---- Reference model -------------------------------------------------
+
+   [Vmem] against a model built from [Map.Make (Int)]: page number ->
+   page state, with each page's nonzero words in a map of their own.
+   Random operation sequences run on both; every step must fault alike
+   and leave the same page walks and accounting. *)
+
+module IM = Map.Make (Int)
+
+type model_page = {
+  committed : bool;
+  prot : Vmem.prot;
+  dirty : bool;
+  gen : int;
+  words : int IM.t; (* word offset in the page -> nonzero value *)
+}
+
+type model = { pages : model_page IM.t; generation : int }
+
+let model_readable mp = mp.committed && mp.prot <> Vmem.No_access
+
+(* Candidate pages: the globals and stack regions, both sides of a leaf
+   boundary in the heap, the last leaf below [Layout.heap_limit], and a
+   whole heap leaf that [Map_leaf]/[Unmap_leaf] map and unmap at once. *)
+let leaf = Page_table.leaf_pages
+let heap_page = Layout.heap_base / page
+let limit_page = Layout.heap_limit / page
+let whole_leaf = (heap_page / leaf) + 3
+
+let candidate_pages =
+  [| Layout.globals_base / page;
+     (Layout.globals_base / page) + 15;
+     Layout.stack_base / page;
+     (Layout.stack_base / page) + 1;
+     heap_page;
+     heap_page + leaf - 2;
+     heap_page + leaf - 1;
+     heap_page + leaf;
+     heap_page + leaf + 1;
+     limit_page - leaf - 1;
+     limit_page - leaf;
+     limit_page - 2;
+     limit_page - 1;
+     whole_leaf * leaf;
+     (whole_leaf * leaf) + 255;
+     (whole_leaf * leaf) + leaf - 1 |]
+
+type op =
+  | Map of int
+  | Unmap of int
+  | Map_leaf
+  | Unmap_leaf
+  | Commit of int
+  | Decommit of int
+  | Protect of int * Vmem.prot
+  | Store of int * int * int (* page, word, value *)
+  | Zero of int * int * int (* page, byte offset, length: may cross *)
+  | Load of int * int
+  | Advance
+  | Clear_dirty
+
+let prot_name = function
+  | Vmem.No_access -> "none"
+  | Vmem.Read_only -> "ro"
+  | Vmem.Read_write -> "rw"
+
+let show_op = function
+  | Map p -> Printf.sprintf "map %#x" p
+  | Unmap p -> Printf.sprintf "unmap %#x" p
+  | Map_leaf -> "map-leaf"
+  | Unmap_leaf -> "unmap-leaf"
+  | Commit p -> Printf.sprintf "commit %#x" p
+  | Decommit p -> Printf.sprintf "decommit %#x" p
+  | Protect (p, prot) -> Printf.sprintf "protect %#x %s" p (prot_name prot)
+  | Store (p, w, v) -> Printf.sprintf "store %#x[%d] %d" p w v
+  | Zero (p, off, len) -> Printf.sprintf "zero %#x+%d %d" p off len
+  | Load (p, w) -> Printf.sprintf "load %#x[%d]" p w
+  | Advance -> "advance"
+  | Clear_dirty -> "clear-dirty"
+
+let gen_op =
+  let open QCheck.Gen in
+  let cand = oneofa candidate_pages in
+  let word = int_bound ((page / 8) - 1) in
+  frequency
+    [ (4, map (fun p -> Map p) cand);
+      (2, map (fun p -> Unmap p) cand);
+      (1, return Map_leaf);
+      (1, return Unmap_leaf);
+      (2, map (fun p -> Commit p) cand);
+      (2, map (fun p -> Decommit p) cand);
+      ( 3,
+        map2
+          (fun p prot -> Protect (p, prot))
+          cand
+          (oneofl [ Vmem.No_access; Vmem.Read_only; Vmem.Read_write ]) );
+      ( 6,
+        map3 (fun p w v -> Store (p, w, v)) cand word (int_range 1 (1 lsl 40)) );
+      ( 2,
+        map3
+          (fun p off len -> Zero (p, off, len))
+          cand (int_bound (page - 1)) (int_range 0 (2 * page)) );
+      (3, map2 (fun p w -> Load (p, w)) cand word);
+      (1, return Advance);
+      (1, return Clear_dirty) ]
+
+(* A fault, with the model's state when it was raised: a zero range
+   that faults on a later page has already zeroed the earlier ones. *)
+exception Model_fault of model * Vmem.fault_kind * int
+
+let model_find m i addr =
+  match IM.find_opt i m.pages with
+  | Some mp -> mp
+  | None -> raise (Model_fault (m, Vmem.Unmapped_access, addr))
+
+let model_set m i mp = { m with pages = IM.add i mp m.pages }
+
+(* A demand-commit, as an access to a decommitted page performs it. *)
+let model_touch m mp =
+  if mp.committed then mp
+  else { mp with committed = true; gen = m.generation; words = IM.empty }
+
+let model_map m i =
+  model_set m i
+    { committed = true; prot = Vmem.Read_write; dirty = false;
+      gen = m.generation; words = IM.empty }
+
+(* Zero the page-local bytes [lo, hi) of a page's words. *)
+let zero_words words ~lo ~hi =
+  IM.filter_map
+    (fun w v ->
+      let a = max lo (w * 8) and b = min hi ((w * 8) + 8) in
+      let mask = ref 0 in
+      for k = a - (w * 8) to b - (w * 8) - 1 do
+        mask := !mask lor (0xff lsl (8 * k))
+      done;
+      let v = v land lnot !mask in
+      if v = 0 then None else Some v)
+    words
+
+(* Apply [op] to the model; returns the new model and a loaded value. *)
+let model_step m op =
+  let page_op i f = model_set m i (f (model_find m i (i * page))) in
+  match op with
+  | Map i -> (model_map m i, 0)
+  | Map_leaf ->
+    let m = ref m in
+    for i = whole_leaf * leaf to (whole_leaf * leaf) + leaf - 1 do
+      m := model_map !m i
+    done;
+    (!m, 0)
+  | Unmap i -> ({ m with pages = IM.remove i m.pages }, 0)
+  | Unmap_leaf ->
+    ( { m with
+        pages =
+          IM.filter (fun i _ -> i / leaf <> whole_leaf) m.pages },
+      0 )
+  | Commit i ->
+    (page_op i (fun mp ->
+         if mp.committed then mp else model_touch m mp), 0)
+  | Decommit i ->
+    ( page_op i (fun mp ->
+          if mp.committed then
+            { mp with committed = false; gen = m.generation;
+                      words = IM.empty }
+          else mp),
+      0 )
+  | Protect (i, prot) ->
+    ( page_op i (fun mp ->
+          if mp.prot <> prot then { mp with prot; gen = m.generation }
+          else mp),
+      0 )
+  | Store (i, w, v) ->
+    let addr = (i * page) + (w * 8) in
+    let mp = model_find m i addr in
+    if mp.prot <> Vmem.Read_write then
+      raise (Model_fault (m, Vmem.Protection_violation, addr));
+    let mp = model_touch m mp in
+    ( model_set m i
+        { mp with dirty = true; gen = m.generation;
+                  words = IM.add w v mp.words },
+      0 )
+  | Zero (i, off, len) ->
+    (* Page by page, like [Vmem.zero_range]: a fault on a later page
+       leaves the earlier pages zeroed. *)
+    let finish = (i * page) + off + len in
+    let rec go m pos =
+      if pos >= finish then m
+      else begin
+        let pi = pos / page in
+        let mp = model_find m pi pos in
+        if mp.prot <> Vmem.Read_write then
+          raise (Model_fault (m, Vmem.Protection_violation, pos));
+        let mp = model_touch m mp in
+        let words =
+          zero_words mp.words ~lo:(pos mod page)
+            ~hi:(min page (finish - (pi * page)))
+        in
+        let m =
+          model_set m pi { mp with dirty = true; gen = m.generation; words }
+        in
+        go m ((pi + 1) * page)
+      end
+    in
+    (go m ((i * page) + off), 0)
+  | Load (i, w) ->
+    let addr = (i * page) + (w * 8) in
+    let mp = model_find m i addr in
+    if mp.prot = Vmem.No_access then
+      raise (Model_fault (m, Vmem.Protection_violation, addr));
+    let mp = model_touch m mp in
+    (model_set m i mp, Option.value ~default:0 (IM.find_opt w mp.words))
+  | Advance -> ({ m with generation = m.generation + 1 }, 0)
+  | Clear_dirty ->
+    ({ m with pages = IM.map (fun mp -> { mp with dirty = false }) m.pages }, 0)
+
+(* Apply [op] to the address space, in the model's terms. *)
+let vmem_step v op =
+  let leaf_range = (whole_leaf * leaf * page, leaf * page) in
+  match op with
+  | Map i -> Vmem.map v ~addr:(i * page) ~len:page; 0
+  | Unmap i -> Vmem.unmap v ~addr:(i * page) ~len:page; 0
+  | Map_leaf ->
+    let addr, len = leaf_range in
+    Vmem.map v ~addr ~len; 0
+  | Unmap_leaf ->
+    let addr, len = leaf_range in
+    Vmem.unmap v ~addr ~len; 0
+  | Commit i -> Vmem.commit v ~addr:(i * page) ~len:page; 0
+  | Decommit i -> Vmem.decommit v ~addr:(i * page) ~len:page; 0
+  | Protect (i, prot) -> Vmem.protect v ~addr:(i * page) ~len:page prot; 0
+  | Store (i, w, x) -> Vmem.store v ((i * page) + (w * 8)) x; 0
+  | Zero (i, off, len) -> Vmem.zero_range v ~addr:((i * page) + off) ~len; 0
+  | Load (i, w) -> Vmem.load v ((i * page) + (w * 8))
+  | Advance -> ignore (Vmem.advance_generation v); 0
+  | Clear_dirty -> Vmem.clear_soft_dirty v; 0
+
+(* [Vmem.map] requires unmapped pages: the generator's maps of mapped
+   pages are skipped on both sides. *)
+let applicable m = function
+  | Map i -> not (IM.mem i m.pages)
+  | Map_leaf ->
+    not (IM.exists (fun i _ -> i / leaf = whole_leaf) m.pages)
+  | _ -> true
+
+let strictly_ascending l =
+  let rec go = function a :: (b :: _ as rest) -> a < b && go rest | _ -> true in
+  go l
+
+(* The frame holds exactly the model's words: every word when [full],
+   otherwise only those the model says are nonzero. *)
+let frame_matches ~full bytes mp =
+  let word w = Int64.to_int (Bytes.get_int64_le bytes (w * 8)) in
+  IM.for_all (fun w x -> word w = x) mp.words
+  && ((not full)
+     ||
+     let ok = ref true in
+     for w = 0 to (page / 8) - 1 do
+       if word w <> 0 && not (IM.mem w mp.words) then ok := false
+     done;
+     !ok)
+
+let agrees ~full v m =
+  let fail fmt = Printf.ksprintf (fun msg -> QCheck.Test.fail_report msg) fmt in
+  let snapshot = Array.to_list (Vmem.snapshot_readable_pages v) in
+  let bases = List.map (fun (b, _, _) -> b) snapshot in
+  let readable = IM.filter (fun _ mp -> model_readable mp) m.pages in
+  if not (strictly_ascending bases) then fail "snapshot not ascending";
+  let expected =
+    List.map (fun (i, mp) -> (i * page, mp.gen)) (IM.bindings readable)
+  in
+  if List.map (fun (b, _, g) -> (b, g)) snapshot <> expected then
+    fail "snapshot pages or write generations differ from the model";
+  List.iter
+    (fun (b, bytes, _) ->
+      if not (frame_matches ~full bytes (IM.find (b / page) m.pages)) then
+        fail "frame of page %#x differs from the model" b)
+    snapshot;
+  IM.iter
+    (fun i mp ->
+      let a = i * page in
+      if
+        not
+          (Vmem.is_mapped v a
+          && Vmem.is_committed v a = mp.committed
+          && Vmem.protection v a = mp.prot
+          && Vmem.write_generation v a = mp.gen)
+      then fail "state of page %#x differs from the model" a)
+    m.pages;
+  Array.iter
+    (fun i ->
+      if Vmem.is_mapped v (i * page) <> IM.mem i m.pages then
+        fail "is_mapped %#x" (i * page))
+    candidate_pages;
+  let count p = IM.cardinal (IM.filter (fun _ mp -> p mp) m.pages) in
+  if Vmem.mapped_bytes v <> IM.cardinal m.pages * page then fail "mapped_bytes";
+  if Vmem.committed_bytes v <> count (fun mp -> mp.committed) * page then
+    fail "committed_bytes";
+  if Vmem.readable_bytes v <> IM.cardinal readable * page then
+    fail "readable_bytes";
+  if Vmem.soft_dirty_pages v <> count (fun mp -> mp.dirty) then
+    fail "soft_dirty_pages";
+  let dirty = ref [] in
+  Vmem.iter_soft_dirty_pages v (fun b _ -> dirty := b :: !dirty);
+  let dirty = List.rev !dirty in
+  let expected =
+    IM.bindings readable
+    |> List.filter (fun (_, mp) -> mp.dirty)
+    |> List.map (fun (i, _) -> i * page)
+  in
+  if dirty <> expected then fail "iter_soft_dirty_pages";
+  true
+
+let arb_ops =
+  QCheck.make
+    ~print:(fun ops -> String.concat "; " (List.map show_op ops))
+    QCheck.Gen.(list_size (int_range 1 60) gen_op)
+
+let prop_vmem_matches_model =
+  (* A case that maps a page near [Layout.heap_limit] grows the page
+     directory to its full 128k leaves, and every page walk then visits
+     them all: 120 cases keep the property near 2 s. *)
+  QCheck.Test.make ~name:"vmem == Map-based reference model" ~count:120
+    arb_ops
+    (fun ops ->
+      let v = Vmem.create () in
+      let rec run m = function
+        | [] -> agrees ~full:true v m
+        | op :: rest when not (applicable m op) -> run m rest
+        | op :: rest ->
+          let m, expected =
+            match model_step m op with
+            | m, x -> (m, Ok x)
+            | exception Model_fault (m, k, a) -> (m, Error (k, a))
+          in
+          let actual =
+            match vmem_step v op with
+            | x -> Ok x
+            | exception Vmem.Fault (k, a) -> Error (k, a)
+          in
+          if expected <> actual then
+            QCheck.Test.fail_reportf "%s: outcome differs" (show_op op);
+          agrees ~full:false v m && run m rest
+      in
+      run { pages = IM.empty; generation = 0 } ops)
+
 let suite =
   ( "vmem",
     [
@@ -296,4 +642,5 @@ let suite =
       Alcotest.test_case "committed-bytes gauge round-trip" `Quick
         test_committed_bytes_gauge;
       QCheck_alcotest.to_alcotest prop_store_load_roundtrip;
+      QCheck_alcotest.to_alcotest prop_vmem_matches_model;
     ] )
