@@ -11,7 +11,8 @@
                                optional vtable hijack under live traffic
      trace -b BENCH [-o F]     run and dump the structured span ring
      compare -b BENCH          run all schemes and print overheads
-     figures [--only IDS]      regenerate paper figures (see bench/)
+     figures [--only IDS]      regenerate the paper's figures; exits 1 if
+                               a figure's check fails
      attack [-s SCHEME]        run the Figure-2 exploit scenarios
      trace-gen -b BENCH -o F   derive a portable trace file from a profile
      trace-replay -i F -s S    replay a trace file against a scheme
@@ -31,65 +32,56 @@
 
 open Cmdliner
 
-let suites =
-  [
-    ("spec2006", Workloads.Spec2006.all);
-    ("spec2017", Workloads.Spec2017.all);
-    ("mimalloc", Workloads.Mimalloc_bench.all);
-  ]
+(* Every name argument resolves when the command line is parsed: a typo
+   exits with a usage error (status 124) listing the valid names, before
+   any simulation runs. Schemes, suites and benchmarks resolve through
+   the shared table in {!Workloads.Harness}. *)
+let name_conv parse print = Arg.conv' (parse, Fmt.of_to_string print)
 
-let find_profile suite name =
-  let pool =
-    match List.assoc_opt suite suites with
-    | Some ps -> ps
-    | None -> invalid_arg ("unknown suite " ^ suite)
-  in
-  try List.find (fun p -> p.Workloads.Profile.name = name) pool
-  with Not_found -> invalid_arg ("unknown benchmark " ^ name)
+let unknown what name names =
+  Error
+    (Fmt.str "unknown %s %S (expected one of: %s)" what name
+       (String.concat ", " names))
 
-(* MineSweeper configurations resolve through the canonical preset
-   table; the error message already lists the accepted names. *)
-let ms_config preset =
-  match Minesweeper.Config.of_preset preset with
-  | Ok config -> config
-  | Error msg -> invalid_arg msg
+let of_option what names resolve name =
+  match resolve name with Some v -> Ok v | None -> unknown what name names
 
-let scheme_of_string = function
-  | "baseline" -> Workloads.Harness.Baseline
-  | "minesweeper" -> Workloads.Harness.Mine_sweeper (ms_config "default")
-  | ("ms" | "ms-inc" | "mostly" | "incremental" | "incremental-mostly") as p ->
-    Workloads.Harness.Mine_sweeper (ms_config p)
-  | "markus" -> Workloads.Harness.Mark_us
-  | "ffmalloc" | "ff" -> Workloads.Harness.Ff_malloc
-  | "dlmalloc" -> Workloads.Harness.Dl_baseline
-  | "dlmalloc-minesweeper" | "dl-ms" ->
-    Workloads.Harness.Dl_sweeper (ms_config "default")
-  | "crcount" -> Workloads.Harness.Cr_count
-  | "psweeper" -> Workloads.Harness.P_sweeper
-  | "dangsan" -> Workloads.Harness.Dang_san
-  | "scudo" -> Workloads.Harness.Scudo_baseline
-  | "scudo-minesweeper" | "scudo-ms" ->
-    Workloads.Harness.Scudo_sweeper (ms_config "default")
-  | "pooled" -> Workloads.Harness.Pooled None
-  | s -> invalid_arg ("unknown scheme " ^ s)
+let preset_names = List.map fst Minesweeper.Config.presets
+
+(* A MineSweeper preset under the name it was given. *)
+let preset_conv =
+  name_conv
+    (fun name ->
+      Result.map (fun c -> (name, c)) (Minesweeper.Config.of_preset name))
+    fst
+
+let server_profile =
+  of_option "server profile" Workloads.Server.names Workloads.Server.find
 
 (* --domains overrides the modeled marker-domain count of any
    MineSweeper-family scheme (lib/parsweep); other schemes have no
    marking phase to model. *)
 let apply_domains n scheme =
-  if n <= 1 then scheme
-  else
-    match scheme with
-    | Workloads.Harness.Mine_sweeper c ->
-      Workloads.Harness.Mine_sweeper (Minesweeper.Config.with_domains n c)
-    | Workloads.Harness.Scudo_sweeper c ->
-      Workloads.Harness.Scudo_sweeper (Minesweeper.Config.with_domains n c)
-    | Workloads.Harness.Dl_sweeper c ->
-      Workloads.Harness.Dl_sweeper (Minesweeper.Config.with_domains n c)
-    | _ ->
-      invalid_arg "--domains only applies to MineSweeper-family schemes"
+  let open Workloads.Harness in
+  let with_n = Minesweeper.Config.with_domains n in
+  match scheme with
+  | _ when n <= 1 -> Ok scheme
+  | Mine_sweeper c -> Ok (Mine_sweeper (with_n c))
+  | Scudo_sweeper c -> Ok (Scudo_sweeper (with_n c))
+  | Dl_sweeper c -> Ok (Dl_sweeper (with_n c))
+  | _ -> Error "--domains only applies to MineSweeper-family schemes"
 
 let mb x = float_of_int x /. 1048576.
+
+(* A machine whose root regions (globals, stacks) are mapped, as a
+   program's would be. *)
+let fresh_machine () =
+  let machine = Alloc.Machine.create () in
+  List.iter
+    (fun (base, size) ->
+      Vmem.map machine.Alloc.Machine.mem ~addr:base ~len:size)
+    Layout.root_regions;
+  machine
 
 let print_result (r : Workloads.Driver.result) =
   Fmt.pr "benchmark      %s@." r.benchmark;
@@ -108,7 +100,12 @@ let print_result (r : Workloads.Driver.result) =
   List.iter (fun (name, v) -> Fmt.pr "%-14s %d@." name v) r.metrics
 
 let suite_arg =
-  Arg.(value & opt string "spec2006" & info [ "suite" ] ~doc:"Benchmark suite")
+  Arg.(
+    value & opt string "spec2006"
+    & info [ "suite" ]
+        ~doc:
+          ("Benchmark suite: "
+          ^ String.concat ", " (List.map fst Workloads.Harness.suites)))
 
 let bench_arg =
   Arg.(
@@ -116,13 +113,21 @@ let bench_arg =
     & opt (some string) None
     & info [ "b"; "bench" ] ~doc:"Benchmark name")
 
+let profile_term =
+  Term.(
+    term_result' ~usage:true
+      (const (fun suite -> Workloads.Harness.find_profile ~suite)
+      $ suite_arg $ bench_arg))
+
 let scheme_arg =
   Arg.(
-    value & opt string "minesweeper"
+    value
+    & opt
+        (name_conv Workloads.Harness.scheme_of_name
+           Workloads.Harness.scheme_name)
+        (Workloads.Harness.Mine_sweeper Minesweeper.Config.default)
     & info [ "s"; "scheme" ]
-        ~doc:
-          "Scheme: baseline, minesweeper, mostly, incremental, markus, \
-           ffmalloc, pooled")
+        ~doc:("Scheme: " ^ String.concat ", " Workloads.Harness.scheme_names))
 
 let scale_arg =
   Arg.(value & opt float 1.0 & info [ "scale" ] ~doc:"Trace length scale")
@@ -145,28 +150,47 @@ let list_cmd =
       (fun (suite, ps) ->
         Fmt.pr "%s:@." suite;
         List.iter (fun p -> Fmt.pr "  %s@." p.Workloads.Profile.name) ps)
-      suites
+      Workloads.Harness.suites
   in
   Cmd.v (Cmd.info "list" ~doc) Term.(const f $ const ())
 
 let run_cmd =
   let doc = "Run one benchmark under one scheme" in
-  let f suite bench scheme scale domains =
-    let profile = find_profile suite bench in
-    let r =
-      Workloads.Driver.run ~ops_scale:scale profile
-        (apply_domains domains (scheme_of_string scheme))
-    in
-    print_result r
+  let f profile scheme scale =
+    print_result (Workloads.Driver.run ~ops_scale:scale profile scheme)
   in
   Cmd.v (Cmd.info "run" ~doc)
     Term.(
-      const f $ suite_arg $ bench_arg $ scheme_arg $ scale_arg $ domains_arg)
+      const f $ profile_term
+      $ term_result' ~usage:true
+          (const apply_domains $ domains_arg $ scheme_arg)
+      $ scale_arg)
+
+(* --metrics-out and --spans-out: export the registry and span ring of
+   the stack that served a run; a scheme that keeps none cannot. *)
+let export_stack (stack : Workloads.Harness.t) ~metrics_out ~spans_out =
+  let missing what =
+    Fmt.epr "scheme %s keeps no %s@." stack.scheme what;
+    exit 1
+  in
+  (match (metrics_out, stack.obs) with
+  | Some file, Some reg ->
+    Obs.Export.write_file file (Obs.Export.metrics_to_string reg);
+    Fmt.pr "metrics        %s (%d metrics)@." file
+      (List.length (Obs.Registry.names reg))
+  | Some _, None -> missing "metrics registry"
+  | None, _ -> ());
+  match (spans_out, stack.trace) with
+  | Some file, Some ring ->
+    Obs.Export.write_file file (Obs.Export.spans_to_string ring);
+    Fmt.pr "spans          %s (%d retained)@." file
+      (Obs.Trace_ring.retained ring)
+  | Some _, None -> missing "trace ring"
+  | None, _ -> ()
 
 (* Run a benchmark while holding on to the stack that served it, so the
    telemetry registry and span ring survive for export after the run. *)
-let run_capturing ~suite ~bench ~scheme ~scale =
-  let profile = find_profile suite bench in
+let run_capturing ~profile ~scheme ~scale =
   let captured = ref None in
   let result =
     Workloads.Driver.run ~ops_scale:scale
@@ -206,10 +230,34 @@ let bench_cmd =
              the same simulated cycle count (verified) — so repeats \
              denoise only the host-side timing.")
   in
+  (* --config overrides -s; pooled-analyzed derives its pool plan from
+     the benchmark's own trace. *)
   let config_arg =
+    let config = function
+      | "pooled" -> Ok (fun _ -> Workloads.Harness.Pooled None)
+      | "pooled-analyzed" ->
+        Ok
+          (fun profile ->
+            let plan =
+              Flowcheck.Poolplan.of_trace (Workloads.Trace.generate profile)
+            in
+            Workloads.Harness.Pooled
+              (Some (Flowcheck.Poolplan.to_alloc_plan plan)))
+      | name -> (
+        match Minesweeper.Config.of_preset name with
+        | Ok c -> Ok (fun _ -> Workloads.Harness.Mine_sweeper c)
+        | Error _ ->
+          unknown "configuration" name
+            ("pooled" :: "pooled-analyzed" :: preset_names))
+    in
     Arg.(
       value
-      & opt (some string) None
+      & opt
+          (some
+             (name_conv
+                (fun name -> Result.map (fun c -> (name, c)) (config name))
+                fst))
+          None
       & info [ "config" ]
           ~doc:
             "Override the scheme with a named configuration: $(b,pooled) \
@@ -218,26 +266,25 @@ let bench_cmd =
              from the benchmark's own trace), or a MineSweeper preset name \
              (default, mostly, incremental, ...)")
   in
-  let f suite bench scheme scale domains repeat config metrics_out spans_out =
-    let scheme =
-      match config with
-      | None -> scheme_of_string scheme
-      | Some "pooled" -> Workloads.Harness.Pooled None
-      | Some "pooled-analyzed" ->
-        let profile =
-          Workloads.Profile.scale_ops scale (find_profile suite bench)
-        in
-        let trace = Workloads.Trace.generate profile in
-        let plan = Flowcheck.Poolplan.of_trace trace in
-        Workloads.Harness.Pooled (Some (Flowcheck.Poolplan.to_alloc_plan plan))
-      | Some preset -> Workloads.Harness.Mine_sweeper (ms_config preset)
+  let scheme_term =
+    let choose profile scale domains scheme config =
+      apply_domains domains
+        (match config with
+        | None -> scheme
+        | Some (_, of_profile) ->
+          of_profile (Workloads.Profile.scale_ops scale profile))
     in
-    let scheme = apply_domains domains scheme in
+    Term.(
+      term_result' ~usage:true
+        (const choose $ profile_term $ scale_arg $ domains_arg $ scheme_arg
+       $ config_arg))
+  in
+  let f profile scheme scale repeat metrics_out spans_out =
     let repeat = max 1 repeat in
     let timed =
       Array.init repeat (fun _ ->
           let w0 = Unix.gettimeofday () and c0 = Sys.time () in
-          let result, stack = run_capturing ~suite ~bench ~scheme ~scale in
+          let result, stack = run_capturing ~profile ~scheme ~scale in
           ((Unix.gettimeofday () -. w0, Sys.time () -. c0), result, stack))
     in
     let _, result, stack = timed.(0) in
@@ -267,30 +314,12 @@ let bench_cmd =
       report "host wall" fst;
       report "host cpu" snd
     end;
-    (match (metrics_out, stack.Workloads.Harness.obs) with
-    | Some file, Some reg ->
-      Obs.Export.write_file file (Obs.Export.metrics_to_string reg);
-      Fmt.pr "metrics        %s (%d metrics)@." file
-        (List.length (Obs.Registry.names reg))
-    | Some _, None ->
-      Fmt.epr "scheme %s keeps no metrics registry@."
-        stack.Workloads.Harness.scheme;
-      exit 1
-    | None, _ -> ());
-    match (spans_out, stack.Workloads.Harness.trace) with
-    | Some file, Some ring ->
-      Obs.Export.write_file file (Obs.Export.spans_to_string ring);
-      Fmt.pr "spans          %s (%d retained)@." file
-        (Obs.Trace_ring.retained ring)
-    | Some _, None ->
-      Fmt.epr "scheme %s keeps no trace ring@." stack.Workloads.Harness.scheme;
-      exit 1
-    | None, _ -> ()
+    export_stack stack ~metrics_out ~spans_out
   in
   Cmd.v (Cmd.info "bench" ~doc)
     Term.(
-      const f $ suite_arg $ bench_arg $ scheme_arg $ scale_arg $ domains_arg
-      $ repeat_arg $ config_arg $ metrics_arg $ spans_arg)
+      const f $ profile_term $ scheme_term $ scale_arg $ repeat_arg
+      $ metrics_arg $ spans_arg)
 
 let trace_cmd =
   let doc =
@@ -304,13 +333,11 @@ let trace_cmd =
       & opt (some string) None
       & info [ "o"; "out" ] ~doc:"Output file (default: stdout)")
   in
-  let f suite bench scheme scale out =
-    let _result, stack =
-      run_capturing ~suite ~bench ~scheme:(scheme_of_string scheme) ~scale
-    in
+  let f profile scheme scale out =
+    let _result, stack = run_capturing ~profile ~scheme ~scale in
     match stack.Workloads.Harness.trace with
     | None ->
-      Fmt.epr "scheme %s keeps no trace ring@." scheme;
+      Fmt.epr "scheme %s keeps no trace ring@." stack.Workloads.Harness.scheme;
       exit 1
     | Some ring -> (
       let contents = Obs.Export.spans_to_string ring in
@@ -323,16 +350,15 @@ let trace_cmd =
           (Obs.Trace_ring.emitted ring))
   in
   Cmd.v (Cmd.info "trace" ~doc)
-    Term.(const f $ suite_arg $ bench_arg $ scheme_arg $ scale_arg $ out_arg)
+    Term.(const f $ profile_term $ scheme_arg $ scale_arg $ out_arg)
 
 let compare_cmd =
   let doc = "Run all schemes on a benchmark and print overheads" in
-  let f suite bench scale =
-    let profile = find_profile suite bench in
+  let f profile scale =
     let run s = Workloads.Driver.run ~ops_scale:scale profile s in
     let baseline = run Workloads.Harness.Baseline in
-    Fmt.pr "%-22s %9s %9s %9s %8s %7s %7s@." bench "slowdown" "mem" "peak"
-      "cpu" "sweeps" "failed";
+    Fmt.pr "%-22s %9s %9s %9s %8s %7s %7s@." profile.Workloads.Profile.name
+      "slowdown" "mem" "peak" "cpu" "sweeps" "failed";
     Fmt.pr "%-22s %9.3f %9.3f %9.3f %8.3f %7d %7d@." "baseline" 1.0 1.0 1.0
       baseline.cpu_utilisation 0 0;
     List.iter
@@ -350,11 +376,14 @@ let compare_cmd =
         Workloads.Harness.Ff_malloc;
       ]
   in
-  Cmd.v (Cmd.info "compare" ~doc)
-    Term.(const f $ suite_arg $ bench_arg $ scale_arg)
+  Cmd.v (Cmd.info "compare" ~doc) Term.(const f $ profile_term $ scale_arg)
 
 let figures_cmd =
-  let doc = "Regenerate the paper's tables and figures" in
+  let doc =
+    "Regenerate the paper's tables and figures. Seven figures certify \
+     invariants: when a check fails, its figure id and the check are \
+     listed on stderr after all figures and the command exits 1."
+  in
   let only_arg =
     Arg.(
       value
@@ -375,7 +404,21 @@ let figures_cmd =
       exit 1
     | Ok figures ->
       let env = Experiments.make_env ~scale ~verbose:true () in
-      List.iter (fun (_, render) -> print_string (render env)) figures
+      let failed =
+        List.concat_map
+          (fun (id, render) ->
+            let figure = render env in
+            print_string figure.Experiments.text;
+            List.map (fun check -> (id, check)) figure.Experiments.failed)
+          figures
+      in
+      if failed <> [] then begin
+        flush stdout;
+        List.iter
+          (fun (id, check) -> Fmt.epr "%s: check failed: %s@." id check)
+          failed;
+        exit 1
+      end
   in
   Cmd.v (Cmd.info "figures" ~doc) Term.(const f $ only_arg $ scale_arg)
 
@@ -383,14 +426,9 @@ let attack_cmd =
   let doc = "Run the use-after-free exploit scenarios against a scheme" in
   let f scheme =
     let fresh () =
-      let machine = Alloc.Machine.create () in
-      List.iter
-        (fun (base, size) ->
-          Vmem.map machine.Alloc.Machine.mem ~addr:base ~len:size)
-        Layout.root_regions;
-      Workloads.Harness.build (scheme_of_string scheme) ~threads:1 machine
+      Workloads.Harness.build scheme ~threads:1 (fresh_machine ())
     in
-    Fmt.pr "scheme: %s@." scheme;
+    Fmt.pr "scheme: %s@." (Workloads.Harness.scheme_name scheme);
     Fmt.pr "  vtable hijack      %s@."
       (Attack.describe (Attack.vtable_hijack (fresh ())));
     Fmt.pr "  double-free hijack %s@."
@@ -436,9 +474,12 @@ let serve_cmd =
   in
   let profile_arg =
     Arg.(
-      value & opt string "steady"
+      value
+      & opt
+          (name_conv server_profile (fun p -> p.Workloads.Server.name))
+          (Option.get (Workloads.Server.find "steady"))
       & info [ "p"; "profile" ]
-          ~doc:"Server profile: steady, bursty, diurnal, spike, slow-leak")
+          ~doc:("Server profile: " ^ String.concat ", " Workloads.Server.names))
   in
   let repeat_arg =
     Arg.(
@@ -475,19 +516,10 @@ let serve_cmd =
              attacker payloads between requests and report the outcome \
              alongside the traffic's tail latency")
   in
-  let f profile_name scheme_name scale repeat metrics_out spans_out attack =
-    let profile =
-      match Workloads.Server.find profile_name with
-      | Some p -> p
-      | None ->
-        invalid_arg
-          (Fmt.str "unknown profile %s (expected one of: %s)" profile_name
-             (String.concat ", " Workloads.Server.names))
-    in
+  let f profile scheme scale repeat metrics_out spans_out attack =
     let profile =
       if scale = 1.0 then profile else Workloads.Server.scale scale profile
     in
-    let scheme = scheme_of_string scheme_name in
     if attack then begin
       let machine = Alloc.Machine.create () in
       let stack = Workloads.Harness.build scheme ~threads:1 machine in
@@ -527,26 +559,7 @@ let serve_cmd =
       let stack =
         match !captured with Some s -> s | None -> assert false
       in
-      (match (metrics_out, stack.Workloads.Harness.obs) with
-      | Some file, Some reg ->
-        Obs.Export.write_file file (Obs.Export.metrics_to_string reg);
-        Fmt.pr "metrics        %s (%d metrics)@." file
-          (List.length (Obs.Registry.names reg))
-      | Some _, None ->
-        Fmt.epr "scheme %s keeps no metrics registry@."
-          stack.Workloads.Harness.scheme;
-        exit 1
-      | None, _ -> ());
-      match (spans_out, stack.Workloads.Harness.trace) with
-      | Some file, Some ring ->
-        Obs.Export.write_file file (Obs.Export.spans_to_string ring);
-        Fmt.pr "spans          %s (%d retained)@." file
-          (Obs.Trace_ring.retained ring)
-      | Some _, None ->
-        Fmt.epr "scheme %s keeps no trace ring@."
-          stack.Workloads.Harness.scheme;
-        exit 1
-      | None, _ -> ()
+      export_stack stack ~metrics_out ~spans_out
     end
   in
   Cmd.v (Cmd.info "serve" ~doc)
@@ -557,51 +570,51 @@ let serve_cmd =
 (* --tenants grammar: comma-separated entries, each
    profile:scheme[*count][@weight] — e.g. the default fleet
    "slow-leak:minesweeper,steady:minesweeper*4". *)
-let parse_tenants ~quarantine_budget spec =
+let parse_tenants qbudget spec =
+  let ( let* ) = Result.bind in
+  let split c s =
+    match String.index_opt s c with
+    | Some i ->
+      (String.sub s 0 i, Some (String.sub s (i + 1) (String.length s - i - 1)))
+    | None -> (s, None)
+  in
+  let number entry = function
+    | None -> Ok 1
+    | Some n ->
+      Option.to_result (int_of_string_opt n)
+        ~none:(Fmt.str "tenant entry %s: %S is not a number" entry n)
+  in
   let parse_entry entry =
     let entry = String.trim entry in
-    let entry, weight =
-      match String.index_opt entry '@' with
-      | Some i ->
-        ( String.sub entry 0 i,
-          int_of_string (String.sub entry (i + 1) (String.length entry - i - 1))
-        )
-      | None -> (entry, 1)
+    let rest, weight = split '@' entry in
+    let rest, count = split '*' rest in
+    let* weight = number entry weight in
+    let* count = number entry count in
+    let* profile_name, scheme_name =
+      match split ':' rest with
+      | p, Some s -> Ok (p, s)
+      | _, None -> Error ("tenant entry needs profile:scheme, got " ^ entry)
     in
-    let entry, count =
-      match String.index_opt entry '*' with
-      | Some i ->
-        ( String.sub entry 0 i,
-          int_of_string (String.sub entry (i + 1) (String.length entry - i - 1))
-        )
-      | None -> (entry, 1)
-    in
-    let profile_name, scheme_name =
-      match String.index_opt entry ':' with
-      | Some i ->
-        ( String.sub entry 0 i,
-          String.sub entry (i + 1) (String.length entry - i - 1) )
-      | None -> invalid_arg ("tenant entry needs profile:scheme, got " ^ entry)
-    in
-    let profile =
-      match Workloads.Server.find profile_name with
-      | Some p -> p
-      | None ->
-        invalid_arg
-          (Fmt.str "unknown profile %s (expected one of: %s)" profile_name
-             (String.concat ", " Workloads.Server.names))
-    in
-    let scheme = scheme_of_string scheme_name in
-    List.init (max 1 count) (fun i ->
-        let name =
-          if count = 1 then profile_name
-          else Fmt.str "%s%d" profile_name i
-        in
-        Fleet.tenant ~weight ~quarantine_budget ~name profile scheme)
+    let* profile = server_profile profile_name in
+    let* scheme = Workloads.Harness.scheme_of_name scheme_name in
+    Ok
+      (List.init (max 1 count) (fun i ->
+           let name =
+             if count = 1 then profile_name else Fmt.str "%s%d" profile_name i
+           in
+           Fleet.tenant ~weight ~quarantine_budget:(qbudget * 1024 * 1024)
+             ~name profile scheme))
   in
-  String.split_on_char ',' spec
-  |> List.filter (fun s -> String.trim s <> "")
-  |> List.concat_map parse_entry
+  let entries = String.split_on_char ',' spec in
+  match List.filter (fun e -> String.trim e <> "") entries with
+  | [] -> Error "empty tenant spec"
+  | entries ->
+    List.fold_left
+      (fun acc entry ->
+        let* specs = acc in
+        let* tenants = parse_entry entry in
+        Ok (specs @ tenants))
+      (Ok []) entries
 
 let print_fleet_result (r : Fleet.result) =
   Fmt.pr "tenants        %d  scheduler %s  purge-order %s@."
@@ -664,13 +677,28 @@ let fleet_cmd =
       & info [ "budget" ] ~doc:"Machine physical-page budget in MiB")
   in
   let scheduler_arg =
+    let names = List.map Fleet.scheduler_name Fleet.[ Round_robin; Priority ] in
     Arg.(
-      value & opt string "round-robin"
+      value
+      & opt
+          (name_conv
+             (of_option "scheduler" names Fleet.scheduler_of_string)
+             Fleet.scheduler_name)
+          Fleet.Round_robin
       & info [ "scheduler" ] ~doc:"Scheduler: round-robin or priority")
   in
   let purge_arg =
+    let names =
+      List.map Fleet.purge_order_name
+        Fleet.[ Largest_quarantine; Round_robin_purge ]
+    in
     Arg.(
-      value & opt string "largest-quarantine"
+      value
+      & opt
+          (name_conv
+             (of_option "purge order" names Fleet.purge_order_of_string)
+             Fleet.purge_order_name)
+          Fleet.Largest_quarantine
       & info [ "purge-order" ]
           ~doc:
             "Cross-tenant reclaim order under pressure: largest-quarantine \
@@ -705,22 +733,7 @@ let fleet_cmd =
             "Write the fleet registry (fleet.*, per-tenant fleet.t<i>.*, \
              cross-tenant fleet.agg.*) as JSONL here")
   in
-  let f tenants_spec budget scheduler purge qbudget scale seed repeat
-      metrics_out =
-    let scheduler =
-      match Fleet.scheduler_of_string scheduler with
-      | Some s -> s
-      | None -> invalid_arg ("unknown scheduler " ^ scheduler)
-    in
-    let purge_order =
-      match Fleet.purge_order_of_string purge with
-      | Some p -> p
-      | None -> invalid_arg ("unknown purge order " ^ purge)
-    in
-    let specs =
-      parse_tenants ~quarantine_budget:(qbudget * 1024 * 1024) tenants_spec
-    in
-    if specs = [] then invalid_arg "empty tenant spec";
+  let f specs budget scheduler purge_order scale seed repeat metrics_out =
     let cfg =
       Fleet.config ~budget:(budget * 1024 * 1024) ~scheduler ~purge_order ()
     in
@@ -752,8 +765,11 @@ let fleet_cmd =
   in
   Cmd.v (Cmd.info "fleet" ~doc)
     Term.(
-      const f $ tenants_arg $ budget_arg $ scheduler_arg $ purge_arg
-      $ qbudget_arg $ scale_arg $ seed_arg $ repeat_arg $ metrics_arg)
+      const f
+      $ term_result' ~usage:true
+          (const parse_tenants $ qbudget_arg $ tenants_arg)
+      $ budget_arg $ scheduler_arg $ purge_arg $ scale_arg $ seed_arg
+      $ repeat_arg $ metrics_arg)
 
 let trace_gen_cmd =
   let doc = "Generate a portable trace file from a benchmark profile" in
@@ -761,8 +777,7 @@ let trace_gen_cmd =
     Arg.(
       required & opt (some string) None & info [ "o"; "out" ] ~doc:"Output file")
   in
-  let f suite bench scale out =
-    let profile = find_profile suite bench in
+  let f profile scale out =
     let profile =
       if scale = 1.0 then profile else Workloads.Profile.scale_ops scale profile
     in
@@ -773,7 +788,7 @@ let trace_gen_cmd =
       (Workloads.Trace.allocation_count trace)
   in
   Cmd.v (Cmd.info "trace-gen" ~doc)
-    Term.(const f $ suite_arg $ bench_arg $ scale_arg $ out_arg)
+    Term.(const f $ profile_term $ scale_arg $ out_arg)
 
 let trace_replay_cmd =
   let doc = "Replay a trace file against an allocator scheme" in
@@ -783,14 +798,8 @@ let trace_replay_cmd =
   in
   let f input scheme =
     let trace = Workloads.Trace.of_file input in
-    let machine = Alloc.Machine.create () in
-    List.iter
-      (fun (base, size) ->
-        Vmem.map machine.Alloc.Machine.mem ~addr:base ~len:size)
-      Layout.root_regions;
-    let stack =
-      Workloads.Harness.build (scheme_of_string scheme) ~threads:1 machine
-    in
+    let machine = fresh_machine () in
+    let stack = Workloads.Harness.build scheme ~threads:1 machine in
     let executed = Workloads.Trace.replay trace stack in
     Fmt.pr "replayed %d ops of %s under %s@." executed
       trace.Workloads.Trace.name stack.Workloads.Harness.scheme;
@@ -813,6 +822,25 @@ let strict_arg =
         ~doc:
           "Treat every finding as fatal: exit non-zero on warnings too, \
            not only on errors and self-test failures")
+
+(* One line per seeded mutant; a mutant that did not raise exactly its
+   expected rules counts as an error. *)
+let report_mutants errs =
+  List.iter (fun (name, passed, expected, got) ->
+      if passed then Fmt.pr "  ok   %-24s [%s]@." name (String.concat "; " got)
+      else begin
+        incr errs;
+        Fmt.pr "  FAIL %-24s expected [%s] got [%s]@." name
+          (String.concat "; " expected)
+          (String.concat "; " got)
+      end)
+
+let lockset_self_test errs =
+  report_mutants errs
+    (List.map
+       (fun (r : Flowcheck.Lockset.mutant_result) ->
+         Flowcheck.Lockset.(r.name, r.passed, r.expected, r.got))
+       (Flowcheck.Lockset.self_test ()))
 
 let check_cmd =
   let doc =
@@ -844,11 +872,10 @@ let check_cmd =
   in
   let config_arg =
     Arg.(
-      value & opt string "default"
+      value
+      & opt preset_conv ("default", Minesweeper.Config.default)
       & info [ "config" ]
-          ~doc:
-            "Oracle configuration: default, mostly, incremental, \
-             incremental-mostly, partial")
+          ~doc:("Oracle configuration: " ^ String.concat ", " preset_names))
   in
   let latency_arg =
     Arg.(
@@ -869,13 +896,11 @@ let check_cmd =
              happens-before analysis; with --corpus, additionally replay \
              every sweep-protocol mutant, which the checker must flag")
   in
-  let f files oracle corpus races config latency domains strict =
+  let f files oracle corpus races (_, config) latency domains strict =
     (* --domains sets the modeled marker count of every replayed
        configuration: the oracle and --races then certify that it moves
        no release decision and no synchronization event. *)
-    let oracle_config name =
-      Minesweeper.Config.with_domains domains (ms_config name)
-    in
+    let oracle_config = Minesweeper.Config.with_domains domains in
     let errs = ref 0 in
     let warns = ref 0 in
     let print_diags diags =
@@ -910,9 +935,9 @@ let check_cmd =
         end;
         if races then
           List.iter
-            (fun config_name ->
+            (fun (config_name, config) ->
               let r =
-                Racecheck.Recorder.run ~config:(oracle_config config_name)
+                Racecheck.Recorder.run ~config:(oracle_config config)
                   ~config_name trace
               in
               Fmt.pr
@@ -929,7 +954,8 @@ let check_cmd =
               Fmt.pr "%s: lockset(%s): %d finding(s)@." file config_name
                 (List.length ls);
               print_diags ls)
-            [ "default"; "mostly" ])
+            Minesweeper.Config.
+              [ ("default", default); ("mostly", mostly_concurrent) ])
       files;
     if corpus then begin
       Fmt.pr "corpus self-test:@.";
@@ -962,31 +988,13 @@ let check_cmd =
     end;
     if corpus && races then begin
       Fmt.pr "protocol mutant self-test:@.";
-      List.iter
-        (fun (r : Racecheck.Protocol.mutant_result) ->
-          if r.passed then
-            Fmt.pr "  ok   %-24s [%s]@." r.name (String.concat "; " r.got)
-          else begin
-            incr errs;
-            Fmt.pr "  FAIL %-24s expected [%s] got [%s]@." r.name
-              (String.concat "; " r.expected)
-              (String.concat "; " r.got)
-          end)
-        (Racecheck.Protocol.self_test ());
+      report_mutants errs
+        (List.map
+           (fun (r : Racecheck.Protocol.mutant_result) ->
+             (r.name, r.passed, r.expected, r.got))
+           (Racecheck.Protocol.self_test ()));
       Fmt.pr "lockset mutant self-test:@.";
-      List.iter
-        (fun (r : Flowcheck.Lockset.mutant_result) ->
-          if r.Flowcheck.Lockset.passed then
-            Fmt.pr "  ok   %-24s [%s]@." r.Flowcheck.Lockset.name
-              (String.concat "; " r.Flowcheck.Lockset.got)
-          else begin
-            incr errs;
-            Fmt.pr "  FAIL %-24s expected [%s] got [%s]@."
-              r.Flowcheck.Lockset.name
-              (String.concat "; " r.Flowcheck.Lockset.expected)
-              (String.concat "; " r.Flowcheck.Lockset.got)
-          end)
-        (Flowcheck.Lockset.self_test ())
+      lockset_self_test errs
     end;
     if (not corpus) && files = [] then
       Fmt.pr "nothing to check: pass -i FILE and/or --corpus@.";
@@ -1016,8 +1024,18 @@ let analyze_cmd =
       & info [ "i"; "in" ] ~doc:"Trace file to analyze (repeatable)")
   in
   let policy_arg =
+    let policies name =
+      match Flowcheck.Policy.of_string name with
+      | Ok ps -> Ok (name, ps)
+      | Error _ ->
+        unknown "policy" name
+          ("all" :: "minesweeper" :: "ffmalloc" :: "markus" :: preset_names)
+    in
     Arg.(
-      value & opt string "all"
+      value
+      & opt
+          (name_conv policies fst)
+          ("all", Flowcheck.Policy.default_policies)
       & info [ "policy" ]
           ~doc:
             "Bounds policies: all, minesweeper, a MineSweeper preset name \
@@ -1061,12 +1079,7 @@ let analyze_cmd =
              occupancy/footprint/retired bounds, and include site and pool \
              records in the $(b,--json) document (schema v2)")
   in
-  let f files policy chunk json lockset pools strict =
-    let policies =
-      match Flowcheck.Policy.of_string policy with
-      | Ok ps -> ps
-      | Error msg -> invalid_arg msg
-    in
+  let f files (_, policies) chunk json lockset pools strict =
     let errs = ref 0 in
     let warns = ref 0 in
     let json_lines = ref [] in
@@ -1109,19 +1122,7 @@ let analyze_cmd =
     | None -> ());
     if lockset then begin
       Fmt.pr "lockset self-test:@.";
-      List.iter
-        (fun (r : Flowcheck.Lockset.mutant_result) ->
-          if r.Flowcheck.Lockset.passed then
-            Fmt.pr "  ok   %-24s [%s]@." r.Flowcheck.Lockset.name
-              (String.concat "; " r.Flowcheck.Lockset.got)
-          else begin
-            incr errs;
-            Fmt.pr "  FAIL %-24s expected [%s] got [%s]@."
-              r.Flowcheck.Lockset.name
-              (String.concat "; " r.Flowcheck.Lockset.expected)
-              (String.concat "; " r.Flowcheck.Lockset.got)
-          end)
-        (Flowcheck.Lockset.self_test ())
+      lockset_self_test errs
     end;
     if files = [] && not lockset then
       Fmt.pr "nothing to analyze: pass -i FILE and/or --lockset@.";
@@ -1151,22 +1152,18 @@ let explore_cmd =
   in
   let config_arg =
     Arg.(
-      value & opt string "mostly"
+      value
+      & opt preset_conv ("mostly", Minesweeper.Config.mostly_concurrent)
       & info [ "config" ]
-          ~doc:
-            "Instance configuration: default, mostly, incremental, \
-             incremental-mostly, partial")
+          ~doc:("Instance configuration: " ^ String.concat ", " preset_names))
   in
   let metrics_arg =
     Arg.(
       value & opt (some string) None
       & info [ "metrics-out" ] ~doc:"Write rc.* metrics as JSONL to this file")
   in
-  let f schedules config metrics_out =
-    let r =
-      Racecheck.Explorer.run ~config:(ms_config config) ~config_name:config
-        ~schedules ()
-    in
+  let f schedules (config_name, config) metrics_out =
+    let r = Racecheck.Explorer.run ~config ~config_name ~schedules () in
     print_string (Racecheck.Explorer.render r);
     (match metrics_out with
     | Some file ->

@@ -13,6 +13,20 @@ TMPDIR="${TMPDIR:-/tmp}"
 workdir=$(mktemp -d "$TMPDIR/msweep-check.XXXXXX")
 trap 'rm -rf "$workdir"' EXIT INT TERM
 
+# A figure's exit status is its own checks: on a failed check msweep
+# lists the figure id and the check on stderr, after the figure's run
+# log, and exits 1. On failure, show stderr without the run log.
+figure_gate() {
+  id=$1
+  shift
+  if ! "$CLI" figures --only "$id" --scale 0.02 >"$workdir/$id.txt" \
+      2>"$workdir/$id.err"; then
+    grep -v '^  \[' "$workdir/$id.err" >&2
+    echo "FAIL: $id: $*" >&2
+    exit 1
+  fi
+}
+
 echo "== dune build"
 dune build
 
@@ -165,9 +179,9 @@ grep -q "witness:" "$workdir/flow1.txt" \
   && { echo "FAIL: analyze --strict must fail on findings" >&2; exit 1; }
 echo "analyze: deterministic output, static dangling coverage, shared --strict"
 
-echo "== figures and bench harness: unknown ids are rejected"
-# Every figure gate below greps a figure's output for REGRESSION; an id
-# the CLI silently ignored would print nothing and pass vacuously.
+echo "== figures: unknown ids are rejected"
+# Every figure gate below reads a figure's exit status; an id the CLI
+# silently ignored would run nothing and pass vacuously.
 if "$CLI" figures --only no-such-figure --scale 0.02 >"$workdir/nofig.txt" 2>&1; then
   echo "FAIL: figures --only accepted an unknown figure id" >&2
   exit 1
@@ -175,49 +189,46 @@ fi
 grep -q "valid ids: .*parallel-mark" "$workdir/nofig.txt" \
   || { echo "FAIL: the unknown-id error does not list the valid ids" >&2; exit 1; }
 echo "figures --only rejects an unknown id and lists the valid ones"
-# The bench harness shares the selection: an unknown id must not turn
-# into an empty, successful run.
-if _build/default/bench/main.exe --only no-such-figure >"$workdir/nobench.txt" 2>&1; then
-  echo "FAIL: bench/main.exe --only accepted an unknown figure id" >&2
-  exit 1
-fi
-grep -q "valid ids: .*parallel-mark" "$workdir/nobench.txt" \
-  || { echo "FAIL: bench/main.exe's unknown-id error does not list the valid ids" >&2; exit 1; }
-echo "bench/main.exe --only rejects an unknown id and lists the valid ones"
+
+echo "== bad names: a usage error that lists the valid names"
+# Every name argument resolves when the command line is parsed: a typo
+# must exit nonzero (not 125, cmdliner's uncaught-exception status)
+# before anything runs, naming what it would have accepted.
+bad_name() {
+  expected=$1
+  shift
+  status=0
+  "$CLI" "$@" >"$workdir/badname.txt" 2>&1 || status=$?
+  if [ "$status" -eq 0 ] || [ "$status" -eq 125 ]; then
+    echo "FAIL: msweep $* exited $status" >&2
+    exit 1
+  fi
+  tr -s ' \n' ' ' <"$workdir/badname.txt" | grep -q "$expected" \
+    || { echo "FAIL: msweep $* does not list the valid names" >&2; exit 1; }
+}
+bad_name "minesweeper-mostly" run --suite mimalloc -b espresso -s bogus
+bad_name "incremental-mostly" check --corpus --config bogus
+echo "run -s bogus and check --config bogus exit with a usage error listing the valid names"
 
 echo "== bench smoke: static bounds vs dynamic telemetry"
 # Every mimalloc-bench profile: the static quarantine-occupancy and
 # sweep bounds must dominate the measured ms.* values, and every
 # dynamic oracle finding must have been statically predicted.
-"$CLI" figures --only static-bounds --scale 0.02 >"$workdir/staticfig.txt" 2>/dev/null
-if grep -q "REGRESSION" "$workdir/staticfig.txt"; then
-  grep "REGRESSION" "$workdir/staticfig.txt" >&2
-  echo "FAIL: a measured ms.* value exceeded its static bound or an oracle finding was unpredicted" >&2
-  exit 1
-fi
+figure_gate static-bounds \
+  "a measured ms.* value exceeded its static bound or an oracle finding was unpredicted"
 echo "static bounds dominate measured ms.* telemetry on every mimalloc profile"
 
 echo "== bench smoke: pooled backend landscape (siteflow certification)"
 # Every mimalloc-bench profile replayed under its own siteflow-derived
 # pool plan with the differential UAF oracle attached: zero unsound
 # recycles and every static occupancy/footprint/retired bound must
-# dominate the backend's pool telemetry (the figure prints REGRESSION
-# otherwise).
-"$CLI" figures --only pooled-landscape --scale 0.02 >"$workdir/pooledfig.txt" 2>/dev/null
-if grep -q "REGRESSION" "$workdir/pooledfig.txt"; then
-  grep "REGRESSION" "$workdir/pooledfig.txt" >&2
-  echo "FAIL: an unsound recycle survived the siteflow plan or a bound under-shot telemetry" >&2
-  exit 1
-fi
+# dominate the backend's pool telemetry.
+figure_gate pooled-landscape \
+  "an unsound recycle survived the siteflow plan or a bound under-shot telemetry"
 echo "pooled backend certified UAF-free with dominating bounds on every mimalloc profile"
 
 echo "== bench smoke: incremental sweeps fewer bytes than full"
-"$CLI" figures --only incremental-sweep --scale 0.02 >"$workdir/incfig.txt" 2>/dev/null
-if grep -q "REGRESSION" "$workdir/incfig.txt"; then
-  grep "REGRESSION" "$workdir/incfig.txt" >&2
-  echo "FAIL: incremental mode did not sweep strictly fewer bytes" >&2
-  exit 1
-fi
+figure_gate incremental-sweep "incremental mode did not sweep strictly fewer bytes"
 echo "incremental swept strictly fewer bytes on every sweeping profile"
 
 echo "== parallel marking: equivalence suite + determinism across domains"
@@ -279,25 +290,14 @@ grep -q "^host cpu .* median of 3" "$workdir/repeat.txt" \
 echo "bench --repeat reports the wall and CPU medians over agreeing repeats"
 
 echo "== bench smoke: parallel mark speedup figure"
-"$CLI" figures --only parallel-mark --scale 0.02 >"$workdir/parfig.txt" 2>/dev/null
-if grep -q "REGRESSION" "$workdir/parfig.txt"; then
-  grep "REGRESSION" "$workdir/parfig.txt" >&2
-  echo "FAIL: parallel mark diverged or lost its modeled speedup" >&2
-  exit 1
-fi
+figure_gate parallel-mark "parallel mark diverged or lost its modeled speedup"
 echo "parallel mark identical across domains with modeled speedup >= 1.5x"
 
 echo "== bench smoke: sweep pipeline speedup figure"
 # The staged pipeline's modeled end-to-end speedup: swept bytes must be
 # identical at every domain count and the best modeled sweep-cycle
-# speedup at 4 domains must stay >= 2x (the figure prints REGRESSION
-# otherwise).
-"$CLI" figures --only sweep-pipeline --scale 0.02 >"$workdir/pipefig.txt" 2>/dev/null
-if grep -q "REGRESSION" "$workdir/pipefig.txt"; then
-  grep "REGRESSION" "$workdir/pipefig.txt" >&2
-  echo "FAIL: sweep pipeline diverged or lost its modeled speedup" >&2
-  exit 1
-fi
+# speedup at 4 domains must stay >= 2x.
+figure_gate sweep-pipeline "sweep pipeline diverged or lost its modeled speedup"
 echo "sweep pipeline identical across domains with modeled speedup >= 2x"
 
 echo "== telemetry: metrics export determinism + schema"
@@ -426,14 +426,10 @@ echo "== bench smoke: tail-latency figure"
 # stall latency below total latency, arrivals identical across backends
 # (the open-loop property), attack outcomes as expected — and the whole
 # figure byte-identical across runs.
-"$CLI" figures --only tail-latency --scale 0.02 >"$workdir/tail1.txt" 2>/dev/null
-if grep -q "REGRESSION" "$workdir/tail1.txt"; then
-  grep "REGRESSION" "$workdir/tail1.txt" >&2
-  echo "FAIL: tail-latency figure reported a regression" >&2
-  exit 1
-fi
-"$CLI" figures --only tail-latency --scale 0.02 >"$workdir/tail2.txt" 2>/dev/null
-cmp "$workdir/tail1.txt" "$workdir/tail2.txt" \
+figure_gate tail-latency "tail-latency figure failed a check"
+mv "$workdir/tail-latency.txt" "$workdir/tail1.txt"
+figure_gate tail-latency "tail-latency figure failed a check on its second run"
+cmp "$workdir/tail1.txt" "$workdir/tail-latency.txt" \
   || { echo "FAIL: tail-latency figure differs across identical runs" >&2; exit 1; }
 echo "tail-latency figure deterministic, monotone, open-loop, attack-clean"
 
@@ -466,14 +462,8 @@ echo "== bench smoke: fleet-pressure figure"
 # Noisy-neighbour across backends and both purge orders: committed peak
 # within budget, arrivals identical to isolation (open loop preserved
 # across the fleet), neighbour p99 stall strictly above isolation where
-# interference was injected (the figure prints REGRESSION otherwise).
-"$CLI" figures --only fleet-pressure --scale 0.02 \
-  >"$workdir/fleetfig.txt" 2>/dev/null
-if grep -q "REGRESSION" "$workdir/fleetfig.txt"; then
-  grep "REGRESSION" "$workdir/fleetfig.txt" >&2
-  echo "FAIL: fleet-pressure figure reported a regression" >&2
-  exit 1
-fi
+# interference was injected.
+figure_gate fleet-pressure "fleet-pressure figure failed a check"
 echo "fleet-pressure figure: budget held, open loop, neighbour stall visible"
 
 echo "== all checks passed"

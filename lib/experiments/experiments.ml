@@ -5,63 +5,17 @@ type env = {
   srv_cache : (string, Workloads.Server.result) Hashtbl.t;
 }
 
+type figure = { text : string; failed : string list }
+
 let make_env ?(scale = 1.0) ?(verbose = false) () =
   { scale; verbose; cache = Hashtbl.create 256; srv_cache = Hashtbl.create 64 }
 
-let scheme_keys =
-  [
-    "baseline"; "minesweeper"; "minesweeper-mostly"; "minesweeper-incremental";
-    "markus"; "ffmalloc";
-    "ms-unopt"; "ms-zero"; "ms-unmap"; "ms-conc"; "ms-partial-base";
-    "ms-partial-uz"; "ms-partial-q"; "ms-partial-c"; "ms-partial-s";
-    "scudo"; "scudo-minesweeper"; "crcount"; "psweeper"; "dangsan";
-  ]
-
-let scheme_of_key = function
-  | "baseline" -> Workloads.Harness.Baseline
-  | "minesweeper" -> Workloads.Harness.Mine_sweeper Minesweeper.Config.default
-  | "minesweeper-mostly" ->
-    Workloads.Harness.Mine_sweeper Minesweeper.Config.mostly_concurrent
-  | "minesweeper-incremental" ->
-    Workloads.Harness.Mine_sweeper Minesweeper.Config.incremental
-  | "minesweeper-incremental-mostly" ->
-    Workloads.Harness.Mine_sweeper Minesweeper.Config.incremental_mostly
-  | "markus" -> Workloads.Harness.Mark_us
-  | "ffmalloc" -> Workloads.Harness.Ff_malloc
-  | "ms-unopt" ->
-    Workloads.Harness.Mine_sweeper Minesweeper.Config.unoptimised
-  | "ms-zero" ->
-    Workloads.Harness.Mine_sweeper Minesweeper.Config.plus_zeroing
-  | "ms-unmap" ->
-    Workloads.Harness.Mine_sweeper Minesweeper.Config.plus_unmapping
-  | "ms-conc" ->
-    Workloads.Harness.Mine_sweeper Minesweeper.Config.plus_concurrency
-  | "ms-partial-base" ->
-    Workloads.Harness.Mine_sweeper Minesweeper.Config.partial_base
-  | "ms-partial-uz" ->
-    Workloads.Harness.Mine_sweeper Minesweeper.Config.partial_unmap_zero
-  | "ms-partial-q" ->
-    Workloads.Harness.Mine_sweeper Minesweeper.Config.partial_quarantine
-  | "ms-partial-c" ->
-    Workloads.Harness.Mine_sweeper Minesweeper.Config.partial_concurrency
-  | "ms-partial-s" ->
-    Workloads.Harness.Mine_sweeper Minesweeper.Config.partial_sweep
-  | "crcount" -> Workloads.Harness.Cr_count
-  | "psweeper" -> Workloads.Harness.P_sweeper
-  | "dangsan" -> Workloads.Harness.Dang_san
-  | "scudo" -> Workloads.Harness.Scudo_baseline
-  | "scudo-minesweeper" ->
-    Workloads.Harness.Scudo_sweeper Minesweeper.Config.default
-  | "dlmalloc" -> Workloads.Harness.Dl_baseline
-  | "dlmalloc-minesweeper" ->
-    Workloads.Harness.Dl_sweeper Minesweeper.Config.default
-  | key -> invalid_arg ("unknown scheme key " ^ key)
-
-let profiles_of_suite = function
-  | "spec2006" -> Workloads.Spec2006.all
-  | "spec2017" -> Workloads.Spec2017.all
-  | "mimalloc" -> Workloads.Mimalloc_bench.all
-  | suite -> invalid_arg ("unknown suite " ^ suite)
+(* Figures name their schemes through the shared table; a key it does
+   not know is a bug in the figure. *)
+let resolve key =
+  match Workloads.Harness.scheme_of_name key with
+  | Ok scheme -> scheme
+  | Error _ -> invalid_arg ("unknown scheme key " ^ key)
 
 let run_scheme env ~suite ~bench ~key scheme =
   let cache_key = Printf.sprintf "%s/%s/%s" suite bench key in
@@ -70,29 +24,54 @@ let run_scheme env ~suite ~bench ~key scheme =
   | None ->
     if env.verbose then Printf.eprintf "  [run] %s\n%!" cache_key;
     let profile =
-      List.find
-        (fun p -> p.Workloads.Profile.name = bench)
-        (profiles_of_suite suite)
+      match Workloads.Harness.find_profile ~suite bench with
+      | Ok p -> p
+      | Error msg -> invalid_arg msg
     in
     let r = Workloads.Driver.run ~ops_scale:env.scale profile scheme in
     Hashtbl.replace env.cache cache_key r;
     r
 
 let run env ~suite ~bench ~scheme =
-  run_scheme env ~suite ~bench ~key:scheme (scheme_of_key scheme)
+  run_scheme env ~suite ~bench ~key:scheme (resolve scheme)
 
 let baseline_for env ~suite ~bench = run env ~suite ~bench ~scheme:"baseline"
 
-let slowdown_of env ~suite ~bench ~scheme =
-  let baseline = baseline_for env ~suite ~bench in
-  Workloads.Driver.slowdown ~baseline (run env ~suite ~bench ~scheme)
+let overhead = function
+  | `Time -> Workloads.Driver.slowdown
+  | `Memory -> Workloads.Driver.memory_overhead
 
-let memory_of env ~suite ~bench ~scheme =
+let measure env metric ~suite ~bench ~scheme =
   let baseline = baseline_for env ~suite ~bench in
-  Workloads.Driver.memory_overhead ~baseline (run env ~suite ~bench ~scheme)
+  overhead metric ~baseline (run env ~suite ~bench ~scheme)
 
-let buf_figure title body =
-  Printf.sprintf "==== %s ====\n\n%s\n" title body
+(* The value a scheme's own paper quotes, where the paper quotes one. *)
+let cite = function
+  | `Time -> Report.Literature.slowdown
+  | `Memory -> Report.Literature.memory_overhead
+
+let figure title body =
+  { text = Printf.sprintf "==== %s ====\n\n%s\n" title body; failed = [] }
+
+(* Records one failed check of a figure, in the order found. *)
+let flag failed fmt = Printf.ksprintf (fun s -> failed := !failed @ [ s ]) fmt
+
+let checked title ~ok failed body =
+  let verdict =
+    if failed = [] then ok
+    else "failed checks: " ^ String.concat "; " failed ^ "\n"
+  in
+  { (figure title (body ^ verdict)) with failed }
+
+(* A stack on a fresh machine whose root regions (globals, stacks) are
+   mapped, as a program's would be. *)
+let fresh_stack scheme =
+  let machine = Alloc.Machine.create () in
+  List.iter
+    (fun (base, size) ->
+      Vmem.map machine.Alloc.Machine.mem ~addr:base ~len:size)
+    Layout.root_regions;
+  Workloads.Harness.build scheme ~threads:1 machine
 
 (* ------------------------------------------------------------------ *)
 
@@ -116,18 +95,10 @@ let fig1 _env =
              (string_of_int year, float_of_int uaf_count))
            data)
   in
-  buf_figure "Figure 1: reported use-after-free / double-free CVEs by year"
+  figure "Figure 1: reported use-after-free / double-free CVEs by year"
     (render "(a) National Vulnerability Database" Report.Literature.nvd_uaf
     ^ "\n"
     ^ render "(b) Linux kernel" Report.Literature.linux_uaf)
-
-let fresh_attack_stack scheme_key =
-  let machine = Alloc.Machine.create () in
-  List.iter
-    (fun (base, size) ->
-      Vmem.map machine.Alloc.Machine.mem ~addr:base ~len:size)
-    Layout.root_regions;
-  Workloads.Harness.build (scheme_of_key scheme_key) ~threads:1 machine
 
 let fig2 _env =
   let schemes =
@@ -136,10 +107,11 @@ let fig2 _env =
       "scudo"; "scudo-minesweeper"; "crcount"; "psweeper"; "dangsan";
     ]
   in
+  let stack key = fresh_stack (resolve key) in
   let line scheme =
-    let hijack = Attack.vtable_hijack (fresh_attack_stack scheme) in
-    let dfree = Attack.double_free_hijack (fresh_attack_stack scheme) in
-    let reuse = Attack.reuse_after_clear (fresh_attack_stack scheme) in
+    let hijack = Attack.vtable_hijack (stack scheme) in
+    let dfree = Attack.double_free_hijack (stack scheme) in
+    let reuse = Attack.reuse_after_clear (stack scheme) in
     Printf.sprintf "%-20s hijack: %-52s double-free: %-52s reuse-after-clear: %b"
       scheme
       (Attack.describe hijack)
@@ -150,11 +122,10 @@ let fig2 _env =
     List.map
       (fun scheme ->
         Printf.sprintf "%-22s unlink (in-band metadata): %s" scheme
-          (Attack.describe_unlink
-             (Attack.unlink_corruption (fresh_attack_stack scheme))))
+          (Attack.describe_unlink (Attack.unlink_corruption (stack scheme))))
       [ "dlmalloc"; "dlmalloc-minesweeper"; "baseline" ]
   in
-  buf_figure
+  figure
     "Figure 2: exploiting the use-after-free of Listing 1 (per scheme)"
     (String.concat "\n" (List.map line schemes)
     ^ "\n\n"
@@ -165,53 +136,59 @@ let fig2 _env =
 
 let spec2006_names = Workloads.Spec2006.names
 
-let geomean_row values = Report.Summary.geomean values
+let geomean = Report.Summary.geomean
+
+(* Column [i] of a table's rows, without the cells a row leaves empty
+   (NaN: no value quoted for that benchmark). *)
+let column rows i =
+  List.filter
+    (fun v -> not (Float.is_nan v))
+    (List.map (fun (_, vs) -> List.nth vs i) rows)
+
+(* One summary cell per column, e.g. the geomean row. *)
+let per_column f rows =
+  List.mapi (fun i _ -> f (column rows i)) (snd (List.hd rows))
+
+let geomeans = per_column geomean
+let rows_to table = List.iter (fun (b, vs) -> Report.Table.add_row table b vs)
+
+(* Figures 7 and 10: per SPEC CPU2006 benchmark, the schemes the paper
+   quotes from their own papers beside the three it re-ran, then the
+   geomean row. Returns the rendered table and the FFmalloc and
+   MineSweeper columns. *)
+let literature_table env metric =
+  let quoted = Report.Literature.quoted_schemes in
+  let rows =
+    List.map
+      (fun bench ->
+        ( bench,
+          List.map
+            (fun scheme ->
+              Option.value ~default:Float.nan (cite metric ~scheme ~bench))
+            quoted
+          @ List.map
+              (fun scheme ->
+                measure env metric ~suite:"spec2006" ~bench ~scheme)
+              [ "markus"; "ffmalloc"; "minesweeper" ] ))
+      spec2006_names
+  in
+  let table =
+    Report.Table.create
+      ~columns:
+        (("benchmark" :: quoted) @ [ "MarkUs"; "FFmalloc"; "MineSweeper" ])
+  in
+  rows_to table (rows @ [ ("geomean", geomeans rows) ]);
+  let n = List.length quoted in
+  (Report.Table.render table, column rows (n + 1), column rows (n + 2))
 
 let fig7 env =
-  let measured = [ "markus"; "ffmalloc"; "minesweeper" ] in
-  let columns =
-    ("benchmark" :: Report.Literature.quoted_schemes)
-    @ [ "MarkUs"; "FFmalloc"; "MineSweeper" ]
-  in
-  let table = Report.Table.create ~columns in
-  let acc = Hashtbl.create 8 in
-  let note scheme v =
-    Hashtbl.replace acc scheme (v :: Option.value ~default:[] (Hashtbl.find_opt acc scheme))
-  in
-  List.iter
-    (fun bench ->
-      let lit =
-        List.map
-          (fun scheme ->
-            match Report.Literature.slowdown ~scheme ~bench with
-            | Some v ->
-              note scheme v;
-              v
-            | None -> Float.nan)
-          Report.Literature.quoted_schemes
-      in
-      let own =
-        List.map
-          (fun scheme ->
-            let v = slowdown_of env ~suite:"spec2006" ~bench ~scheme in
-            note scheme v;
-            v)
-          measured
-      in
-      Report.Table.add_row table bench (lit @ own))
-    spec2006_names;
-  Report.Table.add_row table "geomean"
-    (List.map
-       (fun scheme ->
-         geomean_row (Option.value ~default:[] (Hashtbl.find_opt acc scheme)))
-       (Report.Literature.quoted_schemes @ measured));
-  let ms = Option.value ~default:[] (Hashtbl.find_opt acc "minesweeper") in
-  buf_figure "Figure 7: slowdown for SPEC CPU2006 (C/C++)"
-    (Report.Table.render table
+  let table, _, ms = literature_table env `Time in
+  figure "Figure 7: slowdown for SPEC CPU2006 (C/C++)"
+    (table
     ^ Printf.sprintf
         "\nheadline: MineSweeper geomean slowdown %.1f %% (paper: 5.4 %%), \
          worst case %.1f %% (paper: 72.7 %% for xalancbmk)\n"
-        (Report.Summary.percent_overhead (geomean_row ms))
+        (Report.Summary.percent_overhead (geomean ms))
         (Report.Summary.percent_overhead (Report.Summary.worst ms)))
 
 let fig8 env =
@@ -228,77 +205,33 @@ let fig8 env =
             r.Workloads.Driver.rss_trace ))
       [ "baseline"; "ffmalloc"; "minesweeper" ]
   in
-  buf_figure "Figure 8: memory usage over time for sphinx3 (MiB)"
+  figure "Figure 8: memory usage over time for sphinx3 (MiB)"
     (Report.Chart.line ~series ())
 
 let fig9 env =
-  let schemes = [ "markus"; "ffmalloc"; "minesweeper" ] in
   let rows =
     List.map
       (fun bench ->
         ( bench,
           List.map
-            (fun scheme -> slowdown_of env ~suite:"spec2006" ~bench ~scheme)
-            schemes ))
+            (fun scheme -> measure env `Time ~suite:"spec2006" ~bench ~scheme)
+            [ "markus"; "ffmalloc"; "minesweeper" ] ))
       spec2006_names
   in
-  let geo =
-    List.mapi
-      (fun i _ -> geomean_row (List.map (fun (_, vs) -> List.nth vs i) rows))
-      schemes
-  in
-  buf_figure "Figure 9: slowdown versus MarkUs and FFmalloc (re-run)"
+  figure "Figure 9: slowdown versus MarkUs and FFmalloc (re-run)"
     (Report.Chart.grouped_bars ~series:[ "MarkUs"; "FFmalloc"; "MineSweeper" ]
-       (rows @ [ ("geomean", geo) ]))
+       (rows @ [ ("geomean", geomeans rows) ]))
 
 let fig10 env =
-  let measured = [ "markus"; "ffmalloc"; "minesweeper" ] in
-  let columns =
-    ("benchmark" :: Report.Literature.quoted_schemes)
-    @ [ "MarkUs"; "FFmalloc"; "MineSweeper" ]
-  in
-  let table = Report.Table.create ~columns in
-  let acc = Hashtbl.create 8 in
-  let note scheme v =
-    Hashtbl.replace acc scheme (v :: Option.value ~default:[] (Hashtbl.find_opt acc scheme))
-  in
-  List.iter
-    (fun bench ->
-      let lit =
-        List.map
-          (fun scheme ->
-            match Report.Literature.memory_overhead ~scheme ~bench with
-            | Some v ->
-              note scheme v;
-              v
-            | None -> Float.nan)
-          Report.Literature.quoted_schemes
-      in
-      let own =
-        List.map
-          (fun scheme ->
-            let v = memory_of env ~suite:"spec2006" ~bench ~scheme in
-            note scheme v;
-            v)
-          measured
-      in
-      Report.Table.add_row table bench (lit @ own))
-    spec2006_names;
-  Report.Table.add_row table "geomean"
-    (List.map
-       (fun scheme ->
-         geomean_row (Option.value ~default:[] (Hashtbl.find_opt acc scheme)))
-       (Report.Literature.quoted_schemes @ measured));
-  let ms = Option.value ~default:[] (Hashtbl.find_opt acc "minesweeper") in
-  let ff = Option.value ~default:[] (Hashtbl.find_opt acc "ffmalloc") in
-  buf_figure "Figure 10: average memory overhead for SPEC CPU2006"
-    (Report.Table.render table
+  let table, ff, ms = literature_table env `Memory in
+  figure "Figure 10: average memory overhead for SPEC CPU2006"
+    (table
     ^ Printf.sprintf
         "\nheadline: MineSweeper geomean memory overhead %.1f %% (paper: \
          11.1 %%); FFmalloc geomean %.2fx with worst case %.1fx (paper: \
          3.44x / 11.7x)\n"
-        (Report.Summary.percent_overhead (geomean_row ms))
-        (geomean_row ff) (Report.Summary.worst ff))
+        (Report.Summary.percent_overhead (geomean ms))
+        (geomean ff) (Report.Summary.worst ff))
 
 let fig11 env =
   let rows =
@@ -313,13 +246,11 @@ let fig11 env =
           ] ))
       spec2006_names
   in
-  let geo i = geomean_row (List.map (fun (_, vs) -> List.nth vs i) rows) in
   let table =
     Report.Table.create ~columns:[ "benchmark"; "average"; "peak" ]
   in
-  List.iter (fun (b, vs) -> Report.Table.add_row table b vs) rows;
-  Report.Table.add_row table "geomean" [ geo 0; geo 1 ];
-  buf_figure "Figure 11: memory overhead for SPEC CPU2006 (MineSweeper)"
+  rows_to table (rows @ [ ("geomean", geomeans rows) ]);
+  figure "Figure 11: memory overhead for SPEC CPU2006 (MineSweeper)"
     (Report.Table.render table
     ^ Printf.sprintf "\npaper: geomean 11.1 %% average, 17.7 %% peak\n")
 
@@ -332,7 +263,7 @@ let fig12 env =
         (bench, Workloads.Driver.cpu_overhead ~baseline r))
       spec2006_names
   in
-  let geo = geomean_row (List.map snd rows) in
+  let geo = geomean (List.map snd rows) in
   (* Section 5.2's DRAM-traffic check: total bytes swept per wall cycle,
      as a share of the machine's ~16 B/cycle memory bandwidth. *)
   let dram_share =
@@ -349,7 +280,7 @@ let fig12 env =
     in
     100. *. swept /. (wall *. 16.)
   in
-  buf_figure "Figure 12: additional CPU usage (MineSweeper)"
+  figure "Figure 12: additional CPU usage (MineSweeper)"
     (Report.Chart.bars (rows @ [ ("geomean", geo) ])
     ^ Printf.sprintf
         "\npaper: geomean 9.6 %%, maximum 129 %% (xalancbmk); sweeping in \
@@ -363,23 +294,22 @@ let fig13 env =
     List.map
       (fun bench ->
         ( bench,
-          [
-            slowdown_of env ~suite:"spec2006" ~bench ~scheme:"minesweeper";
-            slowdown_of env ~suite:"spec2006" ~bench ~scheme:"minesweeper-mostly";
-          ] ))
+          List.map
+            (fun scheme -> measure env `Time ~suite:"spec2006" ~bench ~scheme)
+            [ "minesweeper"; "minesweeper-mostly" ] ))
       spec2006_names
   in
-  let geo i = geomean_row (List.map (fun (_, vs) -> List.nth vs i) rows) in
-  buf_figure
+  let geo = geomeans rows in
+  figure
     "Figure 13: slowdown of fully concurrent and mostly concurrent versions"
     (Report.Chart.grouped_bars
        ~series:[ "Fully concurrent"; "Mostly concurrent (STW)" ]
-       (rows @ [ ("geomean", [ geo 0; geo 1 ]) ])
+       (rows @ [ ("geomean", geo) ])
     ^ Printf.sprintf
         "\nheadline: mostly concurrent geomean %.1f %% (paper: 8.2 %%) vs \
          fully concurrent %.1f %% (paper: 5.4 %%)\n"
-        (Report.Summary.percent_overhead (geo 1))
-        (Report.Summary.percent_overhead (geo 0)))
+        (Report.Summary.percent_overhead (List.nth geo 1))
+        (Report.Summary.percent_overhead (List.nth geo 0)))
 
 let fig14 env =
   let rows =
@@ -389,7 +319,7 @@ let fig14 env =
         (bench, float_of_int r.Workloads.Driver.sweeps))
       spec2006_names
   in
-  buf_figure "Figure 14: number of sweeps triggered (fully concurrent)"
+  figure "Figure 14: number of sweeps triggered (fully concurrent)"
     (Report.Chart.bars rows
     ^ "\npaper: omnetpp highest (1075), then xalancbmk (654); traces here \
        are scaled down ~1000x, so counts are proportionally lower\n")
@@ -405,46 +335,36 @@ let optimisation_levels =
     ("+ Purging", "minesweeper");
   ]
 
-let level_cell env ~bench ~scheme ~metric =
-  let baseline = baseline_for env ~suite:"spec2006" ~bench in
-  let r = run env ~suite:"spec2006" ~bench ~scheme in
-  let v =
-    match metric with
-    | `Time -> Workloads.Driver.slowdown ~baseline r
-    | `Memory -> Workloads.Driver.memory_overhead ~baseline r
-  in
-  if r.Workloads.Driver.oom_killed then Printf.sprintf ">%.1f" v
-  else Printf.sprintf "%.3f" v
-
 let levels_figure env ~metric ~title ~paper_note =
-  let columns = "benchmark" :: List.map fst optimisation_levels in
-  let table = Report.Table.create ~columns in
-  List.iter
-    (fun bench ->
-      Report.Table.add_text_row table bench
-        (List.map
-           (fun (_, scheme) -> level_cell env ~bench ~scheme ~metric)
-           optimisation_levels))
-    spec2006_names;
-  let geo scheme =
-    geomean_row
-      (List.filter_map
-         (fun bench ->
-           let baseline = baseline_for env ~suite:"spec2006" ~bench in
-           let r = run env ~suite:"spec2006" ~bench ~scheme in
-           if r.Workloads.Driver.oom_killed then None
-           else
-             Some
-               (match metric with
-               | `Time -> Workloads.Driver.slowdown ~baseline r
-               | `Memory -> Workloads.Driver.memory_overhead ~baseline r))
-         spec2006_names)
+  let table =
+    Report.Table.create
+      ~columns:("benchmark" :: List.map fst optimisation_levels)
+  in
+  (* A run killed for exhausting the memory budget shows as '>' and
+     leaves its geomean cell empty. *)
+  let rows =
+    List.map
+      (fun bench ->
+        let baseline = baseline_for env ~suite:"spec2006" ~bench in
+        let cells =
+          List.map
+            (fun (_, scheme) ->
+              let r = run env ~suite:"spec2006" ~bench ~scheme in
+              (r.Workloads.Driver.oom_killed, overhead metric ~baseline r))
+            optimisation_levels
+        in
+        Report.Table.add_text_row table bench
+          (List.map
+             (fun (oom, v) ->
+               if oom then Printf.sprintf ">%.1f" v
+               else Printf.sprintf "%.3f" v)
+             cells);
+        (bench, List.map (fun (oom, v) -> if oom then Float.nan else v) cells))
+      spec2006_names
   in
   Report.Table.add_text_row table "geomean*"
-    (List.map
-       (fun (_, scheme) -> Printf.sprintf "%.3f" (geo scheme))
-       optimisation_levels);
-  buf_figure title
+    (List.map (Printf.sprintf "%.3f") (geomeans rows));
+  figure title
     (Report.Table.render table
     ^ "\n(* geomean over runs that stayed within the memory budget; '>' \
        marks runs killed for exhausting it, like the paper's unoptimised \
@@ -484,19 +404,14 @@ let fig17 env =
       (fun (name, scheme) ->
         let values =
           List.map
-            (fun bench ->
-              let baseline = baseline_for env ~suite:"spec2006" ~bench in
-              let r = run env ~suite:"spec2006" ~bench ~scheme in
-              match metric with
-              | `Time -> Workloads.Driver.slowdown ~baseline r
-              | `Memory -> Workloads.Driver.memory_overhead ~baseline r)
+            (fun bench -> measure env metric ~suite:"spec2006" ~bench ~scheme)
             fig17_benches
         in
-        Report.Table.add_row table name (values @ [ geomean_row values ]))
+        Report.Table.add_row table name (values @ [ geomean values ]))
       partial_versions;
     label ^ "\n" ^ Report.Table.render table
   in
-  buf_figure "Figure 17: sources of overheads (five most affected benchmarks)"
+  figure "Figure 17: sources of overheads (five most affected benchmarks)"
     (section `Time "(a) Time" ^ "\n" ^ section `Memory "(b) Memory"
     ^ "\npaper: base 1.1 %, +unmap/zero 5.8 %, quarantining adds the bulk \
        (17.9 % time / 14.8 % memory on these five), full version reaches \
@@ -505,49 +420,30 @@ let fig17 env =
 (* ------------------------------------------------------------------ *)
 
 let suite_overheads env ~suite ~title ~paper_note =
-  let names =
-    List.map (fun p -> p.Workloads.Profile.name) (profiles_of_suite suite)
-  in
-  let schemes = [ "markus"; "ffmalloc"; "minesweeper" ] in
   let section metric label =
+    let rows =
+      List.map
+        (fun p ->
+          let bench = p.Workloads.Profile.name in
+          ( bench,
+            List.map
+              (fun scheme -> measure env metric ~suite ~bench ~scheme)
+              [ "markus"; "ffmalloc"; "minesweeper" ] ))
+        (List.assoc suite Workloads.Harness.suites)
+    in
     let table =
       Report.Table.create
         ~columns:[ "benchmark"; "MarkUs"; "FFmalloc"; "MineSweeper" ]
     in
-    let acc = Hashtbl.create 8 in
-    List.iter
-      (fun bench ->
-        let baseline = baseline_for env ~suite ~bench in
-        let values =
-          List.map
-            (fun scheme ->
-              let r = run env ~suite ~bench ~scheme in
-              let v =
-                match metric with
-                | `Time -> Workloads.Driver.slowdown ~baseline r
-                | `Memory -> Workloads.Driver.memory_overhead ~baseline r
-              in
-              Hashtbl.replace acc scheme
-                (v :: Option.value ~default:[] (Hashtbl.find_opt acc scheme));
-              v)
-            schemes
-        in
-        Report.Table.add_row table bench values)
-      names;
-    Report.Table.add_row table "geomean"
-      (List.map
-         (fun s ->
-           geomean_row (Option.value ~default:[] (Hashtbl.find_opt acc s)))
-         schemes);
-    Report.Table.add_row table "worst"
-      (List.map
-         (fun s ->
-           Report.Summary.worst
-             (Option.value ~default:[] (Hashtbl.find_opt acc s)))
-         schemes);
+    rows_to table
+      (rows
+      @ [
+          ("geomean", geomeans rows);
+          ("worst", per_column Report.Summary.worst rows);
+        ]);
     label ^ "\n" ^ Report.Table.render table
   in
-  buf_figure title
+  figure title
     (section `Time "(a) Time" ^ "\n" ^ section `Memory "(b) Average memory"
     ^ paper_note)
 
@@ -585,14 +481,12 @@ let scudo_table env =
           ] ))
       spec2006_names
   in
-  let geo i = geomean_row (List.map (fun (_, vs) -> List.nth vs i) rows) in
   let table =
     Report.Table.create
       ~columns:[ "benchmark"; "slowdown vs Scudo"; "memory vs Scudo" ]
   in
-  List.iter (fun (b, vs) -> Report.Table.add_row table b vs) rows;
-  Report.Table.add_row table "geomean" [ geo 0; geo 1 ];
-  buf_figure
+  rows_to table (rows @ [ ("geomean", geomeans rows) ]);
+  figure
     "Section 7: MineSweeper over the Scudo hardened allocator"
     (Report.Table.render table
     ^ "\npaper: the Scudo integration costs 4.4 % — the layer is \
@@ -602,179 +496,143 @@ let ptrtrack_table env =
   (* The paper quotes CRCount / pSweeper / DangSan from their own papers
      (Figures 7/10); here they are additionally *implemented* over the
      instrumented-pointer-store hook and measured head-to-head. *)
-  let schemes = [ "crcount"; "psweeper"; "dangsan" ] in
-  let quoted_of = function
-    | "crcount" -> "CRCount"
-    | "psweeper" -> "pSweeper-1s"
-    | _ -> "DangSan"
+  let schemes =
+    [
+      ("crcount", "CRCount"); ("psweeper", "pSweeper-1s");
+      ("dangsan", "DangSan");
+    ]
   in
-  let section metric label paper_value =
+  let section metric label =
+    let rows =
+      List.map
+        (fun bench ->
+          ( bench,
+            List.map
+              (fun scheme ->
+                measure env metric ~suite:"spec2006" ~bench ~scheme)
+              (List.map fst schemes @ [ "minesweeper" ]) ))
+        spec2006_names
+    in
+    let quoted =
+      List.map
+        (fun bench ->
+          ( bench,
+            List.map
+              (fun (_, scheme) ->
+                Option.value ~default:Float.nan (cite metric ~scheme ~bench))
+              schemes ))
+        spec2006_names
+    in
     let table =
       Report.Table.create
-        ~columns:
-          [ "benchmark"; "CRCount"; "pSweeper-1s"; "DangSan"; "MineSweeper" ]
+        ~columns:(("benchmark" :: List.map snd schemes) @ [ "MineSweeper" ])
     in
-    let acc = Hashtbl.create 8 in
-    let note scheme v =
-      Hashtbl.replace acc scheme
-        (v :: Option.value ~default:[] (Hashtbl.find_opt acc scheme))
-    in
-    List.iter
-      (fun bench ->
-        let values =
-          List.map
-            (fun scheme ->
-              let v =
-                match metric with
-                | `Time -> slowdown_of env ~suite:"spec2006" ~bench ~scheme
-                | `Memory -> memory_of env ~suite:"spec2006" ~bench ~scheme
-              in
-              note scheme v;
-              v)
-            (schemes @ [ "minesweeper" ])
-        in
-        Report.Table.add_row table bench values)
-      spec2006_names;
-    Report.Table.add_row table "geomean (measured)"
-      (List.map
-         (fun s ->
-           geomean_row (Option.value ~default:[] (Hashtbl.find_opt acc s)))
-         (schemes @ [ "minesweeper" ]));
-    Report.Table.add_row table "geomean (quoted)"
-      ((List.map
-          (fun s ->
-            geomean_row
-              (List.filter_map
-                 (fun bench ->
-                   match metric with
-                   | `Time ->
-                     Report.Literature.slowdown ~scheme:(quoted_of s) ~bench
-                   | `Memory ->
-                     Report.Literature.memory_overhead ~scheme:(quoted_of s)
-                       ~bench)
-                 spec2006_names))
-          schemes)
-      @ [ Float.nan ]);
-    label ^ "\n" ^ Report.Table.render table ^ paper_value
+    rows_to table
+      (rows
+      @ [
+          ("geomean (measured)", geomeans rows);
+          ("geomean (quoted)", geomeans quoted @ [ Float.nan ]);
+        ]);
+    label ^ "\n" ^ Report.Table.render table
   in
-  buf_figure
+  figure
     "Extension: pointer-tracking schemes implemented and measured"
-    (section `Time "(a) Slowdown" ""
-    ^ "\n"
-    ^ section `Memory "(b) Average memory" "")
+    (section `Time "(a) Slowdown" ^ "\n" ^ section `Memory "(b) Average memory")
 
 let ablation_benches = [ "dealII"; "gcc"; "omnetpp"; "perlbench"; "xalancbmk" ]
 
-let ablation_threshold env =
-  let thresholds = [ 0.05; 0.10; 0.15; 0.25; 0.35 ] in
+(* One row per setting of a configuration knob; [measures] names the
+   cells each benchmark gets and reads them off its run. *)
+let ablation env ~title ~knob ~settings ~measures ~note =
   let table =
     Report.Table.create
       ~columns:
-        ("threshold"
-        :: List.concat_map (fun b -> [ b ^ " time"; b ^ " mem" ]) ablation_benches)
-  in
-  List.iter
-    (fun threshold ->
-      let config = { Minesweeper.Config.default with threshold } in
-      let cells =
-        List.concat_map
-          (fun bench ->
-            let baseline = baseline_for env ~suite:"spec2006" ~bench in
-            let r =
-              run_scheme env ~suite:"spec2006" ~bench
-                ~key:(Printf.sprintf "ms-t%.2f" threshold)
-                (Workloads.Harness.Mine_sweeper config)
-            in
-            [
-              Workloads.Driver.slowdown ~baseline r;
-              Workloads.Driver.memory_overhead ~baseline r;
-            ])
-          ablation_benches
-      in
-      Report.Table.add_row table (Printf.sprintf "%.0f %%" (threshold *. 100.)) cells)
-    thresholds;
-  buf_figure
-    "Ablation: sweep-trigger threshold (paper default 15 %, MarkUs used 25 %)"
-    (Report.Table.render table
-    ^ "\nlower thresholds sweep more often (more time, less memory); \
-       higher thresholds trade the other way (Section 3.2)\n")
-
-let ablation_granule env =
-  let granules = [ 16; 64; 256; 1024 ] in
-  let table =
-    Report.Table.create
-      ~columns:
-        ("granule"
+        (knob
         :: List.concat_map
-             (fun b -> [ b ^ " mem"; b ^ " failed" ])
+             (fun b -> List.map (fun (m, _) -> b ^ " " ^ m) measures)
              ablation_benches)
   in
   List.iter
-    (fun shadow_granule ->
-      let config = { Minesweeper.Config.default with shadow_granule } in
+    (fun (label, key, config) ->
       let cells =
         List.concat_map
           (fun bench ->
             let baseline = baseline_for env ~suite:"spec2006" ~bench in
             let r =
-              run_scheme env ~suite:"spec2006" ~bench
-                ~key:(Printf.sprintf "ms-g%d" shadow_granule)
+              run_scheme env ~suite:"spec2006" ~bench ~key
                 (Workloads.Harness.Mine_sweeper config)
             in
-            [
-              Workloads.Driver.memory_overhead ~baseline r;
-              float_of_int r.Workloads.Driver.failed_frees;
-            ])
+            List.map (fun (_, f) -> f ~baseline r) measures)
           ablation_benches
       in
-      Report.Table.add_row table (Printf.sprintf "%d B" shadow_granule) cells)
-    granules;
-  buf_figure
-    "Ablation: shadow-map granularity (paper default: one bit per 16 B)"
-    (Report.Table.render table
-    ^ "\ncoarser shadow bits alias adjacent allocations: spurious failed \
+      Report.Table.add_row table label cells)
+    settings;
+  figure title (Report.Table.render table ^ note)
+
+let ablation_threshold env =
+  ablation env ~knob:"threshold"
+    ~title:
+      "Ablation: sweep-trigger threshold (paper default 15 %, MarkUs used 25 %)"
+    ~settings:
+      (List.map
+         (fun threshold ->
+           ( Printf.sprintf "%.0f %%" (threshold *. 100.),
+             Printf.sprintf "ms-t%.2f" threshold,
+             { Minesweeper.Config.default with threshold } ))
+         [ 0.05; 0.10; 0.15; 0.25; 0.35 ])
+    ~measures:
+      [
+        ("time", Workloads.Driver.slowdown);
+        ("mem", Workloads.Driver.memory_overhead);
+      ]
+    ~note:
+      "\nlower thresholds sweep more often (more time, less memory); \
+       higher thresholds trade the other way (Section 3.2)\n"
+
+let ablation_granule env =
+  ablation env ~knob:"granule"
+    ~title:"Ablation: shadow-map granularity (paper default: one bit per 16 B)"
+    ~settings:
+      (List.map
+         (fun shadow_granule ->
+           ( Printf.sprintf "%d B" shadow_granule,
+             Printf.sprintf "ms-g%d" shadow_granule,
+             { Minesweeper.Config.default with shadow_granule } ))
+         [ 16; 64; 256; 1024 ])
+    ~measures:
+      [
+        ("mem", Workloads.Driver.memory_overhead);
+        ( "failed",
+          fun ~baseline:_ r -> float_of_int r.Workloads.Driver.failed_frees );
+      ]
+    ~note:
+      "\ncoarser shadow bits alias adjacent allocations: spurious failed \
        frees rise and memory follows (Section 3.2's precision trade-off); \
-       the shadow itself is <1 % of the heap at every setting\n")
+       the shadow itself is <1 % of the heap at every setting\n"
 
 let ablation_helpers env =
-  let helper_counts = [ 0; 1; 2; 6; 12 ] in
-  let table =
-    Report.Table.create
-      ~columns:
-        ("helpers"
-        :: List.concat_map (fun b -> [ b ^ " time"; b ^ " cpu" ]) ablation_benches)
-  in
-  List.iter
-    (fun helpers ->
-      let config =
-        {
-          Minesweeper.Config.default with
-          concurrency =
-            Minesweeper.Config.Concurrent { helpers; stop_the_world = false };
-        }
-      in
-      let cells =
-        List.concat_map
-          (fun bench ->
-            let baseline = baseline_for env ~suite:"spec2006" ~bench in
-            let r =
-              run_scheme env ~suite:"spec2006" ~bench
-                ~key:(Printf.sprintf "ms-h%d" helpers)
-                (Workloads.Harness.Mine_sweeper config)
-            in
-            [
-              Workloads.Driver.slowdown ~baseline r;
-              Workloads.Driver.cpu_overhead ~baseline r;
-            ])
-          ablation_benches
-      in
-      Report.Table.add_row table (string_of_int helpers) cells)
-    helper_counts;
-  buf_figure
-    "Ablation: parallel sweeping helper threads (paper default: 6)"
-    (Report.Table.render table
-    ^ "\nmore helpers shorten each sweep (prompter recycling, less \
-       allocation-pause risk) at the same total CPU cost (Section 4.4)\n")
+  ablation env ~knob:"helpers"
+    ~title:"Ablation: parallel sweeping helper threads (paper default: 6)"
+    ~settings:
+      (List.map
+         (fun helpers ->
+           ( string_of_int helpers,
+             Printf.sprintf "ms-h%d" helpers,
+             {
+               Minesweeper.Config.default with
+               concurrency =
+                 Minesweeper.Config.Concurrent
+                   { helpers; stop_the_world = false };
+             } ))
+         [ 0; 1; 2; 6; 12 ])
+    ~measures:
+      [
+        ("time", Workloads.Driver.slowdown);
+        ("cpu", Workloads.Driver.cpu_overhead);
+      ]
+    ~note:
+      "\nmore helpers shorten each sweep (prompter recycling, less \
+       allocation-pause risk) at the same total CPU cost (Section 4.4)\n"
 
 (* A run's end-of-run registry value under its registry name; 0 when the
    stack does not register it. *)
@@ -798,7 +656,7 @@ let incremental_sweep env =
           "swept inc MB"; "pages skipped"; "pages rescanned"; "cache KB";
         ]
   in
-  let regressions = ref [] in
+  let failed = ref [] in
   List.iter
     (fun (suite, benches) ->
       List.iter
@@ -812,7 +670,7 @@ let incremental_sweep env =
              necessarily rescans everything; incrementality can only pay
              off from the second sweep on. *)
           if full.Workloads.Driver.sweeps > 1 && swept_inc >= swept_full then
-            regressions := Printf.sprintf "%s/%s" suite bench :: !regressions;
+            flag failed "%s/%s: incremental swept >= full" suite bench;
           Report.Table.add_row table (suite ^ "/" ^ bench)
             [
               Workloads.Driver.slowdown ~baseline full;
@@ -825,22 +683,16 @@ let incremental_sweep env =
             ])
         benches)
     incremental_benches;
-  let verdict =
-    match !regressions with
-    | [] ->
+  checked "Extension: full vs incremental marking phase (bytes swept per mode)"
+    ~ok:
       "incremental mode swept strictly fewer bytes than full mode on every \
        sweeping profile\n"
-    | l ->
-      Printf.sprintf "REGRESSION: incremental swept >= full on: %s\n"
-        (String.concat ", " (List.rev l))
-  in
-  buf_figure
-    "Extension: full vs incremental marking phase (bytes swept per mode)"
+    !failed
     (Report.Table.render table
     ^ "\nincremental mode rescans only pages dirtied since the previous \
        sweep and replays cached per-page pointer summaries for the rest; \
        protection is unchanged (the inv-summary audit certifies the rebuilt \
-       shadow equals a from-scratch full mark)\n" ^ verdict)
+       shadow equals a from-scratch full mark)\n")
 
 (* Sweep-heavy profiles: big live heaps and frequent sweeps, where the
    mark phase dominates the sweeper's CPU — the workloads the parallel
@@ -851,96 +703,84 @@ let parallel_mark_benches =
     ("spec2006", [ "xalancbmk"; "omnetpp" ]);
   ]
 
-let parallel_mark env =
+(* The pass both parallel figures share: every sweep-heavy profile under
+   the default preset at 1, 2, 4 and 8 modeled marker domains. Its
+   checks: every domain count sweeps exactly the bytes one domain
+   sweeps, and some profile reaches [min_speedup] at 4 domains.
+   [speedup] reads a run's modeled speedup; [cells at] gives a row's
+   second and last columns from its run at each domain count. *)
+let across_domains env ~title ~columns ~speedup ~cells ~min_speedup ~what
+    ~note ~ok =
   let mb v = v /. 1048576. in
-  let domain_counts = [ 1; 2; 4; 8 ] in
-  let table =
-    Report.Table.create
-      ~columns:
-        [
-          "benchmark"; "swept MB"; "throughput d1 B/cyc"; "speedup d2";
-          "speedup d4"; "speedup d8"; "imbalance d4 KB";
-        ]
-  in
-  let regressions = ref [] in
-  let best_speedup4 = ref 0.0 in
+  let table = Report.Table.create ~columns in
+  let failed = ref [] in
+  let best = ref 0.0 in
   List.iter
     (fun (suite, benches) ->
       List.iter
         (fun bench ->
-          let results =
-            List.map
-              (fun d ->
-                let scheme =
-                  Workloads.Harness.Mine_sweeper
-                    (Minesweeper.Config.with_domains d
-                       Minesweeper.Config.default)
-                in
-                ( d,
-                  run_scheme env ~suite ~bench
-                    ~key:(Printf.sprintf "ms-par-d%d" d)
-                    scheme ))
-              domain_counts
+          let at d =
+            run_scheme env ~suite ~bench
+              ~key:(Printf.sprintf "ms-d%d" d)
+              (Workloads.Harness.Mine_sweeper
+                 (Minesweeper.Config.with_domains d Minesweeper.Config.default))
           in
-          let swept d = metric (List.assoc d results) "ms.swept_bytes" in
-          (* Determinism is the contract: any domain count must mark and
-             sweep exactly the same bytes. *)
+          let swept d = metric (at d) "ms.swept_bytes" in
+          (* Determinism is the contract: the domain count is a model
+             parameter, so every count must mark and sweep the same
+             bytes. *)
           List.iter
             (fun d ->
               if swept d <> swept 1 then
-                regressions :=
-                  Printf.sprintf "%s/%s: swept_bytes differs at %d domains"
-                    suite bench d
-                  :: !regressions)
-            domain_counts;
-          (* The modeled mark-phase critical path: [par.mark_cycles_est]
-             accumulates max(slowest domain, DRAM floor) per sweep,
-             [par.mark_cycles_seq_est] the single-marker cost over the
-             same bytes — their ratio is the modeled speedup. *)
-          let speedup d =
-            if d = 1 then 1.0
-            else
-              let r = List.assoc d results in
-              let est = metric r "par.mark_cycles_est" in
-              if est > 0.0 then metric r "par.mark_cycles_seq_est" /. est
-              else 0.0
-          in
-          best_speedup4 := max !best_speedup4 (speedup 4);
-          let seq_cycles =
-            metric (List.assoc 2 results) "par.mark_cycles_seq_est"
-          in
-          let xput1 = if seq_cycles > 0.0 then swept 1 /. seq_cycles else 0.0 in
+                flag failed "%s/%s: swept_bytes differs at %d domains" suite
+                  bench d)
+            [ 1; 2; 4; 8 ];
+          best := max !best (speedup (at 4));
+          let second, last = cells at in
           Report.Table.add_row table (suite ^ "/" ^ bench)
             [
-              mb (swept 1); xput1; speedup 2; speedup 4; speedup 8;
-              metric (List.assoc 4 results) "par.imbalance" /. 1024.;
+              mb (swept 1); second; speedup (at 2); speedup (at 4);
+              speedup (at 8); last;
             ])
         benches)
     parallel_mark_benches;
-  if !best_speedup4 < 1.5 then
-    regressions :=
-      Printf.sprintf
-        "no profile reached 1.5x modeled mark speedup at 4 domains (best \
-         %.2fx)"
-        !best_speedup4
-      :: !regressions;
-  let verdict =
-    match !regressions with
-    | [] ->
-      Printf.sprintf
-        "identical swept bytes at every domain count; best modeled mark \
-         speedup at 4 domains: %.2fx (saturates at the DRAM-bandwidth wall)\n"
-        !best_speedup4
-    | l -> Printf.sprintf "REGRESSION: %s\n" (String.concat "; " (List.rev l))
-  in
-  buf_figure
-    "Extension: parallel marking speedup (page chunks statically assigned \
-     to modeled marker domains)"
-    (Report.Table.render table
-    ^ "\nmark output is byte-identical for every domain count (canonical \
+  if !best < min_speedup then
+    flag failed "no profile reached %gx modeled %s at 4 domains (best %.2fx)"
+      min_speedup what !best;
+  checked title ~ok:(ok !best) !failed (Report.Table.render table ^ note)
+
+let parallel_mark env =
+  across_domains env
+    ~title:
+      "Extension: parallel marking speedup (page chunks statically assigned \
+       to modeled marker domains)"
+    ~columns:
+      [
+        "benchmark"; "swept MB"; "throughput d1 B/cyc"; "speedup d2";
+        "speedup d4"; "speedup d8"; "imbalance d4 KB";
+      ]
+      (* The modeled mark-phase critical path: [par.mark_cycles_est]
+         accumulates max(slowest domain, DRAM floor) per sweep,
+         [par.mark_cycles_seq_est] the single-marker cost over the same
+         bytes — their ratio is the modeled speedup. *)
+    ~speedup:(fun r ->
+      let est = metric r "par.mark_cycles_est" in
+      if est > 0.0 then metric r "par.mark_cycles_seq_est" /. est else 0.0)
+    ~cells:(fun at ->
+      let seq_cycles = metric (at 2) "par.mark_cycles_seq_est" in
+      ( (if seq_cycles > 0.0 then metric (at 1) "ms.swept_bytes" /. seq_cycles
+         else 0.0),
+        metric (at 4) "par.imbalance" /. 1024. ))
+    ~min_speedup:1.5 ~what:"mark speedup"
+    ~note:
+      "\nmark output is byte-identical for every domain count (canonical \
        chunk-order merge); throughput is the deterministic cost-model \
        projection: one marker streams 4 B/cycle, DRAM feeds 16 B/cycle, so \
-       scaling saturates at 4 domains\n" ^ verdict)
+       scaling saturates at 4 domains\n"
+    ~ok:
+      (Printf.sprintf
+         "identical swept bytes at every domain count; best modeled mark \
+          speedup at 4 domains: %.2fx (saturates at the DRAM-bandwidth wall)\n")
 
 (* End-to-end sweep-cycle projection of the staged pipeline: the modeled
    sequential total (mark + merge + release + purge, single-threaded)
@@ -949,92 +789,42 @@ let parallel_mark env =
    domain-independent — both totals are pure [sweep.stage.*] projections
    — so swept bytes must be byte-identical at every domain count. *)
 let sweep_pipeline env =
-  let mb v = v /. 1048576. in
-  let domain_counts = [ 1; 2; 4; 8 ] in
-  let table =
-    Report.Table.create
-      ~columns:
-        [
-          "benchmark"; "swept MB"; "seq Mcyc"; "cycle speedup d2";
-          "cycle speedup d4"; "cycle speedup d8"; "flush batches";
-        ]
-  in
-  let regressions = ref [] in
-  let best_speedup4 = ref 0.0 in
-  List.iter
-    (fun (suite, benches) ->
-      List.iter
-        (fun bench ->
-          let results =
-            List.map
-              (fun d ->
-                let scheme =
-                  Workloads.Harness.Mine_sweeper
-                    (Minesweeper.Config.with_domains d
-                       Minesweeper.Config.default)
-                in
-                ( d,
-                  run_scheme env ~suite ~bench
-                    ~key:(Printf.sprintf "ms-pipe-d%d" d)
-                    scheme ))
-              domain_counts
-          in
-          let swept d = metric (List.assoc d results) "ms.swept_bytes" in
-          (* Determinism is the contract: the pipeline is a projection,
-             so any domain count must mark and sweep the same bytes. *)
-          List.iter
-            (fun d ->
-              if swept d <> swept 1 then
-                regressions :=
-                  Printf.sprintf "%s/%s: swept_bytes differs at %d domains"
-                    suite bench d
-                  :: !regressions)
-            domain_counts;
-          (* [sweep.stage.seq_cycles_est] accumulates the single-threaded stage
-             totals per sweep, [sweep.stage.pipeline_cycles_est] the overlapped
-             schedule — their ratio is the modeled end-to-end sweep-cycle
-             speedup. *)
-          let speedup d =
-            let r = List.assoc d results in
-            let pipe = metric r "sweep.stage.pipeline_cycles_est" in
-            if pipe > 0.0 then metric r "sweep.stage.seq_cycles_est" /. pipe
-            else 1.0
-          in
-          best_speedup4 := max !best_speedup4 (speedup 4);
-          Report.Table.add_row table (suite ^ "/" ^ bench)
-            [
-              mb (swept 1);
-              metric (List.assoc 1 results) "sweep.stage.seq_cycles_est" /. 1e6;
-              speedup 2; speedup 4; speedup 8;
-              metric (List.assoc 4 results) "sweep.stage.flush_batches";
-            ])
-        benches)
-    parallel_mark_benches;
-  if !best_speedup4 < 2.0 then
-    regressions :=
-      Printf.sprintf
-        "no profile reached 2x modeled end-to-end sweep-cycle speedup at 4 \
-         domains (best %.2fx)"
-        !best_speedup4
-      :: !regressions;
-  let verdict =
-    match !regressions with
-    | [] ->
-      Printf.sprintf
-        "identical swept bytes at every domain count; best modeled sweep-cycle \
-         speedup at 4 domains: %.2fx\n"
-        !best_speedup4
-    | l -> Printf.sprintf "REGRESSION: %s\n" (String.concat "; " (List.rev l))
-  in
-  buf_figure
-    "Extension: staged sweep pipeline (mark/merge/release/purge overlap \
-     across domains)"
-    (Report.Table.render table
-    ^ "\nthe pipeline is a modeled projection over per-stage cycle reports \
+  across_domains env
+    ~title:
+      "Extension: staged sweep pipeline (mark/merge/release/purge overlap \
+       across domains)"
+    ~columns:
+      [
+        "benchmark"; "swept MB"; "seq Mcyc"; "cycle speedup d2";
+        "cycle speedup d4"; "cycle speedup d8"; "flush batches";
+      ]
+      (* [sweep.stage.seq_cycles_est] accumulates the single-threaded
+         stage totals per sweep, [sweep.stage.pipeline_cycles_est] the
+         overlapped schedule — their ratio is the modeled end-to-end
+         sweep-cycle speedup. *)
+    ~speedup:(fun r ->
+      let pipe = metric r "sweep.stage.pipeline_cycles_est" in
+      if pipe > 0.0 then metric r "sweep.stage.seq_cycles_est" /. pipe
+      else 1.0)
+    ~cells:(fun at ->
+      ( metric (at 1) "sweep.stage.seq_cycles_est" /. 1e6,
+        metric (at 4) "sweep.stage.flush_batches" ))
+    ~min_speedup:2.0 ~what:"end-to-end sweep-cycle speedup"
+    ~note:
+      "\nthe pipeline is a modeled projection over per-stage cycle reports \
        (sweep.stage.*): marking parallelises across domains while batched \
        release/purge overlap the next batch's merge; simulated charging is \
        domain-independent, so every export outside par.*/sweep.stage.* is \
-       byte-identical at any domain count\n" ^ verdict)
+       byte-identical at any domain count\n"
+    ~ok:
+      (Printf.sprintf
+         "identical swept bytes at every domain count; best modeled \
+          sweep-cycle speedup at 4 domains: %.2fx\n")
+
+(* The trace of a profile at the environment's scale. *)
+let scaled_trace env p =
+  Workloads.Trace.generate
+    (if env.scale = 1.0 then p else Workloads.Profile.scale_ops env.scale p)
 
 (* Static-vs-dynamic differential: run the flowcheck analyzer (one pass,
    no replay) next to a real replay plus the differential sweep oracle
@@ -1052,28 +842,18 @@ let static_bounds env =
           "swept MB"; "sweeps <="; "sweeps"; "pred ret"; "dyn ret"; "miss";
         ]
   in
-  let regressions = ref [] in
+  let failed = ref [] in
   List.iter
     (fun (p : Workloads.Profile.t) ->
       let bench = p.Workloads.Profile.name in
       if env.verbose then Printf.eprintf "  [static] mimalloc/%s\n%!" bench;
-      let profile =
-        if env.scale = 1.0 then p else Workloads.Profile.scale_ops env.scale p
-      in
-      let trace = Workloads.Trace.generate profile in
+      let trace = scaled_trace env p in
       let sr = Flowcheck.Report.analyze_trace trace in
       (* Dynamic side 1: a plain replay under the default MineSweeper
          stack; the harness telemetry registry carries the measured
          quarantine occupancy and sweep totals. *)
-      let machine = Alloc.Machine.create () in
-      List.iter
-        (fun (base, size) ->
-          Vmem.map machine.Alloc.Machine.mem ~addr:base ~len:size)
-        Layout.root_regions;
       let stack =
-        Workloads.Harness.build
-          (Workloads.Harness.Mine_sweeper Minesweeper.Config.default)
-          ~threads:1 machine
+        fresh_stack (Workloads.Harness.Mine_sweeper Minesweeper.Config.default)
       in
       ignore (Workloads.Trace.replay trace stack);
       let reg =
@@ -1085,12 +865,10 @@ let static_bounds env =
       let peak = read "ms.peak_quarantine_bytes" in
       let swept = read "ms.swept_bytes" in
       let sweeps = read "ms.sweeps" in
-      List.iter
-        (fun d ->
-          regressions :=
-            Printf.sprintf "mimalloc/%s: %s" bench
-              (Sanitizer.Diagnostic.to_string d)
-            :: !regressions)
+      let diag d =
+        flag failed "mimalloc/%s: %s" bench (Sanitizer.Diagnostic.to_string d)
+      in
+      List.iter diag
         (Flowcheck.Report.check_bounds sr ~policy:"minesweeper"
            ~peak_quarantine_bytes:peak ~swept_bytes:swept ~sweeps);
       (* Dynamic side 2: the differential oracle's ground-truth findings
@@ -1101,13 +879,7 @@ let static_bounds env =
           ~predicted_unsound:sr.Flowcheck.Report.predicted_unsound
           ~predicted_retained:sr.Flowcheck.Report.predicted_retained orc
       in
-      List.iter
-        (fun d ->
-          regressions :=
-            Printf.sprintf "mimalloc/%s: %s" bench
-              (Sanitizer.Diagnostic.to_string d)
-            :: !regressions)
-        misses;
+      List.iter diag misses;
       let b =
         List.find
           (fun (b : Flowcheck.Policy.bounds) ->
@@ -1127,22 +899,17 @@ let static_bounds env =
           float_of_int (List.length misses);
         ])
     Workloads.Mimalloc_bench.all;
-  let verdict =
-    match !regressions with
-    | [] ->
+  checked "Extension: static dataflow bounds vs dynamic replay (mimalloc-bench)"
+    ~ok:
       "static bounds dominate every measured ms.* value and every dynamic \
        oracle finding was statically predicted (zero false negatives)\n"
-    | l -> Printf.sprintf "REGRESSION: %s\n" (String.concat "; " (List.rev l))
-  in
-  buf_figure
-    "Extension: static dataflow bounds vs dynamic replay (mimalloc-bench)"
+    !failed
     (Report.Table.render table
     ^ "\nthe static analyzer sees the trace once, with no allocator, no \
        virtual memory and no sweep schedule: its occupancy bound is the \
        sum of freed usable bytes, its sweep bounds assume the DESIGN \
        paragraph-11 fragmentation factor; the dynamic columns come from the \
-       ms.* telemetry of a real replay and the differential oracle\n"
-    ^ verdict)
+       ms.* telemetry of a real replay and the differential oracle\n")
 
 (* Pooled landscape: the siteflow pooling analysis across the whole
    mimalloc-bench suite. For every profile, derive the pool plan from
@@ -1165,15 +932,12 @@ let pooled_landscape env =
           "recycled"; "unsound"; "base unsound";
         ]
   in
-  let regressions = ref [] in
+  let failed = ref [] in
   List.iter
     (fun (p : Workloads.Profile.t) ->
       let bench = p.Workloads.Profile.name in
       if env.verbose then Printf.eprintf "  [pooled] mimalloc/%s\n%!" bench;
-      let profile =
-        if env.scale = 1.0 then p else Workloads.Profile.scale_ops env.scale p
-      in
-      let trace = Workloads.Trace.generate profile in
+      let trace = scaled_trace env p in
       let plan = Flowcheck.Poolplan.of_trace trace in
       let orc =
         Sanitizer.Pool_oracle.run
@@ -1181,25 +945,17 @@ let pooled_landscape env =
       in
       List.iter
         (fun d ->
-          regressions :=
-            Printf.sprintf "mimalloc/%s: %s" bench
-              (Sanitizer.Diagnostic.to_string d)
-            :: !regressions)
+          flag failed "mimalloc/%s: %s" bench
+            (Sanitizer.Diagnostic.to_string d))
         (Sanitizer.Pool_oracle.certify orc);
-      let checks =
-        Flowcheck.Poolplan.check_pool_stats plan
-          orc.Sanitizer.Pool_oracle.pool_stats
-      in
       List.iter
         (fun (c : Flowcheck.Poolplan.bound_check) ->
           if not c.Flowcheck.Poolplan.holds then
-            regressions :=
-              Printf.sprintf
-                "mimalloc/%s: pool %d %s bound %d < measured %d" bench
-                c.Flowcheck.Poolplan.check_pool c.Flowcheck.Poolplan.metric
-                c.Flowcheck.Poolplan.bound c.Flowcheck.Poolplan.measured
-              :: !regressions)
-        checks;
+            flag failed "mimalloc/%s: pool %d %s bound %d < measured %d" bench
+              c.Flowcheck.Poolplan.check_pool c.Flowcheck.Poolplan.metric
+              c.Flowcheck.Poolplan.bound c.Flowcheck.Poolplan.measured)
+        (Flowcheck.Poolplan.check_pool_stats plan
+           orc.Sanitizer.Pool_oracle.pool_stats);
       (* Unsafe baseline: the identity plan recycles per site with no
          exposure analysis; its unsound count is what the merge pass
          must drive to zero. *)
@@ -1237,22 +993,18 @@ let pooled_landscape env =
           float_of_int (List.length base.Sanitizer.Pool_oracle.unsound_ids);
         ])
     Workloads.Mimalloc_bench.all;
-  let verdict =
-    match !regressions with
-    | [] ->
+  checked "Extension: analysis-driven pooled backend landscape (mimalloc-bench)"
+    ~ok:
       "every profile certified: zero unsound recycles under the siteflow \
        plan and every static occupancy/footprint/retired bound dominates \
        the pooled backend's telemetry\n"
-    | l -> Printf.sprintf "REGRESSION: %s\n" (String.concat "; " (List.rev l))
-  in
-  buf_figure
-    "Extension: analysis-driven pooled backend landscape (mimalloc-bench)"
+    !failed
     (Report.Table.render table
     ^ "\nthe pooled backend has no quarantine and no sweeps: UAF freedom \
        is the siteflow plan's static claim, certified here by the \
        differential oracle (ptrtrack ground truth at every re-served \
        base); 'base unsound' is the identity plan — one recycling pool \
-       per site, no exposure analysis — on the same trace\n" ^ verdict)
+       per site, no exposure analysis — on the same trace\n")
 
 (* ------------------------------------------------------------------ *)
 (* Tail latency: the server-traffic family under an open-loop load     *)
@@ -1268,9 +1020,7 @@ let run_server env ~(profile : Workloads.Server.profile) ~key =
   | Some r -> r
   | None ->
     if env.verbose then Printf.eprintf "  [serve] %s\n%!" cache_key;
-    let r =
-      Workloads.Server.run ~scale:env.scale profile (scheme_of_key key)
-    in
+    let r = Workloads.Server.run ~scale:env.scale profile (resolve key) in
     Hashtbl.replace env.srv_cache cache_key r;
     r
 
@@ -1283,8 +1033,8 @@ let tail_latency env =
           "stall p99"; "stall p999"; "max queue"; "served %";
         ]
   in
-  let regressions = ref [] in
-  let flag fmt = Printf.ksprintf (fun s -> regressions := s :: !regressions) fmt in
+  let failed = ref [] in
+  let flag fmt = flag failed fmt in
   List.iter
     (fun (profile : Workloads.Server.profile) ->
       let pname = profile.Workloads.Server.name in
@@ -1335,9 +1085,9 @@ let tail_latency env =
     List.map
       (fun key ->
         if env.verbose then Printf.eprintf "  [serve-attack] %s\n%!" key;
-        let machine = Alloc.Machine.create () in
         let stack =
-          Workloads.Harness.build (scheme_of_key key) ~threads:1 machine
+          Workloads.Harness.build (resolve key) ~threads:1
+            (Alloc.Machine.create ())
         in
         let profile =
           Workloads.Server.scale env.scale
@@ -1355,15 +1105,11 @@ let tail_latency env =
           (Attack.describe outcome) r.Workloads.Server.completed)
       [ "baseline"; "minesweeper"; "minesweeper-mostly" ]
   in
-  let verdict =
-    match !regressions with
-    | [] ->
+  checked "Extension: tail latency under server traffic (open-loop generator)"
+    ~ok:
       "quantiles monotone, stall latency bounded by total latency, arrivals \
        identical across backends (open loop), attack outcomes as expected\n"
-    | l -> Printf.sprintf "REGRESSION: %s\n" (String.concat "; " (List.rev l))
-  in
-  buf_figure
-    "Extension: tail latency under server traffic (open-loop generator)"
+    !failed
     (Report.Table.render table
     ^ "\nlatency in simulated cycles; 'stall' columns are the \
        stall-induced share (coupled stall-free Lindley queue on the same \
@@ -1376,7 +1122,7 @@ let tail_latency env =
            Workloads.Server.profiles)
     ^ "\n\nvtable hijack under live traffic (steady profile):\n"
     ^ String.concat "\n" attack_lines
-    ^ "\n\n" ^ verdict)
+    ^ "\n\n")
 
 let fleet_pressure env =
   (* The noisy-neighbour scenario: one slow-leak tenant plus four steady
@@ -1395,12 +1141,12 @@ let fleet_pressure env =
           "kills"; "nbr stall p99"; "iso stall p99"; "fleet lat p99";
         ]
   in
-  let regressions = ref [] in
-  let flag fmt = Printf.ksprintf (fun s -> regressions := s :: !regressions) fmt in
+  let failed = ref [] in
+  let flag fmt = flag failed fmt in
   let mib b = float_of_int b /. (1024. *. 1024.) in
   List.iter
     (fun key ->
-      let scheme = scheme_of_key key in
+      let scheme = resolve key in
       let specs = Fleet.noisy_neighbour scheme in
       let iso =
         List.mapi
@@ -1469,17 +1215,13 @@ let fleet_pressure env =
             ])
         [ Fleet.Largest_quarantine; Fleet.Round_robin_purge ])
     backends;
-  let verdict =
-    match !regressions with
-    | [] ->
+  checked "Extension: multi-tenant fleet under a shared physical-page budget"
+    ~ok:
       "committed peak within budget for every backend and purge order, \
        arrivals identical to isolation (open loop preserved across the \
        fleet), neighbour p99 stall strictly above isolation wherever \
        interference was injected\n"
-    | l -> Printf.sprintf "REGRESSION: %s\n" (String.concat "; " (List.rev l))
-  in
-  buf_figure
-    "Extension: multi-tenant fleet under a shared physical-page budget"
+    !failed
     (Report.Table.render table
     ^ "\none slow-leak tenant + 4 steady tenants per row; 'nbr stall p99' \
        is the worst steady tenant's stall-latency tail inside the fleet, \
@@ -1487,7 +1229,7 @@ let fleet_pressure env =
        same arrivals); 'press'/'recl'/'kills' count pressure events, \
        forced reclaims and OOM kills under the "
     ^ string_of_int (Fleet.default_budget / (1024 * 1024))
-    ^ " MiB budget\n\n" ^ verdict)
+    ^ " MiB budget\n\n")
 
 let all_figures =
   [

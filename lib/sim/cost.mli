@@ -4,7 +4,8 @@
     Intel i7-7700. We reproduce relative behaviour with a deterministic
     cost model: every action in the simulated system charges a number of
     cycles to the thread performing it. The constants below were
-    calibrated against the micro-benchmarks in [bench/main.ml] and the
+    calibrated against the primitive micro-benchmarks (msbench's
+    [micro.*] metrics) and the
     per-benchmark figures of the paper; they are grouped in a record so
     ablation experiments can perturb them. *)
 

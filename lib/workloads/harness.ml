@@ -43,6 +43,67 @@ let scheme_name = function
   | Scudo_sweeper config -> protected_name "scudo-minesweeper" config
   | Pooled _ -> "pooled"
 
+(* The one name table: the CLI and the figures resolve every scheme and
+   suite name here. [schemes] go by the name [scheme_name] prints; the
+   aliases add the CLI's short spellings and the figures' ablation
+   variants, which [scheme_name] prints as "minesweeper-variant". *)
+let schemes =
+  let open Minesweeper.Config in
+  [
+    Baseline; Mine_sweeper default; Mine_sweeper mostly_concurrent;
+    Mine_sweeper incremental; Mine_sweeper incremental_mostly; Mark_us;
+    Ff_malloc; Scudo_baseline; Scudo_sweeper default; Dl_baseline;
+    Dl_sweeper default; Cr_count; P_sweeper; Dang_san; Pooled None;
+  ]
+
+let scheme_aliases =
+  let open Minesweeper.Config in
+  let ms c = Mine_sweeper c in
+  [
+    ("ms", ms default); ("mostly", ms mostly_concurrent);
+    ("incremental", ms incremental); ("ms-inc", ms incremental);
+    ("incremental-mostly", ms incremental_mostly); ("ff", Ff_malloc);
+    ("scudo-ms", Scudo_sweeper default); ("dl-ms", Dl_sweeper default);
+    ("ms-unopt", ms unoptimised); ("ms-zero", ms plus_zeroing);
+    ("ms-unmap", ms plus_unmapping); ("ms-conc", ms plus_concurrency);
+    ("ms-partial-base", ms partial_base);
+    ("ms-partial-uz", ms partial_unmap_zero);
+    ("ms-partial-q", ms partial_quarantine);
+    ("ms-partial-c", ms partial_concurrency);
+    ("ms-partial-s", ms partial_sweep);
+  ]
+
+let scheme_names = List.map scheme_name schemes @ List.map fst scheme_aliases
+
+let unknown what name names =
+  Error
+    (Printf.sprintf "unknown %s %S (expected one of: %s)" what name
+       (String.concat ", " names))
+
+let scheme_of_name name =
+  match List.find_opt (fun s -> scheme_name s = name) schemes with
+  | Some s -> Ok s
+  | None -> (
+    match List.assoc_opt name scheme_aliases with
+    | Some s -> Ok s
+    | None -> unknown "scheme" name scheme_names)
+
+let suites =
+  [
+    ("spec2006", Spec2006.all); ("spec2017", Spec2017.all);
+    ("mimalloc", Mimalloc_bench.all);
+  ]
+
+let find_profile ~suite name =
+  match List.assoc_opt suite suites with
+  | None -> unknown "suite" suite (List.map fst suites)
+  | Some profiles -> (
+    match List.find_opt (fun p -> p.Profile.name = name) profiles with
+    | Some p -> Ok p
+    | None ->
+      unknown (suite ^ " benchmark") name
+        (List.map (fun p -> p.Profile.name) profiles))
+
 type t = {
   scheme : string;
   machine : Alloc.Machine.t;

@@ -31,6 +31,32 @@ type scheme =
 
 val scheme_name : scheme -> string
 
+(** {1 Names}
+
+    The one table the CLI and the figures resolve names through. *)
+
+val schemes : scheme list
+(** Every scheme a name selects under the name {!scheme_name} prints. *)
+
+val scheme_aliases : (string * scheme) list
+(** Further names: the CLI's short spellings ([ms], [mostly], [ff],
+    [scudo-ms], ...) and the figures' ablation variants ([ms-unopt],
+    [ms-partial-q], ...), which {!scheme_name} prints as
+    ["minesweeper-variant"]. *)
+
+val scheme_names : string list
+(** Every accepted scheme name: {!schemes}' names, then the aliases. *)
+
+val scheme_of_name : string -> (scheme, string) result
+(** The scheme a name selects; the error lists {!scheme_names}. *)
+
+val suites : (string * Profile.t list) list
+(** [spec2006], [spec2017] and [mimalloc], with their profiles. *)
+
+val find_profile : suite:string -> string -> (Profile.t, string) result
+(** A suite's benchmark by name; the error lists the valid suites or
+    the suite's benchmarks. *)
+
 val default_pool_sites : int
 (** Site universe assumed by a plan-free [Pooled None] stack; matches
     the [Profile.make] default. *)

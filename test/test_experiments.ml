@@ -3,6 +3,9 @@
 
 let tiny_env () = Experiments.make_env ~scale:0.02 ()
 
+let render key env =
+  (List.assoc key Experiments.all_figures env).Experiments.text
+
 let test_scheme_keys_resolve () =
   let env = tiny_env () in
   List.iter
@@ -12,7 +15,7 @@ let test_scheme_keys_resolve () =
         (scheme ^ " produced a run")
         true
         (r.Workloads.Driver.wall > 0))
-    Experiments.scheme_keys
+    Workloads.Harness.scheme_names
 
 let test_memoisation () =
   let env = tiny_env () in
@@ -37,14 +40,13 @@ let test_data_figures_render () =
   let env = tiny_env () in
   List.iter
     (fun key ->
-      let f = List.assoc key Experiments.all_figures in
-      let s = f env in
+      let s = render key env in
       Alcotest.(check bool) (key ^ " non-empty") true (String.length s > 100))
     data_free_figures
 
 let test_fig1_has_all_years () =
   let env = tiny_env () in
-  let s = Experiments.fig1 env in
+  let s = render "fig1" env in
   List.iter
     (fun year ->
       Alcotest.(check bool) (year ^ " present") true
@@ -53,7 +55,7 @@ let test_fig1_has_all_years () =
 
 let test_fig2_shows_prevention () =
   let env = tiny_env () in
-  let s = Experiments.fig2 env in
+  let s = render "fig2" env in
   Alcotest.(check bool) "baseline exploited" true
     (Astring_contains.contains s "EXPLOITED");
   Alcotest.(check bool) "minesweeper benign" true
@@ -71,22 +73,42 @@ let test_figure_list_complete () =
     ]
     (List.map fst Experiments.all_figures)
 
-(* A single scaled-down sweep through the simulation-backed figures.
-   Marked `Slow so `dune runtest` exercises it while quick cycles can
-   filter it out. *)
+(* A single scaled-down sweep through the simulation-backed figures,
+   which must also pass every check they certify. Marked `Slow so
+   `dune runtest` exercises it while quick cycles can filter it out. *)
 let test_simulation_figures_render () =
   let env = tiny_env () in
   List.iter
     (fun (key, f) ->
       if not (List.mem key data_free_figures) then begin
-        let s = f env in
+        let { Experiments.text = s; failed } = f env in
         Alcotest.(check bool) (key ^ " non-empty") true (String.length s > 200);
         Alcotest.(check bool)
           (key ^ " is a rendered section")
           true
-          (Astring_contains.contains s "==== ")
+          (Astring_contains.contains s "==== ");
+        Alcotest.(check (list string)) (key ^ " failed checks") [] failed
       end)
     Experiments.all_figures
+
+(* A failed check reaches [failed] and the figure's verdict line; with
+   none, the figure ends on its [ok] line. *)
+let test_failed_check_reported () =
+  let fails =
+    Experiments.checked "t" ~ok:"all held\n" [ "a/b: broke"; "c/d: broke" ]
+      "body\n"
+  in
+  Alcotest.(check (list string)) "failed"
+    [ "a/b: broke"; "c/d: broke" ]
+    fails.Experiments.failed;
+  Alcotest.(check bool) "verdict names the checks" true
+    (Astring_contains.contains fails.Experiments.text "a/b: broke; c/d: broke");
+  Alcotest.(check bool) "no ok line" false
+    (Astring_contains.contains fails.Experiments.text "all held");
+  let passes = Experiments.checked "t" ~ok:"all held\n" [] "body\n" in
+  Alcotest.(check (list string)) "none failed" [] passes.Experiments.failed;
+  Alcotest.(check string) "ok line" "==== t ====\n\nbody\nall held\n\n"
+    passes.Experiments.text
 
 let suite =
   ( "experiments",
@@ -99,6 +121,8 @@ let suite =
       Alcotest.test_case "fig1 years" `Quick test_fig1_has_all_years;
       Alcotest.test_case "fig2 prevention" `Quick test_fig2_shows_prevention;
       Alcotest.test_case "figure list complete" `Quick test_figure_list_complete;
+      Alcotest.test_case "failed check reported" `Quick
+        test_failed_check_reported;
       Alcotest.test_case "all figures render (scaled)" `Slow
         test_simulation_figures_render;
     ] )

@@ -139,6 +139,23 @@ let test_scheme_names () =
     (Workloads.Harness.scheme_name
        (Workloads.Harness.Dl_sweeper Minesweeper.Config.mostly_concurrent))
 
+(* One name table serves the CLI and the figures: every name
+   [scheme_name] prints for a tabled scheme selects that scheme again,
+   and every alias resolves. *)
+let test_scheme_names_round_trip () =
+  let open Workloads.Harness in
+  List.iter
+    (fun s ->
+      Alcotest.(check bool) (scheme_name s) true
+        (scheme_of_name (scheme_name s) = Ok s))
+    schemes;
+  List.iter
+    (fun (name, s) ->
+      Alcotest.(check bool) name true (scheme_of_name name = Ok s))
+    scheme_aliases;
+  Alcotest.(check bool) "unknown name rejected" true
+    (Result.is_error (scheme_of_name "bogus"))
+
 (* The three MineSweeper stacks are one builder over three backends:
    same registry layout, same allocator accounting, same cold-reuse
    rule, same end-of-run metrics. *)
@@ -227,6 +244,8 @@ let suite =
       Alcotest.test_case "rss limit kills" `Quick test_rss_limit_kills;
       Alcotest.test_case "overhead helpers" `Quick test_overhead_helpers;
       Alcotest.test_case "scheme names" `Quick test_scheme_names;
+      Alcotest.test_case "scheme names round-trip" `Quick
+        test_scheme_names_round_trip;
       Alcotest.test_case "protected stacks agree" `Quick
         test_protected_stacks_agree;
       Alcotest.test_case "live heaps reasonable" `Quick
