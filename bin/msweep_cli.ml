@@ -799,7 +799,11 @@ let trace_replay_cmd =
   let f input scheme =
     let trace = Workloads.Trace.of_file input in
     let machine = fresh_machine () in
-    let stack = Workloads.Harness.build scheme ~threads:1 machine in
+    let stack =
+      Workloads.Harness.build scheme
+        ~threads:(max 1 trace.Workloads.Trace.threads)
+        machine
+    in
     let executed = Workloads.Trace.replay trace stack in
     Fmt.pr "replayed %d ops of %s under %s@." executed
       trace.Workloads.Trace.name stack.Workloads.Harness.scheme;

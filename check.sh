@@ -9,6 +9,7 @@ set -eu
 cd "$(dirname "$0")"
 
 CLI=_build/default/bin/msweep_cli.exe
+top=$(pwd)
 TMPDIR="${TMPDIR:-/tmp}"
 workdir=$(mktemp -d "$TMPDIR/msweep-check.XXXXXX")
 trap 'rm -rf "$workdir"' EXIT INT TERM
@@ -115,6 +116,18 @@ for trace in espresso perl; do
 done
 echo "recorded event streams race-free and lockset-clean under default and mostly"
 
+# The sweep oracle and the race recorder replay through the one trace
+# interpreter: pin their whole report, not just the verdict lines. Run
+# inside $workdir so the trace names in the report carry no path.
+for trace in espresso perl; do
+  (cd "$workdir" && "$top/$CLI" check -i "$trace.trace" --oracle --races \
+    --latency 100000 >"referees-$trace.txt") \
+    || { echo "FAIL: check --oracle --races exited nonzero on $trace" >&2; exit 1; }
+done
+require_cksum referees-espresso.txt "3280338235 428"
+require_cksum referees-perl.txt "2273817921 4939"
+echo "oracle and race-recorder reports match their pinned bytes"
+
 # Bounded schedule exploration: no quarantined chunk may be released
 # while a ground-truth pointer to it exists, no schedule may race, and
 # two identical explorations must render byte-identically.
@@ -216,6 +229,7 @@ echo "== bench smoke: static bounds vs dynamic telemetry"
 # dynamic oracle finding must have been statically predicted.
 figure_gate static-bounds \
   "a measured ms.* value exceeded its static bound or an oracle finding was unpredicted"
+require_cksum static-bounds.txt "4072751655 2605"
 echo "static bounds dominate measured ms.* telemetry on every mimalloc profile"
 
 echo "== bench smoke: pooled backend landscape (siteflow certification)"
@@ -225,6 +239,7 @@ echo "== bench smoke: pooled backend landscape (siteflow certification)"
 # dominate the backend's pool telemetry.
 figure_gate pooled-landscape \
   "an unsound recycle survived the siteflow plan or a bound under-shot telemetry"
+require_cksum pooled-landscape.txt "1675219626 3099"
 echo "pooled backend certified UAF-free with dominating bounds on every mimalloc profile"
 
 echo "== bench smoke: incremental sweeps fewer bytes than full"

@@ -2,37 +2,7 @@ type concurrency =
   | Sequential
   | Concurrent of { helpers : int; stop_the_world : bool }
 
-(* The sweep knobs live in their own record so a pipeline plan can be
-   derived from exactly one place (see [Pipeline.plan_of_config]).
-   [Sweep0] is the structural definition; the public [Sweep] module at
-   the bottom of this file re-exports it together with preset routing
-   (which needs the preset table defined below). *)
-module Sweep0 = struct
-  type mode =
-    | Full_scan
-    | Incremental
-
-  type t = {
-    mode : mode;
-    domains : int;
-    flush_batch : int;
-  }
-
-  let default = { mode = Full_scan; domains = 1; flush_batch = 64 }
-
-  let make ?(mode = default.mode) ?(domains = default.domains)
-      ?(flush_batch = default.flush_batch) () =
-    { mode; domains = max 1 domains; flush_batch = max 1 flush_batch }
-
-  let pp ppf t =
-    let mode =
-      match t.mode with Full_scan -> "full" | Incremental -> "incremental"
-    in
-    Format.fprintf ppf "{mode=%s domains=%d flush_batch=%d}" mode t.domains
-      t.flush_batch
-end
-
-type sweep_mode = Sweep0.mode =
+type sweep_mode =
   | Full_scan
   | Incremental
 
@@ -44,13 +14,13 @@ type t = {
   keep_failed : bool;
   purging : bool;
   concurrency : concurrency;
-  sweep : Sweep0.t;
+  sweep_mode : sweep_mode;
+  domains : int;
   threshold : float;
   threshold_min_bytes : int;
   unmap_factor : float;
   pause_factor : float;
   shadow_granule : int;
-  debug_double_free : bool;
 }
 
 let default = {
@@ -61,29 +31,17 @@ let default = {
   keep_failed = true;
   purging = true;
   concurrency = Concurrent { helpers = 6; stop_the_world = false };
-  sweep = Sweep0.default;
+  sweep_mode = Full_scan;
+  domains = 1;
   threshold = 0.15;
   threshold_min_bytes = 128 * 1024;
   unmap_factor = 9.0;
   pause_factor = 1.0;
   shadow_granule = 16;
-  debug_double_free = false;
 }
 
-(* Accessors for the nested sweep knobs, so call sites read as before
-   the [Sweep.t] collapse. *)
-let sweep_mode t = t.sweep.Sweep0.mode
-let domains t = t.sweep.Sweep0.domains
-let flush_batch t = t.sweep.Sweep0.flush_batch
-
-let with_sweep_mode mode t =
-  { t with sweep = { t.sweep with Sweep0.mode } }
-
-let with_domains n t =
-  { t with sweep = { t.sweep with Sweep0.domains = max 1 n } }
-
-let with_flush_batch n t =
-  { t with sweep = { t.sweep with Sweep0.flush_batch = max 1 n } }
+let with_sweep_mode sweep_mode t = { t with sweep_mode }
+let with_domains n t = { t with domains = max 1 n }
 
 let mostly_concurrent =
   { default with concurrency = Concurrent { helpers = 6; stop_the_world = true } }
@@ -154,21 +112,18 @@ let partial_versions =
   ]
 
 (* Labelled constructor: every field defaults to the shipping
-   configuration, so call sites name only what they change. The sweep
-   knobs keep their historical labels and feed the nested record. *)
+   configuration, so call sites name only what they change. *)
 let make ?(quarantining = default.quarantining) ?(zeroing = default.zeroing)
     ?(unmapping = default.unmapping) ?(sweeping = default.sweeping)
     ?(keep_failed = default.keep_failed) ?(purging = default.purging)
     ?(concurrency = default.concurrency)
-    ?(sweep_mode = Sweep0.default.Sweep0.mode)
-    ?(domains = Sweep0.default.Sweep0.domains)
-    ?(flush_batch = Sweep0.default.Sweep0.flush_batch)
+    ?(sweep_mode = default.sweep_mode)
+    ?(domains = default.domains)
     ?(threshold = default.threshold)
     ?(threshold_min_bytes = default.threshold_min_bytes)
     ?(unmap_factor = default.unmap_factor)
     ?(pause_factor = default.pause_factor)
-    ?(shadow_granule = default.shadow_granule)
-    ?(debug_double_free = default.debug_double_free) () =
+    ?(shadow_granule = default.shadow_granule) () =
   {
     quarantining;
     zeroing;
@@ -177,13 +132,13 @@ let make ?(quarantining = default.quarantining) ?(zeroing = default.zeroing)
     keep_failed;
     purging;
     concurrency;
-    sweep = Sweep0.make ~mode:sweep_mode ~domains ~flush_batch ();
+    sweep_mode;
+    domains = max 1 domains;
     threshold;
     threshold_min_bytes;
     unmap_factor;
     pause_factor;
     shadow_granule;
-    debug_double_free;
   }
 
 (* The canonical preset table: the single place a preset string is tied
@@ -232,23 +187,13 @@ let pp ppf t =
         (if stop_the_world then ", stw" else "")
   in
   let mode =
-    match sweep_mode t with Full_scan -> "full" | Incremental -> "incremental"
+    match t.sweep_mode with Full_scan -> "full" | Incremental -> "incremental"
   in
   let domains_s =
-    if domains t > 1 then Printf.sprintf " domains=%d" (domains t) else ""
+    if t.domains > 1 then Printf.sprintf " domains=%d" t.domains else ""
   in
   Format.fprintf ppf
     "{quarantine=%b zero=%b unmap=%b sweep=%b(%s) keep_failed=%b purge=%b %s%s \
      threshold=%.2f}"
     t.quarantining t.zeroing t.unmapping t.sweeping mode t.keep_failed
     t.purging concurrency domains_s t.threshold
-
-(* Public sweep-knob module: the structural record plus preset routing.
-   [Sweep.of_preset] resolves the same preset table as {!of_preset} and
-   projects the sweep knobs, so a pipeline plan is constructed from
-   exactly one place. *)
-module Sweep = struct
-  include Sweep0
-
-  let of_preset name = Result.map (fun c -> c.sweep) (of_preset name)
-end

@@ -207,7 +207,7 @@ let create ?(config = Config.default) ?(threads = 1) ?obs machine =
   let registry = match obs with Some r -> r | None -> R.create () in
   let ring = Ring.create ~capacity:ring_capacity () in
   let par =
-    if Config.domains config > 1 then begin
+    if config.Config.domains > 1 then begin
       let p =
         {
           par_domains = R.gauge registry "par.domains";
@@ -217,7 +217,7 @@ let create ?(config = Config.default) ?(threads = 1) ?obs machine =
           par_mark_cycles_seq_est = R.counter registry "par.mark_cycles_seq_est";
         }
       in
-      R.Gauge.set p.par_domains (Config.domains config);
+      R.Gauge.set p.par_domains config.Config.domains;
       Some p
     end
     else None
@@ -382,7 +382,7 @@ let run_full_scan t =
   let mark_report, (per_chunk, stats) =
     in_stage t Pipeline.Mark (fun () ->
         let per_chunk, stats =
-          Parsweep.map_chunks ~domains:(Config.domains t.config) ~scan chunks
+          Parsweep.map_chunks ~domains:t.config.Config.domains ~scan chunks
         in
         let bytes = stats.Parsweep.total_bytes in
         ( Array.length pages,
@@ -459,7 +459,7 @@ let run_incremental t =
   let mark_report, (per_chunk, stats) =
     in_stage t Pipeline.Mark (fun () ->
         let per_chunk, stats =
-          Parsweep.map_chunks ~domains:(Config.domains t.config) ~scan chunks
+          Parsweep.map_chunks ~domains:t.config.Config.domains ~scan chunks
         in
         let bytes = stats.Parsweep.total_bytes in
         ( Array.length rescan_pages,
@@ -620,6 +620,12 @@ let sweep_sink t =
   | Config.Sequential -> Alloc.Machine.App
   | Config.Concurrent _ -> Alloc.Machine.Background
 
+(* Quarantine entries locked in per batched flush during sweep setup
+   (each batch takes the quarantine lock once); also the batch
+   granularity of the stage-overlap model. *)
+let flush_batch = 64
+let batches entries = max 1 ((entries + flush_batch - 1) / flush_batch)
+
 (* A lifecycle event: one zero-length span in the shared ring. *)
 let log_event t phase label attrs =
   Ring.emit t.ring ~phase ~label ~t_start:(now t) ~t_end:(now t) ~attrs ()
@@ -641,8 +647,7 @@ let publish_outcome t (o : Pipeline.outcome) =
     o.Pipeline.reports;
   count so.st_seq_cycles o.Pipeline.sequential_cycles;
   count so.st_pipe_cycles o.Pipeline.pipelined_cycles;
-  count so.st_batches
-    (Pipeline.batches o.Pipeline.plan ~entries:o.Pipeline.entries);
+  count so.st_batches (batches o.Pipeline.entries);
   count so.st_flush_batches o.Pipeline.flush_batches;
   t.last_outcome <- Some o
 
@@ -729,7 +734,7 @@ let finish_sweep t state =
   let reports = state.head_reports @ (release_report :: purge_reports) in
   let sequential_cycles, pipelined_cycles =
     Pipeline.modeled_cycles plan
-      ~batches:(Pipeline.batches plan ~entries:entries_n)
+      ~batches:(batches entries_n)
       ~mark_pipelined:state.mark_pipelined reports
   in
   publish_outcome t
@@ -758,9 +763,7 @@ let start_sweep_plan t (plan : Pipeline.plan) =
   (* Batched quarantine flush: drain every thread buffer into the global
      list taking the lock once per [flush_batch] entries, so the lock-in
      below sees the complete set at amortised per-entry cost. *)
-  let flush_batches =
-    Quarantine.flush_batch t.quarantine ~batch:plan.Pipeline.flush_batch
-  in
+  let flush_batches = Quarantine.flush_batch t.quarantine ~batch:flush_batch in
   let entries = Quarantine.lock_in t.quarantine in
   emit_sync t
     (Sweep_locked { sweep = sweep_number t; entries = List.length entries });
@@ -1047,8 +1050,6 @@ let free_result t ?(thread = 0) addr =
     count t.stats.Stats.Live.frees_intercepted 1;
     count t.stats.Stats.Live.double_frees 1;
     log_event t Ring.Quarantine "double-free" [ ("addr", addr) ];
-    if t.config.Config.debug_double_free then
-      Logs.warn (fun m -> m "MineSweeper: double free of %#x" addr);
     Error (Double_free addr)
   end
   else if not (B.is_live t.je addr) then Error (Unknown_pointer addr)

@@ -114,7 +114,7 @@ module type S = sig
   module Sweep : sig
     val plan : t -> Pipeline.plan
     (** The pipeline plan the instance's configuration derives
-        ({!Pipeline.plan_of_config}): mode × domains × batching plus the
+        ({!Pipeline.plan_of_config}): mode × domains × helpers plus the
         stage list implied by the feature toggles. *)
 
     val run : t -> Pipeline.plan -> Pipeline.outcome

@@ -10,24 +10,18 @@ let stage_name = function
   | Release -> "release"
   | Purge -> "purge"
 
-let all_stages = [ Mark; Merge; Release; Purge ]
-
-let stage_index = function Mark -> 0 | Merge -> 1 | Release -> 2 | Purge -> 3
-
 type plan = {
   mode : Config.sweep_mode;
   domains : int;
-  flush_batch : int;
   helpers : int;
   stop_the_world : bool;
   stages : stage list;
 }
 
 (* The single place a plan is constructed from configuration: the
-   collapsed sweep knobs ([Config.Sweep.t]) pick mode, domain count and
-   flush batching; the feature toggles pick which stages exist at all
-   (a non-sweeping partial version has no Mark/Merge, a non-purging one
-   no Purge). *)
+   sweep knobs pick mode and domain count; the feature toggles pick
+   which stages exist at all (a non-sweeping partial version has no
+   Mark/Merge, a non-purging one no Purge). *)
 let plan_of_config (config : Config.t) =
   let helpers, stop_the_world =
     match config.Config.concurrency with
@@ -40,19 +34,14 @@ let plan_of_config (config : Config.t) =
     @ (if config.Config.purging then [ Purge ] else [])
   in
   {
-    mode = Config.sweep_mode config;
-    domains = Config.domains config;
-    flush_batch = Config.flush_batch config;
+    mode = config.Config.sweep_mode;
+    domains = config.Config.domains;
     helpers;
     stop_the_world;
     stages;
   }
 
 let mark_only plan = { plan with stages = [ Mark; Merge ] }
-
-let batches plan ~entries =
-  if plan.flush_batch <= 0 then 1
-  else max 1 ((entries + plan.flush_batch - 1) / plan.flush_batch)
 
 type stage_report = {
   stage : stage;
@@ -92,19 +81,3 @@ let modeled_cycles plan ~batches ~mark_pipelined reports =
     Parsweep.pipeline_cycles ~domains:plan.domains ~batches stage_cycles
   in
   (sequential, min sequential pipelined)
-
-let speedup outcome =
-  if outcome.pipelined_cycles <= 0 then 1.0
-  else float_of_int outcome.sequential_cycles
-       /. float_of_int outcome.pipelined_cycles
-
-let pp_plan ppf plan =
-  let mode =
-    match plan.mode with
-    | Config.Full_scan -> "full"
-    | Config.Incremental -> "incremental"
-  in
-  Format.fprintf ppf "{mode=%s domains=%d flush_batch=%d helpers=%d%s stages=%s}"
-    mode plan.domains plan.flush_batch plan.helpers
-    (if plan.stop_the_world then " stw" else "")
-    (String.concat "," (List.map stage_name plan.stages))

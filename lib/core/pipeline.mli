@@ -25,19 +25,9 @@ val stage_name : stage -> string
 (** ["mark"], ["merge"], ["release"], ["purge"] — the spelling used by
     [sweep.stage.*] metric names, span labels and racecheck events. *)
 
-val all_stages : stage list
-(** The canonical stage order: [Mark; Merge; Release; Purge]. *)
-
-val stage_index : stage -> int
-(** Position in {!all_stages}; the order racecheck's [rc-stage-order]
-    rule enforces at stage boundaries. *)
-
 type plan = {
   mode : Config.sweep_mode;  (** marking mode of the Mark stage *)
   domains : int;  (** modeled marker domains available to the pipeline *)
-  flush_batch : int;
-      (** quarantine flush batch size; also the batch granularity of
-          the overlap model *)
   helpers : int;  (** helper threads of the concurrent sweeper (0 = app thread) *)
   stop_the_world : bool;  (** mostly-concurrent dirty-page re-scan *)
   stages : stage list;
@@ -48,17 +38,12 @@ type plan = {
 
 val plan_of_config : Config.t -> plan
 (** Derive the pipeline plan from a configuration — the only
-    construction path, so preset → plan routing has a single source of
-    truth ([Config.Sweep.of_preset] picks the sweep knobs, the feature
-    toggles pick the stage list). *)
+    construction path: [sweep_mode] and [domains] pick the marking, the
+    feature toggles pick the stage list. *)
 
 val mark_only : plan -> plan
 (** The plan restricted to [Mark; Merge]: marking into the live shadow
     map without lock-in, release or purge. *)
-
-val batches : plan -> entries:int -> int
-(** Number of flush batches a sweep over [entries] locked-in entries
-    uses: [ceil (entries / flush_batch)], at least 1. *)
 
 type stage_report = {
   stage : stage;
@@ -94,8 +79,3 @@ val modeled_cycles :
     stage and applies {!Parsweep.pipeline_cycles} over [batches].
     Clamped so pipelined never exceeds sequential. Pure projection —
     never charged to the simulated clock. *)
-
-val speedup : outcome -> float
-(** [sequential_cycles /. pipelined_cycles] (1.0 when degenerate). *)
-
-val pp_plan : Format.formatter -> plan -> unit

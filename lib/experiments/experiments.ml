@@ -65,13 +65,13 @@ let checked title ~ok failed body =
 
 (* A stack on a fresh machine whose root regions (globals, stacks) are
    mapped, as a program's would be. *)
-let fresh_stack scheme =
+let fresh_stack ?(threads = 1) scheme =
   let machine = Alloc.Machine.create () in
   List.iter
     (fun (base, size) ->
       Vmem.map machine.Alloc.Machine.mem ~addr:base ~len:size)
     Layout.root_regions;
-  Workloads.Harness.build scheme ~threads:1 machine
+  Workloads.Harness.build scheme ~threads machine
 
 (* ------------------------------------------------------------------ *)
 
@@ -853,7 +853,8 @@ let static_bounds env =
          stack; the harness telemetry registry carries the measured
          quarantine occupancy and sweep totals. *)
       let stack =
-        fresh_stack (Workloads.Harness.Mine_sweeper Minesweeper.Config.default)
+        fresh_stack ~threads:(max 1 trace.Workloads.Trace.threads)
+          (Workloads.Harness.Mine_sweeper Minesweeper.Config.default)
       in
       ignore (Workloads.Trace.replay trace stack);
       let reg =

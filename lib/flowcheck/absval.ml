@@ -8,10 +8,12 @@ let slot_to_string = function
   | Root_slot w -> Printf.sprintf "root[%d]" w
   | Field_slot (id, w) -> Printf.sprintf "obj%d[%d]" id w
 
-let normalize_root w = Root_slot (w mod Workloads.Trace.root_window_words)
+let normalize_root w = Root_slot (Workloads.Trace.root_word w)
 
 let normalize_field ~id ~size w =
-  if size < 8 then None else Some (Field_slot (id, w mod (size / 8)))
+  match Workloads.Trace.field_word ~size w with
+  | Some w -> Some (Field_slot (id, w))
+  | None -> None
 
 type target =
   | Ptr of int
@@ -28,6 +30,6 @@ let target_to_string = function
   | Wild -> "wild"
 
 let classify_data value =
-  if value < 0 then `Alias (-value - 1)
-  else if value >= Layout.heap_base then `Wild
-  else `Harmless
+  match Workloads.Trace.aliased_id value with
+  | Some id -> `Alias id
+  | None -> if value >= Layout.heap_base then `Wild else `Harmless

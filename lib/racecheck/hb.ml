@@ -21,8 +21,8 @@ let rules =
        completed, or exited without a matching enter" );
   ]
 
-(* Canonical pipeline stage order (Pipeline.stage_index, kept local so
-   the checker does not depend on the core library's types). *)
+(* Canonical pipeline stage order, kept local so the checker does not
+   depend on the core library's types. *)
 let stage_order = function
   | "mark" -> 0
   | "merge" -> 1

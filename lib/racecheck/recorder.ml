@@ -120,70 +120,30 @@ let run ?(config = Minesweeper.Config.default) ?(config_name = "?")
     (trace : Trace.t) =
   let threads = max 1 trace.Trace.threads in
   let machine = Alloc.Machine.create () in
-  let mem = machine.Alloc.Machine.mem in
   List.iter
-    (fun (base, size) -> Vmem.map mem ~addr:base ~len:size)
+    (fun (base, size) ->
+      Vmem.map machine.Alloc.Machine.mem ~addr:base ~len:size)
     Layout.root_regions;
   let ms = Instance.create ~config ~threads machine in
-  let je = Instance.jemalloc ms in
   let s = attach ms ~threads in
-  let addr_of = Hashtbl.create 4096 in
-  let resolve_loc = function
-    | Trace.Root w ->
-      Some (Layout.stack_base + (8 * (w mod Trace.root_window_words)))
-    | Trace.Field (id, w) -> (
-      match Hashtbl.find_opt addr_of id with
-      | Some (addr, size) when size >= 8 -> Some (addr + (8 * (w mod (size / 8))))
-      | Some _ | None -> None)
-  in
-  let writable slot =
-    Vmem.is_mapped mem slot
-    && Vmem.is_committed mem slot
-    && Vmem.protection mem slot = Vmem.Read_write
-  in
-  Array.iter
-    (fun op ->
-      match op with
-      | Trace.Alloc { id; size; site = _ } ->
-        s.current <- 0;
-        let addr = Instance.malloc ms size in
-        Hashtbl.replace addr_of id (addr, size);
-        Instance.tick ms
-      | Trace.Free { id; thread } -> (
-        match Hashtbl.find_opt addr_of id with
-        | Some (addr, _) ->
-          Hashtbl.remove addr_of id;
-          s.current <- (if thread >= 0 && thread < threads then thread else 0);
+  Trace.run trace machine
+    {
+      Trace.alloc =
+        (fun ~id:_ ~site:_ size ->
+          let addr = Instance.malloc ms size in
+          Instance.tick ms;
+          addr);
+      free =
+        (fun ~id:_ ~thread addr ->
+          set_thread s thread;
           Instance.free ms ~thread addr;
-          s.current <- 0
-        | None -> ())
-      | Trace.Store_ptr { loc; target } -> (
-        match (resolve_loc loc, Hashtbl.find_opt addr_of target) with
-        | Some slot, Some (taddr, _) when writable slot ->
-          Vmem.store mem slot taddr
-        | _ -> ())
-      | Trace.Clear_ptr { loc; target } -> (
-        match (resolve_loc loc, Hashtbl.find_opt addr_of target) with
-        | Some slot, Some (taddr, _) when writable slot ->
-          if Vmem.load mem slot = taddr then Vmem.store mem slot 0
-        | _ -> ())
-      | Trace.Store_data { loc; value } -> (
-        match resolve_loc loc with
-        | Some slot when writable slot ->
-          let concrete =
-            if value >= 0 then value
-            else
-              match Hashtbl.find_opt addr_of (-value - 1) with
-              | Some (addr, _) -> addr
-              | None -> 0
-          in
-          Vmem.store mem slot concrete
-        | _ -> ())
-      | Trace.Work cycles -> Alloc.Machine.charge machine cycles)
-    trace.Trace.ops;
+          set_thread s 0);
+      pointer_store = (fun ~slot:_ ~old_value:_ ~value:_ -> ());
+      data_store = (fun ~slot:_ -> ());
+      after_op = ignore;
+    };
   Instance.drain ms;
   detach s;
-  ignore je;
   let evs = events s in
   let diags = Hb.analyze ~threads evs in
   (* Export through the instance's own observability: rc.* counters next

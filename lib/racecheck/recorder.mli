@@ -10,12 +10,14 @@
     one {!Event.t} stream for {!Hb.analyze}. The {!Explorer} drives its
     schedules through the same session type.
 
-    {!run} replays a {!Workloads.Trace.t} against a fresh instance under
-    observation, analyses the stream, publishes [rc.*] counters into the
-    instance registry and one [race] span per finding into its trace
-    ring, and returns the findings. A well-behaved trace must come back
-    clean under every preset: the generator never republishes a freed
-    address, so no window write can hide a locked-in pointer. *)
+    {!run} replays a {!Workloads.Trace.t} through
+    {!Workloads.Trace.run} against a fresh instance (one quarantine
+    buffer per declared thread) under observation, analyses the stream,
+    publishes [rc.*] counters into the instance registry and one [race]
+    span per finding into its trace ring, and returns the findings. A
+    well-behaved trace must come back clean under every preset: the
+    generator never republishes a freed address, so no window write can
+    hide a locked-in pointer. *)
 
 type session
 

@@ -270,7 +270,7 @@ let check_shadow ms je shadow out =
 
 let check_summary ms out =
   let config = Instance.config ms in
-  match Minesweeper.Config.sweep_mode config with
+  match config.Minesweeper.Config.sweep_mode with
   | Minesweeper.Config.Full_scan -> ()
   | Minesweeper.Config.Incremental ->
     (* The whole point of the summary cache is that replaying it is

@@ -3,7 +3,8 @@
    The pooled allocator has no quarantine and no sweeps: its safety
    argument is entirely static ("this pool may recycle because no site
    in it is ever dangling-exposed"). This oracle replays a trace
-   against the backend while maintaining the same instrumented-pointer
+   against the backend, as a target of the one trace interpreter
+   ([Trace.run]), while maintaining the same instrumented-pointer
    ground truth the sweep oracle uses, and flags every *unsound
    recycle*: a malloc that returns a previously-freed base while the
    registry still records live pointers into it. A plan derived from
@@ -39,16 +40,15 @@ let run ?plan (trace : Trace.t) =
     | None -> Poolalloc.identity_plan ~sites:trace.Trace.sites
   in
   let machine = Alloc.Machine.create () in
-  let mem = machine.Alloc.Machine.mem in
   List.iter
-    (fun (base, size) -> Vmem.map mem ~addr:base ~len:size)
+    (fun (base, size) ->
+      Vmem.map machine.Alloc.Machine.mem ~addr:base ~len:size)
     Layout.root_regions;
   let pa = Poolalloc.create ~plan machine in
   let registry =
     Registry.create_with ~resolve:(fun value ->
         Poolalloc.allocation_containing pa value)
   in
-  let addr_of = Hashtbl.create 4096 in
   (* base -> id of the last occupant freed there *)
   let freed_bases : (int, int) Hashtbl.t = Hashtbl.create 4096 in
   let soundness = ref [] in
@@ -56,91 +56,52 @@ let run ?plan (trace : Trace.t) =
   let allocs = ref 0 in
   let frees = ref 0 in
   let recycled = ref 0 in
-  let resolve_loc = function
-    | Trace.Root w ->
-      Some (Layout.stack_base + (8 * (w mod Trace.root_window_words)))
-    | Trace.Field (id, w) -> (
-      match Hashtbl.find_opt addr_of id with
-      | Some (addr, size) when size >= 8 ->
-        Some (addr + (8 * (w mod (size / 8))))
-      | Some _ | None -> None)
-  in
-  let writable slot =
-    Vmem.is_mapped mem slot
-    && Vmem.is_committed mem slot
-    && Vmem.protection mem slot = Vmem.Read_write
-  in
-  let pointer_write slot value =
-    Vmem.store mem slot value;
-    Registry.record_write registry ~slot ~value
-  in
-  Array.iteri
-    (fun op_index op ->
-      match op with
-      | Trace.Alloc { id; size; site } ->
-        let addr = Poolalloc.malloc_site pa ~site size in
-        incr allocs;
-        (match Hashtbl.find_opt freed_bases addr with
-        | Some prev_id ->
-          incr recycled;
-          Hashtbl.remove freed_bases addr;
-          let n = Registry.in_pointer_count registry ~base:addr in
-          if n > 0 then begin
-            unsound_ids := prev_id :: !unsound_ids;
-            soundness :=
-              Diagnostic.make ~rule:"oracle-unsound"
-                ~severity:Diagnostic.Error ~op_index
-                (Printf.sprintf
-                   "pool %s recycled id %d's slot (addr %#x) for id %d \
-                    while %d live pointer(s) to the old object exist"
-                   (match Poolalloc.pool_of_addr pa addr with
-                   | Some p -> string_of_int p
-                   | None -> "?")
-                   prev_id addr id n)
-              :: !soundness
-          end
-        | None -> ());
-        (* Malloc zeroes the slot: any surviving records inside it
-           belong to the dead incarnation. *)
-        Registry.drop_slots_in registry ~base:addr
-          ~usable:(Poolalloc.usable_size pa addr)
-          (fun ~slot:_ ~target:_ -> ());
-        Hashtbl.replace addr_of id (addr, size)
-      | Trace.Free { id; thread = _ } -> (
-        match Hashtbl.find_opt addr_of id with
-        | Some (addr, _) ->
-          Hashtbl.remove addr_of id;
+  let op_index = ref 0 in (* the op being replayed; [after_op] advances it *)
+  Trace.run trace machine
+    {
+      Trace.alloc =
+        (fun ~id ~site size ->
+          let addr = Poolalloc.malloc_site pa ~site size in
+          incr allocs;
+          (match Hashtbl.find_opt freed_bases addr with
+          | Some prev_id ->
+            incr recycled;
+            Hashtbl.remove freed_bases addr;
+            let n = Registry.in_pointer_count registry ~base:addr in
+            if n > 0 then begin
+              unsound_ids := prev_id :: !unsound_ids;
+              soundness :=
+                Diagnostic.make ~rule:"oracle-unsound"
+                  ~severity:Diagnostic.Error ~op_index:!op_index
+                  (Printf.sprintf
+                     "pool %s recycled id %d's slot (addr %#x) for id %d \
+                      while %d live pointer(s) to the old object exist"
+                     (match Poolalloc.pool_of_addr pa addr with
+                     | Some p -> string_of_int p
+                     | None -> "?")
+                     prev_id addr id n)
+                :: !soundness
+            end
+          | None -> ());
+          (* Malloc zeroes the slot: any surviving records inside it
+             belong to the dead incarnation. *)
+          Registry.drop_slots_in registry ~base:addr
+            ~usable:(Poolalloc.usable_size pa addr)
+            (fun ~slot:_ ~target:_ -> ());
+          addr);
+      free =
+        (fun ~id ~thread:_ addr ->
           incr frees;
           (* No zeroing on free: registry records inside the object
              persist until the memory is re-served. *)
           Poolalloc.free pa addr;
-          Hashtbl.replace freed_bases addr id
-        | None -> ())
-      | Trace.Store_ptr { loc; target } -> (
-        match (resolve_loc loc, Hashtbl.find_opt addr_of target) with
-        | Some slot, Some (taddr, _) when writable slot ->
-          pointer_write slot taddr
-        | _ -> ())
-      | Trace.Clear_ptr { loc; target } -> (
-        match (resolve_loc loc, Hashtbl.find_opt addr_of target) with
-        | Some slot, Some (taddr, _) when writable slot ->
-          if Vmem.load mem slot = taddr then pointer_write slot 0
-        | _ -> ())
-      | Trace.Store_data { loc; value } -> (
-        match resolve_loc loc with
-        | Some slot when writable slot ->
-          let concrete =
-            if value >= 0 then value
-            else
-              match Hashtbl.find_opt addr_of (-value - 1) with
-              | Some (addr, _) -> addr
-              | None -> 0
-          in
-          Vmem.store mem slot concrete;
-          Registry.forget_slot registry ~slot
-        | _ -> ())
-      | Trace.Work cycles -> Alloc.Machine.charge machine cycles)
-    trace.Trace.ops;
+          Hashtbl.replace freed_bases addr id);
+      pointer_store =
+        (fun ~slot ~old_value:_ ~value ->
+          Registry.record_write registry ~slot ~value);
+      data_store = (fun ~slot -> Registry.forget_slot registry ~slot);
+      after_op = (fun i -> op_index := i + 1);
+    };
   {
     trace_name = trace.Trace.name;
     ops = Array.length trace.Trace.ops;

@@ -2,8 +2,9 @@
 
     The pooled allocator has no quarantine and no sweeps; its safety is
     a static claim about the pool plan. This oracle replays a trace
-    against {!Alloc.Poolalloc} under a given plan while maintaining the
-    instrumented-pointer ground truth ({!Ptrtrack.Registry}), and flags
+    through {!Workloads.Trace.run} against {!Alloc.Poolalloc} under a
+    given plan while maintaining the instrumented-pointer ground truth
+    ({!Ptrtrack.Registry}), and flags
     every {e unsound recycle}: a malloc served from a previously-freed
     base while live pointers into that base are still recorded.
 

@@ -35,11 +35,13 @@ type tracked = {
 let run ?(config = Minesweeper.Config.default) ?(latency_sweeps = 3)
     ?(audit = true) (trace : Trace.t) =
   let machine = Alloc.Machine.create () in
-  let mem = machine.Alloc.Machine.mem in
   List.iter
-    (fun (base, size) -> Vmem.map mem ~addr:base ~len:size)
+    (fun (base, size) ->
+      Vmem.map machine.Alloc.Machine.mem ~addr:base ~len:size)
     Layout.root_regions;
-  let ms = Instance.create ~config ~threads:1 machine in
+  let ms =
+    Instance.create ~config ~threads:(max 1 trace.Trace.threads) machine
+  in
   let je = Instance.jemalloc ms in
   let registry = Registry.create je in
   (* [Instance.stats] returns a point-in-time snapshot: re-read at every
@@ -48,7 +50,6 @@ let run ?(config = Minesweeper.Config.default) ?(latency_sweeps = 3)
   let audit_findings = ref [] in
   if audit then
     Invariants.attach ms (fun fs -> audit_findings := !audit_findings @ fs);
-  let addr_of = Hashtbl.create 4096 in
   (* addr -> tracked, for every allocation currently in quarantine *)
   let quarantined : (int, tracked) Hashtbl.t = Hashtbl.create 4096 in
   let soundness = ref [] in
@@ -62,24 +63,10 @@ let run ?(config = Minesweeper.Config.default) ?(latency_sweeps = 3)
     - if Instance.sweep_in_progress ms then 1 else 0
   in
   let last_completed = ref 0 in
-  let resolve_loc = function
-    | Trace.Root w ->
-      Some (Layout.stack_base + (8 * (w mod Trace.root_window_words)))
-    | Trace.Field (id, w) -> (
-      match Hashtbl.find_opt addr_of id with
-      | Some (addr, size) when size >= 8 -> Some (addr + (8 * (w mod (size / 8))))
-      | Some _ | None -> None)
-  in
-  let writable slot =
-    Vmem.is_mapped mem slot
-    && Vmem.is_committed mem slot
-    && Vmem.protection mem slot = Vmem.Read_write
-  in
-  (* Every pointer-typed write flows through here: memory and ground
-     truth stay in lock-step. *)
-  let pointer_write slot value =
-    Vmem.store mem slot value;
-    Registry.record_write registry ~slot ~value
+  let drop_slots_in addr =
+    Registry.drop_slots_in registry ~base:addr
+      ~usable:(Alloc.Jemalloc.usable_size je addr)
+      (fun ~slot:_ ~target:_ -> ())
   in
   let poll op_index =
     (* Release detection: quarantine membership dropped => the backend
@@ -132,31 +119,24 @@ let run ?(config = Minesweeper.Config.default) ?(latency_sweeps = 3)
         quarantined
     end
   in
-  Array.iteri
-    (fun op_index op ->
-      (match op with
-      | Trace.Alloc { id; size; site = _ } ->
-        let addr = Instance.malloc ms size in
-        incr allocs;
-        (* The backend zeroes fresh memory; any registry slots recorded
-           inside this range belong to a dead incarnation. *)
-        Registry.drop_slots_in registry ~base:addr
-          ~usable:(Alloc.Jemalloc.usable_size je addr)
-          (fun ~slot:_ ~target:_ -> ());
-        Hashtbl.replace addr_of id (addr, size);
-        Instance.tick ms
-      | Trace.Free { id; thread = _ } -> (
-        match Hashtbl.find_opt addr_of id with
-        | Some (addr, _) ->
-          Hashtbl.remove addr_of id;
+  Trace.run trace machine
+    {
+      Trace.alloc =
+        (fun ~id:_ ~site:_ size ->
+          let addr = Instance.malloc ms size in
+          incr allocs;
+          (* The backend zeroes fresh memory; any registry slots recorded
+             inside this range belong to a dead incarnation. *)
+          drop_slots_in addr;
+          Instance.tick ms;
+          addr);
+      free =
+        (fun ~id ~thread addr ->
           incr frees;
           (* Zeroing destroys pointers stored inside the freed object:
              the ground truth must forget them too. *)
-          if config.Minesweeper.Config.zeroing then
-            Registry.drop_slots_in registry ~base:addr
-              ~usable:(Alloc.Jemalloc.usable_size je addr)
-              (fun ~slot:_ ~target:_ -> ());
-          Instance.free ms addr;
+          if config.Minesweeper.Config.zeroing then drop_slots_in addr;
+          Instance.free ms ~thread addr;
           if Instance.is_quarantined ms addr then
             Hashtbl.replace quarantined addr
               {
@@ -166,37 +146,18 @@ let run ?(config = Minesweeper.Config.default) ?(latency_sweeps = 3)
                   + (if Instance.sweep_in_progress ms then 1 else 0);
                 clean_sweeps = 0;
                 reported = false;
-              }
-        | None -> ())
-      | Trace.Store_ptr { loc; target } -> (
-        match (resolve_loc loc, Hashtbl.find_opt addr_of target) with
-        | Some slot, Some (taddr, _) when writable slot ->
-          pointer_write slot taddr
-        | _ -> ())
-      | Trace.Clear_ptr { loc; target } -> (
-        match (resolve_loc loc, Hashtbl.find_opt addr_of target) with
-        | Some slot, Some (taddr, _) when writable slot ->
-          if Vmem.load mem slot = taddr then pointer_write slot 0
-        | _ -> ())
-      | Trace.Store_data { loc; value } -> (
-        match resolve_loc loc with
-        | Some slot when writable slot ->
-          let concrete =
-            if value >= 0 then value
-            else
-              match Hashtbl.find_opt addr_of (-value - 1) with
-              | Some (addr, _) -> addr
-              | None -> 0
-          in
-          Vmem.store mem slot concrete;
-          (* Not a pointer: overwrite any tracked pointer in the slot but
-             record nothing — this is exactly the coverage gap between
-             ground truth and the conservative sweep. *)
-          Registry.forget_slot registry ~slot
-        | _ -> ())
-      | Trace.Work cycles -> Alloc.Machine.charge machine cycles);
-      poll op_index)
-    trace.Trace.ops;
+              });
+      (* Every pointer-typed write is recorded: memory and ground truth
+         stay in lock-step. *)
+      pointer_store =
+        (fun ~slot ~old_value:_ ~value ->
+          Registry.record_write registry ~slot ~value);
+      (* Not a pointer: the write overwrote any tracked pointer in the
+         slot but records nothing — this is exactly the coverage gap
+         between ground truth and the conservative sweep. *)
+      data_store = (fun ~slot -> Registry.forget_slot registry ~slot);
+      after_op = poll;
+    };
   Instance.drain ms;
   poll (Array.length trace.Trace.ops);
   {

@@ -1,7 +1,9 @@
 (** Differential soundness/precision oracle for MineSweeper's sweep.
 
-    Replays a trace against a MineSweeper instance while maintaining, on
-    the side, the ground-truth pointer graph in a
+    Replays a trace through {!Workloads.Trace.run} (the interpreter
+    every replay shares) against a MineSweeper instance with one
+    quarantine buffer per declared thread, maintaining, on the side,
+    the ground-truth pointer graph in a
     {!Ptrtrack.Registry.t}: every pointer store and clear the replay
     performs is recorded exactly (data stores are not — an integer that
     merely aliases an address is {e not} a pointer, which is precisely

@@ -25,9 +25,9 @@ type id_state =
   | Live of { size : int; at : int }
   | Freed of { at : int }
 
-(* Normalised slot key. Raw Field/Root indices wrap at replay time, so
-   two syntactically different locations can alias the same word; the
-   abstract state must key on the post-wrap location. *)
+(* Normalised slot key. Raw Field/Root indices wrap under [Trace]'s
+   index rule, so two syntactically different locations can alias the
+   same word; the abstract state must key on the post-wrap location. *)
 type slot =
   | Root_slot of int
   | Field_slot of int * int
@@ -86,24 +86,20 @@ let set_slot st slot target ~op_index =
   | Field_slot (holder, _) -> set_add st.fields holder slot
   | Root_slot _ -> ()
 
-(* Resolve a location the way the replay will, reporting wraps and (for
-   the given op kinds) dead holders. Returns [None] when the replay
-   would skip the op entirely. *)
+(* Resolve a location with [Trace]'s index rule, the one every replay
+   applies, reporting wraps and (for the given op kinds) dead holders.
+   Returns [None] when the replay would skip the op entirely. *)
 let resolve st ~op_index ~what ~report_dead_holder = function
   | Trace.Root w ->
-    if w < 0 || w >= Trace.root_window_words then
+    let word = Trace.root_word w in
+    if word <> w then
       report st ~rule:"field-out-of-range" ~severity:Diagnostic.Warning
         ~op_index
         (Printf.sprintf
            "%s root index %d is outside the %d-word root window (replay wraps \
             to %d)"
-           what w Trace.root_window_words
-           (((w mod Trace.root_window_words) + Trace.root_window_words)
-           mod Trace.root_window_words));
-    Some
-      (Root_slot
-         (((w mod Trace.root_window_words) + Trace.root_window_words)
-         mod Trace.root_window_words))
+           what w Trace.root_window_words word);
+    Some (Root_slot word)
   | Trace.Field (holder, w) -> (
     match Hashtbl.find_opt st.ids holder with
     | None ->
@@ -121,9 +117,9 @@ let resolve st ~op_index ~what ~report_dead_holder = function
               use-after-free write"
              what holder at);
       None
-    | Some (Live { size; _ }) ->
-      let words = size / 8 in
-      if words = 0 then begin
+    | Some (Live { size; _ }) -> (
+      match Trace.field_word ~size w with
+      | None ->
         report st ~rule:"field-out-of-range" ~severity:Diagnostic.Warning
           ~op_index
           (Printf.sprintf
@@ -131,17 +127,15 @@ let resolve st ~op_index ~what ~report_dead_holder = function
               (replay skips it)"
              what holder size);
         None
-      end
-      else begin
-        if w < 0 || w >= words then
+      | Some word ->
+        if word <> w then
           report st ~rule:"field-out-of-range" ~severity:Diagnostic.Warning
             ~op_index
             (Printf.sprintf
                "%s word %d of id %d which has only %d words (replay wraps to \
                 %d)"
-               what w holder words (((w mod words) + words) mod words));
-        Some (Field_slot (holder, ((w mod words) + words) mod words))
-      end)
+               what w holder (size / 8) word);
+        Some (Field_slot (holder, word))))
 
 let lint (trace : Trace.t) =
   let st =

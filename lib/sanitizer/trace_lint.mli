@@ -2,9 +2,10 @@
 
     Walks the op array without executing it, tracking an abstract state
     (id liveness, which slot statically holds which pointer) and emits a
-    {!Diagnostic.t} per violation. The analysis mirrors
-    {!Workloads.Trace.replay}'s semantics exactly — including index
-    wrapping and the skip rules for unresolvable operands — so a clean
+    {!Diagnostic.t} per violation. The analysis mirrors the semantics
+    {!Workloads.Trace.run} gives every replay — it wraps indices with the
+    same {!Workloads.Trace.root_word} and {!Workloads.Trace.field_word}
+    and follows the skip rules for unresolvable operands — so a clean
     lint means the replay performs no silent no-ops beyond the guarded
     [Clear_ptr] cases.
 
@@ -25,9 +26,10 @@
       overwrite) intervened since the [Store_ptr]. This is precisely the
       dangling-pointer precondition of the paper's Section 3.2: the sweep
       will find the pointer and the free will fail until it is cleared.
-    - [field-out-of-range] (W): a [Field] word index at or beyond the
-      holder's size (or a [Root] index beyond the window) — the replay
-      wraps it, so the op touches a different word than written. *)
+    - [field-out-of-range] (W): a [Field] word index that is negative
+      or at or beyond the holder's size (or a [Root] index outside the
+      window) — the replay wraps it, so the op touches a different word
+      than written; the message names the word it wraps to. *)
 
 val rules : (string * string) list
 (** [(rule id, one-line description)] for every rule, in a stable order. *)

@@ -170,71 +170,104 @@ let generate ?(seed = 1) profile =
     ops = Array.of_list (List.rev !ops) }
 
 (* ------------------------------------------------------------------ *)
-(* Replay                                                              *)
+(* Index rule and interpreter                                          *)
+
+(* Euclidean modulo: [-1] wraps to [n - 1], never below 0. *)
+let wrap w n =
+  let r = w mod n in
+  if r < 0 then r + n else r
+
+let root_word w = wrap w root_window_words
+let field_word ~size w = if size < 8 then None else Some (wrap w (size / 8))
+let aliased_id value = if value < 0 then Some (-value - 1) else None
+
+type target = {
+  alloc : id:int -> site:int -> int -> int;
+  free : id:int -> thread:int -> int -> unit;
+  pointer_store : slot:int -> old_value:int -> value:int -> unit;
+  data_store : slot:int -> unit;
+  after_op : int -> unit;
+}
+
+let run t (machine : Alloc.Machine.t) on =
+  let mem = machine.Alloc.Machine.mem in
+  let objects = Hashtbl.create 4096 in (* live id -> (addr, size) *)
+  let address id = Option.map fst (Hashtbl.find_opt objects id) in
+  let slot_of loc =
+    let slot =
+      match loc with
+      | Root w -> Some (Layout.stack_base + (8 * root_word w))
+      | Field (id, w) -> (
+        match Hashtbl.find_opt objects id with
+        | Some (addr, size) -> (
+          match field_word ~size w with
+          | Some w -> Some (addr + (8 * w))
+          | None -> None)
+        | None -> None)
+    in
+    match slot with
+    | Some slot
+      when Vmem.is_mapped mem slot
+           && Vmem.is_committed mem slot
+           && Vmem.protection mem slot = Vmem.Read_write ->
+      Some slot
+    | Some _ | None -> None
+  in
+  Array.iteri
+    (fun op_index op ->
+      (match op with
+      | Alloc { id; size; site } ->
+        let addr = on.alloc ~id ~site:(clamp_site ~sites:t.sites site) size in
+        Hashtbl.replace objects id (addr, size)
+      | Free { id; thread } -> (
+        match address id with
+        | Some addr ->
+          Hashtbl.remove objects id;
+          on.free ~id ~thread addr
+        | None -> ())
+      | Store_ptr { loc; target } -> (
+        match (slot_of loc, address target) with
+        | Some slot, Some value ->
+          let old_value = Vmem.load mem slot in
+          Vmem.store mem slot value;
+          on.pointer_store ~slot ~old_value ~value
+        | _ -> ())
+      | Clear_ptr { loc; target } -> (
+        match (slot_of loc, address target) with
+        | Some slot, Some old_value when Vmem.load mem slot = old_value ->
+          Vmem.store mem slot 0;
+          on.pointer_store ~slot ~old_value ~value:0
+        | _ -> ())
+      | Store_data { loc; value } -> (
+        match slot_of loc with
+        | Some slot ->
+          let value =
+            match aliased_id value with
+            | Some id -> Option.value ~default:0 (address id)
+            | None -> value
+          in
+          Vmem.store mem slot value;
+          on.data_store ~slot
+        | None -> ())
+      | Work cycles -> Alloc.Machine.charge machine cycles);
+      on.after_op op_index)
+    t.ops
 
 let replay t (stack : Harness.t) =
-  let mem = stack.Harness.machine.Alloc.Machine.mem in
-  let addr_of = Hashtbl.create 4096 in (* id -> (addr, size) *)
-  let executed = ref 0 in
-  let resolve_loc = function
-    | Root w -> Some (Layout.stack_base + (8 * (w mod root_window_words)))
-    | Field (id, w) ->
-      (match Hashtbl.find_opt addr_of id with
-      | Some (addr, size) when size >= 8 -> Some (addr + (8 * (w mod (size / 8))))
-      | Some _ | None -> None)
-  in
-  let writable slot =
-    Vmem.is_mapped mem slot
-    && Vmem.is_committed mem slot
-    && Vmem.protection mem slot = Vmem.Read_write
-  in
-  Array.iter
-    (fun op ->
-      incr executed;
-      match op with
-      | Alloc { id; size; site } ->
-        let site = clamp_site ~sites:t.sites site in
-        let addr = stack.Harness.malloc_site ~site size in
-        Hashtbl.replace addr_of id (addr, size);
-        stack.Harness.tick ()
-      | Free { id; thread } ->
-        (match Hashtbl.find_opt addr_of id with
-        | Some (addr, _) ->
-          Hashtbl.remove addr_of id;
-          stack.Harness.free ~thread addr
-        | None -> ())
-      | Store_ptr { loc; target } ->
-        (match (resolve_loc loc, Hashtbl.find_opt addr_of target) with
-        | Some slot, Some (taddr, _) when writable slot ->
-          let old_value = Vmem.load mem slot in
-          Vmem.store mem slot taddr;
-          stack.Harness.on_pointer_write ~slot ~old_value ~value:taddr
-        | _ -> ())
-      | Clear_ptr { loc; target } ->
-        (match (resolve_loc loc, Hashtbl.find_opt addr_of target) with
-        | Some slot, Some (taddr, _) when writable slot ->
-          if Vmem.load mem slot = taddr then begin
-            Vmem.store mem slot 0;
-            stack.Harness.on_pointer_write ~slot ~old_value:taddr ~value:0
-          end
-        | _ -> ())
-      | Store_data { loc; value } ->
-        (match resolve_loc loc with
-        | Some slot when writable slot ->
-          let concrete =
-            if value >= 0 then value
-            else
-              (* encoded "address of object ~(-value-1)" *)
-              match Hashtbl.find_opt addr_of (-value - 1) with
-              | Some (addr, _) -> addr
-              | None -> 0
-          in
-          Vmem.store mem slot concrete
-        | _ -> ())
-      | Work cycles -> Alloc.Machine.charge stack.Harness.machine cycles)
-    t.ops;
+  run t stack.Harness.machine
+    {
+      alloc =
+        (fun ~id:_ ~site size ->
+          let addr = stack.Harness.malloc_site ~site size in
+          stack.Harness.tick ();
+          addr);
+      free = (fun ~id:_ ~thread addr -> stack.Harness.free ~thread addr);
+      pointer_store = stack.Harness.on_pointer_write;
+      data_store = (fun ~slot:_ -> ());
+      after_op = ignore;
+    };
   stack.Harness.drain ();
-  !executed
+  length t
 
 (* ------------------------------------------------------------------ *)
 (* Serialisation                                                       *)

@@ -55,9 +55,8 @@ val site_of_size : sites:int -> int -> int
     agree on the attribution. *)
 
 val root_window_words : int
-(** Size of the root (stack/globals) window in words. {!replay} resolves
-    [Root w] as [w mod root_window_words]; the lint pass flags indices
-    that would wrap. *)
+(** Size of the root (stack/globals) window in words, starting at
+    {!Layout.stack_base}. *)
 
 val generate : ?seed:int -> Profile.t -> t
 (** Derive a concrete trace from a profile: allocations with sampled
@@ -73,11 +72,64 @@ val generate : ?seed:int -> Profile.t -> t
     with the draws in their fixed order, is what fixes the trace bytes
     for a seed. *)
 
+(** {1 What an op means}
+
+    This section is the only statement of a trace's semantics: every
+    replay (the harness, the sweep and pool oracles, the race recorder)
+    runs {!run}, and the lint pass and the static analyzer resolve
+    indices with {!root_word} and {!field_word}.
+
+    {b Index rule.} Word indices wrap into range by Euclidean modulo:
+    [Root w] names word [w mod root_window_words] of the root window
+    and [Field (id, w)] word [w mod (size / 8)] of object [id], each
+    [mod] taken in [[0, n)], so [-1] is the last word and [n] the
+    first.
+
+    {b Skip rule.} A store, clear or data write does nothing when its
+    holder is not live (freed or never allocated), is under 8 bytes (no
+    addressable word), or its slot is not mapped, committed and
+    read-write. A pointer store or clear also does nothing when its
+    target is not live; a clear writes 0 only if the slot still holds
+    the target's address. A free of an id that is not live does
+    nothing. A negative [Store_data] value [v] writes the address of
+    object [-v - 1] (0 when that object is not live): the generator's
+    unlucky integer. Site ids alias through {!clamp_site}; thread ids
+    are passed through unchanged (the quarantine aliases them). *)
+
+val root_word : int -> int
+(** The root-window word a [Root] index names, in [[0, root_window_words)]. *)
+
+val field_word : size:int -> int -> int option
+(** The word a [Field] index names inside an object of [size] bytes, in
+    [[0, size / 8)]; [None] when [size < 8]. *)
+
+val aliased_id : int -> int option
+(** [Some id] when a [Store_data] value encodes the address of object
+    [id] (a negative value [-id - 1]), [None] for a plain integer. *)
+
+type target = {
+  alloc : id:int -> site:int -> int -> int;
+      (** serve [Alloc]: the object's address; [site] is already clamped *)
+  free : id:int -> thread:int -> int -> unit;
+      (** [Free] of a live object, at its address; it is no longer live *)
+  pointer_store : slot:int -> old_value:int -> value:int -> unit;
+      (** after an instrumented pointer store or clear wrote [value]
+          (the target's address, or 0 for a clear) over [old_value] *)
+  data_store : slot:int -> unit;  (** after a raw data write to [slot] *)
+  after_op : int -> unit;  (** after every op, skipped or not, by index *)
+}
+(** What a replay does with each resolved op. {!run} performs the memory
+    writes and charges [Work] itself; a target only observes them and
+    supplies the allocator. *)
+
+val run : t -> Alloc.Machine.t -> target -> unit
+(** Interpret every op in order under the rules above, writing the
+    machine's memory (whose root regions must be mapped). *)
+
 val replay : t -> Harness.t -> int
-(** Execute the trace against a stack; returns the number of operations
-    executed. Stores into objects that are already freed (or into ids
-    never allocated) are skipped — a trace is replayable against any
-    scheme regardless of its recycling decisions. *)
+(** {!run} against a stack: [Alloc] calls [malloc_site] then [tick],
+    [Free] calls [free], pointer stores reach [on_pointer_write]; then
+    [drain]. Returns the number of operations executed. *)
 
 val length : t -> int
 val allocation_count : t -> int

@@ -388,7 +388,9 @@ let test_config_presets () =
   (match C.of_preset "ms-inc" with
   | Ok c ->
     Alcotest.(check bool) "alias ms-inc -> incremental" true
-      (c = C.incremental)
+      (c = C.incremental);
+    Alcotest.(check bool) "alias ms-inc routes to incremental marking" true
+      (c.C.sweep_mode = C.Incremental)
   | Error e -> Alcotest.failf "of_preset ms-inc: %s" e);
   List.iter
     (fun (name, _) ->

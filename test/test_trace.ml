@@ -6,13 +6,13 @@ let tiny_profile =
     ~lifetime:(Sim.Dist.exponential ~mean:200.)
     ~work_per_op:100 ()
 
-let fresh_stack scheme =
+let fresh_stack ?(threads = 1) scheme =
   let machine = Alloc.Machine.create () in
   List.iter
     (fun (base, size) ->
       Vmem.map machine.Alloc.Machine.mem ~addr:base ~len:size)
     Layout.root_regions;
-  Workloads.Harness.build scheme ~threads:1 machine
+  Workloads.Harness.build scheme ~threads machine
 
 let test_generate_structure () =
   let t = Workloads.Trace.generate tiny_profile in
@@ -484,6 +484,188 @@ let test_stream_single_shot () =
     (fun () ->
       ignore (Workloads.Trace.fold_stream st ~init:() ~f:(fun () _ _ -> ())))
 
+(* --- One answer per location -------------------------------------------
+
+   Every consumer of a trace must agree on which word a location names:
+   the replay's memory write, the lint pass's "replay wraps to N" and
+   the analyzer's abstract slot. Objects 0-2 are 64 bytes (8 words)
+   with live neighbours on both sides; object 3 has no addressable
+   word. *)
+
+let location_cases =
+  let module A = Flowcheck.Absval in
+  Workloads.Trace.
+    [
+      (Root (-1), Some (A.Root_slot 8191));
+      (Root (-8193), Some (A.Root_slot 8191));
+      (Root 8191, Some (A.Root_slot 8191));
+      (Root 8192, Some (A.Root_slot 0));
+      (Field (1, -1), Some (A.Field_slot (1, 7)));
+      (Field (1, -9), Some (A.Field_slot (1, 7)));
+      (Field (1, 7), Some (A.Field_slot (1, 7)));
+      (Field (1, 8), Some (A.Field_slot (1, 0)));
+      (Field (1, 99), Some (A.Field_slot (1, 3)));
+      (Field (3, 0), None);
+      (Field (3, -1), None);
+    ]
+
+let location_sizes = [| 64; 64; 64; 4 |]
+
+let location_prefix =
+  Array.to_list
+    (Array.mapi
+       (fun id size -> Workloads.Trace.Alloc { id; size; site = 0 })
+       location_sizes)
+
+let location_trace ops =
+  { Workloads.Trace.name = "loc"; threads = 1; sites = 1;
+    ops = Array.of_list ops }
+
+(* Replay [ops] under the baseline; returns the memory and the address
+   of each allocation, by id. *)
+let replay_baseline ops =
+  let stack = fresh_stack Workloads.Harness.Baseline in
+  let addrs = Hashtbl.create 8 in
+  let id = ref 0 in
+  let stack =
+    {
+      stack with
+      Workloads.Harness.malloc_site =
+        (fun ~site size ->
+          let addr = stack.Workloads.Harness.malloc_site ~site size in
+          Hashtbl.replace addrs !id addr;
+          incr id;
+          addr);
+    }
+  in
+  ignore (Workloads.Trace.replay (location_trace ops) stack);
+  (stack.Workloads.Harness.machine.Alloc.Machine.mem, addrs)
+
+(* Every word of the root window (plus a margin) and of the heap around
+   the four objects that differs between two replays. *)
+let changed_words (mem_a, addrs) mem_b =
+  let lo = Hashtbl.fold (fun _ a acc -> min a acc) addrs max_int - 256 in
+  let hi = Hashtbl.fold (fun _ a acc -> max a acc) addrs 0 + 256 in
+  let root_lo = Layout.stack_base - 64 in
+  let root_hi =
+    Layout.stack_base + (8 * Workloads.Trace.root_window_words) + 64
+  in
+  let readable mem a = Vmem.is_mapped mem a && Vmem.is_committed mem a in
+  let changed = ref [] in
+  List.iter
+    (fun (lo, hi) ->
+      let a = ref lo in
+      while !a < hi do
+        let va = if readable mem_a !a then Vmem.load mem_a !a else 0 in
+        let vb = if readable mem_b !a then Vmem.load mem_b !a else 0 in
+        if va <> vb then changed := !a :: !changed;
+        a := !a + 8
+      done)
+    [ (root_lo, root_hi); (lo, hi) ];
+  List.rev !changed
+
+let test_one_answer_per_location () =
+  let module A = Flowcheck.Absval in
+  let before = replay_baseline location_prefix in
+  let addrs = snd before in
+  List.iter
+    (fun (loc, expected) ->
+      let store = Workloads.Trace.Store_data { loc; value = 7 } in
+      let name =
+        match loc with
+        | Workloads.Trace.Root w -> Printf.sprintf "d r %d 7" w
+        | Workloads.Trace.Field (id, w) -> Printf.sprintf "d f %d %d 7" id w
+      in
+      let mem, _ = replay_baseline (location_prefix @ [ store ]) in
+      let expected_addr =
+        match expected with
+        | Some (A.Root_slot w) -> [ Layout.stack_base + (8 * w) ]
+        | Some (A.Field_slot (id, w)) -> [ Hashtbl.find addrs id + (8 * w) ]
+        | None -> []
+      in
+      Alcotest.(check (list int))
+        (name ^ ": the replay writes only the word the rule names")
+        expected_addr (changed_words before mem);
+      let slot =
+        match loc with
+        | Workloads.Trace.Root w -> Some (A.normalize_root w)
+        | Workloads.Trace.Field (id, w) ->
+          A.normalize_field ~id ~size:location_sizes.(id) w
+      in
+      Alcotest.(check bool) (name ^ ": the analyzer's slot") true
+        (slot = expected);
+      (* The parenthesised tail of each [field-out-of-range] warning. *)
+      let lint =
+        Sanitizer.Trace_lint.lint (location_trace (location_prefix @ [ store ]))
+        |> List.filter_map (fun d ->
+               let msg = d.Sanitizer.Diagnostic.message in
+               if d.Sanitizer.Diagnostic.rule <> "field-out-of-range" then None
+               else
+                 let i = String.rindex msg '(' in
+                 Some (String.sub msg i (String.length msg - i)))
+      in
+      let raw = match loc with Workloads.Trace.Root w | Field (_, w) -> w in
+      Alcotest.(check (list string))
+        (name ^ ": lint names the same word")
+        (match expected with
+        | Some (A.Root_slot w | A.Field_slot (_, w)) when w = raw -> []
+        | Some (A.Root_slot w | A.Field_slot (_, w)) ->
+          [ Printf.sprintf "(replay wraps to %d)" w ]
+        | None -> [ "(replay skips it)" ])
+        lint)
+    location_cases
+
+(* A data store through a negative field index hides object 2's address
+   in object 0, which dies (zeroed) before object 2 does. If the replay
+   wrote the neighbouring live object instead, object 2 would be
+   retained forever: a retention the analyzer never predicted. *)
+let test_negative_index_certifies () =
+  let churn =
+    List.init 400 (fun i ->
+        let k = i + 10 in
+        Printf.sprintf "a %d 4096\nw 1000\nx %d\n" k k)
+  in
+  let trace =
+    Workloads.Trace.of_string
+      ("a 0 64\na 1 64\na 2 64\nd f 0 -1 -3\nx 0\nx 2\n"
+      ^ String.concat "" churn)
+  in
+  let orc = Sanitizer.Sweep_oracle.run ~latency_sweeps:1 trace in
+  let sr = Flowcheck.Report.analyze_trace trace in
+  let misses =
+    Sanitizer.Sweep_oracle.certify_static
+      ~predicted_unsound:sr.Flowcheck.Report.predicted_unsound
+      ~predicted_retained:sr.Flowcheck.Report.predicted_retained orc
+  in
+  Alcotest.(check (list string)) "no static miss" []
+    (List.map Sanitizer.Diagnostic.to_string misses);
+  Alcotest.(check int) "every freed object is released" 384
+    orc.Sanitizer.Sweep_oracle.releases
+
+(* The sweep oracle, the race recorder and the harness replay run the
+   same program: one quarantine buffer per declared thread. *)
+let test_referees_share_threads () =
+  let trace =
+    Workloads.Trace.of_string
+      ("# threads 2\n"
+      ^ String.concat ""
+          (List.init 3000 (fun k ->
+               Printf.sprintf "a %d 2048\nw 500\nx %d %d\n" k k (k mod 2))))
+  in
+  let oracle = Sanitizer.Sweep_oracle.run trace in
+  let recorder = Racecheck.Recorder.run trace in
+  let stack =
+    fresh_stack ~threads:2
+      (Workloads.Harness.Mine_sweeper Minesweeper.Config.default)
+  in
+  ignore (Workloads.Trace.replay trace stack);
+  let replayed = stack.Workloads.Harness.sweeps () in
+  Alcotest.(check bool) "the trace sweeps" true (replayed > 0);
+  Alcotest.(check int) "oracle sweeps = replay sweeps" replayed
+    oracle.Sanitizer.Sweep_oracle.sweeps;
+  Alcotest.(check int) "recorder sweeps = replay sweeps" replayed
+    recorder.Racecheck.Recorder.sweeps
+
 let suite =
   ( "workloads.trace",
     [
@@ -520,4 +702,10 @@ let suite =
       QCheck_alcotest.to_alcotest prop_chunked_fold_equals_parse;
       Alcotest.test_case "stream is single-shot" `Quick
         test_stream_single_shot;
+      Alcotest.test_case "one answer per location" `Quick
+        test_one_answer_per_location;
+      Alcotest.test_case "negative index certifies statically" `Quick
+        test_negative_index_certifies;
+      Alcotest.test_case "referees replay with the trace's threads" `Quick
+        test_referees_share_threads;
     ] )
