@@ -790,6 +790,18 @@ let trace_gen_cmd =
   Cmd.v (Cmd.info "trace-gen" ~doc)
     Term.(const f $ profile_term $ scale_arg $ out_arg)
 
+(* A trace file that cannot be read or does not parse ends the command
+   with the file, line and reason on stderr and exit status 1, not with
+   cmdliner's internal-error status. *)
+let reading_trace file f =
+  try f () with
+  | Workloads.Trace.Parse_error { line; message } ->
+    Fmt.epr "%s: line %d: %s@." file line message;
+    exit 1
+  | Sys_error message ->
+    Fmt.epr "%s@." message;
+    exit 1
+
 let trace_replay_cmd =
   let doc = "Replay a trace file against an allocator scheme" in
   let in_arg =
@@ -797,7 +809,7 @@ let trace_replay_cmd =
       required & opt (some string) None & info [ "i"; "in" ] ~doc:"Trace file")
   in
   let f input scheme =
-    let trace = Workloads.Trace.of_file input in
+    let trace = reading_trace input (fun () -> Workloads.Trace.of_file input) in
     let machine = fresh_machine () in
     let stack =
       Workloads.Harness.build scheme
@@ -919,7 +931,9 @@ let check_cmd =
     in
     List.iter
       (fun file ->
-        let trace = Workloads.Trace.of_file file in
+        let trace =
+          reading_trace file (fun () -> Workloads.Trace.of_file file)
+        in
         let diags = Sanitizer.Trace_lint.lint trace in
         Fmt.pr "%s: lint: %d finding(s)@." file (List.length diags);
         print_diags diags;
@@ -1089,18 +1103,21 @@ let analyze_cmd =
     let json_lines = ref [] in
     List.iter
       (fun file ->
-        let stream =
+        let stream () =
           Workloads.Trace.stream_of_file ~chunk_ops:(max 1 chunk) file
         in
-        let r = Flowcheck.Report.analyze ~policies stream in
+        let r =
+          reading_trace file (fun () ->
+              Flowcheck.Report.analyze ~policies (stream ()))
+        in
         print_string (Flowcheck.Report.render r);
         (* Streams are single-shot, so the pooling pass re-opens the
            file; both passes see the identical chunking. *)
         let plan =
           if pools then
             Some
-              (Flowcheck.Poolplan.of_stream
-                 (Workloads.Trace.stream_of_file ~chunk_ops:(max 1 chunk) file))
+              (reading_trace file (fun () ->
+                   Flowcheck.Poolplan.of_stream (stream ())))
           else None
         in
         Option.iter (fun p -> print_string (Flowcheck.Poolplan.render p)) plan;

@@ -38,7 +38,9 @@ echo "== sanitizer corpus self-test (lint + protocol + lockset mutants)"
 # --races adds the protocol-mutant and static-lockset self-tests: every
 # seeded mutation of the sweep protocol must be flagged with exactly its
 # expected rules, and the unmutated protocol must come back clean.
-"$CLI" check --corpus --races --strict
+# The report is pinned byte for byte (see require_cksum below).
+"$CLI" check --corpus --races --strict >"$workdir/corpus.txt"
+cat "$workdir/corpus.txt"
 
 echo "== lint + sweep oracle over example traces"
 # espresso (mimalloc-bench): well-behaved — must be fully clean, so
@@ -53,6 +55,10 @@ require_cksum() {
     || { echo "FAIL: generated $1 differs from its pinned bytes (cksum $2)" >&2; exit 1; }
 }
 require_cksum espresso.trace "964890256 298721"
+# The self-test report: every lint corpus case (read through the one
+# abstract interpreter, Workloads.Absheap), the control traces and the
+# protocol and lockset mutants.
+require_cksum corpus.txt "802472950 2272"
 "$CLI" check -i "$workdir/espresso.trace" --oracle --latency 100000 --strict
 
 # perlbench (spec2006): nonzero dangling rate — the lint must warn
@@ -171,6 +177,10 @@ grep -v '^json ' "$workdir/flow1.txt" >"$workdir/flow1.stripped"
 grep -v '^json ' "$workdir/flow2.txt" >"$workdir/flow2.stripped"
 cmp "$workdir/flow1.stripped" "$workdir/flow2.stripped" \
   || { echo "FAIL: analyze report differs across identical runs" >&2; exit 1; }
+# Pinned too: the dangling report and the siteflow plan are folds over
+# the same abstract interpreter as the lint, and must not drift from it.
+require_cksum flow1.json "139427039 17197"
+require_cksum flow1.stripped "1993164388 11344"
 head -1 "$workdir/flow1.json" | grep -q '"schema":"msweep-flowcheck-v2"' \
   || { echo "FAIL: missing flowcheck JSON schema header" >&2; exit 1; }
 # --pools must land the site/pool records in the JSON and a rendered
@@ -222,6 +232,39 @@ bad_name() {
 bad_name "minesweeper-mostly" run --suite mimalloc -b espresso -s bogus
 bad_name "incremental-mostly" check --corpus --config bogus
 echo "run -s bogus and check --config bogus exit with a usage error listing the valid names"
+
+echo "== bad trace input: a located error, not an internal one"
+# Every command that reads a trace file must turn an unreadable file or
+# a line that does not parse (an unknown op, a zero thread count, a size
+# outside the heap window) into the file, line and reason on stderr and
+# a nonzero status other than 125.
+printf 'q 1 2\n' >"$workdir/bad-op.trace"
+printf '# msweep-trace v1 bad\n# threads 0\na 0 64\n' >"$workdir/bad-threads.trace"
+printf 'a 0 -5\n' >"$workdir/bad-negative.trace"
+printf 'a 0 4611686018427387903\n' >"$workdir/bad-huge.trace"
+printf 'a 0 300000000000\n' >"$workdir/bad-beyond-heap.trace"
+bad_trace() {
+  file=$1
+  expected=$2
+  for cmd in check analyze trace-replay; do
+    status=0
+    "$CLI" "$cmd" -i "$workdir/$file" >/dev/null 2>"$workdir/badtrace.txt" \
+      || status=$?
+    if [ "$status" -eq 0 ] || [ "$status" -eq 125 ]; then
+      echo "FAIL: msweep $cmd -i $file exited $status" >&2
+      exit 1
+    fi
+    grep -q "$file: $expected" "$workdir/badtrace.txt" \
+      || { echo "FAIL: msweep $cmd -i $file does not report \"$expected\"" >&2; exit 1; }
+  done
+}
+bad_trace bad-op.trace "line 1: unrecognised op: q 1 2"
+bad_trace bad-threads.trace "line 2: threads must be >= 1"
+bad_trace bad-negative.trace "line 1: size -5 outside"
+bad_trace bad-huge.trace "line 1: size 4611686018427387903 outside"
+bad_trace bad-beyond-heap.trace "line 1: size 300000000000 outside"
+bad_trace missing.trace "No such file or directory"
+echo "check, analyze and trace-replay report bad or missing trace files with their line"
 
 echo "== bench smoke: static bounds vs dynamic telemetry"
 # Every mimalloc-bench profile: the static quarantine-occupancy and

@@ -68,20 +68,18 @@ type config = {
   budget : int;
   scheduler : scheduler;
   purge_order : purge_order;
-  stall_share_pm : int;
-  bg_share_pm : int;
 }
 
 let config ?(budget = default_budget) ?(scheduler = Round_robin)
-    ?(purge_order = Largest_quarantine) ?(stall_share_pm = 1000)
-    ?(bg_share_pm = 250) () =
-  {
-    budget = max 1 budget;
-    scheduler;
-    purge_order;
-    stall_share_pm = max 0 stall_share_pm;
-    bg_share_pm = max 0 bg_share_pm;
-  }
+    ?(purge_order = Largest_quarantine) () =
+  { budget = max 1 budget; scheduler; purge_order }
+
+(* Interference, per mille of a tenant's new cycles charged to each
+   neighbour: all of its stall (an STW pause fences the shared machine)
+   and a quarter of its background sweep work (marking saturates a share
+   of DRAM bandwidth). *)
+let stall_share_pm = 1000
+let bg_share_pm = 250
 
 type tenant_result = {
   name : string;
@@ -248,16 +246,14 @@ module Machine = struct
     R.Counter.incr t.c_reclaims 1;
     tn.stack.Workloads.Harness.reclaim ()
 
-  (* Purge order over the alive tenants. Largest-quarantine-first is the
-     paper-motivated policy: quarantine is the memory a sweep can
-     actually hand back, so pressure goes where the reclaimable bytes
-     are. Round-robin rotates a cursor so pressure cost is spread evenly
-     regardless of who caused it. Both are deterministic (explicit
+  (* Purge order over the tenants [eligible] admits. Largest-quarantine-
+     first is the paper-motivated policy: quarantine is the memory a
+     sweep can actually hand back, so pressure goes where the reclaimable
+     bytes are. Round-robin rotates a cursor so pressure cost is spread
+     evenly regardless of who caused it. Both are deterministic (explicit
      tie-break on index). *)
-  let purge_sequence t =
-    let alive =
-      Array.to_list t.tenants |> List.filter (fun tn -> tn.alive)
-    in
+  let purge_sequence t eligible =
+    let alive = Array.to_list t.tenants |> List.filter eligible in
     match t.cfg.purge_order with
     | Largest_quarantine ->
       List.stable_sort
@@ -276,11 +272,11 @@ module Machine = struct
           compare (pos a.index) (pos b.index))
         alive
 
-  let kill_largest t =
+  let kill_largest t eligible =
     let victim =
       Array.fold_left
         (fun acc tn ->
-          if not tn.alive then acc
+          if not (eligible tn) then acc
           else
             let rss = Vmem.committed_bytes tn.machine.Alloc.Machine.mem in
             match acc with
@@ -298,25 +294,24 @@ module Machine = struct
   (* Reactive enforcement at quantum boundaries, like kernel reclaim:
      first ask tenants to give memory back (sweep + purge) in policy
      order, then OOM-kill the largest resident tenant until the budget
-     holds. Post-enforcement committed bytes never exceed the budget. *)
+     holds. Alive tenants go first; when none is left (the step that
+     crossed the budget was its tenant's last), the finished ones still
+     hold pages and go through the same two stages. Post-enforcement
+     committed bytes never exceed the budget. *)
   let enforce_budget t =
-    if committed_bytes t > t.cfg.budget then begin
-      R.Counter.incr t.c_pressure 1;
-      let rec reclaim_loop = function
-        | [] -> ()
-        | tn :: rest ->
-          if committed_bytes t > t.cfg.budget then begin
-            reclaim_tenant t tn;
-            reclaim_loop rest
-          end
-      in
-      reclaim_loop (purge_sequence t);
-      while
-        committed_bytes t > t.cfg.budget
-        && Array.exists (fun tn -> tn.alive) t.tenants
-      do
-        kill_largest t
+    let over () = committed_bytes t > t.cfg.budget in
+    let enforce eligible =
+      List.iter
+        (fun tn -> if over () then reclaim_tenant t tn)
+        (purge_sequence t eligible);
+      while over () && Array.exists eligible t.tenants do
+        kill_largest t eligible
       done
+    in
+    if over () then begin
+      R.Counter.incr t.c_pressure 1;
+      enforce (fun tn -> tn.alive);
+      if over () then enforce (fun tn -> not tn.killed)
     end;
     R.Gauge.set_max t.g_peak (committed_bytes t);
     R.Gauge.set_max t.g_peak_raw (committed_bytes t)
@@ -351,8 +346,7 @@ module Machine = struct
       tn.last_stalled <- stalled;
       tn.last_bg <- bg;
       let share =
-        (d_stall * t.cfg.stall_share_pm / 1000)
-        + (d_bg * t.cfg.bg_share_pm / 1000)
+        (d_stall * stall_share_pm / 1000) + (d_bg * bg_share_pm / 1000)
       in
       if share > 0 then
         Array.iter

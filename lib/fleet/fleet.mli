@@ -20,7 +20,8 @@
       tenant address spaces are held under [budget] by a reactive
       pressure policy — reclaim (forced sweep + purge) in a configurable
       cross-tenant order, then OOM-kill the largest tenant as the last
-      resort — plus per-tenant quarantine budgets trimmed as they
+      resort, running tenants first and finished ones once none is
+      running — plus per-tenant quarantine budgets trimmed as they
       overrun.
 
     Everything is deterministic: tenant seeds derive from the fleet seed
@@ -74,22 +75,16 @@ type config = {
   budget : int;  (** machine physical-page budget, bytes *)
   scheduler : scheduler;
   purge_order : purge_order;
-  stall_share_pm : int;
-      (** per-mille of a tenant's stall cycles charged to each
-          neighbour (default 1000: an STW pause fences the shared
-          machine) *)
-  bg_share_pm : int;
-      (** per-mille of background sweep cycles charged to each
-          neighbour (default 250: marking saturates a share of DRAM
-          bandwidth) *)
 }
+(** Interference is fixed: after each step, every neighbour is charged
+    all of the tenant's new stall cycles (an STW pause fences the shared
+    machine) plus a quarter of its new background sweep cycles (marking
+    saturates a share of DRAM bandwidth). *)
 
 val config :
   ?budget:int ->
   ?scheduler:scheduler ->
   ?purge_order:purge_order ->
-  ?stall_share_pm:int ->
-  ?bg_share_pm:int ->
   unit ->
   config
 

@@ -1,7 +1,8 @@
 module Trace = Workloads.Trace
+module Heap = Workloads.Absheap
 module Diagnostic = Sanitizer.Diagnostic
 
-type window_stats = Lifetime.window_stats = {
+type window_stats = {
   opened : int;
   closed : int;
   open_at_end : int;
@@ -31,20 +32,22 @@ let primary_policy policies =
   | Some p -> p
   | None -> Policy.Minesweeper Minesweeper.Config.default
 
+let slot_to_string = function
+  | Heap.Root_slot w -> Printf.sprintf "root[%d]" w
+  | Heap.Field_slot (id, w) -> Printf.sprintf "obj%d[%d]" id w
+
 let render_chain chain id =
   let hops =
     List.rev_map
-      (fun (slot, op) -> Printf.sprintf "%s@%d" (Absval.slot_to_string slot) op)
+      (fun (slot, op) -> Printf.sprintf "%s@%d" (slot_to_string slot) op)
       chain
   in
   String.concat " -> " (hops @ [ Printf.sprintf "id %d" id ])
 
 let analyze ?(policies = Policy.default_policies) stream =
   let primary = primary_policy policies in
-  let zeroing = Policy.zeroing primary in
   let granule = Option.value ~default:16 (Policy.shadow_granule primary) in
-  let lt = Lifetime.create () in
-  let pt = Pointsto.create () in
+  let heap = Heap.create ~zeroing:(Policy.zeroing primary) in
   let accs = List.map (fun p -> (p, Policy.acc p)) policies in
   let diags = ref [] in
   let flag ~rule ~op message =
@@ -59,126 +62,95 @@ let analyze ?(policies = Policy.default_policies) stream =
   let subgranule = ref 0 in
   let allocs = ref 0 in
   let frees = ref 0 in
+  (* Dangling windows ({!window_stats}): id -> the op it opened at. *)
+  let windows : (int, int) Hashtbl.t = Hashtbl.create 256 in
+  let opened = ref 0 and closed = ref 0 in
+  let max_len = ref 0 and total_len = ref 0 in
+  let measure len =
+    max_len := max !max_len len;
+    total_len := !total_len + len
+  in
   (* An edge to [id] died at [op]: close the dangling window once the
      last one is gone. *)
   let edge_died op = function
-    | None -> ()
-    | Some (target, _stored_at) -> (
-      match Absval.target_id target with
-      | Some id
-        when Lifetime.find lt id = None
-             && Lifetime.window_is_open lt id
-             && Pointsto.holder_count pt id = 0 ->
-        Lifetime.close_window lt ~id ~op
-      | Some _ | None -> ())
+    | Some ((Heap.Ptr id | Heap.Alias id), _)
+      when (not (Heap.is_live heap id)) && Heap.holder_count heap id = 0 -> (
+      match Hashtbl.find_opt windows id with
+      | Some opened_at ->
+        Hashtbl.remove windows id;
+        incr closed;
+        measure (op - opened_at)
+      | None -> ())
+    | Some _ | None -> ()
   in
-  let resolve loc =
-    match loc with
-    | Trace.Root w -> Some (Absval.normalize_root w)
-    | Trace.Field (id, w) -> (
-      match Lifetime.find lt id with
-      | Some { Lifetime.size; _ } -> Absval.normalize_field ~id ~size w
-      | None -> None)
-  in
-  let step () i op =
-    (match op with
-    | Trace.Alloc { id; size; site = _ } ->
+  let step i = function
+    | Heap.Alloc { size; _ } ->
       incr allocs;
-      List.iter (fun (_, a) -> Policy.acc_alloc a ~size) accs;
-      Lifetime.on_alloc lt ~id ~size ~op:i
-    | Trace.Free { id; thread = _ } -> (
-      match Lifetime.on_free lt ~id ~op:i with
-      | None -> ()
-      | Some { Lifetime.size; _ } ->
-        incr frees;
-        List.iter (fun (_, a) -> Policy.acc_free a ~size) accs;
-        let edges = Pointsto.holders pt id in
-        let outside =
-          List.filter
-            (fun (slot, _, _) ->
-              match slot with
-              | Absval.Field_slot (h, _) -> h <> id
-              | Absval.Root_slot _ -> true)
-            edges
-        in
-        (* Zeroing destroys every slot stored inside the dying object —
-           exactly what the replay's registry drop models. *)
-        if zeroing then
-          List.iter
-            (fun (_, target, stored_at) ->
-              edge_died i (Some (target, stored_at)))
-            (Pointsto.drop_fields_of pt id);
-        let ptrs, aliases =
-          List.partition
-            (fun (_, target, _) ->
-              match target with Absval.Ptr _ -> true | _ -> false)
-            outside
-        in
-        (match ptrs with
-        | (slot, _, _) :: _ ->
-          Hashtbl.replace unsound id ();
-          retain id size;
-          flag ~rule:"flow-dangling" ~op:i
-            (Printf.sprintf
-               "id %d freed while %d live slot(s) still point at it; \
-                witness: %s"
-               id (List.length ptrs)
-               (render_chain (Pointsto.witness_chain pt slot) id))
-        | [] -> ());
-        (match (ptrs, aliases) with
-        | [], (slot, _, _) :: _ ->
-          retain id size;
-          flag ~rule:"flow-alias" ~op:i
-            (Printf.sprintf
-               "id %d freed while %d data slot(s) alias its address \
-                (unlucky integers, e.g. %s): conservative retention expected"
-               id (List.length aliases)
-               (Absval.slot_to_string slot))
-        | _ -> ());
-        if outside <> [] then Lifetime.open_window lt ~id ~op:i;
-        if Pointsto.wild_count pt > 0 then retain id size;
-        if Policy.usable primary size < granule then begin
-          incr subgranule;
-          retain id size
-        end)
-    | Trace.Store_ptr { loc; target } -> (
-      match (resolve loc, Lifetime.find lt target) with
-      | Some slot, Some _ ->
-        edge_died i (Pointsto.store pt slot (Absval.Ptr target) ~op:i)
-      | _ -> ())
-    | Trace.Clear_ptr { loc; target } -> (
-      match (resolve loc, Lifetime.find lt target) with
-      | Some slot, Some _ -> (
-        match Pointsto.contents pt slot with
-        | Some ((Absval.Ptr t | Absval.Alias t), _) when t = target ->
-          edge_died i (Pointsto.clear pt slot)
-        | Some _ | None -> ())
-      | _ -> ())
-    | Trace.Store_data { loc; value } -> (
-      match resolve loc with
-      | None -> ()
-      | Some slot -> (
-        match Absval.classify_data value with
-        | `Alias id when Lifetime.find lt id <> None ->
-          edge_died i (Pointsto.store pt slot (Absval.Alias id) ~op:i)
-        | `Alias _ | `Harmless ->
-          (* dead-alias values resolve to 0 at replay: a plain clear *)
-          edge_died i (Pointsto.clear pt slot)
-        | `Wild ->
-          incr wild_stores;
-          flag ~rule:"flow-wild" ~op:i
-            (Printf.sprintf
-               "heap-range data value %#x stored at %s may alias any \
-                allocation (conservative retention possible)"
-               value (Absval.slot_to_string slot));
-          edge_died i (Pointsto.store pt slot Absval.Wild ~op:i)))
-    | Trace.Work _ -> ());
-    ()
+      List.iter (fun (_, a) -> Policy.acc_alloc a ~size) accs
+    | Heap.Free
+        { id; before = Some (Heap.Live { size; _ }); outside; dropped; _ } ->
+      incr frees;
+      List.iter (fun (_, a) -> Policy.acc_free a ~size) accs;
+      (* Zeroing destroyed every slot stored inside the dying object —
+         exactly what the replay's registry drop models. *)
+      List.iter
+        (fun (_, target, stored_at) -> edge_died i (Some (target, stored_at)))
+        dropped;
+      let ptrs, aliases =
+        List.partition
+          (fun (_, target, _) ->
+            match target with Heap.Ptr _ -> true | _ -> false)
+          outside
+      in
+      (match ptrs with
+      | (slot, _, _) :: _ ->
+        Hashtbl.replace unsound id ();
+        retain id size;
+        flag ~rule:"flow-dangling" ~op:i
+          (Printf.sprintf
+             "id %d freed while %d live slot(s) still point at it; witness: %s"
+             id (List.length ptrs)
+             (render_chain (Heap.witness_chain heap slot) id))
+      | [] -> ());
+      (match (ptrs, aliases) with
+      | [], (slot, _, _) :: _ ->
+        retain id size;
+        flag ~rule:"flow-alias" ~op:i
+          (Printf.sprintf
+             "id %d freed while %d data slot(s) alias its address (unlucky \
+              integers, e.g. %s): conservative retention expected"
+             id (List.length aliases) (slot_to_string slot))
+      | _ -> ());
+      if outside <> [] && not (Hashtbl.mem windows id) then begin
+        Hashtbl.replace windows id i;
+        incr opened
+      end;
+      if Heap.wild_count heap > 0 then retain id size;
+      if Policy.usable primary size < granule then begin
+        incr subgranule;
+        retain id size
+      end
+    | Heap.Free _ | Heap.Work -> ()
+    | Heap.Store { displaced; _ } -> edge_died i displaced
+    | Heap.Clear { cleared; _ } -> edge_died i cleared
+    | Heap.Data { place; value; stored; displaced } ->
+      (match (stored, place) with
+      | Some Heap.Wild, Heap.(Slot slot | Wrapped { slot; _ }) ->
+        incr wild_stores;
+        flag ~rule:"flow-wild" ~op:i
+          (Printf.sprintf
+             "heap-range data value %#x stored at %s may alias any \
+              allocation (conservative retention possible)"
+             value (slot_to_string slot))
+      | _ -> ());
+      edge_died i displaced
   in
   let ops = ref 0 in
   Trace.fold_stream stream ~init:() ~f:(fun () i op ->
       ops := i + 1;
-      step () i op);
+      step i (Heap.step heap i op));
+  (* Windows still open ran to the end of the trace: measure them there. *)
+  Hashtbl.iter (fun _ opened_at -> measure (!ops - opened_at)) windows;
   let sorted_keys tbl =
     Hashtbl.fold (fun id _ acc -> id :: acc) tbl [] |> List.sort compare
   in
@@ -203,7 +175,14 @@ let analyze ?(policies = Policy.default_policies) stream =
     findings = Diagnostic.sort (List.rev !diags);
     predicted_unsound = sorted_keys unsound;
     predicted_retained = retained_ids;
-    windows = Lifetime.window_stats lt ~end_op:!ops;
+    windows =
+      {
+        opened = !opened;
+        closed = !closed;
+        open_at_end = Hashtbl.length windows;
+        max_len = !max_len;
+        total_len = !total_len;
+      };
     wild_stores = !wild_stores;
     subgranule_frees = !subgranule;
     bounds;

@@ -1,11 +1,11 @@
-(** The one-pass analyzer: fold a trace stream through the abstract
-    domain and emit the static UAF-exposure report, retention
+(** The one-pass analyzer: fold a trace stream's {!Workloads.Absheap}
+    events and emit the static UAF-exposure report, retention
     predictions and per-policy bounds.
 
-    No Vmem, no Instance, no replay: state is the points-to graph plus
-    per-id lifetimes, so memory is proportional to simultaneously-live
-    state, independent of trace length (the analyzer reads the trace
-    through {!Workloads.Trace.fold_stream}).
+    No Vmem, no Instance, no replay: state is the abstract heap (the
+    live points-to graph and one record per id) plus the dangling
+    windows, and the analyzer reads the trace through
+    {!Workloads.Trace.fold_stream}, one chunk of ops at a time.
 
     Prediction contract (the soundness argument, DESIGN §11): every
     dynamic [oracle-unsound] id is in [predicted_unsound], and every
@@ -13,11 +13,18 @@
     {!Sanitizer.Sweep_oracle.certify_static} enforces zero static false
     negatives. *)
 
-type window_stats = Lifetime.window_stats = {
+(** Dangling windows. An object's window opens at the [Free] that
+    leaves at least one slot outside it bound to it (the paper's Section
+    3.2 precondition: exactly the state in which MineSweeper must keep
+    the extent quarantined) and closes when the last such slot dies —
+    overwritten, cleared, or its holder freed. Lengths are in trace
+    ops. *)
+type window_stats = {
   opened : int;
   closed : int;
-  open_at_end : int;
+  open_at_end : int;  (** windows still open when the trace ended *)
   max_len : int;
+      (** longest window (open windows measured to the end of the trace) *)
   total_len : int;
 }
 
@@ -44,9 +51,10 @@ type t = {
 
 val analyze : ?policies:Policy.t list -> Workloads.Trace.stream -> t
 (** Consumes the stream (single pass). The first MineSweeper policy (or
-    the default configuration if none) fixes the graph semantics:
-    zeroing decides whether interior slots die at free; its shadow
-    granule decides the sub-granule retention class. *)
+    the default configuration if none) fixes the heap's semantics:
+    its zeroing decides whether interior slots die at free; its shadow
+    granule decides the sub-granule retention class.
+    @raise Workloads.Trace.Parse_error on malformed input. *)
 
 val analyze_trace : ?policies:Policy.t list -> Workloads.Trace.t -> t
 

@@ -1,21 +1,22 @@
 (* The allocation-site pooling analysis, stage one: a one-pass
-   site-lifetime lattice over the same points-to graph the dangling
-   report maintains. Where {!Report} asks "which *objects* are exposed
-   at their free?", this pass folds the answer onto the trace's static
-   allocation sites: per site, the demand curve (per-size-class peaks
-   and totals, in the pooled allocator's own rounding) and the
-   dangling-exposure summary that {!Poolplan} turns into a pool
-   partition.
+   site-lifetime lattice, a fold over the same abstract heap
+   ({!Workloads.Absheap}) the dangling report folds over. Where
+   {!Report} asks "which *objects* are exposed at their free?", this
+   pass folds the answer onto the trace's static allocation sites: per
+   site, the demand curve (per-size-class peaks and totals, in the
+   pooled allocator's own rounding) and the dangling-exposure summary
+   that {!Poolplan} turns into a pool partition.
 
    Exposure is deliberately more conservative than the report's: the
    pooled backend never zeroes on free, so an edge held inside a freed
    holder persists (physically and in the ground-truth registry) until
-   that memory is re-served. The lattice therefore never drops interior
-   edges of dead holders — static exposure over-approximates every
-   state the differential oracle can observe, which is what makes the
-   derived plan certifiable. *)
+   that memory is re-served. The lattice's heap therefore never zeroes
+   and keeps the interior edges of dead holders — static exposure
+   over-approximates every state the differential oracle can observe,
+   which is what makes the derived plan certifiable. *)
 
 module Trace = Workloads.Trace
+module Heap = Workloads.Absheap
 
 (* Demand is tracked in the pooled allocator's own units: a small
    request occupies one slot of its size class (footprint comes in
@@ -112,29 +113,15 @@ let fresh_acc () =
 let analyze stream =
   let sites = max 1 (Trace.stream_sites stream) in
   let accs = Array.init sites (fun _ -> fresh_acc ()) in
-  let site_of_id : (int, int) Hashtbl.t = Hashtbl.create 4096 in
-  let lt = Lifetime.create () in
-  let pt = Pointsto.create () in
+  let heap = Heap.create ~zeroing:false in
   let allocs = ref 0 in
   let frees = ref 0 in
   let out_of_range = ref 0 in
-  let resolve lt loc =
-    match loc with
-    | Trace.Root w -> Some (Absval.normalize_root w)
-    | Trace.Field (id, w) -> (
-      match Lifetime.find lt id with
-      | Some { Lifetime.size; _ } -> Absval.normalize_field ~id ~size w
-      | None -> None)
-  in
-  let step i op =
-    match op with
-    | Trace.Alloc { id; size; site } ->
+  let step = function
+    | Heap.Alloc { size; site; _ } ->
       incr allocs;
       if site < 0 || site >= sites then incr out_of_range;
-      let site = Trace.clamp_site ~sites site in
-      Hashtbl.replace site_of_id id site;
-      Lifetime.on_alloc lt ~id ~size ~op:i;
-      let a = accs.(site) in
+      let a = accs.(Trace.clamp_site ~sites site) in
       a.a_allocs <- a.a_allocs + 1;
       let key = class_key_of_size size in
       let cs =
@@ -151,80 +138,35 @@ let analyze stream =
       a.a_live_bytes <- a.a_live_bytes + usable_of_key key;
       if a.a_live_bytes > a.a_peak_live_bytes then
         a.a_peak_live_bytes <- a.a_live_bytes
-    | Trace.Free { id; thread = _ } -> (
-      match Lifetime.on_free lt ~id ~op:i with
-      | None -> ()
-      | Some { Lifetime.size; _ } ->
-        incr frees;
-        let site =
-          Option.value ~default:0 (Hashtbl.find_opt site_of_id id)
-        in
-        let a = accs.(site) in
-        a.a_frees <- a.a_frees + 1;
-        let key = class_key_of_size size in
-        (match Hashtbl.find_opt a.a_classes key with
-        | Some cs -> cs.live <- cs.live - 1
-        | None -> ());
-        let usable = usable_of_key key in
-        a.a_live_bytes <- a.a_live_bytes - usable;
-        a.a_total_freed_bytes <- a.a_total_freed_bytes + usable;
-        (* Which edges survive this free, from outside the dying
-           object? Interior edges of *other* dead holders persist by
-           design (no zeroing on free in the pooled backend). *)
-        let outside =
-          List.filter
-            (fun (slot, _, _) ->
-              match slot with
-              | Absval.Field_slot (h, _) -> h <> id
-              | Absval.Root_slot _ -> true)
-            (Pointsto.holders pt id)
-        in
-        let has_ptr =
-          List.exists
-            (fun (_, target, _) ->
-              match target with Absval.Ptr _ -> true | _ -> false)
-            outside
-        in
-        let has_alias =
-          List.exists
-            (fun (_, target, _) ->
-              match target with Absval.Alias _ -> true | _ -> false)
-            outside
-        in
-        let has_wild = Pointsto.wild_count pt > 0 in
-        if has_ptr then a.a_ptr <- true;
-        if has_alias then a.a_alias <- true;
-        if has_wild then a.a_wild <- true;
-        if has_ptr || has_alias || has_wild then
-          a.a_exposed_frees <- a.a_exposed_frees + 1)
-    | Trace.Store_ptr { loc; target } -> (
-      match (resolve lt loc, Lifetime.find lt target) with
-      | Some slot, Some _ ->
-        ignore (Pointsto.store pt slot (Absval.Ptr target) ~op:i)
-      | _ -> ())
-    | Trace.Clear_ptr { loc; target } -> (
-      match (resolve lt loc, Lifetime.find lt target) with
-      | Some slot, Some _ -> (
-        match Pointsto.contents pt slot with
-        | Some ((Absval.Ptr t | Absval.Alias t), _) when t = target ->
-          ignore (Pointsto.clear pt slot)
-        | Some _ | None -> ())
-      | _ -> ())
-    | Trace.Store_data { loc; value } -> (
-      match resolve lt loc with
-      | None -> ()
-      | Some slot -> (
-        match Absval.classify_data value with
-        | `Alias id when Lifetime.find lt id <> None ->
-          ignore (Pointsto.store pt slot (Absval.Alias id) ~op:i)
-        | `Alias _ | `Harmless -> ignore (Pointsto.clear pt slot)
-        | `Wild -> ignore (Pointsto.store pt slot Absval.Wild ~op:i)))
-    | Trace.Work _ -> ()
+    | Heap.Free { before = Some (Heap.Live { size; site; _ }); outside; _ } ->
+      incr frees;
+      let a = accs.(Trace.clamp_site ~sites site) in
+      a.a_frees <- a.a_frees + 1;
+      let key = class_key_of_size size in
+      (match Hashtbl.find_opt a.a_classes key with
+      | Some cs -> cs.live <- cs.live - 1
+      | None -> ());
+      let usable = usable_of_key key in
+      a.a_live_bytes <- a.a_live_bytes - usable;
+      a.a_total_freed_bytes <- a.a_total_freed_bytes + usable;
+      (* Which edges survive this free, from outside the dying object?
+         Interior edges of *other* dead holders persist by design (no
+         zeroing on free in the pooled backend). *)
+      let has kind = List.exists (fun (_, target, _) -> kind target) outside in
+      let has_ptr = has (function Heap.Ptr _ -> true | _ -> false) in
+      let has_alias = has (function Heap.Alias _ -> true | _ -> false) in
+      let has_wild = Heap.wild_count heap > 0 in
+      if has_ptr then a.a_ptr <- true;
+      if has_alias then a.a_alias <- true;
+      if has_wild then a.a_wild <- true;
+      if has_ptr || has_alias || has_wild then
+        a.a_exposed_frees <- a.a_exposed_frees + 1
+    | Heap.(Free _ | Store _ | Clear _ | Data _ | Work) -> ()
   in
   let ops = ref 0 in
   Trace.fold_stream stream ~init:() ~f:(fun () i op ->
       ops := i + 1;
-      step i op);
+      step (Heap.step heap i op));
   let summaries =
     Array.mapi
       (fun site a ->

@@ -1,7 +1,8 @@
 (** Static allocation-site pooling analysis, stage one.
 
-    A single pass over a trace stream that folds the points-to graph's
-    dangling-exposure answers onto the trace's static allocation sites.
+    A single pass over a trace stream that folds the dangling-exposure
+    answers of {!Workloads.Absheap} (created without zeroing) onto the
+    trace's static allocation sites.
     For every site it computes the demand curve — per-size-class peak
     and total slot counts, in the pooled allocator's own rounding — and
     a three-level exposure summary:

@@ -22,20 +22,7 @@ let to_string d =
       (severity_to_string d.severity)
       d.rule d.message
 
-let pp fmt d = Format.pp_print_string fmt (to_string d)
-
 let errors ds = List.filter (fun d -> d.severity = Error) ds
-let warnings ds = List.filter (fun d -> d.severity = Warning) ds
-
-let count_by_rule ds =
-  let tbl = Hashtbl.create 16 in
-  List.iter
-    (fun d ->
-      Hashtbl.replace tbl d.rule
-        (1 + Option.value ~default:0 (Hashtbl.find_opt tbl d.rule)))
-    ds;
-  Hashtbl.fold (fun rule n acc -> (rule, n) :: acc) tbl []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
 
 let has_rule rule ds = List.exists (fun d -> d.rule = rule) ds
 

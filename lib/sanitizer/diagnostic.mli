@@ -20,13 +20,8 @@ val make : rule:string -> severity:severity -> ?op_index:int -> string -> t
 
 val severity_to_string : severity -> string
 val to_string : t -> string
-val pp : Format.formatter -> t -> unit
 
 val errors : t list -> t list
-val warnings : t list -> t list
-
-val count_by_rule : t list -> (string * int) list
-(** Rule ids with their occurrence counts, sorted by rule id. *)
 
 val has_rule : string -> t list -> bool
 

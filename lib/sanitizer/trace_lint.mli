@@ -1,13 +1,14 @@
 (** Static analysis over {!Workloads.Trace.t} programs.
 
-    Walks the op array without executing it, tracking an abstract state
-    (id liveness, which slot statically holds which pointer) and emits a
-    {!Diagnostic.t} per violation. The analysis mirrors the semantics
-    {!Workloads.Trace.run} gives every replay — it wraps indices with the
-    same {!Workloads.Trace.root_word} and {!Workloads.Trace.field_word}
-    and follows the skip rules for unresolvable operands — so a clean
-    lint means the replay performs no silent no-ops beyond the guarded
-    [Clear_ptr] cases.
+    Walks the op array without executing it, a fold over the events of
+    {!Workloads.Absheap} (id records, which slot statically holds which
+    pointer, how each location resolved) created with zeroing, as
+    MineSweeper frees, and emits a {!Diagnostic.t} per violation. The
+    heap mirrors the semantics {!Workloads.Trace.run} gives every replay
+    — the same index rule and skip rules — so a clean lint means the
+    replay performs no silent no-ops beyond the guarded [Clear_ptr]
+    cases, and [unclear-before-free] flags exactly the (free, id) pairs
+    the analyzer's [flow-dangling] does.
 
     Rules (stable ids; E = error, W = warning):
     - [double-free] (E): [Free] of an id already freed.

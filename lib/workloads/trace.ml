@@ -303,8 +303,13 @@ let to_string t =
     t.ops;
   Buffer.contents buffer
 
-let parse_error line_no what =
-  failwith (Printf.sprintf "Trace.of_string: line %d: %s" line_no what)
+exception Parse_error of { line : int; message : string }
+
+let parse_error line message = raise (Parse_error { line; message })
+
+(* A request larger than the heap window fits in no replay's address
+   space; a negative one is no request at all. *)
+let max_size = Layout.heap_limit - Layout.heap_base
 
 (* One line of the text format. The one-shot parser and the chunked
    stream share this so they can never disagree on the grammar. *)
@@ -324,6 +329,13 @@ let parse_line ~line_no line =
     | Some v -> v
     | None -> parse_error line_no msg
   in
+  let size_at w =
+    let size = int_at "size" w in
+    if size < 0 || size > max_size then
+      parse_error line_no
+        (Printf.sprintf "size %d outside [0, %d]" size max_size);
+    size
+  in
   match words with
   | [] -> L_nothing
   | "#" :: "msweep-trace" :: "v1" :: rest ->
@@ -338,13 +350,13 @@ let parse_line ~line_no line =
     L_sites n
   | "#" :: _ -> L_nothing
   | [ "a"; id; size ] ->
-    L_op (Alloc { id = int_at "id" id; size = int_at "size" size; site = 0 })
+    L_op (Alloc { id = int_at "id" id; size = size_at size; site = 0 })
   | [ "a"; id; size; site ] ->
     L_op
       (Alloc
          {
            id = int_at "id" id;
-           size = int_at "size" size;
+           size = size_at size;
            site = int_at "site" site;
          })
   | [ "x"; id ] -> L_op (Free { id = int_at "id" id; thread = 0 })

@@ -76,8 +76,9 @@ val generate : ?seed:int -> Profile.t -> t
 
     This section is the only statement of a trace's semantics: every
     replay (the harness, the sweep and pool oracles, the race recorder)
-    runs {!run}, and the lint pass and the static analyzer resolve
-    indices with {!root_word} and {!field_word}.
+    runs {!run}, and the lint pass and the static analyzer read a trace
+    through {!Absheap}, which resolves indices with {!root_word} and
+    {!field_word}.
 
     {b Index rule.} Word indices wrap into range by Euclidean modulo:
     [Root w] names word [w mod root_window_words] of the root window
@@ -137,11 +138,22 @@ val allocation_count : t -> int
 (** {1 Text serialisation} *)
 
 val to_string : t -> string
+
+exception Parse_error of { line : int; message : string }
+(** Malformed input: the 1-based line number and what is wrong with it —
+    an unrecognised op, a field that is not an integer (the message names
+    the field), a [# threads] or [# sites] header below 1, or an [Alloc]
+    size below 0 or above [Layout.heap_limit - Layout.heap_base]
+    (273,804,165,120 bytes, the heap window: no replay could serve it). *)
+
 val of_string : string -> t
-(** @raise Failure on malformed input, with a line number. *)
+(** @raise Parse_error on malformed input. *)
 
 val to_file : t -> string -> unit
+
 val of_file : string -> t
+(** @raise Parse_error on malformed input.
+    @raise Sys_error when the file cannot be read. *)
 
 (** {1 Chunked streaming}
 
@@ -159,7 +171,13 @@ val default_chunk_ops : int
 (** 4096. *)
 
 val stream_of_string : ?chunk_ops:int -> string -> stream
+(** @raise Parse_error when a line before the first op is malformed
+    (header lines are read at construction). *)
+
 val stream_of_file : ?chunk_ops:int -> string -> stream
+(** As {!stream_of_string}.
+    @raise Sys_error when the file cannot be opened. *)
+
 val stream_of_trace : ?chunk_ops:int -> t -> stream
 
 val stream_name : stream -> string
@@ -176,5 +194,5 @@ val stream_sites : stream -> int
 val fold_stream : stream -> init:'a -> f:('a -> int -> op -> 'a) -> 'a
 (** [fold_stream st ~init ~f] applies [f acc op_index op] over every op
     in order. Single-shot: a stream can only be folded once.
-    @raise Failure on malformed input, with a line number.
+    @raise Parse_error on malformed input.
     @raise Invalid_argument if the stream was already consumed. *)

@@ -42,6 +42,21 @@ let test_budget_never_exceeded () =
   Alcotest.(check int) "oom_kills counts killed tenants"
     (List.length killed) r.Fleet.oom_kills
 
+let test_budget_held_after_last_request () =
+  (* The request that crosses the budget is the lone tenant's last, so
+     no tenant is running when enforcement runs: the finished one must
+     still be reclaimed (or killed) back under the budget. *)
+  let steady = Option.get (Workloads.Server.find "steady") in
+  let budget = 1_105_920 in
+  let r =
+    Fleet.run ~seed:4 ~scale:0.02 (Fleet.config ~budget ())
+      [ Fleet.tenant steady scheme ]
+  in
+  Alcotest.(check bool) "pressure path exercised" true
+    (r.Fleet.pressure_events > 0);
+  Alcotest.(check bool) "committed peak within budget" true
+    (r.Fleet.committed_peak <= budget)
+
 let test_ample_budget_no_pressure () =
   let r = run_small () in
   Alcotest.(check int) "no pressure events" 0 r.Fleet.pressure_events;
@@ -216,6 +231,8 @@ let suite =
     [
       Alcotest.test_case "budget never exceeded under pressure" `Quick
         test_budget_never_exceeded;
+      Alcotest.test_case "budget held after a tenant's last request" `Quick
+        test_budget_held_after_last_request;
       Alcotest.test_case "ample budget: no pressure" `Quick
         test_ample_budget_no_pressure;
       Alcotest.test_case "deterministic export" `Quick

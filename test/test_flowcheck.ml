@@ -317,6 +317,59 @@ let test_diagnostic_sort () =
            d.Sanitizer.Diagnostic.op_index d.Sanitizer.Diagnostic.message)
        sorted)
 
+(* The lint's [unclear-before-free] and the analyzer's [flow-dangling]
+   are one analysis: both fold over [Workloads.Absheap], so on any trace
+   they flag the same (free op, object id) pairs. *)
+let dangling_pairs rule diags =
+  List.filter_map
+    (fun (d : Sanitizer.Diagnostic.t) ->
+      if d.Sanitizer.Diagnostic.rule <> rule then None
+      else
+        Scanf.sscanf_opt d.Sanitizer.Diagnostic.message "id %d freed"
+          (fun id -> (d.Sanitizer.Diagnostic.op_index, id)))
+    diags
+  |> List.sort_uniq compare
+
+let lint_pairs trace =
+  dangling_pairs "unclear-before-free" (Sanitizer.Trace_lint.lint trace)
+
+let analyzer_pairs trace =
+  dangling_pairs "flow-dangling"
+    (Flowcheck.Report.analyze_trace trace).Flowcheck.Report.findings
+
+let test_lint_matches_corpus () =
+  List.iter
+    (fun (c : Sanitizer.Corpus.case) ->
+      let t = c.Sanitizer.Corpus.trace in
+      Alcotest.(check (list (pair int int)))
+        (c.Sanitizer.Corpus.name ^ ": same dangling frees") (lint_pairs t)
+        (analyzer_pairs t))
+    Sanitizer.Corpus.cases;
+  let case =
+    List.find
+      (fun (c : Sanitizer.Corpus.case) ->
+        c.Sanitizer.Corpus.name = "unclear-before-free")
+      Sanitizer.Corpus.cases
+  in
+  Alcotest.(check bool) "the dangling case flags a free" true
+    (lint_pairs case.Sanitizer.Corpus.trace <> [])
+
+let prop_lint_matches_analyzer =
+  let profiles =
+    Array.of_list
+      (Workloads.Spec2006.all @ Workloads.Spec2017.all
+     @ Workloads.Mimalloc_bench.all)
+  in
+  QCheck.Test.make ~name:"lint and analyzer flag the same dangling frees"
+    ~count:40
+    QCheck.(pair (int_bound (Array.length profiles - 1)) (int_bound 1_000_000))
+    (fun (k, seed) ->
+      let trace =
+        Workloads.Trace.generate ~seed
+          (Workloads.Profile.scale_ops 0.01 profiles.(k))
+      in
+      lint_pairs trace = analyzer_pairs trace)
+
 let suite =
   ( "flowcheck",
     [
@@ -340,5 +393,8 @@ let suite =
       Alcotest.test_case "lockset clean on recorded streams" `Quick
         test_lockset_clean_on_recorded_stream;
       Alcotest.test_case "corpus self-test" `Quick test_corpus_self_test;
+      Alcotest.test_case "lint and analyzer agree on the corpus" `Quick
+        test_lint_matches_corpus;
+      QCheck_alcotest.to_alcotest prop_lint_matches_analyzer;
       Alcotest.test_case "diagnostic sort order" `Quick test_diagnostic_sort;
     ] )

@@ -76,6 +76,22 @@ let test_lint_flags_dangling_workload () =
     [ "unclear-before-free" ] (rules_of diags);
   Alcotest.(check bool) "warnings, not errors" true (Diagnostic.errors diags = [])
 
+let test_lint_follows_replay () =
+  let unclear text =
+    Lint.lint (Trace.of_string text)
+    |> List.filter (fun d -> d.Diagnostic.rule = "unclear-before-free")
+    |> List.map (fun d -> d.Diagnostic.op_index)
+  in
+  (* A clear writes 0 only over its own target: root[5] was overwritten
+     with a pointer to id 1, so the clear naming id 0 leaves it, and id
+     1's free leaves that pointer behind. *)
+  Alcotest.(check (list int)) "a clear of another target keeps the slot" [ 5 ]
+    (unclear "a 0 64\na 1 64\np r 5 0\np r 5 1\nc r 5 0\nx 1\n");
+  (* A free zeroes the object: the pointer stored inside id 0 dies with
+     it, so freeing its target afterwards leaves nothing behind. *)
+  Alcotest.(check (list int)) "a freed holder's fields die with it" []
+    (unclear "a 0 64\na 1 64\np f 0 0 1\nx 0\nx 1\n")
+
 let test_diagnostics_ordered () =
   let diags =
     Lint.lint (Trace.of_string "# msweep-trace v1 o\nx 5\na 0 64\nx 0\nx 0\n")
@@ -175,6 +191,8 @@ let suite =
         test_clean_on_stock_traces;
       Alcotest.test_case "dangling workload flagged" `Quick
         test_lint_flags_dangling_workload;
+      Alcotest.test_case "lint follows the replay's clears and zeroing"
+        `Quick test_lint_follows_replay;
       Alcotest.test_case "diagnostics in op order" `Quick
         test_diagnostics_ordered;
       Alcotest.test_case "invariants hold on live stack" `Quick

@@ -230,22 +230,83 @@ let prop_generate_matches_reference =
 
 let test_parse_errors () =
   Alcotest.check_raises "bad op"
-    (Failure "Trace.of_string: line 1: unrecognised op: zz 1 2") (fun () ->
-      ignore (Workloads.Trace.of_string "zz 1 2"));
+    (Workloads.Trace.Parse_error
+       { line = 1; message = "unrecognised op: zz 1 2" })
+    (fun () -> ignore (Workloads.Trace.of_string "zz 1 2"));
   Alcotest.check_raises "bad int"
-    (Failure "Trace.of_string: line 1: size") (fun () ->
-      ignore (Workloads.Trace.of_string "a 1 pancake"))
+    (Workloads.Trace.Parse_error { line = 1; message = "size" })
+    (fun () -> ignore (Workloads.Trace.of_string "a 1 pancake"));
+  (* Sizes no replay can serve are rejected where they are written. *)
+  List.iter
+    (fun size ->
+      Alcotest.check_raises size
+        (Workloads.Trace.Parse_error
+           {
+             line = 2;
+             message = "size " ^ size ^ " outside [0, 273804165120]";
+           })
+        (fun () ->
+          ignore (Workloads.Trace.of_string ("a 0 64\na 1 " ^ size ^ " 3\n"))))
+    [ "-5"; "4611686018427387903"; "300000000000"; "273804165121" ];
+  Alcotest.(check int) "the bound itself parses" 1
+    (Workloads.Trace.length (Workloads.Trace.of_string "a 0 273804165120\n"))
+
+(* Whatever the bytes, both parsers return or raise [Parse_error]: no
+   other exception escapes. Inputs: random bytes, random truncations of
+   a generated trace, and lines of op letters and integers that are
+   negative, huge or overflow. *)
+let prop_parse_total =
+  let tokens =
+    [ "a"; "x"; "p"; "c"; "d"; "w"; "r"; "f"; "#"; "threads"; "sites";
+      "msweep-trace"; "v1"; "0"; "1"; "-1"; "-5"; "64"; "300000000000";
+      "273804165121"; "4611686018427387903"; "-4611686018427387904";
+      "4611686018427387904"; "99999999999999999999999"; "0x7f"; "1e3" ]
+  in
+  let gen =
+    let open QCheck.Gen in
+    let line = map (String.concat " ") (list_size (0 -- 6) (oneofl tokens)) in
+    let truncated =
+      map2
+        (fun seed cut ->
+          let text =
+            Workloads.Trace.to_string
+              (Workloads.Trace.generate ~seed
+                 (Workloads.Profile.scale_ops 0.05 tiny_profile))
+          in
+          String.sub text 0 (cut mod (String.length text + 1)))
+        small_nat nat
+    in
+    oneof
+      [ string_size ~gen:char (0 -- 300);
+        map (String.concat "\n") (list_size (0 -- 12) line);
+        truncated ]
+  in
+  let returns_or_rejects f =
+    match f () with
+    | () -> true
+    | exception Workloads.Trace.Parse_error _ -> true
+  in
+  QCheck.Test.make ~name:"parsers return or raise Parse_error" ~count:500
+    (QCheck.make ~print:String.escaped gen)
+    (fun text ->
+      returns_or_rejects (fun () -> ignore (Workloads.Trace.of_string text))
+      && returns_or_rejects (fun () ->
+             let st = Workloads.Trace.stream_of_string ~chunk_ops:7 text in
+             Workloads.Trace.fold_stream st ~init:() ~f:(fun () _ _ -> ())))
 
 let test_parse_error_line_numbers () =
   (* The reported line number must point at the offending line, counting
      the header and every earlier (valid) line. *)
   Alcotest.check_raises "bad op mid-file"
-    (Failure "Trace.of_string: line 4: unrecognised op: zz 9") (fun () ->
+    (Workloads.Trace.Parse_error
+       { line = 4; message = "unrecognised op: zz 9" })
+    (fun () ->
       ignore
         (Workloads.Trace.of_string
            "# msweep-trace v1 broken\na 0 64\nx 0\nzz 9\na 1 32\n"));
   Alcotest.check_raises "truncated store"
-    (Failure "Trace.of_string: line 3: unrecognised op: p r") (fun () ->
+    (Workloads.Trace.Parse_error { line = 3; message = "unrecognised op: p r" })
+    (fun () ->
       ignore
         (Workloads.Trace.of_string "# msweep-trace v1 broken\na 0 64\np r\n"))
 
@@ -325,15 +386,18 @@ let test_threads_zero_header () =
   (* A declared mutator count below 1 is meaningless: both parsers must
      reject it with the offending line number (they share one grammar). *)
   Alcotest.check_raises "zero threads"
-    (Failure "Trace.of_string: line 2: threads must be >= 1") (fun () ->
+    (Workloads.Trace.Parse_error { line = 2; message = "threads must be >= 1" })
+    (fun () ->
       ignore
         (Workloads.Trace.of_string
            "# msweep-trace v1 bad\n# threads 0\na 0 64\n"));
   Alcotest.check_raises "negative threads"
-    (Failure "Trace.of_string: line 1: threads must be >= 1") (fun () ->
+    (Workloads.Trace.Parse_error { line = 1; message = "threads must be >= 1" })
+    (fun () ->
       ignore (Workloads.Trace.of_string "# threads -3\n"));
   Alcotest.check_raises "zero threads via stream"
-    (Failure "Trace.of_string: line 2: threads must be >= 1") (fun () ->
+    (Workloads.Trace.Parse_error { line = 2; message = "threads must be >= 1" })
+    (fun () ->
       let st =
         Workloads.Trace.stream_of_string
           "# msweep-trace v1 bad\n# threads 0\na 0 64\n"
@@ -418,11 +482,13 @@ let test_single_site_column () =
 
 let test_sites_zero_header () =
   Alcotest.check_raises "zero sites"
-    (Failure "Trace.of_string: line 2: sites must be >= 1") (fun () ->
+    (Workloads.Trace.Parse_error { line = 2; message = "sites must be >= 1" })
+    (fun () ->
       ignore
         (Workloads.Trace.of_string "# msweep-trace v1 bad\n# sites 0\na 0 64\n"));
   Alcotest.check_raises "negative sites via stream"
-    (Failure "Trace.of_string: line 1: sites must be >= 1") (fun () ->
+    (Workloads.Trace.Parse_error { line = 1; message = "sites must be >= 1" })
+    (fun () ->
       let st = Workloads.Trace.stream_of_string "# sites -2\na 0 64\n" in
       ignore (Workloads.Trace.fold_stream st ~init:0 ~f:(fun acc _ _ -> acc)))
 
@@ -493,7 +559,7 @@ let test_stream_single_shot () =
    word. *)
 
 let location_cases =
-  let module A = Flowcheck.Absval in
+  let module A = Workloads.Absheap in
   Workloads.Trace.
     [
       (Root (-1), Some (A.Root_slot 8191));
@@ -564,8 +630,18 @@ let changed_words (mem_a, addrs) mem_b =
     [ (root_lo, root_hi); (lo, hi) ];
   List.rev !changed
 
+(* The slot the abstract heap resolves [store]'s location to, after the
+   four allocations. *)
+let absheap_slot store =
+  let module A = Workloads.Absheap in
+  let heap = A.create ~zeroing:true in
+  List.iteri (fun i op -> ignore (A.step heap i op)) location_prefix;
+  match A.step heap (List.length location_prefix) store with
+  | A.Data { place = A.Slot slot | A.Wrapped { slot; _ }; _ } -> Some slot
+  | _ -> None
+
 let test_one_answer_per_location () =
-  let module A = Flowcheck.Absval in
+  let module A = Workloads.Absheap in
   let before = replay_baseline location_prefix in
   let addrs = snd before in
   List.iter
@@ -586,14 +662,8 @@ let test_one_answer_per_location () =
       Alcotest.(check (list int))
         (name ^ ": the replay writes only the word the rule names")
         expected_addr (changed_words before mem);
-      let slot =
-        match loc with
-        | Workloads.Trace.Root w -> Some (A.normalize_root w)
-        | Workloads.Trace.Field (id, w) ->
-          A.normalize_field ~id ~size:location_sizes.(id) w
-      in
       Alcotest.(check bool) (name ^ ": the analyzer's slot") true
-        (slot = expected);
+        (absheap_slot store = expected);
       (* The parenthesised tail of each [field-out-of-range] warning. *)
       let lint =
         Sanitizer.Trace_lint.lint (location_trace (location_prefix @ [ store ]))
@@ -683,6 +753,7 @@ let suite =
       Alcotest.test_case "parse errors" `Quick test_parse_errors;
       Alcotest.test_case "parse error line numbers" `Quick
         test_parse_error_line_numbers;
+      QCheck_alcotest.to_alcotest prop_parse_total;
       Alcotest.test_case "file roundtrip" `Quick test_file_roundtrip;
       Alcotest.test_case "replay all schemes" `Quick test_replay_all_schemes;
       Alcotest.test_case "replay deterministic" `Quick test_replay_deterministic;
