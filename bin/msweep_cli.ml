@@ -1065,8 +1065,10 @@ let analyze_cmd =
       & opt int Workloads.Trace.default_chunk_ops
       & info [ "chunk" ]
           ~doc:
-            "Ops per streamed chunk (memory use is proportional to this \
-             plus live state, not to trace length)")
+            "Ops per streamed chunk: the op buffer holds at most this \
+             many ops. The abstract heap is not bounded: it keeps one \
+             record per allocation id the trace makes, so memory still \
+             grows with trace length")
   in
   let json_arg =
     Arg.(

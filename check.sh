@@ -287,7 +287,29 @@ echo "pooled backend certified UAF-free with dominating bounds on every mimalloc
 
 echo "== bench smoke: incremental sweeps fewer bytes than full"
 figure_gate incremental-sweep "incremental mode did not sweep strictly fewer bytes"
+require_cksum incremental-sweep.txt "2125297217 1614"
 echo "incremental swept strictly fewer bytes on every sweeping profile"
+
+echo "== incremental sweeps: pinned exports"
+# The summary cache's rescan/replay split shows in the ms.* counters,
+# the stage reports and the mark spans: pin them under both incremental
+# presets, and at four modeled domains, where the rescanned pages alone
+# are sharded across the markers.
+for scheme in incremental incremental-mostly; do
+  "$CLI" bench --suite spec2006 -b perlbench -s "$scheme" --scale 0.02 \
+    --metrics-out "$workdir/$scheme.jsonl" \
+    --spans-out "$workdir/$scheme-spans.jsonl" >/dev/null
+done
+"$CLI" bench --suite spec2006 -b omnetpp -s incremental --scale 0.05 \
+  --domains 4 --metrics-out "$workdir/omnetpp-d4.jsonl" \
+  --spans-out "$workdir/omnetpp-d4-spans.jsonl" >/dev/null
+require_cksum incremental.jsonl "2686403715 2831"
+require_cksum incremental-spans.jsonl "3359670927 288117"
+require_cksum incremental-mostly.jsonl "4277989090 2853"
+require_cksum incremental-mostly-spans.jsonl "4127595238 289093"
+require_cksum omnetpp-d4.jsonl "1505542806 3120"
+require_cksum omnetpp-d4-spans.jsonl "179341719 1073671"
+echo "incremental metrics and spans match their pinned bytes at 1 and 4 domains"
 
 echo "== parallel marking: equivalence suite + determinism across domains"
 # The dedicated equivalence suite: for every preset and modeled domain

@@ -13,10 +13,8 @@ let error_to_string = Instance_intf.error_to_string
 type sweep_event = Instance_intf.sweep_event =
   | Sweep_locked of { sweep : int; entries : int }
   | Stage_boundary of { sweep : int; stage : Pipeline.stage; enter : bool }
-  | Mark_page of { sweep : int; base : int }
   | Mark_completed of { sweep : int; scanned_bytes : int }
   | Stw_fence of { sweep : int }
-  | Rescan_page of { sweep : int; base : int }
   | Sweep_completed of { sweep : int }
 
 (* ---- The word scan ------------------------------------------------- *)
@@ -38,50 +36,46 @@ let unsafe_word bytes k =
   let w = unsafe_get64 bytes (k lsl 3) in
   Int64.to_int (if big_endian () then swap64 w else w)
 
-let empty_hits : int array = [||]
-
-(* The words of one page frame in [heap_base, limit), in page order, as a
-   fresh exactly sized array. Two passes (count, then fill): the common
-   page has no hits and returns the shared empty array. *)
-let page_hits bytes ~limit =
+(* [f w] for every word [w] of one page frame in [heap_base, limit), in
+   page order. Most pages hold no such word, so [f] rarely runs. *)
+let iter_hits bytes ~limit f =
   let words = Bytes.length bytes lsr 3 and lo = Layout.heap_base in
-  let n = ref 0 in
   for k = 0 to words - 1 do
     let w = unsafe_word bytes k in
-    if w >= lo && w < limit then incr n
-  done;
-  if !n = 0 then empty_hits
-  else begin
-    let hits = Array.make !n 0 in
-    let i = ref 0 in
-    for k = 0 to words - 1 do
-      let w = unsafe_word bytes k in
-      if w >= lo && w < limit then begin
-        Array.unsafe_set hits !i w;
-        incr i
-      end
-    done;
-    hits
-  end
+    if w >= lo && w < limit then f w
+  done
+
+let no_targets : int array = [||]
 
 (* All words of a page that lie in the heap *address range*, deduped and
    sorted. The wilderness is deliberately not consulted here: it grows
    between sweeps, so a summary filtered by today's wilderness would miss
-   pointers into tomorrow's heap. Filtering happens at mark time. *)
+   pointers into tomorrow's heap. Filtering happens at mark time. Two
+   passes (count, then fill): the common page has no hits and returns
+   the shared empty array. *)
 let summarize_page bytes =
-  let hits = page_hits bytes ~limit:Layout.heap_limit in
-  Array.sort Int.compare hits;
-  (* Drop repeats in place: [hits.(0 .. !n-1)] holds the distinct words
-     seen so far. *)
+  let limit = Layout.heap_limit in
   let n = ref 0 in
-  Array.iteri
-    (fun i w ->
-      if i = 0 || w <> hits.(!n - 1) then begin
-        hits.(!n) <- w;
-        incr n
-      end)
-    hits;
-  if !n = Array.length hits then hits else Array.sub hits 0 !n
+  iter_hits bytes ~limit (fun _ -> incr n);
+  if !n = 0 then no_targets
+  else begin
+    let hits = Array.make !n 0 and i = ref 0 in
+    iter_hits bytes ~limit (fun w ->
+        Array.unsafe_set hits !i w;
+        incr i);
+    Array.sort Int.compare hits;
+    (* Drop repeats in place: [hits.(0 .. !n-1)] holds the distinct
+       words seen so far. *)
+    n := 0;
+    Array.iteri
+      (fun i w ->
+        if i = 0 || w <> hits.(!n - 1) then begin
+          hits.(!n) <- w;
+          incr n
+        end)
+      hits;
+    if !n = Array.length hits then hits else Array.sub hits 0 !n
+  end
 
 module Make (B : Alloc.Backend.S) = struct
   type backend = B.t
@@ -95,7 +89,6 @@ module Ring = Obs.Trace_ring
 type sweep_state = {
   entries : Quarantine.entry list;
   completion : int;
-  started : int;
   plan : Pipeline.plan;
   scanned_bytes : int;
   replayed_words : int;
@@ -113,12 +106,18 @@ type sweep_state = {
    heap address range [heap_base, heap_limit) at capture time, deduped
    and sorted; the wilderness filter is applied at replay time because
    the wilderness moves between sweeps. [gen] is the vmem scan
-   generation current when the summary was captured: the summary is
-   coherent iff the page's write generation is still below it. *)
+   generation of the last sweep that captured or replayed the summary:
+   the summary is coherent iff the page's write generation is still
+   below it. *)
 type page_summary = {
-  gen : int;
+  mutable gen : int;
   targets : int array;
 }
+
+(* The summary cache's [absent] entry. No write generation is below 0,
+   so a page without a summary is always rescanned; it is never
+   mutated. *)
+let no_summary = { gen = 0; targets = no_targets }
 
 (* Telemetry of the modeled parallel mark, registered only when the
    configuration asks for more than one marker domain: a domains=1 run
@@ -166,7 +165,7 @@ type t = {
   unmapped_pages : (int, unit) Hashtbl.t; (* page index -> () *)
   par : par_telemetry option;
   stage_obs : stage_telemetry;
-  mutable summaries : (int, page_summary) Hashtbl.t; (* page index *)
+  summaries : page_summary Page_table.t; (* keyed by page index *)
   mutable sweep : sweep_state option;
   mutable last_decay_tick : int;
   mutable post_sweep_hook : (unit -> unit) option;
@@ -250,7 +249,7 @@ let create ?(config = Config.default) ?(threads = 1) ?obs machine =
       unmapped_pages = Hashtbl.create 1024;
       par;
       stage_obs;
-      summaries = Hashtbl.create 1024;
+      summaries = Page_table.create ~absent:no_summary;
       sweep = None;
       last_decay_tick = 0;
       post_sweep_hook = None;
@@ -355,187 +354,164 @@ let record_par t (stats : Parsweep.stats) =
           ())
       stats.Parsweep.seeded_bytes
 
-(* Full scan as a Mark/Merge stage pair, the same at every domain
-   count. The Mark stage computes per-page hit arrays over a canonical
-   (base-sorted, zero-copy) snapshot; the domain count only sets the
-   modeled marker assignment. The Merge stage then walks the chunks in
-   chunk-id order: emits the Mark_page events, writes the shadow map
-   and counts swept bytes. The merge is the only writer of instance
-   state, so the outcome is byte-identical for any domain count. Returns
-   [(swept_bytes, stage_reports, mark_pipelined)]. *)
-let run_full_scan t =
-  Shadow.clear t.shadow;
+(* The Mark stage over [pages]: [scan] reads each page once, chunk by
+   chunk in address order, on the calling domain. The domain count only
+   sets the modeled assignment of the chunks to markers. *)
+let mark_stage t pages scan =
   let c = cost t in
-  let wilderness = B.wilderness t.je in
-  let pages =
-    Array.map
-      (fun (base, bytes, write_gen) -> { Parsweep.base; bytes; write_gen })
-      (Vmem.snapshot_readable_pages (mem t))
-  in
-  let chunks = Parsweep.shard pages in
-  let scan (ch : Parsweep.chunk) =
-    Array.map
-      (fun (p : Parsweep.page) ->
-        page_hits p.Parsweep.bytes ~limit:wilderness)
-      ch.Parsweep.pages
-  in
-  let mark_report, (per_chunk, stats) =
-    in_stage t Pipeline.Mark (fun () ->
-        let per_chunk, stats =
-          Parsweep.map_chunks ~domains:t.config.Config.domains ~scan chunks
-        in
-        let bytes = stats.Parsweep.total_bytes in
-        ( Array.length pages,
-          bytes,
-          Sim.Cost.bytes_cost c.Sim.Cost.mark_single_per_byte bytes,
-          (per_chunk, stats) ))
-  in
-  let sweep = sweep_number t in
-  let merge_report, swept =
-    in_stage t Pipeline.Merge (fun () ->
-        let swept = ref 0 in
-        Array.iteri
-          (fun ci hits_per_page ->
-            let chunk = chunks.(ci) in
-            Array.iteri
-              (fun pi hits ->
-                emit_sync t
-                  (Mark_page
-                     { sweep; base = chunk.Parsweep.pages.(pi).Parsweep.base });
-                Array.iter (Shadow.mark t.shadow) hits;
-                swept := !swept + page)
-              hits_per_page)
-          per_chunk;
-        let pages_n = !swept / page in
-        (pages_n, !swept, pages_n * c.Sim.Cost.merge_per_page, !swept))
-  in
+  in_stage t Pipeline.Mark (fun () ->
+      let (_ : unit array), stats =
+        Parsweep.map_chunks ~domains:t.config.Config.domains
+          ~scan:(fun (ch : Parsweep.chunk) -> Array.iter scan ch.Parsweep.pages)
+          (Parsweep.shard pages)
+      in
+      let bytes = stats.Parsweep.total_bytes in
+      ( Array.length pages,
+        bytes,
+        Sim.Cost.bytes_cost c.Sim.Cost.mark_single_per_byte bytes,
+        stats ))
+
+(* The Merge stage over a snapshot of [pages] pages. A single marker has
+   no results to combine; the report carries what n markers would pay
+   to combine theirs, [merge_per_page] cycles a page. [f] is the work
+   the Mark stage left to it. *)
+let merge_stage t ~pages ~bytes f =
+  in_stage t Pipeline.Merge (fun () ->
+      let result = f () in
+      (pages, bytes, pages * (cost t).Sim.Cost.merge_per_page, result))
+
+(* Close a marking phase: the [par.*] telemetry of its Mark stage, then
+   its span, whose [bytes] carry exactly what the phase charged to
+   [swept_bytes] (summing mark + scan spans reproduces the counter).
+   Returns the modeled critical path of the parallel mark. *)
+let close_mark t pending stats ~bytes ~attrs =
   record_par t stats;
+  Ring.exit t.ring pending ~now:(now t) ~bytes ~attrs ();
+  Parsweep.critical_path_cycles
+    ~single_per_byte:(cost t).Sim.Cost.mark_single_per_byte
+    ~bandwidth_per_byte:bandwidth_cycles_per_byte stats
+
+(* Full scan: the Mark stage reads every readable page and marks the
+   shadow map as it reads. Returns
+   [(scanned_bytes, replayed_words, stage_reports, mark_pipelined)]. *)
+let run_full_scan t =
+  let pending = Ring.enter ~now:(now t) Ring.Mark "mark-full" in
+  Shadow.clear t.shadow;
+  let wilderness = B.wilderness t.je and mark = Shadow.mark t.shadow in
+  let pages = Vmem.snapshot_readable_pages (mem t) in
+  let mark_report, stats =
+    mark_stage t pages (fun p -> iter_hits p.Vmem.bytes ~limit:wilderness mark)
+  in
+  let swept = stats.Parsweep.total_bytes in
+  let merge_report, () =
+    merge_stage t ~pages:(Array.length pages) ~bytes:swept ignore
+  in
   count t.stats.Stats.Live.swept_bytes swept;
   let mark_pipelined =
-    Parsweep.critical_path_cycles
-      ~single_per_byte:c.Sim.Cost.mark_single_per_byte
-      ~bandwidth_per_byte:bandwidth_cycles_per_byte stats
+    close_mark t pending stats ~bytes:swept
+      ~attrs:[ ("sweep", sweep_number t) ]
   in
-  (swept, [ mark_report; merge_report ], mark_pipelined)
+  (swept, 0, [ mark_report; merge_report ], mark_pipelined)
 
-(* Incremental marking as a Mark/Merge stage pair, the same at every
-   domain count: rescan only pages written (or zeroed, decommitted,
-   protected, remapped) since their summary was captured; replay the
-   cached summary for the rest. Every page is classified (replay vs
-   rescan) up front; the Mark stage runs [summarize_page] — the
-   expensive part — over the rescan pages only, so only they enter the
-   modeled marker assignment. The Merge stage then walks the full
-   canonical snapshot: replayed pages take their cached targets,
-   rescanned pages the fresh summary, and the table is rebuilt from
-   scratch so entries for unmapped pages fall away. Every counter, gauge
-   and Mark_page event is identical at any domain count. Returns
-   [(rescanned_bytes, replayed_targets, stage_reports, mark_pipelined)]. *)
+(* Drop the summaries of pages that are no longer readable: every
+   summary this sweep captured or replayed carries [gen]. *)
+let prune_summaries t gen =
+  let stale = ref [] in
+  Page_table.iter t.summaries (fun i s ->
+      if s.gen < gen then stale := i :: !stale);
+  List.iter (Page_table.remove t.summaries) !stale
+
+(* What the summary cache holds: a three-word entry per page plus its
+   targets. *)
+let summary_cache_bytes t =
+  let bytes = ref 0 in
+  Page_table.iter t.summaries (fun _ s ->
+      bytes := !bytes + (3 * word) + (Array.length s.targets * word));
+  !bytes
+
+(* Incremental marking: rescan only the pages written (or zeroed,
+   decommitted, protected, remapped) since their summary was captured,
+   and replay the cached summary for the rest. The Mark stage rescans
+   the dirty pages, so only they enter the modeled marker assignment:
+   it marks what it finds and writes each page's summary into the
+   cache. The Merge stage replays the cached summaries of the clean
+   pages. Every counter and gauge is the same at any domain count.
+   Returns [(scanned_bytes, replayed_words, stage_reports,
+   mark_pipelined)]. *)
 let run_incremental t =
+  let pending = Ring.enter ~now:(now t) Ring.Mark "mark-incremental" in
   Shadow.clear t.shadow;
-  let c = cost t in
   let m = mem t in
   let gen = Vmem.advance_generation m in
-  let wilderness = B.wilderness t.je in
+  let wilderness = B.wilderness t.je and summaries = t.summaries in
+  let mark v = if v < wilderness then Shadow.mark t.shadow v in
   let snapshot = Vmem.snapshot_readable_pages m in
-  let replayable base write_gen =
-    match Hashtbl.find_opt t.summaries (base / page) with
-    | Some s -> write_gen < s.gen
-    | None -> false
+  let dirty (p : Vmem.page) =
+    p.Vmem.write_gen >= (Page_table.find summaries (p.Vmem.base / page)).gen
   in
-  let rescan_pages =
-    Array.of_list
-      (List.filter_map
-         (fun (base, bytes, write_gen) ->
-           if replayable base write_gen then None
-           else Some { Parsweep.base; bytes; write_gen })
-         (Array.to_list snapshot))
+  let rescan =
+    Array.make
+      (Array.fold_left (fun n p -> if dirty p then n + 1 else n) 0 snapshot)
+      Vmem.no_page
   in
-  let chunks = Parsweep.shard rescan_pages in
-  let scan (ch : Parsweep.chunk) =
-    Array.map
-      (fun (p : Parsweep.page) -> summarize_page p.Parsweep.bytes)
-      ch.Parsweep.pages
+  let n = ref 0 in
+  Array.iter
+    (fun p ->
+      if dirty p then begin
+        rescan.(!n) <- p;
+        incr n
+      end)
+    snapshot;
+  let mark_report, stats =
+    mark_stage t rescan (fun p ->
+        let targets = summarize_page p.Vmem.bytes in
+        Array.iter mark targets;
+        Page_table.set summaries (p.Vmem.base / page) { gen; targets })
   in
-  let mark_report, (per_chunk, stats) =
-    in_stage t Pipeline.Mark (fun () ->
-        let per_chunk, stats =
-          Parsweep.map_chunks ~domains:t.config.Config.domains ~scan chunks
-        in
-        let bytes = stats.Parsweep.total_bytes in
-        ( Array.length rescan_pages,
-          bytes,
-          Sim.Cost.bytes_cost c.Sim.Cost.mark_single_per_byte bytes,
-          (per_chunk, stats) ))
-  in
-  let fresh_targets = Hashtbl.create (max 64 (Array.length rescan_pages)) in
-  Array.iteri
-    (fun ci targets_per_page ->
-      Array.iteri
-        (fun pi targets ->
-          Hashtbl.replace fresh_targets
-            (chunks.(ci).Parsweep.pages.(pi).Parsweep.base / page)
-            targets)
-        targets_per_page)
-    per_chunk;
-  let sweep = sweep_number t in
-  let merge_report, (rescanned, replayed) =
-    in_stage t Pipeline.Merge (fun () ->
-        let fresh = Hashtbl.create (max 64 (Hashtbl.length t.summaries)) in
-        let rescanned = ref 0 and replayed = ref 0 in
-        let skipped_pages = ref 0 and rescanned_pages = ref 0 in
+  let rescanned = stats.Parsweep.total_bytes in
+  let pages = Array.length snapshot in
+  let merge_report, replayed =
+    merge_stage t ~pages ~bytes:rescanned (fun () ->
+        let replayed = ref 0 in
         Array.iter
-          (fun (base, _bytes, write_gen) ->
-            emit_sync t (Mark_page { sweep; base });
-            let index = base / page in
-            match Hashtbl.find_opt t.summaries index with
-            | Some s when write_gen < s.gen ->
+          (fun (p : Vmem.page) ->
+            let s = Page_table.find summaries (p.Vmem.base / page) in
+            if s.gen < gen then begin
               (* Untouched since capture: the cached targets are exactly
                  what a rescan would find. *)
-              Array.iter
-                (fun v -> if v < wilderness then Shadow.mark t.shadow v)
-                s.targets;
+              Array.iter mark s.targets;
               replayed := !replayed + Array.length s.targets;
-              incr skipped_pages;
-              Hashtbl.replace fresh index { gen; targets = s.targets }
-            | Some _ | None ->
-              let targets =
-                match Hashtbl.find_opt fresh_targets index with
-                | Some targets -> targets
-                | None -> assert false
-              in
-              Array.iter
-                (fun v -> if v < wilderness then Shadow.mark t.shadow v)
-                targets;
-              rescanned := !rescanned + page;
-              incr rescanned_pages;
-              Hashtbl.replace fresh index { gen; targets })
+              s.gen <- gen
+            end)
           snapshot;
-        t.summaries <- fresh;
-        count t.stats.Stats.Live.swept_bytes !rescanned;
-        count t.stats.Stats.Live.sweep_pages_skipped !skipped_pages;
-        count t.stats.Stats.Live.sweep_pages_rescanned !rescanned_pages;
+        if Page_table.length summaries > pages then prune_summaries t gen;
+        count t.stats.Stats.Live.swept_bytes rescanned;
+        count t.stats.Stats.Live.sweep_pages_skipped
+          (pages - Array.length rescan);
+        count t.stats.Stats.Live.sweep_pages_rescanned (Array.length rescan);
         R.Gauge.set t.stats.Stats.Live.summary_cache_bytes
-          (Hashtbl.fold
-             (fun _ s acc -> acc + (3 * word) + (Array.length s.targets * word))
-             fresh 0);
-        let pages_n = Array.length snapshot in
-        ( pages_n,
-          !rescanned,
-          pages_n * c.Sim.Cost.merge_per_page,
-          (!rescanned, !replayed) ))
+          (summary_cache_bytes t);
+        !replayed)
   in
-  record_par t stats;
   let mark_pipelined =
-    Parsweep.critical_path_cycles
-      ~single_per_byte:c.Sim.Cost.mark_single_per_byte
-      ~bandwidth_per_byte:bandwidth_cycles_per_byte stats
+    close_mark t pending stats ~bytes:rescanned
+      ~attrs:[ ("sweep", sweep_number t); ("replayed_words", replayed) ]
   in
-  (rescanned, replayed, [ mark_report; merge_report ], mark_pipelined)
+  ( rescanned + (replayed * word),
+    replayed,
+    [ mark_report; merge_report ],
+    mark_pipelined )
+
+(* The one dispatch on the marking mode: a sweep and a mark-only
+   [Sweep.run] both mark through it. *)
+let mark t = function
+  | Config.Full_scan -> run_full_scan t
+  | Config.Incremental -> run_incremental t
 
 (* Audit-only reference marks: build the mark set each strategy would
    produce right now into a scratch shadow, charging no simulated cost
    and mutating no instance state (no generation advance, no summary
-   swap). [Sanitizer.Invariants] compares the two for equality. *)
+   written). [Sanitizer.Invariants] compares the two for equality. *)
 let reference_full_mark t =
   let shadow = Shadow.create ~granule:t.config.Config.shadow_granule () in
   let wilderness = B.wilderness t.je in
@@ -552,18 +528,16 @@ let reference_incremental_mark t =
   let wilderness = B.wilderness t.je in
   let mark v = if v < wilderness then Shadow.mark shadow v in
   Vmem.iter_readable_pages_gen (mem t) (fun base bytes ~write_gen ->
-      match Hashtbl.find_opt t.summaries (base / page) with
-      | Some s when write_gen < s.gen -> Array.iter mark s.targets
-      | Some _ | None -> Array.iter mark (summarize_page bytes));
+      let s = Page_table.find t.summaries (base / page) in
+      Array.iter mark
+        (if write_gen < s.gen then s.targets else summarize_page bytes));
   shadow
 
 let mark_dirty_pages t =
   let swept = ref 0 in
-  let sweep = sweep_number t in
-  let wilderness = B.wilderness t.je in
-  Vmem.iter_soft_dirty_pages (mem t) (fun base bytes ->
-      emit_sync t (Rescan_page { sweep; base });
-      Array.iter (Shadow.mark t.shadow) (page_hits bytes ~limit:wilderness);
+  let wilderness = B.wilderness t.je and mark = Shadow.mark t.shadow in
+  Vmem.iter_soft_dirty_pages (mem t) (fun _base bytes ->
+      iter_hits bytes ~limit:wilderness mark;
       swept := !swept + page);
   !swept
 
@@ -630,9 +604,15 @@ let batches entries = max 1 ((entries + flush_batch - 1) / flush_batch)
 let log_event t phase label attrs =
   Ring.emit t.ring ~phase ~label ~t_start:(now t) ~t_end:(now t) ~attrs ()
 
-(* Fold a finished sweep's outcome into the [sweep.stage.*] telemetry
-   and publish it as [last_outcome]. *)
-let publish_outcome t (o : Pipeline.outcome) =
+(* The outcome of a finished sweep whose stages reported [reports]:
+   folded into the [sweep.stage.*] telemetry, published as
+   [last_outcome] and returned. *)
+let publish_outcome t state ~released ~requeued reports =
+  let entries = List.length state.entries in
+  let sequential_cycles, pipelined_cycles =
+    Pipeline.modeled_cycles state.plan ~batches:(batches entries)
+      ~mark_pipelined:state.mark_pipelined reports
+  in
   let so = t.stage_obs in
   List.iter
     (fun (r : Pipeline.stage_report) ->
@@ -644,12 +624,28 @@ let publish_outcome t (o : Pipeline.outcome) =
         | Pipeline.Purge -> so.st_purge_cycles
       in
       count ctr r.Pipeline.cycles)
-    o.Pipeline.reports;
-  count so.st_seq_cycles o.Pipeline.sequential_cycles;
-  count so.st_pipe_cycles o.Pipeline.pipelined_cycles;
-  count so.st_batches (batches o.Pipeline.entries);
-  count so.st_flush_batches o.Pipeline.flush_batches;
-  t.last_outcome <- Some o
+    reports;
+  count so.st_seq_cycles sequential_cycles;
+  count so.st_pipe_cycles pipelined_cycles;
+  count so.st_batches (batches entries);
+  count so.st_flush_batches state.flush_batches;
+  let o =
+    {
+      Pipeline.sweep = sweep_number t;
+      plan = state.plan;
+      scanned_bytes = state.scanned_bytes;
+      replayed_words = state.replayed_words;
+      entries;
+      released;
+      requeued;
+      flush_batches = state.flush_batches;
+      reports;
+      sequential_cycles;
+      pipelined_cycles;
+    }
+  in
+  t.last_outcome <- Some o;
+  o
 
 let finish_sweep t state =
   let plan = state.plan in
@@ -659,10 +655,7 @@ let finish_sweep t state =
     let c = cost t in
     emit_sync t (Stw_fence { sweep = sweep_number t });
     let pending = Ring.enter ~now:(now t) Ring.Scan "stw-rescan" in
-    let dirty_bytes =
-      Alloc.Machine.with_sink t.machine Alloc.Machine.Background (fun () ->
-          mark_dirty_pages t)
-    in
+    let dirty_bytes = mark_dirty_pages t in
     (* The re-scan is real marking work: account it with the rest of the
        swept bytes, and separately so pause work stays visible. *)
     count t.stats.Stats.Live.swept_bytes dirty_bytes;
@@ -730,27 +723,10 @@ let finish_sweep t state =
     ();
   log_event t Ring.Mark "sweep-finish"
     [ ("sweep", sweep_number t); ("released", released); ("failed", failed) ];
-  let entries_n = List.length state.entries in
-  let reports = state.head_reports @ (release_report :: purge_reports) in
-  let sequential_cycles, pipelined_cycles =
-    Pipeline.modeled_cycles plan
-      ~batches:(batches entries_n)
-      ~mark_pipelined:state.mark_pipelined reports
-  in
-  publish_outcome t
-    {
-      Pipeline.sweep = sweep_number t;
-      plan;
-      scanned_bytes = state.scanned_bytes;
-      replayed_words = state.replayed_words;
-      entries = entries_n;
-      released;
-      requeued = (if t.config.Config.keep_failed then failed else 0);
-      flush_batches = state.flush_batches;
-      reports;
-      sequential_cycles;
-      pipelined_cycles;
-    };
+  ignore
+    (publish_outcome t state ~released
+       ~requeued:(if t.config.Config.keep_failed then failed else 0)
+       (state.head_reports @ (release_report :: purge_reports)));
   t.sweep <- None;
   emit_sync t (Sweep_completed { sweep = sweep_number t });
   match t.post_sweep_hook with None -> () | Some hook -> hook ()
@@ -768,50 +744,21 @@ let start_sweep_plan t (plan : Pipeline.plan) =
   emit_sync t
     (Sweep_locked { sweep = sweep_number t; entries = List.length entries });
   if plan.Pipeline.stop_the_world then Vmem.clear_soft_dirty (mem t);
-  let c = cost t in
-  let sink = sweep_sink t in
-  let busy = ref 0 in
   (* Bytes the marking phase actually moved through memory; also the
      basis for the DRAM-bandwidth wall-clock floor below. Incremental
      mode reads rescanned pages plus the cached summaries it replays,
      not the whole readable footprint. *)
-  let scanned_bytes = ref 0 in
-  let replayed_words = ref 0 in
-  let head_reports = ref [] in
-  let mark_pipelined = ref 0 in
-  if List.mem Pipeline.Mark plan.Pipeline.stages then begin
-    (* The mark span's [bytes] carries exactly what this phase charged to
-       [swept_bytes]: summing mark + scan spans reproduces the counter. *)
-    (match plan.Pipeline.mode with
-    | Config.Full_scan ->
-      let pending = Ring.enter ~now:(now t) Ring.Mark "mark-full" in
-      let swept, reports, mp =
-        Alloc.Machine.with_sink t.machine sink (fun () -> run_full_scan t)
-      in
-      Ring.exit t.ring pending ~now:(now t) ~bytes:swept
-        ~attrs:[ ("sweep", sweep_number t) ]
-        ();
-      scanned_bytes := swept;
-      head_reports := reports;
-      mark_pipelined := mp
-    | Config.Incremental ->
-      let pending = Ring.enter ~now:(now t) Ring.Mark "mark-incremental" in
-      let rescanned, replayed, reports, mp =
-        Alloc.Machine.with_sink t.machine sink (fun () -> run_incremental t)
-      in
-      Ring.exit t.ring pending ~now:(now t) ~bytes:rescanned
-        ~attrs:[ ("sweep", sweep_number t); ("replayed_words", replayed) ]
-        ();
-      scanned_bytes := rescanned + (replayed * word);
-      replayed_words := replayed;
-      head_reports := reports;
-      mark_pipelined := mp);
-    R.Histogram.observe t.scan_hist !scanned_bytes;
-    busy := Sim.Cost.bytes_cost c.Sim.Cost.sweep_per_byte !scanned_bytes
-  end;
-  emit_sync t
-    (Mark_completed
-       { sweep = sweep_number t; scanned_bytes = !scanned_bytes });
+  let scanned_bytes, replayed_words, head_reports, mark_pipelined =
+    if List.mem Pipeline.Mark plan.Pipeline.stages then begin
+      let ((scanned, _, _, _) as marked) = mark t plan.Pipeline.mode in
+      R.Histogram.observe t.scan_hist scanned;
+      marked
+    end
+    else (0, 0, [], 0)
+  in
+  emit_sync t (Mark_completed { sweep = sweep_number t; scanned_bytes });
+  let c = cost t in
+  let busy = Sim.Cost.bytes_cost c.Sim.Cost.sweep_per_byte scanned_bytes in
   (* The release phase charges itself per entry in [release_all]; the
      wall-clock duration below accounts for it via the same estimate. *)
   let release_estimate = List.length entries * c.Sim.Cost.release_per_entry in
@@ -819,29 +766,25 @@ let start_sweep_plan t (plan : Pipeline.plan) =
     {
       entries;
       completion;
-      started = now t;
       plan;
-      scanned_bytes = !scanned_bytes;
-      replayed_words = !replayed_words;
+      scanned_bytes;
+      replayed_words;
       flush_batches;
-      head_reports = !head_reports;
-      mark_pipelined = !mark_pipelined;
+      head_reports;
+      mark_pipelined;
     }
   in
   match t.config.Config.concurrency with
   | Config.Sequential ->
-    Alloc.Machine.charge t.machine !busy;
+    Alloc.Machine.charge t.machine busy;
     finish_sweep t (state (now t))
   | Config.Concurrent { helpers; _ } ->
-    Sim.Clock.background t.machine.Alloc.Machine.clock !busy;
-    let parallel = (!busy + release_estimate) / (helpers + 1) in
+    Sim.Clock.background t.machine.Alloc.Machine.clock busy;
+    let parallel = (busy + release_estimate) / (helpers + 1) in
     let floor_cycles =
-      if List.mem Pipeline.Mark plan.Pipeline.stages then
-        Sim.Cost.bytes_cost bandwidth_cycles_per_byte !scanned_bytes
-      else 0
+      Sim.Cost.bytes_cost bandwidth_cycles_per_byte scanned_bytes
     in
-    let duration = max parallel floor_cycles in
-    t.sweep <- Some (state (now t + duration))
+    t.sweep <- Some (state (now t + max parallel floor_cycles))
 
 let start_sweep t = start_sweep_plan t (Pipeline.plan_of_config t.config)
 
@@ -852,35 +795,21 @@ let start_sweep t = start_sweep_plan t (Pipeline.plan_of_config t.config)
    sweep counted and no simulated cost charged. *)
 let run_pipeline t (plan : Pipeline.plan) =
   if not (List.mem Pipeline.Release plan.Pipeline.stages) then begin
-    let scanned_bytes, replayed_words, reports, mark_pipelined =
-      match plan.Pipeline.mode with
-      | Config.Full_scan ->
-        let swept, reports, mp = run_full_scan t in
-        (swept, 0, reports, mp)
-      | Config.Incremental ->
-        let rescanned, replayed, reports, mp = run_incremental t in
-        (rescanned + (replayed * word), replayed, reports, mp)
+    let scanned_bytes, replayed_words, head_reports, mark_pipelined =
+      mark t plan.Pipeline.mode
     in
-    let sequential_cycles, pipelined_cycles =
-      Pipeline.modeled_cycles plan ~batches:1 ~mark_pipelined reports
-    in
-    let outcome =
+    publish_outcome t
       {
-        Pipeline.sweep = sweep_number t;
+        entries = [];
+        completion = now t;
         plan;
         scanned_bytes;
         replayed_words;
-        entries = 0;
-        released = 0;
-        requeued = 0;
         flush_batches = 0;
-        reports;
-        sequential_cycles;
-        pipelined_cycles;
+        head_reports;
+        mark_pipelined;
       }
-    in
-    publish_outcome t outcome;
-    outcome
+      ~released:0 ~requeued:0 head_reports
   end
   else begin
     if t.sweep = None then start_sweep_plan t plan;

@@ -32,10 +32,8 @@ val error_to_string : error -> string
 type sweep_event = Instance_intf.sweep_event =
   | Sweep_locked of { sweep : int; entries : int }
   | Stage_boundary of { sweep : int; stage : Pipeline.stage; enter : bool }
-  | Mark_page of { sweep : int; base : int }
   | Mark_completed of { sweep : int; scanned_bytes : int }
   | Stw_fence of { sweep : int }
-  | Rescan_page of { sweep : int; base : int }
   | Sweep_completed of { sweep : int }
       (** Synchronization events of the sweep protocol, consumed by the
           race checker via [set_sync_observer]; see

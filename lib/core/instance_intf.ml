@@ -22,11 +22,12 @@ let error_to_string e = Format.asprintf "%a" pp_error e
     sweeper/STW logical threads perform them. The race checker
     ({!Racecheck}) reconstructs happens-before edges from this stream:
     [Sweep_locked] is the barrier that joins every mutator's quarantine
-    buffer into the sweeper; [Mark_page]/[Rescan_page] are the
-    background (resp. stop-the-world) reads of one page; [Stw_fence] is
-    the full barrier that opens the dirty-page re-scan; and
-    [Sweep_completed] publishes the release decisions back to the
-    mutators. *)
+    buffer into the sweeper; [Stw_fence] is the full barrier that opens
+    the dirty-page re-scan; and [Sweep_completed] publishes the release
+    decisions back to the mutators. The marking phase reads its pages
+    atomically with respect to mutator operations, so the stream has no
+    per-page event: the Mark stage's [Stage_boundary] pair brackets
+    every read. *)
 type sweep_event =
   | Sweep_locked of { sweep : int; entries : int }
       (** The quarantine working set was locked in; [entries] is its
@@ -37,18 +38,12 @@ type sweep_event =
           its stages. Boundaries are emitted in the canonical
           mark → merge → release → purge order within a sweep; the race
           checker's [rc-stage-order] rule holds every execution to it. *)
-  | Mark_page of { sweep : int; base : int }
-      (** The marking phase consumed the page at [base] — a fresh read
-          under [Full_scan], a read or a generation-checked summary
-          replay under [Incremental]. *)
   | Mark_completed of { sweep : int; scanned_bytes : int }
       (** Marking finished; emitted even when [sweeping] is off (with 0
           bytes) so every sweep has a complete event bracket. *)
   | Stw_fence of { sweep : int }
       (** Stop-the-world: all mutators are fenced before the dirty-page
           re-scan (mostly-concurrent mode only). *)
-  | Rescan_page of { sweep : int; base : int }
-      (** The STW re-scan consumed the soft-dirty page at [base]. *)
   | Sweep_completed of { sweep : int }
       (** Release phase done; quarantine decisions are visible to every
           mutator. *)

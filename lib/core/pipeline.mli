@@ -16,8 +16,15 @@
     phase, extended to the whole sweep. *)
 
 type stage =
-  | Mark  (** scan readable pages for quarantine hits (modeled parallel) *)
-  | Merge  (** canonical chunk-id-order merge into the shadow map *)
+  | Mark
+      (** read every page to be scanned once, marking the shadow map as
+          it reads (incremental mode: rescan the dirty pages into the
+          summary cache); modeled parallel *)
+  | Merge
+      (** the cost n markers would pay to combine their results,
+          [merge_per_page] cycles a page, which the single real marker
+          never pays; in incremental mode, also the replay of the clean
+          pages' cached summaries *)
   | Release  (** shadow-test each locked-in entry; release or requeue *)
   | Purge  (** decommit retained extents back to the OS *)
 

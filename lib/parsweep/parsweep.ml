@@ -1,20 +1,26 @@
-type page = { base : int; bytes : Bytes.t; write_gen : int }
+type page = Vmem.page = { base : int; bytes : Bytes.t; write_gen : int }
 type chunk = { cid : int; pages : page array; chunk_bytes : int }
 
 let default_chunk_pages = 32
 
+(* The chunk array's initial element: a static constant, so [Array.make]
+   never forces a minor collection to promote it (as [Array.init] does
+   for a young first chunk once the array passes 256 words). *)
+let no_chunk = { cid = 0; pages = [||]; chunk_bytes = 0 }
+
 let shard ?(chunk_pages = default_chunk_pages) pages =
   assert (chunk_pages > 0);
   let n = Array.length pages in
-  let chunks = (n + chunk_pages - 1) / chunk_pages in
-  Array.init chunks (fun cid ->
-      let first = cid * chunk_pages in
-      let len = min chunk_pages (n - first) in
-      let pages = Array.sub pages first len in
-      let chunk_bytes =
-        Array.fold_left (fun acc p -> acc + Bytes.length p.bytes) 0 pages
-      in
-      { cid; pages; chunk_bytes })
+  let chunks = Array.make ((n + chunk_pages - 1) / chunk_pages) no_chunk in
+  for cid = 0 to Array.length chunks - 1 do
+    let first = cid * chunk_pages in
+    let pages = Array.sub pages first (min chunk_pages (n - first)) in
+    let chunk_bytes =
+      Array.fold_left (fun acc p -> acc + Bytes.length p.bytes) 0 pages
+    in
+    chunks.(cid) <- { cid; pages; chunk_bytes }
+  done;
+  chunks
 
 type stats = {
   domains : int;

@@ -8,30 +8,34 @@
     set, counters, sweep decisions, telemetry exports) cannot depend on
     it, and the modeled speedup is a pure function of the shard plan:
 
-    - The caller takes a canonical snapshot of the readable pages
-      (sorted by base address, zero-copy) and slices it into fixed-size
-      chunks of consecutive pages, numbered [0, 1, 2, ...].
+    - The caller takes {!Vmem.snapshot_readable_pages} (ascending base
+      address, zero-copy), or the part of it it will read, and slices
+      it into fixed-size chunks of consecutive pages, numbered
+      [0, 1, 2, ...].
     - Chunk [i] is assigned to modeled marker [i mod domains]. The
       bytes each marker would stream ([stats.seeded_bytes]) drive the
       imbalance gauge, the per-domain mark spans and the critical-path
       projection.
-    - [scan] runs once per chunk, in chunk-id order, and its results
-      come back in that order for the caller's Merge stage.
+    - [scan] runs once per chunk, in chunk-id order.
 
     The engine is policy-free: it does not know about shadow maps or
     summaries. The sweep pipeline's Mark stage ([Instance.Sweep.run])
-    passes a [scan] that collects candidate quarantine hits in full-scan
-    mode, or one that builds per-page pointer summaries for the pages
-    classified for rescan in incremental mode. *)
+    passes a [scan] that marks the shadow map as it reads each page in
+    full-scan mode, or one that rescans the dirty pages into the
+    summary cache in incremental mode. The scan keeps no per-page
+    result, so the markers would have nothing to combine; what
+    combining n markers' results would cost is the Merge stage's
+    modeled report. *)
 
-type page = {
+type page = Vmem.page = {
   base : int;  (** page base address *)
   bytes : Bytes.t;  (** live page frame (read-only; never copied) *)
   write_gen : int;  (** last-write scan generation (incremental mode) *)
 }
+(** The snapshot's page record, re-exported. *)
 
 type chunk = {
-  cid : int;  (** dense chunk id: the canonical merge order *)
+  cid : int;  (** dense chunk id: the scan order *)
   pages : page array;  (** consecutive pages, ascending base *)
   chunk_bytes : int;  (** total payload bytes in [pages] *)
 }
@@ -41,9 +45,9 @@ val default_chunk_pages : int
     static marker assignment. *)
 
 val shard : ?chunk_pages:int -> page array -> chunk array
-(** Slice a base-sorted page snapshot into chunks of [chunk_pages]
-    consecutive pages (last chunk may be short). Chunk ids number the
-    slices in address order. *)
+(** Slice a base-sorted page snapshot, as given, into chunks of
+    [chunk_pages] consecutive pages (last chunk may be short). Chunk ids
+    number the slices in address order. *)
 
 type stats = {
   domains : int;  (** modeled markers actually used *)

@@ -57,11 +57,6 @@ let record_write t ~slot ~value =
 
 let target_of t ~slot = Hashtbl.find_opt t.slot_target slot
 
-let in_pointers t ~base =
-  match Hashtbl.find_opt t.incoming base with
-  | None -> []
-  | Some set -> Hashtbl.fold (fun slot () acc -> slot :: acc) set []
-
 let in_pointer_count t ~base =
   match Hashtbl.find_opt t.incoming base with
   | None -> 0

@@ -32,10 +32,6 @@ val record_write : t -> slot:int -> value:int -> unit
 val target_of : t -> slot:int -> int option
 (** Allocation base currently recorded for this slot. *)
 
-val in_pointers : t -> base:int -> int list
-(** Slots currently recorded as pointing into the allocation at [base]
-    (lazily pruned: stale entries are dropped on read). *)
-
 val in_pointer_count : t -> base:int -> int
 
 val drop_slots_in : t -> base:int -> usable:int -> (slot:int -> target:int -> unit) -> unit

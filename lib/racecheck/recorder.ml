@@ -71,11 +71,6 @@ let attach ?on_event ms ~threads =
       s.cur_sweep <- sweep;
       emit s Event.Sweeper (Event.Lock_in { sweep; entries = s.pending_lock });
       s.pending_lock <- []
-    | Instance.Mark_page _ | Instance.Rescan_page _ ->
-      (* The sim's marking runs atomically w.r.t. mutator ops, so the
-         per-page reads carry no ordering information here; dropping
-         them bounds the stream (Protocol streams keep them). *)
-      ()
     | Instance.Mark_completed { sweep; scanned_bytes = _ } ->
       emit s Event.Sweeper (Event.Mark_done { sweep })
     | Instance.Stw_fence { sweep } -> emit s Event.Stw (Event.Fence { sweep })

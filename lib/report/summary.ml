@@ -13,7 +13,3 @@ let worst = function
   | xs -> List.fold_left Float.max neg_infinity xs
 
 let percent_overhead r = (r -. 1.0) *. 100.0
-
-let pp_ratio ppf r =
-  if r >= 10.0 then Format.fprintf ppf "%.1f" r
-  else Format.fprintf ppf "%.3f" r

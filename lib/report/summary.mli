@@ -10,7 +10,3 @@ val worst : float list -> float
 
 val percent_overhead : float -> float
 (** [percent_overhead 1.054] is [5.4]. *)
-
-val pp_ratio : Format.formatter -> float -> unit
-(** Render a ratio like the paper's figures: ["1.05"], or ["4.6"] when
-    it exceeds the usual axis. *)

@@ -23,8 +23,9 @@ type t = {
       (** per-entry cost under the batched flush: a splice into the
           global list with the lock already held *)
   merge_per_page : int;
-      (** merge of one scanned page's hit list into the shadow map
-          (the pipeline's Merge stage) *)
+      (** combining n markers' results for one page: the pipeline's
+          Merge stage, a modeled estimate only (one real marker has
+          nothing to combine) *)
   zero_per_byte : float;  (** zero-filling a freed allocation *)
   sweep_per_byte : float;  (** linear streaming sweep (marking phase) *)
   mark_single_per_byte : float;

@@ -13,7 +13,10 @@ let page_size = 4096
 let word_size = 8
 let granule = 16
 
-type page = {
+type page = { base : int; bytes : Bytes.t; write_gen : int }
+
+(* One page-table entry. *)
+type pte = {
   mutable data : Bytes.t option; (* None while decommitted *)
   mutable prot : prot;
   mutable soft_dirty : bool;
@@ -30,7 +33,7 @@ let readable = function
   | { data = None; _ } | { prot = No_access; _ } -> false
 
 type t = {
-  pages : page Page_table.t; (* keyed by page index *)
+  pages : pte Page_table.t; (* keyed by page index *)
   mutable committed : int; (* resident bytes *)
   mutable readable_pages : int; (* committed pages not [No_access] *)
   mutable demand_commit_hook : pages:int -> unit;
@@ -64,7 +67,6 @@ let clear_write_observer t = t.write_observer <- None
 let set_commit_observer t f = t.commit_observer <- Some f
 let clear_commit_observer t = t.commit_observer <- None
 let set_decommit_observer t f = t.decommit_observer <- Some f
-let clear_decommit_observer t = t.decommit_observer <- None
 
 let notify_commit t ~addr ~len =
   match t.commit_observer with
@@ -276,6 +278,9 @@ let iter_readable_pages_gen t f =
         f (i * page_size) bytes ~write_gen
       | { data = None; _ } | { prot = No_access; _ } -> ())
 
+(* Long-lived, so not young when [Array.make] reads it (see mli). *)
+let no_page = { base = 0; bytes = Bytes.empty; write_gen = 0 }
+
 (* Zero-copy snapshot for the markers: the live page frames themselves,
    in the page table's ascending order, in an array sized by the
    readable-page count. No Bytes are copied — callers must treat the
@@ -283,10 +288,10 @@ let iter_readable_pages_gen t f =
    changes or unmaps with reads of the snapshot (the marking phase holds
    that property: nothing mutates the address space while it scans). *)
 let snapshot_readable_pages t =
-  let snapshot = Array.make t.readable_pages (0, Bytes.empty, 0) in
+  let snapshot = Array.make t.readable_pages no_page in
   let n = ref 0 in
   iter_readable_pages_gen t (fun base bytes ~write_gen ->
-      snapshot.(!n) <- (base, bytes, write_gen);
+      snapshot.(!n) <- { base; bytes; write_gen };
       incr n);
   snapshot
 

@@ -73,8 +73,6 @@ val set_decommit_observer : t -> (addr:int -> len:int -> unit) -> unit
     backends needing any extra plumbing; at most one observer is
     active. *)
 
-val clear_decommit_observer : t -> unit
-
 (** {1 Mapping and physical backing} *)
 
 val map : t -> addr:int -> len:int -> unit
@@ -135,15 +133,29 @@ val iter_readable_pages : t -> (int -> Bytes.t -> unit) -> unit
     The [bytes] are the live page frame, not a copy — callers must not
     mutate it. *)
 
-val snapshot_readable_pages : t -> (int * Bytes.t * int) array
-(** Zero-copy snapshot of every committed readable page as
-    [(page_base, bytes, write_gen)] triples in ascending base order — the
-    canonical page order of the marking phase and its Merge stage. One
-    ordered walk of the page table fills an array sized by the
-    readable-page count; nothing is sorted. The [bytes] are the live page
-    frames (no copies): callers must treat them as read-only and must not
-    interleave stores, protection changes or unmaps with reads of the
-    snapshot. *)
+type page = {
+  base : int;  (** page base address *)
+  bytes : Bytes.t;  (** live page frame (read-only; never copied) *)
+  write_gen : int;  (** scan generation of the page's last content change *)
+}
+(** One readable page as the sweep reads it ([Parsweep.page] is this
+    record). *)
+
+val no_page : page
+(** A placeholder to fill a page array with before storing pages into
+    it. Given a young element, [Array.make] runs a minor collection
+    before it builds an array longer than 256 words; this record is
+    allocated once, so it is young only until the program's first minor
+    collection. *)
+
+val snapshot_readable_pages : t -> page array
+(** Zero-copy snapshot of every committed readable page, in ascending
+    base order: the page order of the marking phase. One ordered walk of
+    the page table fills an array sized by the readable-page count;
+    nothing is sorted, and the array is made without a forced minor
+    collection. The [bytes] are the live page frames (no copies):
+    callers must treat them as read-only and must not interleave stores,
+    protection changes or unmaps with reads of the snapshot. *)
 
 (** {1 Scan generations}
 

@@ -70,14 +70,8 @@ end
 let word = Vmem.word_size
 let stack_window = 64 * 1024 (* actively churned stack bytes *)
 
-(* Program text + statics: PSRecord measures whole-process RSS, so every
-   run carries the image's constant resident share. *)
-let static_rss = 3 * 1024 * 1024
-
-exception Out_of_memory_budget
-
-let run ?(trace_points = 240) ?(ops_scale = 1.0) ?(rss_limit = 768 * 1024 * 1024)
-    ?on_build profile scheme =
+let run ?(trace_points = 240) ?(ops_scale = 1.0)
+    ?(rss_limit = Harness.default_rss_limit) ?on_build profile scheme =
   let profile =
     if ops_scale = 1.0 then profile else Profile.scale_ops ops_scale profile
   in
@@ -221,13 +215,7 @@ let run ?(trace_points = 240) ?(ops_scale = 1.0) ?(rss_limit = 768 * 1024 * 1024
   let ops = profile.Profile.ops in
   let sample_every = max 1 (ops / trace_points) in
   let oom = ref false in
-  let record () =
-    let rss =
-      static_rss + Vmem.committed_bytes mem + stack.Harness.metadata_bytes ()
-    in
-    Sim.Sampler.record sampler ~now:(Alloc.Machine.now machine) ~rss;
-    if rss > rss_limit then raise Out_of_memory_budget
-  in
+  let record () = Harness.sample_rss stack sampler ~limit:rss_limit in
 
   (try
   for i = 0 to ops - 1 do
@@ -277,7 +265,7 @@ let run ?(trace_points = 240) ?(ops_scale = 1.0) ?(rss_limit = 768 * 1024 * 1024
   done;
   stack.Harness.drain ();
   record ()
-  with Out_of_memory_budget -> oom := true);
+  with Harness.Out_of_memory_budget -> oom := true);
 
   let clock = machine.Alloc.Machine.clock in
   (* On heavily threaded runs (the paper's i7-7700 has 4 cores / 8 SMT

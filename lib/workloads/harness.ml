@@ -403,3 +403,19 @@ let build scheme ~threads machine =
       sweeps = (fun () -> 0);
       failed_frees = (fun () -> 0);
     }
+
+(* Program text + statics: PSRecord measures whole-process RSS, so every
+   run carries the image's constant resident share. *)
+let static_rss = 3 * 1024 * 1024
+
+let default_rss_limit = 768 * 1024 * 1024
+
+exception Out_of_memory_budget
+
+let sample_rss t sampler ~limit =
+  let rss =
+    static_rss + Vmem.committed_bytes t.machine.Alloc.Machine.mem
+    + t.metadata_bytes ()
+  in
+  Sim.Sampler.record sampler ~now:(Alloc.Machine.now t.machine) ~rss;
+  if rss > limit then raise Out_of_memory_budget

@@ -119,3 +119,19 @@ type t = {
 }
 
 val build : scheme -> threads:int -> Alloc.Machine.t -> t
+
+(** {1 Resident set}
+
+    The one RSS rule the batch driver ({!Driver}) and the server
+    ({!Server}) report and enforce. *)
+
+val default_rss_limit : int
+(** 768 MiB: a run whose resident set exceeds this is killed. *)
+
+exception Out_of_memory_budget
+
+val sample_rss : t -> Sim.Sampler.t -> limit:int -> unit
+(** Record the stack's resident set in the sampler at the current
+    simulated time, then raise {!Out_of_memory_budget} if it exceeds
+    [limit]. The resident set is a constant 3 MiB for the program image,
+    plus the committed simulated pages, plus [metadata_bytes]. *)

@@ -137,8 +137,6 @@ type result = {
   oom_killed : bool;
 }
 
-exception Out_of_memory_budget
-
 type session = {
   sp : profile;
   stack : Harness.t;
@@ -181,7 +179,7 @@ let machine (s : session) = s.stack.Harness.machine
 let mem s = (machine s).Alloc.Machine.mem
 let clock s = (machine s).Alloc.Machine.clock
 
-let start ?(rss_limit = 768 * 1024 * 1024) ?seed sp (stack : Harness.t) =
+let start ?(rss_limit = Harness.default_rss_limit) ?seed sp (stack : Harness.t) =
   let seed = Option.value seed ~default:sp.seed in
   List.iter
     (fun (base, size) ->
@@ -251,18 +249,7 @@ let total_requests s = Array.length s.arrivals
 let served s = s.completed
 let registry s = s.reg
 
-(* Driver.static_rss is not exported; the server family carries the same
-   whole-process constant so RSS figures are comparable across drivers. *)
-let static_rss = 3 * 1024 * 1024
-
-let record_rss s =
-  let rss =
-    static_rss
-    + Vmem.committed_bytes (mem s)
-    + s.stack.Harness.metadata_bytes ()
-  in
-  Sim.Sampler.record s.sampler ~now:(Sim.Clock.now (clock s)) ~rss;
-  if rss > s.rss_limit then raise Out_of_memory_budget
+let record_rss s = Harness.sample_rss s.stack s.sampler ~limit:s.rss_limit
 
 (* An instrumented pointer store, as the compiler pass would emit. *)
 let store_ptr s slot value =
@@ -385,7 +372,7 @@ let step s =
   else begin
     let k = s.next_req in
     s.next_req <- k + 1;
-    (try serve_one s k with Out_of_memory_budget -> s.oom <- true);
+    (try serve_one s k with Harness.Out_of_memory_budget -> s.oom <- true);
     (not s.oom) && s.next_req < Array.length s.arrivals
   end
 
@@ -399,7 +386,7 @@ let quantiles_of h =
 let finish s =
   if not s.oom then begin
     s.stack.Harness.drain ();
-    try record_rss s with Out_of_memory_budget -> s.oom <- true
+    try record_rss s with Harness.Out_of_memory_budget -> s.oom <- true
   end;
   let clk = clock s in
   {

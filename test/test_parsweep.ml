@@ -29,6 +29,20 @@ let test_shard_canonical () =
   Alcotest.(check int) "address order preserved" (8 * 4096)
     chunks.(1).Parsweep.pages.(0).Parsweep.base
 
+(* More than 256 chunks: [Array.init] would force a minor collection to
+   promote its young first chunk; [shard] must not. *)
+let test_shard_no_minor_gc () =
+  let bytes = Bytes.create 4096 in
+  let pages =
+    Array.init 300 (fun i -> { Parsweep.base = i * 4096; bytes; write_gen = 0 })
+  in
+  Gc.minor ();
+  let before = (Gc.quick_stat ()).Gc.minor_collections in
+  let chunks = Parsweep.shard ~chunk_pages:1 pages in
+  let collections = (Gc.quick_stat ()).Gc.minor_collections - before in
+  Alcotest.(check int) "300 chunks" 300 (Array.length chunks);
+  Alcotest.(check int) "no minor collection" 0 collections
+
 let test_map_chunks_results_and_stats () =
   let chunks = Parsweep.shard ~chunk_pages:4 (mk_pages 37) in
   let scan (c : Parsweep.chunk) = c.Parsweep.cid * 10 in
@@ -287,6 +301,8 @@ let suite =
   ( "minesweeper.parsweep",
     [
       Alcotest.test_case "canonical sharding" `Quick test_shard_canonical;
+      Alcotest.test_case "shard runs no minor collection" `Quick
+        test_shard_no_minor_gc;
       Alcotest.test_case "map_chunks results + stats" `Quick
         test_map_chunks_results_and_stats;
       Alcotest.test_case "map_chunks scans on the caller" `Quick

@@ -193,6 +193,80 @@ let test_mark_only_plans () =
     [ ("full", C.default, C.Full_scan);
       ("incremental", C.incremental, C.Incremental) ]
 
+(* Sweeps run thousands of times a run, so a forced minor collection per
+   sweep is a host cost no export shows. The OCaml runtime forces one
+   before [Array.make] builds an array longer than 256 words from a
+   young element; the sweep path must build none. *)
+let minor_collections f =
+  let before = (Gc.quick_stat ()).Gc.minor_collections in
+  f ();
+  (Gc.quick_stat ()).Gc.minor_collections - before
+
+let test_mark_only_no_minor_gc () =
+  List.iter
+    (fun (name, config) ->
+      let machine, ms = fresh ~config () in
+      let mem = machine.Alloc.Machine.mem in
+      let blocks = Array.init 400 (fun _ -> I.malloc ms 4096) in
+      let plan = P.mark_only (I.Sweep.plan ms) in
+      ignore (I.Sweep.run ms plan);
+      (* Dirty every block, so the incremental mark rescans them all. *)
+      Array.iteri (fun i p -> Vmem.store mem p blocks.((i + 1) mod 400)) blocks;
+      let pages = Vmem.readable_bytes mem / Vmem.page_size in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: more than 256 readable pages (%d)" name pages)
+        true (pages > 256);
+      Gc.minor ();
+      let outcome = ref None in
+      let collections =
+        minor_collections (fun () -> outcome := Some (I.Sweep.run ms plan))
+      in
+      Alcotest.(check int) (name ^ ": no minor collection") 0 collections;
+      let rescanned =
+        match !outcome with
+        | Some o -> o.P.scanned_bytes - (o.P.replayed_words * 8)
+        | None -> 0
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: read more than 256 pages (%d bytes)" name
+           rescanned)
+        true
+        (rescanned > 256 * Vmem.page_size))
+    [ ("full", C.default); ("incremental", C.incremental) ]
+
+(* The incremental summary cache keeps one entry per readable page: a
+   summarised page that turns [No_access] or loses its backing drops out
+   of it at the next mark, and with it exactly that page's entry (three
+   words plus one per target) from [ms.summary_cache_bytes]. *)
+let test_summary_cache_prunes_unreadable () =
+  List.iter
+    (fun (name, make_unreadable) ->
+      let machine, ms = fresh ~config:C.incremental () in
+      let mem = machine.Alloc.Machine.mem in
+      let page = Vmem.page_size in
+      let block = I.malloc ms (3 * page) in
+      let target = I.malloc ms 64 in
+      (* A page of its own inside the block, holding one heap pointer. *)
+      let base = (block + page - 1) / page * page in
+      Vmem.store mem base target;
+      let plan = P.mark_only (I.Sweep.plan ms) in
+      let cache_bytes () =
+        ignore (I.Sweep.run ms plan);
+        (I.stats ms).Minesweeper.Stats.summary_cache_bytes
+      in
+      let before = cache_bytes () in
+      Alcotest.(check int) (name ^ ": a second mark replays the cache") before
+        (cache_bytes ());
+      make_unreadable mem ~addr:base ~len:page;
+      Alcotest.(check int)
+        (name ^ ": the page's 32-byte entry is dropped")
+        (before - 32) (cache_bytes ()))
+    [
+      ( "No_access",
+        fun mem ~addr ~len -> Vmem.protect mem ~addr ~len Vmem.No_access );
+      ("decommitted", fun mem ~addr ~len -> Vmem.decommit mem ~addr ~len);
+    ]
+
 (* --- Export determinism across the whole pipeline ---------------------- *)
 
 let contains hay needle =
@@ -343,6 +417,10 @@ let suite =
       Alcotest.test_case "Sweep.run outcome" `Quick test_sweep_run_api;
       Alcotest.test_case "mark-only plans in both modes" `Quick
         test_mark_only_plans;
+      Alcotest.test_case "mark-only sweep runs no minor collection" `Quick
+        test_mark_only_no_minor_gc;
+      Alcotest.test_case "summary cache drops unreadable pages" `Quick
+        test_summary_cache_prunes_unreadable;
       Alcotest.test_case "exports equivalent at 1/2/4/8 domains" `Slow
         test_exports_equivalent_across_domains;
       Alcotest.test_case "sweep.stage.* telemetry" `Quick

@@ -534,16 +534,19 @@ let frame_matches ~full bytes mp =
 let agrees ~full v m =
   let fail fmt = Printf.ksprintf (fun msg -> QCheck.Test.fail_report msg) fmt in
   let snapshot = Array.to_list (Vmem.snapshot_readable_pages v) in
-  let bases = List.map (fun (b, _, _) -> b) snapshot in
+  let bases = List.map (fun (p : Vmem.page) -> p.Vmem.base) snapshot in
   let readable = IM.filter (fun _ mp -> model_readable mp) m.pages in
   if not (strictly_ascending bases) then fail "snapshot not ascending";
   let expected =
     List.map (fun (i, mp) -> (i * page, mp.gen)) (IM.bindings readable)
   in
-  if List.map (fun (b, _, g) -> (b, g)) snapshot <> expected then
+  if
+    List.map (fun (p : Vmem.page) -> (p.Vmem.base, p.Vmem.write_gen)) snapshot
+    <> expected
+  then
     fail "snapshot pages or write generations differ from the model";
   List.iter
-    (fun (b, bytes, _) ->
+    (fun { Vmem.base = b; bytes; _ } ->
       if not (frame_matches ~full bytes (IM.find (b / page) m.pages)) then
         fail "frame of page %#x differs from the model" b)
     snapshot;
