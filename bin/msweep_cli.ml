@@ -16,10 +16,11 @@
      attack [-s SCHEME]        run the Figure-2 exploit scenarios
      trace-gen -b BENCH -o F   derive a portable trace file from a profile
      trace-replay -i F -s S    replay a trace file against a scheme
-     check [-i F] [--oracle] [--corpus] [--races] [--strict]
-                               lint traces, audit a differential replay,
-                               self-test the lint corpus, race-check
-                               recorded synchronization events
+     check [-i F] [-b BENCH] [--oracle] [--corpus] [--races] [--strict]
+                               lint traces or a figure's program, audit a
+                               differential replay, self-test the lint
+                               corpus, race-check recorded
+                               synchronization events
      analyze [-i F] [--policy P] [--json F] [--lockset] [--pools] [--strict]
                                static dataflow analysis of traces: dangling
                                exposure, retention prediction, quarantine
@@ -65,7 +66,7 @@ let apply_domains n scheme =
   let open Workloads.Harness in
   let with_n = Minesweeper.Config.with_domains n in
   match scheme with
-  | _ when n <= 1 -> Ok scheme
+  | _ when n = 1 -> Ok scheme
   | Mine_sweeper c -> Ok (Mine_sweeper (with_n c))
   | Scudo_sweeper c -> Ok (Scudo_sweeper (with_n c))
   | Dl_sweeper c -> Ok (Dl_sweeper (with_n c))
@@ -129,12 +130,35 @@ let scheme_arg =
     & info [ "s"; "scheme" ]
         ~doc:("Scheme: " ^ String.concat ", " Workloads.Harness.scheme_names))
 
+(* Numeric arguments are range-checked when the command line is parsed,
+   like names: an out-of-range value is a usage error (status 124) that
+   names the valid range, before any simulation runs. *)
+let in_range conv ~range ok =
+  Arg.conv'
+    ( (fun s ->
+        match Arg.conv_parser conv s with
+        | Ok v when ok v -> Ok v
+        | Ok _ -> Error (Fmt.str "%s is out of range: expected %s" s range)
+        | Error (`Msg m) -> Error m),
+      Arg.conv_printer conv )
+
+(* The scaled op, request and cycle counts must stay host integers. *)
+let max_scale = 1000.
+
+let scale_conv =
+  in_range Arg.float
+    ~range:(Fmt.str "a finite number > 0 and <= %g" max_scale)
+    (fun x -> Float.is_finite x && x > 0. && x <= max_scale)
+
+let at_least n =
+  in_range Arg.int ~range:(Fmt.str "an integer >= %d" n) (fun v -> v >= n)
+
 let scale_arg =
-  Arg.(value & opt float 1.0 & info [ "scale" ] ~doc:"Trace length scale")
+  Arg.(value & opt scale_conv 1.0 & info [ "scale" ] ~doc:"Trace length scale")
 
 let domains_arg =
   Arg.(
-    value & opt int 1
+    value & opt (at_least 1) 1
     & info [ "domains" ]
         ~doc:
           "Marker domains modeled for the marking phase (1 = one marker). \
@@ -221,7 +245,7 @@ let bench_cmd =
   in
   let repeat_arg =
     Arg.(
-      value & opt int 1
+      value & opt (at_least 1) 1
       & info [ "repeat" ]
           ~doc:
             "Run the benchmark N times and report the median host \
@@ -280,7 +304,6 @@ let bench_cmd =
        $ config_arg))
   in
   let f profile scheme scale repeat metrics_out spans_out =
-    let repeat = max 1 repeat in
     let timed =
       Array.init repeat (fun _ ->
           let w0 = Unix.gettimeofday () and c0 = Sys.time () in
@@ -483,7 +506,7 @@ let serve_cmd =
   in
   let repeat_arg =
     Arg.(
-      value & opt int 1
+      value & opt (at_least 1) 1
       & info [ "repeat" ]
           ~doc:
             "Run N statistically independent repeats. Repeat 0 keeps the \
@@ -535,7 +558,6 @@ let serve_cmd =
           profile scheme
       in
       print_server_result result;
-      let repeat = max 1 repeat in
       if repeat > 1 then begin
         let rs = Workloads.Server.run_repeats ~repeats:repeat profile scheme in
         List.iteri
@@ -706,7 +728,7 @@ let fleet_cmd =
   in
   let qbudget_arg =
     Arg.(
-      value & opt int 0
+      value & opt (at_least 0) 0
       & info [ "quarantine-budget" ]
           ~doc:
             "Per-tenant quarantine budget in MiB (0 = unlimited): a tenant \
@@ -717,7 +739,7 @@ let fleet_cmd =
   in
   let repeat_arg =
     Arg.(
-      value & opt int 1
+      value & opt (at_least 1) 1
       & info [ "repeat" ]
           ~doc:
             "Run N independent repeats; repeat i derives its seed with \
@@ -737,7 +759,6 @@ let fleet_cmd =
     let cfg =
       Fleet.config ~budget:(budget * 1024 * 1024) ~scheduler ~purge_order ()
     in
-    let repeat = max 1 repeat in
     let results = Fleet.run_repeats ~scale ~seed ~repeats:repeat cfg specs in
     let first = List.hd results in
     print_fleet_result first;
@@ -860,14 +881,42 @@ let lockset_self_test errs =
 
 let check_cmd =
   let doc =
-    "Lint trace files and (optionally) audit a differential replay. Exits \
-     non-zero when any check reports an error or a self-test fails; with \
+    "Lint trace files, or the program a figure runs for one benchmark, \
+     and (optionally) audit a differential replay. Exits non-zero when \
+     any check reports an error or a self-test fails; with \
      $(b,--strict), on any finding at all."
   in
   let files_arg =
     Arg.(
       value & opt_all string []
       & info [ "i"; "in" ] ~doc:"Trace file to check (repeatable)")
+  in
+  (* -b: the program Driver.run streams for the profile at --scale, the
+     one the paper's figures, `run` and `compare` execute. *)
+  let program_term =
+    let bench_arg =
+      Arg.(
+        value
+        & opt (some string) None
+        & info [ "b"; "bench" ]
+            ~doc:
+              "Also check the program the figures run for this benchmark \
+               of $(b,--suite) at $(b,--scale)")
+    in
+    let program suite bench scale =
+      match bench with
+      | None -> Ok None
+      | Some name ->
+        Result.map
+          (fun profile ->
+            Some
+              ( Fmt.str "%s/%s@%g" suite name scale,
+                fun () -> Workloads.Driver.program ~ops_scale:scale profile ))
+          (Workloads.Harness.find_profile ~suite name)
+    in
+    Term.(
+      term_result' ~usage:true
+        (const program $ suite_arg $ bench_arg $ scale_arg))
   in
   let oracle_arg =
     Arg.(
@@ -912,7 +961,7 @@ let check_cmd =
              happens-before analysis; with --corpus, additionally replay \
              every sweep-protocol mutant, which the checker must flag")
   in
-  let f files oracle corpus races (_, config) latency domains strict =
+  let f files program oracle corpus races (_, config) latency domains strict =
     (* --domains sets the modeled marker count of every replayed
        configuration: the oracle and --races then certify that it moves
        no release decision and no synchronization event. *)
@@ -929,11 +978,18 @@ let check_cmd =
           Fmt.pr "  %s@." (Sanitizer.Diagnostic.to_string d))
         diags
     in
+    let inputs =
+      List.map
+        (fun file ->
+          ( file,
+            fun () ->
+              reading_trace file (fun () -> Workloads.Trace.of_file file) ))
+        files
+      @ Option.to_list program
+    in
     List.iter
-      (fun file ->
-        let trace =
-          reading_trace file (fun () -> Workloads.Trace.of_file file)
-        in
+      (fun (file, read) ->
+        let trace = read () in
         let diags = Sanitizer.Trace_lint.lint trace in
         Fmt.pr "%s: lint: %d finding(s)@." file (List.length diags);
         print_diags diags;
@@ -974,7 +1030,7 @@ let check_cmd =
               print_diags ls)
             Minesweeper.Config.
               [ ("default", default); ("mostly", mostly_concurrent) ])
-      files;
+      inputs;
     if corpus then begin
       Fmt.pr "corpus self-test:@.";
       List.iter
@@ -1014,8 +1070,8 @@ let check_cmd =
       Fmt.pr "lockset mutant self-test:@.";
       lockset_self_test errs
     end;
-    if (not corpus) && files = [] then
-      Fmt.pr "nothing to check: pass -i FILE and/or --corpus@.";
+    if (not corpus) && List.is_empty inputs then
+      Fmt.pr "nothing to check: pass -i FILE, -b BENCH and/or --corpus@.";
     let total = !errs + !warns in
     if total > 0 then
       Fmt.pr "check: %d finding(s) (%d error(s), %d warning(s))@." total !errs
@@ -1024,8 +1080,8 @@ let check_cmd =
   in
   Cmd.v (Cmd.info "check" ~doc)
     Term.(
-      const f $ files_arg $ oracle_arg $ corpus_arg $ races_arg $ config_arg
-      $ latency_arg $ domains_arg $ strict_arg)
+      const f $ files_arg $ program_term $ oracle_arg $ corpus_arg $ races_arg
+      $ config_arg $ latency_arg $ domains_arg $ strict_arg)
 
 let analyze_cmd =
   let doc =
@@ -1169,7 +1225,7 @@ let explore_cmd =
   in
   let schedules_arg =
     Arg.(
-      value & opt int 64
+      value & opt (at_least 1) 64
       & info [ "schedules" ]
           ~doc:"Schedules to explore (stride-sampled from the full space)")
   in

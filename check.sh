@@ -83,6 +83,41 @@ echo "lint flags the dangling-rate workload (expected; fatal only under --strict
   && { echo "FAIL: oracle reported unsoundness on the default config" >&2; exit 1; }
 echo "oracle certifies the default config sound on it"
 
+echo "== referees on the figures' own programs"
+# `check -b` reads the program Driver.run streams for a profile, the one
+# every paper figure, `run` and `compare` execute, not a generated trace.
+# On the five Fig. 17 profiles the sweep oracle (with the invariant
+# audit), the race recorder and the lockset pass must all come back
+# clean, and each report is pinned byte for byte.
+for bench in dealII gcc omnetpp perlbench xalancbmk; do
+  "$CLI" check --suite spec2006 -b "$bench" --scale 0.02 --oracle --races \
+    --latency 100000 >"$workdir/program-$bench.txt" \
+    || { echo "FAIL: check -b $bench exited nonzero" >&2; exit 1; }
+  grep -q "oracle-unsound\|inv-\|rc-\|ls-" "$workdir/program-$bench.txt" \
+    && { echo "FAIL: referee finding on the $bench program" >&2; exit 1; }
+  grep -q "oracle: .* 0 finding(s)" "$workdir/program-$bench.txt" \
+    || { echo "FAIL: no clean oracle verdict on the $bench program" >&2; exit 1; }
+done
+require_cksum program-dealII.txt "1957442845 1771"
+require_cksum program-gcc.txt "3042013050 1995"
+require_cksum program-omnetpp.txt "2136650888 1772"
+require_cksum program-perlbench.txt "2797519927 1520"
+require_cksum program-xalancbmk.txt "1971510081 4158"
+# Every profile of every suite as the figures run it: no unsound
+# recycle and no invariant finding (retention is reported, not gated).
+for suite in spec2006 spec2017 mimalloc; do
+  for bench in $("$CLI" list | awk -v s="$suite:" '$0 == s { on = 1; next }
+      /:$/ { on = 0 } on { print $1 }'); do
+    "$CLI" check --suite "$suite" -b "$bench" --scale 0.02 --oracle \
+      >"$workdir/program.txt" 2>&1 || true
+    grep -q "oracle: " "$workdir/program.txt" \
+      || { echo "FAIL: no oracle verdict on the $suite/$bench program" >&2; exit 1; }
+    grep -q "oracle-unsound\|inv-" "$workdir/program.txt" \
+      && { echo "FAIL: oracle flagged the $suite/$bench program" >&2; exit 1; }
+  done
+done
+echo "referees certify the figures' programs: five pinned reports, 53 profiles sound"
+
 echo "== sweep-mode equivalence (full vs incremental)"
 # The dedicated equivalence suite: identical mark sets and decisions.
 _build/default/test/test_main.exe test minesweeper.sweep-equivalence \
@@ -231,7 +266,23 @@ bad_name() {
 }
 bad_name "minesweeper-mostly" run --suite mimalloc -b espresso -s bogus
 bad_name "incremental-mostly" check --corpus --config bogus
-echo "run -s bogus and check --config bogus exit with a usage error listing the valid names"
+bad_name "xalancbmk" check --suite spec2006 -b bogus
+echo "run -s bogus, check --config bogus and check -b bogus exit with a usage error listing the valid names"
+
+echo "== bad numbers: a usage error that names the valid range"
+# Numeric arguments are range-checked the same way, before anything
+# runs: no value may be clamped, wrapped or silently replaced.
+bad_name "finite number > 0" run --suite mimalloc -b espresso --scale nan
+bad_name "finite number > 0" run --suite spec2006 -b perlbench --scale 1e300
+bad_name "finite number > 0" serve --scale 0
+bad_name "finite number > 0" check --suite spec2006 -b gcc --scale=-1
+bad_name "integer >= 1" explore --schedules=-5
+bad_name "integer >= 1" explore --schedules 0
+bad_name "integer >= 1" run --suite mimalloc -b espresso --domains=-4
+bad_name "integer >= 1" bench --suite mimalloc -b espresso --repeat 0
+bad_name "integer >= 1" serve --repeat=-2
+bad_name "integer >= 0" fleet --quarantine-budget=-1
+echo "--scale, --schedules, --domains, --repeat and --quarantine-budget reject out-of-range values"
 
 echo "== bad trace input: a located error, not an internal one"
 # Every command that reads a trace file must turn an unreadable file or

@@ -34,6 +34,7 @@ let primary_policy policies =
 
 let slot_to_string = function
   | Heap.Root_slot w -> Printf.sprintf "root[%d]" w
+  | Heap.Global_slot w -> Printf.sprintf "global[%d]" w
   | Heap.Field_slot (id, w) -> Printf.sprintf "obj%d[%d]" id w
 
 let render_chain chain id =

@@ -25,6 +25,7 @@ let rules =
 (* Lint's own wording for a slot (the referees' pinned reports carry it). *)
 let slot_to_string = function
   | Heap.Root_slot w -> Printf.sprintf "root[%d]" w
+  | Heap.Global_slot w -> Printf.sprintf "global[%d]" w
   | Heap.Field_slot (id, w) -> Printf.sprintf "id %d word %d" id w
 
 let lint (trace : Trace.t) =
@@ -46,6 +47,12 @@ let lint (trace : Trace.t) =
         (Printf.sprintf
            "%s root index %d is outside the %d-word root window (replay wraps \
             to %d)"
+           what index words word)
+    | Heap.Wrapped { slot = Heap.Global_slot word; index; words } ->
+      out_of_range ~op_index
+        (Printf.sprintf
+           "%s globals index %d is outside the %d-word globals window \
+            (replay wraps to %d)"
            what index words word)
     | Heap.Wrapped { slot = Heap.Field_slot (holder, word); index; words } ->
       out_of_range ~op_index

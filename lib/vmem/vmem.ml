@@ -176,6 +176,10 @@ let is_committed t addr =
 
 let protection t addr = (find_page t addr).prot
 
+let is_writable t addr =
+  let p = Page_table.find t.pages (page_index addr) in
+  p != unmapped && p.data <> None && p.prot = Read_write
+
 (* Demand-commit on access: a decommitted-but-accessible page behaves like
    madvise(DONTNEED)'d memory — the OS hands back a zeroed page. *)
 let readable_page t addr =

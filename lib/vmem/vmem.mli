@@ -96,6 +96,10 @@ val is_committed : t -> int -> bool
 val protection : t -> int -> prot
 (** [protection t addr] — the page must be mapped. *)
 
+val is_writable : t -> int -> bool
+(** The page holding [addr] is mapped, committed and read-write: a store
+    there neither faults nor commits a page. *)
+
 (** {1 Word access} *)
 
 val load : t -> int -> int

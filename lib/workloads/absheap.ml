@@ -1,5 +1,6 @@
 type slot =
   | Root_slot of int
+  | Global_slot of int
   | Field_slot of int * int
 
 type target =
@@ -97,7 +98,7 @@ let unbind t slot (target, _op) =
   | Wild -> t.wilds <- t.wilds - 1);
   match slot with
   | Field_slot (h, _) -> index_remove t.fields h slot
-  | Root_slot _ -> ()
+  | Root_slot _ | Global_slot _ -> ()
 
 let clear t slot =
   match Hashtbl.find_opt t.contents slot with
@@ -114,7 +115,7 @@ let store t slot target ~op =
   | Wild -> t.wilds <- t.wilds + 1);
   (match slot with
   | Field_slot (h, _) -> index_add t.fields h slot
-  | Root_slot _ -> ());
+  | Root_slot _ | Global_slot _ -> ());
   displaced
 
 (* Sorted by (store op, slot): deterministic, earliest store first. *)
@@ -162,7 +163,7 @@ let witness_chain t slot =
     | Some (_, op) -> (
       let acc = (slot, op) :: acc in
       match slot with
-      | Root_slot _ -> List.rev acc
+      | Root_slot _ | Global_slot _ -> List.rev acc
       | Field_slot (h, _) ->
         if depth >= max_chain_depth || List.mem h visited then List.rev acc
         else (
@@ -182,6 +183,16 @@ let resolve t = function
     else
       Wrapped
         { slot = Root_slot word; index = w; words = Trace.root_window_words }
+  | Trace.Global w ->
+    let word = Trace.global_word w in
+    if word = w then Slot (Global_slot w)
+    else
+      Wrapped
+        {
+          slot = Global_slot word;
+          index = w;
+          words = Trace.globals_window_words;
+        }
   | Trace.Field (holder, w) -> (
     match Hashtbl.find_opt t.ids holder with
     | None -> Unallocated holder
@@ -193,6 +204,21 @@ let resolve t = function
         let slot = Field_slot (holder, word) in
         if word = w then Slot slot
         else Wrapped { slot; index = w; words = size / 8 }))
+
+(* A raw write of [value] (binding [stored]) at [loc]. A dead object's
+   encoded address writes 0 at replay, so it binds nothing. *)
+let data t i loc value stored =
+  let place = resolve t loc in
+  match place with
+  | Slot slot | Wrapped { slot; _ } ->
+    let displaced =
+      match stored with
+      | Some target -> store t slot target ~op:i
+      | None -> clear t slot
+    in
+    Data { place; value; stored; displaced }
+  | Unallocated _ | Holder_dead _ | No_words _ ->
+    Data { place; value; stored = None; displaced = None }
 
 let step t i = function
   | Trace.Alloc { id; size; site } ->
@@ -206,7 +232,9 @@ let step t i = function
       let outside =
         List.filter
           (fun (slot, _, _) ->
-            match slot with Field_slot (h, _) -> h <> id | Root_slot _ -> true)
+            match slot with
+            | Field_slot (h, _) -> h <> id
+            | Root_slot _ | Global_slot _ -> true)
           (holders t id)
       in
       let dropped = if t.zeroing then drop_fields_of t id else [] in
@@ -235,22 +263,13 @@ let step t i = function
       | _ -> None
     in
     Clear { place; cleared }
-  | Trace.Store_data { loc; value } -> (
-    let place = resolve t loc in
-    match place with
-    | Slot slot | Wrapped { slot; _ } ->
-      (* A dead object's encoded address writes 0 at replay. *)
-      let stored =
-        match Trace.aliased_id value with
-        | Some id -> if is_live t id then Some (Alias id) else None
-        | None -> if value >= Layout.heap_base then Some Wild else None
-      in
-      let displaced =
-        match stored with
-        | Some target -> store t slot target ~op:i
-        | None -> clear t slot
-      in
-      Data { place; value; stored; displaced }
-    | Unallocated _ | Holder_dead _ | No_words _ ->
-      Data { place; value; stored = None; displaced = None })
+  | Trace.Store_data { loc; value } ->
+    data t i loc value
+      (match Trace.aliased_id value with
+      | Some id -> if is_live t id then Some (Alias id) else None
+      | None -> if value >= Layout.heap_base then Some Wild else None)
+  | Trace.Store_interior { loc; target; word = _ } ->
+    data t i loc (-target - 1)
+      (if is_live t target then Some (Alias target) else None)
+  | Trace.Zero loc -> data t i loc 0 None
   | Trace.Work _ -> Work

@@ -3,10 +3,11 @@
     {!Trace.run} is what an op does to memory; this module is what it
     does to an abstract heap that never touches an address. Its universe
     is the trace's own vocabulary: object ids and slots. A slot is a
-    root-window word or a word inside an object, named after
-    {!Trace.root_word} and {!Trace.field_word} have wrapped it, so two
-    location expressions that land on the same concrete word always
-    collapse to the same slot.
+    root-window word, a globals-window word or a word inside an object,
+    named after {!Trace.root_word}, {!Trace.global_word} and
+    {!Trace.field_word} have wrapped it, so two location expressions
+    that land on the same concrete word always collapse to the same
+    slot.
 
     The heap keeps every id's record (live with its size, site and
     alloc op, or freed with its free op) and a points-to graph: one
@@ -18,14 +19,16 @@
 
 type slot =
   | Root_slot of int  (** root-window word, already wrapped *)
+  | Global_slot of int  (** globals-window word, already wrapped *)
   | Field_slot of int * int  (** (holder id, word index wrapped into it) *)
 
 (** What a slot may hold, as far as the trace shows. *)
 type target =
   | Ptr of int  (** an instrumented pointer to object [id] *)
   | Alias of int
-      (** a data word whose value is the address of object [id] — the
-          trace's encoded "unlucky integer" (negative [Store_data]) *)
+      (** a data word whose value is an address inside object [id] — the
+          trace's "unlucky integer" (a negative [Store_data], or a
+          [Store_interior]) *)
   | Wild
       (** a data word whose value lies in the heap address range: it may
           alias any allocation, so the conservative sweep may mark
@@ -42,7 +45,7 @@ type id_state =
       (** [site] as written in the trace, not clamped *)
   | Dead of { free_op : int }
 
-(** How a store, clear or data write's location resolved. *)
+(** How a store, clear or raw write's location resolved. *)
 type place =
   | Slot of slot  (** the index named a word directly *)
   | Wrapped of { slot : slot; index : int; words : int }
@@ -88,6 +91,9 @@ type event =
   | Data of {
       place : place;
       value : int;
+          (** the integer written: a [Store_data]'s value, 0 for a
+              [Zero], and for a [Store_interior] its target's alias
+              encoding [-target - 1] *)
       stored : target option;
           (** the new binding: [Alias] for the address of a live object,
               [Wild] for a heap-range integer, [None] when the write

@@ -2,13 +2,18 @@
     stack on a fresh simulated machine and collects the metrics every
     figure in the paper is built from.
 
-    The runner maintains a real object population in simulated memory:
-    object addresses are written into other live objects and into the
-    stack/globals root regions, cleared (or deliberately left dangling)
-    when objects are freed, and overwritten by background stack churn.
-    Sweeps and marking passes therefore scan genuine reference graphs —
-    failed frees, quarantine growth and protection behaviour all emerge
-    from the memory contents rather than from modelling shortcuts. *)
+    The runner draws a program from the profile, a stream of {!Trace.op}s
+    over object ids: allocations, pointers to them stored into other
+    live objects and into the stack and globals windows, clears (or
+    deliberately dangling pointers) before each free, unlucky integers
+    that point inside live objects, and stack churn that zeroes root
+    slots. It writes no memory itself: every op goes through
+    {!Trace.exec}, the interpreter every replay and referee runs, which
+    resolves ids to addresses and writes simulated memory. Sweeps and
+    marking passes therefore scan genuine reference graphs — failed
+    frees, quarantine growth and protection behaviour all emerge from
+    the memory contents rather than from modelling shortcuts — and
+    {!program} hands the same ops to the referees. *)
 
 type result = {
   benchmark : string;
@@ -44,12 +49,24 @@ val run :
   Profile.t ->
   Harness.scheme ->
   result
-(** Run one benchmark under one scheme. Deterministic for a given
-    profile seed. [ops_scale] shortens traces for quick runs; a run whose
+(** Run one benchmark under one scheme: stream its program through
+    {!Trace.exec} against the stack, whose target charges the profile's
+    share of the stack's cold-reuse penalty after each allocation; after
+    each step's closing [Work] the stack ticks and, every
+    [ops / trace_points] steps, resident memory is sampled. Deterministic
+    for a given profile seed. [ops_scale] shortens traces for quick runs; a run whose
     resident set exceeds [rss_limit] (default 768 MiB) is killed and
     returned with [oom_killed] set. [on_build] receives the freshly
     built stack before any operation runs — the hook for capturing its
     metrics registry and trace ring for post-run export. *)
+
+val program : ?ops_scale:float -> Profile.t -> Trace.t
+(** The ops {!run} streams for this profile and [ops_scale], as a trace:
+    the program the figures run, for the lint, the sweep oracle and the
+    race recorder. The program does not depend on the scheme. Its
+    replay target differs from {!run}'s (a referee ticks after each
+    allocation and charges no cold-reuse cycles), and {!run} stops at
+    an out-of-memory kill where the program runs on. *)
 
 val slowdown : baseline:result -> result -> float
 val memory_overhead : baseline:result -> result -> float

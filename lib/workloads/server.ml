@@ -137,15 +137,98 @@ type result = {
   oom_killed : bool;
 }
 
+(* The request program: the ops each request emits, drawn from the
+   profile and the seed alone (never from an address), so [program] can
+   record what [serve] runs under any scheme.
+
+   Sites are semantic, not size-derived: site 1 is the connection-buffer
+   arena, site 0 the per-request arena — the two genuinely distinct
+   allocation sites of the server loop. *)
+let trace_sites = 2
+let connection_site = 1
+let request_site = 0
+
+type requests = {
+  rp : profile;
+  rng : Sim.Rng.t;  (* leak/dangling coin flips, dangling slot choice *)
+  size_rng : Sim.Rng.t;
+  work_rng : Sim.Rng.t;
+  connections : int array Queue.t;  (* buffer ids, oldest first *)
+  mutable next_id : int;
+  mutable leaked : int;
+  mutable dangling : int;
+}
+
+(* The request program's streams, after the arrival stream split off. *)
+let requests sp ~seed =
+  let rng = Sim.Rng.create seed in
+  let arrival_rng = Sim.Rng.split rng in
+  let size_rng = Sim.Rng.split rng in
+  let work_rng = Sim.Rng.split rng in
+  ( Sim.Arrival.take (Sim.Arrival.make sp.arrival arrival_rng) sp.requests,
+    {
+      rp = sp;
+      rng;
+      size_rng;
+      work_rng;
+      connections = Queue.create ();
+      next_id = 0;
+      leaked = 0;
+      dangling = 0;
+    } )
+
+(* Root slots for deliberately-dangling pointers live above the first KiB
+   of the globals window, which the attack scenarios use for their own
+   victim/credential slots. *)
+let dangling_word g =
+  let lo = 1024 / word in
+  lo + Sim.Rng.int g.rng (Trace.globals_window_words - lo)
+
+(* Request [k]'s ops, in [emit] order: connection churn every N-th
+   request, the request's arena (each object stamped with a payload
+   word), perhaps a dangling root pointer, the service work, and the
+   arena's teardown, which a leaking handler cuts one object short. *)
+let emit_request g k emit =
+  let sp = g.rp in
+  let alloc site dist =
+    let id = g.next_id in
+    g.next_id <- id + 1;
+    emit (Trace.Alloc { id; size = Sim.Dist.sample dist g.size_rng; site });
+    emit (Trace.Store_data { loc = Trace.Field (id, 0); value = payload_word });
+    id
+  in
+  let free id = emit (Trace.Free { id; thread = 0 }) in
+  if sp.connection_every > 0 && k mod sp.connection_every = 0 then begin
+    Queue.push
+      (Array.init sp.connection_buffers (fun _ ->
+           alloc connection_site sp.connection_size))
+      g.connections;
+    if Queue.length g.connections > sp.max_connections then
+      Array.iter free (Queue.pop g.connections)
+  end;
+  let n = max 1 (Sim.Dist.sample sp.allocs_per_request g.size_rng) in
+  let arena = Array.init n (fun _ -> alloc request_site sp.request_size) in
+  (* A buggy handler publishes a root pointer it will never clear. *)
+  if Sim.Rng.bool g.rng sp.dangling_rate then begin
+    let loc = Trace.Global (dangling_word g) in
+    emit (Trace.Store_ptr { loc; target = arena.(0) });
+    g.dangling <- g.dangling + 1
+  end;
+  emit (Trace.Work (Sim.Dist.sample sp.service_work g.work_rng));
+  let leak = Sim.Rng.bool g.rng sp.leak_rate in
+  for i = 0 to (if leak then n - 2 else n - 1) do
+    free arena.(i)
+  done;
+  if leak then g.leaked <- g.leaked + 1
+
 type session = {
   sp : profile;
   stack : Harness.t;
   reg : Obs.Registry.t;
   ring : Obs.Trace_ring.t;
   arrivals : int array;
-  rng : Sim.Rng.t;  (* leak/dangling coin flips, dangling slot choice *)
-  size_rng : Sim.Rng.t;
-  work_rng : Sim.Rng.t;
+  gen : requests;
+  exec : Trace.op -> unit;
   sampler : Sim.Sampler.t;
   h_latency : Obs.Registry.histogram;
   h_stall : Obs.Registry.histogram;
@@ -157,7 +240,6 @@ type session = {
   c_dangling : Obs.Registry.counter;
   g_depth : Obs.Registry.gauge;
   g_connections : Obs.Registry.gauge;
-  connections : int array Queue.t;
   slow_span : int;  (* latency above which a Request span is emitted *)
   sample_every : int;
   rss_limit : int;
@@ -166,8 +248,6 @@ type session = {
   mutable server_time : int;  (* finish_{k-1} of the real queue *)
   mutable ideal_time : int;  (* finish0_{k-1} of the stall-free queue *)
   mutable completed : int;
-  mutable leaked : int;
-  mutable dangling : int;
   mutable max_depth : int;
   mutable oom : bool;
   mutable external_stall : (unit -> int) option;
@@ -176,22 +256,34 @@ type session = {
 }
 
 let machine (s : session) = s.stack.Harness.machine
-let mem s = (machine s).Alloc.Machine.mem
 let clock s = (machine s).Alloc.Machine.clock
 
 let start ?(rss_limit = Harness.default_rss_limit) ?seed sp (stack : Harness.t) =
   let seed = Option.value seed ~default:sp.seed in
+  let machine = stack.Harness.machine in
   List.iter
     (fun (base, size) ->
-      if not (Vmem.is_mapped stack.Harness.machine.Alloc.Machine.mem base) then
-        Vmem.map stack.Harness.machine.Alloc.Machine.mem ~addr:base ~len:size)
+      if not (Vmem.is_mapped machine.Alloc.Machine.mem base) then
+        Vmem.map machine.Alloc.Machine.mem ~addr:base ~len:size)
     Layout.root_regions;
-  let rng = Sim.Rng.create seed in
-  let arrival_rng = Sim.Rng.split rng in
-  let size_rng = Sim.Rng.split rng in
-  let work_rng = Sim.Rng.split rng in
-  let gen = Sim.Arrival.make sp.arrival arrival_rng in
-  let arrivals = Sim.Arrival.take gen sp.requests in
+  let arrivals, gen = requests sp ~seed in
+  let exec =
+    Trace.exec ~sites:trace_sites machine
+      {
+        Trace.alloc =
+          (fun ~id:_ ~site:_ size ->
+            let addr = stack.Harness.malloc size in
+            Alloc.Machine.charge machine
+              (int_of_float
+                 (sp.cache_sensitivity
+                 *. float_of_int (stack.Harness.cold_penalty size)));
+            addr);
+        free = (fun ~id:_ ~thread addr -> stack.Harness.free ~thread addr);
+        pointer_store = stack.Harness.on_pointer_write;
+        data_store = (fun ~slot:_ -> ());
+        after_op = ignore;
+      }
+  in
   let reg =
     match stack.Harness.obs with Some r -> r | None -> Obs.Registry.create ()
   in
@@ -213,9 +305,8 @@ let start ?(rss_limit = Harness.default_rss_limit) ?seed sp (stack : Harness.t) 
     reg;
     ring;
     arrivals;
-    rng;
-    size_rng;
-    work_rng;
+    gen;
+    exec;
     sampler = Sim.Sampler.create ();
     h_latency = Obs.Registry.histogram reg "srv.latency";
     h_stall = Obs.Registry.histogram reg "srv.stall_latency";
@@ -227,7 +318,6 @@ let start ?(rss_limit = Harness.default_rss_limit) ?seed sp (stack : Harness.t) 
     c_dangling = Obs.Registry.counter reg "srv.dangling_ptrs";
     g_depth = Obs.Registry.gauge reg "srv.queue_depth_max";
     g_connections = Obs.Registry.gauge reg "srv.connections";
-    connections = Queue.create ();
     slow_span;
     sample_every = max 1 (Array.length arrivals / 240);
     rss_limit;
@@ -236,8 +326,6 @@ let start ?(rss_limit = Harness.default_rss_limit) ?seed sp (stack : Harness.t) 
     server_time = 0;
     ideal_time = 0;
     completed = 0;
-    leaked = 0;
-    dangling = 0;
     max_depth = 0;
     oom = false;
     external_stall = None;
@@ -250,39 +338,6 @@ let served s = s.completed
 let registry s = s.reg
 
 let record_rss s = Harness.sample_rss s.stack s.sampler ~limit:s.rss_limit
-
-(* An instrumented pointer store, as the compiler pass would emit. *)
-let store_ptr s slot value =
-  let old_value = Vmem.load (mem s) slot in
-  Vmem.store (mem s) slot value;
-  s.stack.Harness.on_pointer_write ~slot ~old_value ~value
-
-(* Root slots for deliberately-dangling pointers live above the first KiB
-   of the globals window, which the attack scenarios use for their own
-   victim/credential slots. *)
-let dangling_root_slot s =
-  let lo = 1024 in
-  Layout.globals_base + lo
-  + word * Sim.Rng.int s.rng ((Layout.globals_size - lo) / word)
-
-let open_connection s =
-  let bufs =
-    Array.init s.sp.connection_buffers (fun _ ->
-        let size = Sim.Dist.sample s.sp.connection_size s.size_rng in
-        let addr = s.stack.Harness.malloc size in
-        Alloc.Machine.charge (machine s)
-          (int_of_float
-             (s.sp.cache_sensitivity
-             *. float_of_int (s.stack.Harness.cold_penalty size)));
-        Vmem.store (mem s) addr payload_word;
-        addr)
-  in
-  Queue.push bufs s.connections;
-  if Queue.length s.connections > s.sp.max_connections then begin
-    let old = Queue.pop s.connections in
-    Array.iter (fun addr -> s.stack.Harness.free ~thread:0 addr) old
-  end;
-  Obs.Registry.Gauge.set s.g_connections (Queue.length s.connections)
 
 let serve_one s k =
   let a = s.arrivals.(k) in
@@ -300,38 +355,11 @@ let serve_one s k =
     if n > 0 then
       Alloc.Machine.with_sink (machine s) Alloc.Machine.Stall (fun () ->
           Alloc.Machine.charge (machine s) n));
-  if s.sp.connection_every > 0 && k mod s.sp.connection_every = 0 then
-    open_connection s;
-  (* Per-request arena. *)
-  let n = max 1 (Sim.Dist.sample s.sp.allocs_per_request s.size_rng) in
-  let arena =
-    Array.init n (fun _ ->
-        let size = Sim.Dist.sample s.sp.request_size s.size_rng in
-        let addr = s.stack.Harness.malloc size in
-        Alloc.Machine.charge (machine s)
-          (int_of_float
-             (s.sp.cache_sensitivity
-             *. float_of_int (s.stack.Harness.cold_penalty size)));
-        Vmem.store (mem s) addr payload_word;
-        addr)
-  in
-  (* A buggy handler publishes a root pointer it will never clear. *)
-  if Sim.Rng.bool s.rng s.sp.dangling_rate then begin
-    store_ptr s (dangling_root_slot s) arena.(0);
-    s.dangling <- s.dangling + 1;
-    Obs.Registry.Counter.incr s.c_dangling 1
-  end;
-  Alloc.Machine.charge (machine s) (Sim.Dist.sample s.sp.service_work s.work_rng);
-  (* Tear the arena down; a leaking handler forgets its last object. *)
-  let leak = Sim.Rng.bool s.rng s.sp.leak_rate in
-  let keep = if leak then n - 1 else n in
-  for i = 0 to keep - 1 do
-    s.stack.Harness.free ~thread:0 arena.(i)
-  done;
-  if leak then begin
-    s.leaked <- s.leaked + 1;
-    Obs.Registry.Counter.incr s.c_leaked 1
-  end;
+  let dangling = s.gen.dangling and leaked = s.gen.leaked in
+  emit_request s.gen k s.exec;
+  Obs.Registry.Gauge.set s.g_connections (Queue.length s.gen.connections);
+  Obs.Registry.Counter.incr s.c_dangling (s.gen.dangling - dangling);
+  Obs.Registry.Counter.incr s.c_leaked (s.gen.leaked - leaked);
   s.stack.Harness.tick ();
   (* Latency accounting (see the header comment). *)
   let sv = Sim.Clock.wall (clock s) - w0 in
@@ -406,8 +434,8 @@ let finish s =
     avg_rss = Sim.Sampler.average s.sampler;
     sweeps = s.stack.Harness.sweeps ();
     failed_frees = s.stack.Harness.failed_frees ();
-    leaked = s.leaked;
-    dangling_left = s.dangling;
+    leaked = s.gen.leaked;
+    dangling_left = s.gen.dangling;
     arrivals = s.arrivals;
     oom_killed = s.oom;
   }
@@ -440,72 +468,12 @@ let median xs =
     if n land 1 = 1 then List.nth sorted (n / 2)
     else (List.nth sorted ((n / 2) - 1) +. List.nth sorted (n / 2)) /. 2.
 
-(* Lowering into a portable batch trace: the same request structure
-   (arena allocs, payload stores, occasional dangling publication or
-   leak, service work, arena teardown, connection churn) expressed as
-   {!Trace.op}s over object ids. Open-loop timestamps have no batch
-   equivalent and are dropped.
-
-   Sites are semantic here, not size-derived: site 1 is the
-   connection-buffer arena, site 0 the per-request arena — the two
-   genuinely distinct allocation sites of the server loop. *)
-let trace_sites = 2
-let connection_site = 1
-let request_site = 0
-
-let to_trace ?seed sp =
-  let seed = Option.value seed ~default:sp.seed in
-  let rng = Sim.Rng.create seed in
-  let _arrival_rng = Sim.Rng.split rng in
-  let size_rng = Sim.Rng.split rng in
-  let work_rng = Sim.Rng.split rng in
+let program ?seed sp =
+  let arrivals, gen = requests sp ~seed:(Option.value seed ~default:sp.seed) in
   let ops = ref [] in
   let emit op = ops := op :: !ops in
-  let next_id = ref 0 in
-  let fresh () =
-    let id = !next_id in
-    incr next_id;
-    id
-  in
-  let connections : int list Queue.t = Queue.create () in
-  let root_slot () = Sim.Rng.int rng Trace.root_window_words in
-  for k = 0 to sp.requests - 1 do
-    if sp.connection_every > 0 && k mod sp.connection_every = 0 then begin
-      let ids =
-        List.init sp.connection_buffers (fun _ ->
-            let id = fresh () in
-            let size = Sim.Dist.sample sp.connection_size size_rng in
-            emit (Trace.Alloc { id; size; site = connection_site });
-            emit
-              (Trace.Store_data
-                 { loc = Trace.Field (id, 0); value = payload_word });
-            id)
-      in
-      Queue.push ids connections;
-      if Queue.length connections > sp.max_connections then
-        List.iter
-          (fun id -> emit (Trace.Free { id; thread = 0 }))
-          (Queue.pop connections)
-    end;
-    let n = max 1 (Sim.Dist.sample sp.allocs_per_request size_rng) in
-    let arena =
-      List.init n (fun _ ->
-          let id = fresh () in
-          let size = Sim.Dist.sample sp.request_size size_rng in
-          emit (Trace.Alloc { id; size; site = request_site });
-          emit
-            (Trace.Store_data { loc = Trace.Field (id, 0); value = payload_word });
-          id)
-    in
-    if Sim.Rng.bool rng sp.dangling_rate then
-      emit
-        (Trace.Store_ptr { loc = Trace.Root (root_slot ()); target = List.hd arena });
-    emit (Trace.Work (Sim.Dist.sample sp.service_work work_rng));
-    let leak = Sim.Rng.bool rng sp.leak_rate in
-    let keep = if leak then n - 1 else n in
-    List.iteri
-      (fun i id -> if i < keep then emit (Trace.Free { id; thread = 0 }))
-      arena
+  for k = 0 to Array.length arrivals - 1 do
+    emit_request gen k emit
   done;
   {
     Trace.name = sp.name;

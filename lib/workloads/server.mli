@@ -13,7 +13,9 @@
     - each request allocates a per-request arena (a handful of objects),
       writes into them, performs service work, and frees the arena on
       completion — allocator-heavy churn with occasional leaks and
-      dangling pointers;
+      dangling pointers. A request is a run of {!Trace.op}s streamed
+      through {!Trace.exec}, so the server writes no memory itself and
+      {!program} records exactly what it runs;
     - connections churn in the background: every N-th request opens a
       connection (longer-lived buffers) and the oldest connection closes
       once a cap is reached.
@@ -100,8 +102,10 @@ type result = {
 type session
 
 val start : ?rss_limit:int -> ?seed:int -> profile -> Harness.t -> session
-(** Maps the root regions and pre-generates the open-loop arrival
-    timeline. [seed] overrides the profile's seed (used by repeat
+(** Maps the root regions, pre-generates the open-loop arrival timeline
+    and starts the session's interpreter, whose target allocates with
+    the stack's [malloc] (the site is not passed on) and charges the
+    profile's share of its cold-reuse penalty. [seed] overrides the profile's seed (used by repeat
     derivation). Registers the [srv.*] metrics into the stack's registry
     when it has one. *)
 
@@ -153,10 +157,13 @@ val median : float list -> float
 (** Median of a non-empty list (mean of the middle pair for even
     lengths); 0. for the empty list. Used for median-of-N reporting. *)
 
-val to_trace : ?seed:int -> profile -> Trace.t
-(** Lower the profile into a portable batch allocation trace
-    ({!Trace.t}): per-request arenas become alloc/store/free/work runs,
-    connection churn becomes longer-lived objects. The open-loop
-    timestamps are not representable in a batch trace and are dropped;
-    the lowering exists so server workloads round-trip through the trace
-    tooling (serialisation, lint, replay against any scheme). *)
+val program : ?seed:int -> profile -> Trace.t
+(** The ops [serve] streams for this profile and seed, recorded as a
+    trace: per-request arenas as alloc/payload-store/work/free runs,
+    connection churn as longer-lived objects (site 1; request arenas are
+    site 0), dangling pointers as stores into the globals window above
+    its first KiB. A session runs exactly these ops through
+    {!Trace.exec}, request by request; the program does not depend on
+    the scheme. Open-loop timestamps have no place in a trace and are
+    left out, so the program is what a referee or the trace tooling
+    (serialisation, lint, replay against any scheme) reads. *)

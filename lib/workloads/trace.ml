@@ -1,5 +1,6 @@
 type location =
   | Root of int
+  | Global of int
   | Field of int * int
 
 type op =
@@ -7,6 +8,8 @@ type op =
   | Store_ptr of { loc : location; target : int }
   | Clear_ptr of { loc : location; target : int }
   | Store_data of { loc : location; value : int }
+  | Store_interior of { loc : location; target : int; word : int }
+  | Zero of location
   | Free of { id : int; thread : int }
   | Work of int
 
@@ -33,6 +36,7 @@ let allocation_count t =
 (* Generation                                                          *)
 
 let root_window_words = 8192
+let globals_window_words = Layout.globals_size / 8
 
 (* The stable allocation-site key: a pure function of the sampled size
    (log2 size-class bucket, folded onto [0, sites)), standing in for the
@@ -178,7 +182,13 @@ let wrap w n =
   if r < 0 then r + n else r
 
 let root_word w = wrap w root_window_words
-let field_word ~size w = if size < 8 then None else Some (wrap w (size / 8))
+let global_word w = wrap w globals_window_words
+(* [field_word] as an index, -1 for no word: the interpreter's form. *)
+let field_index ~size w = if size < 8 then -1 else wrap w (size / 8)
+let field_word ~size w =
+  let w = field_index ~size w in
+  if w < 0 then None else Some w
+let interior_word ~size w = wrap w (max 1 (size / 8))
 let aliased_id value = if value < 0 then Some (-value - 1) else None
 
 type target = {
@@ -189,69 +199,179 @@ type target = {
   after_op : int -> unit;
 }
 
-let run t (machine : Alloc.Machine.t) on =
+(* The live objects: id -> (address, size), open addressing with linear
+   probing over flat arrays, so a lookup allocates nothing. Any integer
+   is a key; which slots are in use is kept apart, in [used], rather
+   than in a sentinel id. Removal shifts the rest of the probe run back,
+   so no tombstones build up. *)
+module Objects = struct
+  type t = {
+    mutable keys : int array;
+    mutable addrs : int array;
+    mutable sizes : int array;
+    mutable used : Bytes.t;
+    mutable count : int;
+    mutable shift : int;  (* Sys.int_size - log2 capacity *)
+  }
+
+  let make bits =
+    let n = 1 lsl bits in
+    {
+      keys = Array.make n 0;
+      addrs = Array.make n 0;
+      sizes = Array.make n 0;
+      used = Bytes.make n '\000';
+      count = 0;
+      shift = Sys.int_size - bits;
+    }
+
+  let create () = make 8
+  let mask t = Array.length t.keys - 1
+
+  (* Fibonacci hashing: the top bits of the key times 2^63 / phi, made
+     odd (the literal wraps to a negative [int]; the product is the same
+     modulo 2^63). Consecutive ids land far apart. *)
+  let home t key = (key * 0x4F1BBCDCBFA53E0B) lsr t.shift
+
+  (* The key's slot, or [-1 - free] for the free slot ending its run. *)
+  let rec probe t key i =
+    if Bytes.unsafe_get t.used i = '\000' then -1 - i
+    else if t.keys.(i) = key then i
+    else probe t key ((i + 1) land mask t)
+
+  let find t key = probe t key (home t key)
+
+  let rec add t key ~addr ~size =
+    let i =
+      match find t key with
+      | i when i >= 0 -> i
+      | free ->
+        let i = -1 - free in
+        Bytes.set t.used i '\001';
+        t.keys.(i) <- key;
+        t.count <- t.count + 1;
+        i
+    in
+    t.addrs.(i) <- addr;
+    t.sizes.(i) <- size;
+    if 4 * t.count > 3 * Array.length t.keys then grow t
+
+  (* Double the capacity and enter every entry again. *)
+  and grow t =
+    let keys = t.keys and addrs = t.addrs and sizes = t.sizes in
+    let used = t.used in
+    let bigger = make (Sys.int_size - t.shift + 1) in
+    t.keys <- bigger.keys;
+    t.addrs <- bigger.addrs;
+    t.sizes <- bigger.sizes;
+    t.used <- bigger.used;
+    t.count <- 0;
+    t.shift <- bigger.shift;
+    Bytes.iteri
+      (fun i u ->
+        if u <> '\000' then add t keys.(i) ~addr:addrs.(i) ~size:sizes.(i))
+      used
+
+  (* Empty slot [hole], then move back every later entry of the run
+     whose home does not lie cyclically in (hole, j]. *)
+  let remove t i =
+    t.count <- t.count - 1;
+    let m = mask t in
+    let rec fill hole j =
+      let j = (j + 1) land m in
+      if Bytes.get t.used j = '\000' then Bytes.set t.used hole '\000'
+      else if (j - home t t.keys.(j)) land m >= (j - hole) land m then begin
+        t.keys.(hole) <- t.keys.(j);
+        t.addrs.(hole) <- t.addrs.(j);
+        t.sizes.(hole) <- t.sizes.(j);
+        fill j j
+      end
+      else fill hole j
+    in
+    fill i i
+end
+
+let exec ~sites (machine : Alloc.Machine.t) on =
   let mem = machine.Alloc.Machine.mem in
-  let objects = Hashtbl.create 4096 in (* live id -> (addr, size) *)
-  let address id = Option.map fst (Hashtbl.find_opt objects id) in
+  let objects = Objects.create () in
+  (* Address and size of the object in table slot [i]. *)
+  let addr_of i = objects.Objects.addrs.(i) in
+  let size_of i = objects.Objects.sizes.(i) in
+  (* The writable slot a location names, or -1 when the op skips it. *)
   let slot_of loc =
     let slot =
       match loc with
-      | Root w -> Some (Layout.stack_base + (8 * root_word w))
-      | Field (id, w) -> (
-        match Hashtbl.find_opt objects id with
-        | Some (addr, size) -> (
-          match field_word ~size w with
-          | Some w -> Some (addr + (8 * w))
-          | None -> None)
-        | None -> None)
+      | Root w -> Layout.stack_base + (8 * root_word w)
+      | Global w -> Layout.globals_base + (8 * global_word w)
+      | Field (id, w) ->
+        let i = Objects.find objects id in
+        let w = if i < 0 then -1 else field_index ~size:(size_of i) w in
+        if w < 0 then -1 else addr_of i + (8 * w)
     in
-    match slot with
-    | Some slot
-      when Vmem.is_mapped mem slot
-           && Vmem.is_committed mem slot
-           && Vmem.protection mem slot = Vmem.Read_write ->
-      Some slot
-    | Some _ | None -> None
+    if slot >= 0 && Vmem.is_writable mem slot then slot else -1
   in
-  Array.iteri
-    (fun op_index op ->
-      (match op with
-      | Alloc { id; size; site } ->
-        let addr = on.alloc ~id ~site:(clamp_site ~sites:t.sites site) size in
-        Hashtbl.replace objects id (addr, size)
-      | Free { id; thread } -> (
-        match address id with
-        | Some addr ->
-          Hashtbl.remove objects id;
-          on.free ~id ~thread addr
-        | None -> ())
-      | Store_ptr { loc; target } -> (
-        match (slot_of loc, address target) with
-        | Some slot, Some value ->
-          let old_value = Vmem.load mem slot in
-          Vmem.store mem slot value;
-          on.pointer_store ~slot ~old_value ~value
-        | _ -> ())
-      | Clear_ptr { loc; target } -> (
-        match (slot_of loc, address target) with
-        | Some slot, Some old_value when Vmem.load mem slot = old_value ->
-          Vmem.store mem slot 0;
+  let data_store slot value =
+    Vmem.store mem slot value;
+    on.data_store ~slot
+  in
+  let op_index = ref 0 in
+  fun op ->
+    (match op with
+    | Alloc { id; size; site } ->
+      let addr = on.alloc ~id ~site:(clamp_site ~sites site) size in
+      Objects.add objects id ~addr ~size
+    | Free { id; thread } ->
+      let i = Objects.find objects id in
+      if i >= 0 then begin
+        let addr = addr_of i in
+        Objects.remove objects i;
+        on.free ~id ~thread addr
+      end
+    | Store_ptr { loc; target } ->
+      let slot = slot_of loc and i = Objects.find objects target in
+      if slot >= 0 && i >= 0 then begin
+        let value = addr_of i in
+        let old_value = Vmem.load mem slot in
+        Vmem.store mem slot value;
+        on.pointer_store ~slot ~old_value ~value
+      end
+    | Clear_ptr { loc; target } ->
+      let slot = slot_of loc and i = Objects.find objects target in
+      if slot >= 0 && i >= 0 && Vmem.load mem slot = addr_of i then begin
+        Vmem.store mem slot 0;
+        on.pointer_store ~slot ~old_value:(addr_of i) ~value:0
+      end
+    | Store_data { loc; value } ->
+      let slot = slot_of loc in
+      if slot >= 0 then
+        data_store slot
+          (match aliased_id value with
+          | Some id ->
+            let i = Objects.find objects id in
+            if i >= 0 then addr_of i else 0
+          | None -> value)
+    | Store_interior { loc; target; word } ->
+      let slot = slot_of loc in
+      if slot >= 0 then begin
+        let i = Objects.find objects target in
+        data_store slot
+          (if i < 0 then 0
+           else addr_of i + (8 * interior_word ~size:(size_of i) word))
+      end
+    | Zero loc ->
+      let slot = slot_of loc in
+      if slot >= 0 then begin
+        let old_value = Vmem.load mem slot in
+        Vmem.store mem slot 0;
+        if Layout.in_heap old_value then
           on.pointer_store ~slot ~old_value ~value:0
-        | _ -> ())
-      | Store_data { loc; value } -> (
-        match slot_of loc with
-        | Some slot ->
-          let value =
-            match aliased_id value with
-            | Some id -> Option.value ~default:0 (address id)
-            | None -> value
-          in
-          Vmem.store mem slot value;
-          on.data_store ~slot
-        | None -> ())
-      | Work cycles -> Alloc.Machine.charge machine cycles);
-      on.after_op op_index)
-    t.ops
+        else on.data_store ~slot
+      end
+    | Work cycles -> Alloc.Machine.charge machine cycles);
+    on.after_op !op_index;
+    incr op_index
+
+let run t machine on = Array.iter (exec ~sites:t.sites machine on) t.ops
 
 let replay t (stack : Harness.t) =
   run t stack.Harness.machine
@@ -274,6 +394,7 @@ let replay t (stack : Harness.t) =
 
 let loc_to_string = function
   | Root w -> Printf.sprintf "r %d" w
+  | Global w -> Printf.sprintf "g %d" w
   | Field (id, w) -> Printf.sprintf "f %d %d" id w
 
 let to_string t =
@@ -299,6 +420,9 @@ let to_string t =
           Printf.sprintf "c %s %d\n" (loc_to_string loc) target
         | Store_data { loc; value } ->
           Printf.sprintf "d %s %d\n" (loc_to_string loc) value
+        | Store_interior { loc; target; word } ->
+          Printf.sprintf "i %s %d %d\n" (loc_to_string loc) target word
+        | Zero loc -> Printf.sprintf "z %s\n" (loc_to_string loc)
         | Work cycles -> Printf.sprintf "w %d\n" cycles))
     t.ops;
   Buffer.contents buffer
@@ -336,6 +460,22 @@ let parse_line ~line_no line =
         (Printf.sprintf "size %d outside [0, %d]" size max_size);
     size
   in
+  let root_loc window w =
+    let w = int_at "word" w in
+    if window = "r" then Root w else Global w
+  in
+  let store kind loc v =
+    let v = int_at "value" v in
+    L_op
+      (match kind with
+      | "p" -> Store_ptr { loc; target = v }
+      | "c" -> Clear_ptr { loc; target = v }
+      | _ -> Store_data { loc; value = v })
+  in
+  let interior loc target word =
+    let target = int_at "target" target in
+    L_op (Store_interior { loc; target; word = int_at "word" word })
+  in
   match words with
   | [] -> L_nothing
   | "#" :: "msweep-trace" :: "v1" :: rest ->
@@ -363,22 +503,16 @@ let parse_line ~line_no line =
   | [ "x"; id; thread ] ->
     L_op (Free { id = int_at "id" id; thread = int_at "thread" thread })
   | [ "w"; cycles ] -> L_op (Work (int_at "cycles" cycles))
-  | [ kind; "r"; w; v ] when kind = "p" || kind = "c" || kind = "d" ->
-    let loc = Root (int_at "word" w) in
-    let v = int_at "value" v in
-    L_op
-      (match kind with
-      | "p" -> Store_ptr { loc; target = v }
-      | "c" -> Clear_ptr { loc; target = v }
-      | _ -> Store_data { loc; value = v })
-  | [ kind; "f"; id; w; v ] when kind = "p" || kind = "c" || kind = "d" ->
-    let loc = Field (int_at "id" id, int_at "word" w) in
-    let v = int_at "value" v in
-    L_op
-      (match kind with
-      | "p" -> Store_ptr { loc; target = v }
-      | "c" -> Clear_ptr { loc; target = v }
-      | _ -> Store_data { loc; value = v })
+  | [ (("p" | "c" | "d") as kind); (("r" | "g") as window); w; v ] ->
+    store kind (root_loc window w) v
+  | [ (("p" | "c" | "d") as kind); "f"; id; w; v ] ->
+    store kind (Field (int_at "id" id, int_at "word" w)) v
+  | [ "i"; (("r" | "g") as window); w; target; word ] ->
+    interior (root_loc window w) target word
+  | [ "i"; "f"; id; w; target; word ] ->
+    interior (Field (int_at "id" id, int_at "word" w)) target word
+  | [ "z"; (("r" | "g") as window); w ] -> L_op (Zero (root_loc window w))
+  | [ "z"; "f"; id; w ] -> L_op (Zero (Field (int_at "id" id, int_at "word" w)))
   | _ -> parse_error line_no ("unrecognised op: " ^ line)
 
 let of_string s =

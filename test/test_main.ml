@@ -31,6 +31,7 @@ let () =
       Test_workloads.suite;
       Test_trace.suite;
       Test_server.suite;
+      Test_runners.suite;
       Test_fleet.suite;
       Test_sanitizer.suite;
       Test_racecheck.suite;

@@ -107,18 +107,18 @@ let test_median () =
   Alcotest.(check (float 1e-9)) "even" 2.5 (Server.median [ 4.; 1.; 2.; 3. ]);
   Alcotest.(check (float 1e-9)) "empty" 0. (Server.median [])
 
-(* --- trace lowering ------------------------------------------------- *)
+(* --- the recorded program -------------------------------------------- *)
 
-let test_to_trace_round_trip () =
-  let t = Server.to_trace small in
+let test_program_round_trip () =
+  let t = Server.program small in
   let s = Trace.to_string t in
   let t' = Trace.of_string s in
   Alcotest.(check string) "byte-identical re-serialisation" s
     (Trace.to_string t');
   Alcotest.(check int) "op count survives" (Trace.length t) (Trace.length t')
 
-let test_to_trace_replays () =
-  let t = Server.to_trace small in
+let test_program_replays () =
+  let t = Server.program small in
   let machine = Alloc.Machine.create () in
   let stack = Workloads.Harness.build ms_scheme ~threads:1 machine in
   List.iter
@@ -134,7 +134,7 @@ let prop_stream_chunks =
     ~count:25
     QCheck.(int_range 1 300)
     (fun chunk_ops ->
-      let t = Server.to_trace (Server.scale 0.005 steady) in
+      let t = Server.program (Server.scale 0.005 steady) in
       let s = Trace.to_string t in
       let stream = Trace.stream_of_string ~chunk_ops s in
       let ops =
@@ -180,8 +180,8 @@ let suite =
       Alcotest.test_case "leak accounting" `Quick test_leak_accounting;
       Alcotest.test_case "srv.* metrics registered" `Quick test_srv_metrics_registered;
       Alcotest.test_case "median" `Quick test_median;
-      Alcotest.test_case "trace round-trip" `Quick test_to_trace_round_trip;
-      Alcotest.test_case "trace replays" `Quick test_to_trace_replays;
+      Alcotest.test_case "trace round-trip" `Quick test_program_round_trip;
+      Alcotest.test_case "trace replays" `Quick test_program_replays;
       QCheck_alcotest.to_alcotest prop_stream_chunks;
       Alcotest.test_case "attack: baseline exploited" `Quick test_attack_baseline_exploited;
       Alcotest.test_case "attack: minesweeper prevented" `Quick test_attack_minesweeper_prevented;

@@ -306,7 +306,7 @@ let test_server_trace_certified () =
   | None -> Alcotest.fail "server profile missing"
   | Some profile ->
     let profile = Workloads.Server.scale 0.1 profile in
-    let trace = Workloads.Server.to_trace profile in
+    let trace = Workloads.Server.program profile in
     Alcotest.(check int) "server traces declare semantic sites" 2
       trace.Workloads.Trace.sites;
     let plan = Flowcheck.Poolplan.of_trace trace in

@@ -257,7 +257,8 @@ let test_parse_errors () =
    negative, huge or overflow. *)
 let prop_parse_total =
   let tokens =
-    [ "a"; "x"; "p"; "c"; "d"; "w"; "r"; "f"; "#"; "threads"; "sites";
+    [ "a"; "x"; "p"; "c"; "d"; "i"; "z"; "w"; "r"; "g"; "f"; "#"; "threads";
+      "sites";
       "msweep-trace"; "v1"; "0"; "1"; "-1"; "-5"; "64"; "300000000000";
       "273804165121"; "4611686018427387903"; "-4611686018427387904";
       "4611686018427387904"; "99999999999999999999999"; "0x7f"; "1e3" ]
@@ -566,6 +567,9 @@ let location_cases =
       (Root (-8193), Some (A.Root_slot 8191));
       (Root 8191, Some (A.Root_slot 8191));
       (Root 8192, Some (A.Root_slot 0));
+      (Global (-1), Some (A.Global_slot 8191));
+      (Global 5, Some (A.Global_slot 5));
+      (Global 8197, Some (A.Global_slot 5));
       (Field (1, -1), Some (A.Field_slot (1, 7)));
       (Field (1, -9), Some (A.Field_slot (1, 7)));
       (Field (1, 7), Some (A.Field_slot (1, 7)));
@@ -607,14 +611,18 @@ let replay_baseline ops =
   ignore (Workloads.Trace.replay (location_trace ops) stack);
   (stack.Workloads.Harness.machine.Alloc.Machine.mem, addrs)
 
-(* Every word of the root window (plus a margin) and of the heap around
-   the four objects that differs between two replays. *)
+(* Every word of the globals window, of the root window (plus a margin)
+   and of the heap around the four objects that differs between two
+   replays. *)
 let changed_words (mem_a, addrs) mem_b =
   let lo = Hashtbl.fold (fun _ a acc -> min a acc) addrs max_int - 256 in
   let hi = Hashtbl.fold (fun _ a acc -> max a acc) addrs 0 + 256 in
   let root_lo = Layout.stack_base - 64 in
   let root_hi =
     Layout.stack_base + (8 * Workloads.Trace.root_window_words) + 64
+  in
+  let globals_hi =
+    Layout.globals_base + (8 * Workloads.Trace.globals_window_words)
   in
   let readable mem a = Vmem.is_mapped mem a && Vmem.is_committed mem a in
   let changed = ref [] in
@@ -627,7 +635,7 @@ let changed_words (mem_a, addrs) mem_b =
         if va <> vb then changed := !a :: !changed;
         a := !a + 8
       done)
-    [ (root_lo, root_hi); (lo, hi) ];
+    [ (Layout.globals_base, globals_hi); (root_lo, root_hi); (lo, hi) ];
   List.rev !changed
 
 (* The slot the abstract heap resolves [store]'s location to, after the
@@ -650,12 +658,14 @@ let test_one_answer_per_location () =
       let name =
         match loc with
         | Workloads.Trace.Root w -> Printf.sprintf "d r %d 7" w
+        | Workloads.Trace.Global w -> Printf.sprintf "d g %d 7" w
         | Workloads.Trace.Field (id, w) -> Printf.sprintf "d f %d %d 7" id w
       in
       let mem, _ = replay_baseline (location_prefix @ [ store ]) in
       let expected_addr =
         match expected with
         | Some (A.Root_slot w) -> [ Layout.stack_base + (8 * w) ]
+        | Some (A.Global_slot w) -> [ Layout.globals_base + (8 * w) ]
         | Some (A.Field_slot (id, w)) -> [ Hashtbl.find addrs id + (8 * w) ]
         | None -> []
       in
@@ -674,12 +684,16 @@ let test_one_answer_per_location () =
                  let i = String.rindex msg '(' in
                  Some (String.sub msg i (String.length msg - i)))
       in
-      let raw = match loc with Workloads.Trace.Root w | Field (_, w) -> w in
+      let raw =
+        match loc with Workloads.Trace.Root w | Global w | Field (_, w) -> w
+      in
       Alcotest.(check (list string))
         (name ^ ": lint names the same word")
         (match expected with
-        | Some (A.Root_slot w | A.Field_slot (_, w)) when w = raw -> []
-        | Some (A.Root_slot w | A.Field_slot (_, w)) ->
+        | Some (A.Root_slot w | A.Global_slot w | A.Field_slot (_, w))
+          when w = raw ->
+          []
+        | Some (A.Root_slot w | A.Global_slot w | A.Field_slot (_, w)) ->
           [ Printf.sprintf "(replay wraps to %d)" w ]
         | None -> [ "(replay skips it)" ])
         lint)
@@ -736,6 +750,282 @@ let test_referees_share_threads () =
   Alcotest.(check int) "recorder sweeps = replay sweeps" replayed
     recorder.Racecheck.Recorder.sweeps
 
+(* --- The runners' ops and the object table -------------------------- *)
+
+let gen_id =
+  QCheck.Gen.(oneof [ int; oneofl [ min_int; max_int; -1; 0; 1 ] ])
+
+let gen_loc =
+  let open QCheck.Gen in
+  oneof
+    [
+      map (fun w -> Workloads.Trace.Root w) gen_id;
+      map (fun w -> Workloads.Trace.Global w) gen_id;
+      map2 (fun id w -> Workloads.Trace.Field (id, w)) gen_id gen_id;
+    ]
+
+(* Every op, with the locations and ops the runners added weighted up. *)
+let gen_op =
+  let open QCheck.Gen in
+  let open Workloads.Trace in
+  oneof
+    [
+      map3 (fun loc target word -> Store_interior { loc; target; word })
+        gen_loc gen_id gen_id;
+      map (fun loc -> Zero loc) gen_loc;
+      map2 (fun loc target -> Store_ptr { loc; target }) gen_loc gen_id;
+      map2 (fun loc target -> Clear_ptr { loc; target }) gen_loc gen_id;
+      map2 (fun loc value -> Store_data { loc; value }) gen_loc gen_id;
+      map3
+        (fun id size site -> Alloc { id; size; site })
+        gen_id (int_range 0 4096) (int_range 0 8);
+      map2 (fun id thread -> Free { id; thread }) gen_id (int_range 0 3);
+      map (fun n -> Work n) nat;
+    ]
+
+let prop_new_ops_roundtrip =
+  QCheck.Test.make
+    ~name:"new ops round-trip through text and the chunked stream"
+    ~count:300
+    (QCheck.make
+       ~print:(fun (chunk, ops) ->
+         Printf.sprintf "chunk %d\n%s" chunk
+           (Workloads.Trace.to_string
+              { Workloads.Trace.name = "ops"; threads = 1; sites = 1;
+                ops = Array.of_list ops }))
+       QCheck.Gen.(pair (int_range 1 9) (list_size (0 -- 40) gen_op)))
+    (fun (chunk_ops, ops) ->
+      let t =
+        { Workloads.Trace.name = "ops"; threads = 1; sites = 1;
+          ops = Array.of_list ops }
+      in
+      let text = Workloads.Trace.to_string t in
+      let streamed =
+        Workloads.Trace.fold_stream
+          (Workloads.Trace.stream_of_string ~chunk_ops text)
+          ~init:[] ~f:(fun acc _ op -> op :: acc)
+      in
+      (Workloads.Trace.of_string text).Workloads.Trace.ops
+      = t.Workloads.Trace.ops
+      && List.rev streamed = ops)
+
+let test_new_ops_text () =
+  let open Workloads.Trace in
+  let text = "i g 3 2 -1\nz r 4\nz f 1 -2\ni f 0 1 5 9\nd g -1 7\n" in
+  let t = of_string text in
+  Alcotest.(check bool) "parsed as written" true
+    (t.ops
+    = [|
+        Store_interior { loc = Global 3; target = 2; word = -1 };
+        Zero (Root 4);
+        Zero (Field (1, -2));
+        Store_interior { loc = Field (0, 1); target = 5; word = 9 };
+        Store_data { loc = Global (-1); value = 7 };
+      |]);
+  Alcotest.(check string) "printed as read" ("# msweep-trace v1 trace\n" ^ text)
+    (to_string t)
+
+let test_new_ops_parse_errors () =
+  List.iter
+    (fun (line, message) ->
+      Alcotest.check_raises line
+        (Workloads.Trace.Parse_error { line = 2; message })
+        (fun () ->
+          ignore (Workloads.Trace.of_string ("a 0 64\n" ^ line ^ "\na 1 8\n")));
+      Alcotest.check_raises (line ^ " via stream")
+        (Workloads.Trace.Parse_error { line = 2; message })
+        (fun () ->
+          let st =
+            Workloads.Trace.stream_of_string ("a 0 64\n" ^ line ^ "\na 1 8\n")
+          in
+          Workloads.Trace.fold_stream st ~init:() ~f:(fun () _ _ -> ())))
+    [
+      ("i r 1 2", "unrecognised op: i r 1 2");
+      ("i g 1 2 3 4", "unrecognised op: i g 1 2 3 4");
+      ("z r", "unrecognised op: z r");
+      ("z g 1 2", "unrecognised op: z g 1 2");
+      ("p g 1", "unrecognised op: p g 1");
+      ("g 1", "unrecognised op: g 1");
+      ("z q 1", "unrecognised op: z q 1");
+      ("i g x 2 3", "word");
+      ("i g 1 x 3", "target");
+      ("i f 1 2 3 x", "word");
+      ("z f x 1", "id");
+      ("d g 1 x", "value");
+    ]
+
+(* The interpreter's object table against a [Hashtbl] model: random
+   allocs, frees and lookups over ids drawn from every integer the
+   parser accepts, near each other so their probe runs collide, with
+   bursts of thousands of allocations that make the table grow. A
+   lookup is an interior pointer written to a root word, which holds
+   the object's address plus the wrapped word offset, or 0 when the id
+   is not live. *)
+let prop_object_table =
+  let open QCheck.Gen in
+  let gen =
+    list_repeat 6 gen_id >>= fun bases ->
+    let id =
+      map2 ( + ) (oneofl bases) (oneof [ return 0; int_range 0 3000 ])
+    in
+    list_size (0 -- 300)
+      (frequency
+         [
+           (4, map2 (fun id size -> `Alloc (id, size)) id (int_range 0 200));
+           (3, map (fun id -> `Free id) id);
+           (4, map2 (fun id w -> `Lookup (id, w)) id gen_id);
+           (1, map2 (fun id n -> `Burst (id, n)) id (int_range 0 3000));
+         ])
+  in
+  QCheck.Test.make ~name:"object table agrees with a Hashtbl model" ~count:100
+    (QCheck.make gen)
+    (fun steps ->
+      let machine = Alloc.Machine.create () in
+      List.iter
+        (fun (base, size) ->
+          Vmem.map machine.Alloc.Machine.mem ~addr:base ~len:size)
+        Layout.root_regions;
+      let next = ref Layout.heap_base in
+      let freed = ref [] in
+      let exec =
+        Workloads.Trace.exec ~sites:1 machine
+          {
+            Workloads.Trace.alloc =
+              (fun ~id:_ ~site:_ _ ->
+                next := !next + 4096;
+                !next);
+            free = (fun ~id ~thread:_ addr -> freed := (id, addr) :: !freed);
+            pointer_store = (fun ~slot:_ ~old_value:_ ~value:_ -> ());
+            data_store = (fun ~slot:_ -> ());
+            after_op = ignore;
+          }
+      in
+      let model = Hashtbl.create 16 in
+      let alloc id size =
+        exec (Workloads.Trace.Alloc { id; size; site = 0 });
+        Hashtbl.replace model id (!next, size)
+      in
+      List.for_all
+        (function
+          | `Alloc (id, size) ->
+            alloc id size;
+            true
+          | `Burst (id, n) ->
+            for k = 0 to n - 1 do
+              alloc (id + k) 64
+            done;
+            true
+          | `Free id ->
+            freed := [];
+            exec (Workloads.Trace.Free { id; thread = 0 });
+            let expected =
+              match Hashtbl.find_opt model id with
+              | Some (addr, _) ->
+                Hashtbl.remove model id;
+                [ (id, addr) ]
+              | None -> []
+            in
+            !freed = expected
+          | `Lookup (id, word) ->
+            let loc = Workloads.Trace.Root 0 in
+            exec (Workloads.Trace.Store_interior { loc; target = id; word });
+            let expected =
+              match Hashtbl.find_opt model id with
+              | Some (addr, size) ->
+                addr + (8 * Workloads.Trace.interior_word ~size word)
+              | None -> 0
+            in
+            Vmem.load machine.Alloc.Machine.mem Layout.stack_base = expected)
+        steps
+      && Hashtbl.fold
+           (fun id (addr, _) ok ->
+             freed := [];
+             exec (Workloads.Trace.Free { id; thread = 0 });
+             ok && !freed = [ (id, addr) ])
+           model true)
+
+(* [Zero] writes 0; it is an instrumented store exactly when the old
+   word lay in the heap window. *)
+let test_zero_reports () =
+  let machine = Alloc.Machine.create () in
+  List.iter
+    (fun (base, size) ->
+      Vmem.map machine.Alloc.Machine.mem ~addr:base ~len:size)
+    Layout.root_regions;
+  let seen = ref [] in
+  let step =
+    Workloads.Trace.exec ~sites:1 machine
+      {
+        Workloads.Trace.alloc = (fun ~id:_ ~site:_ _ -> Layout.heap_base + 64);
+        free = (fun ~id:_ ~thread:_ _ -> ());
+        pointer_store =
+          (fun ~slot ~old_value ~value ->
+            seen := `Pointer (slot, old_value, value) :: !seen);
+        data_store = (fun ~slot -> seen := `Data slot :: !seen);
+        after_op = ignore;
+      }
+  in
+  let open Workloads.Trace in
+  let g3 = Layout.globals_base + 24 in
+  List.iter step
+    [
+      Alloc { id = 0; size = 64; site = 0 };
+      Store_ptr { loc = Global 3; target = 0 };
+      Zero (Global 3);
+      Store_data { loc = Global 3; value = 42 };
+      Zero (Global 3);
+      Zero (Global (3 + globals_window_words));
+    ];
+  Alcotest.(check bool) "pointer, data, pointer zeroing, data zeroings" true
+    (List.rev !seen
+    = [
+        `Pointer (g3, 0, Layout.heap_base + 64);
+        `Pointer (g3, Layout.heap_base + 64, 0);
+        `Data g3;
+        `Data g3;
+        `Data g3;
+      ]);
+  Alcotest.(check int) "the word is zero" 0
+    (Vmem.load machine.Alloc.Machine.mem g3)
+
+(* In the abstract heap a globals word and a root word of the same index
+   are two slots, and [Zero] drops whatever binding its slot held. *)
+let test_absheap_globals_and_zero () =
+  let module A = Workloads.Absheap in
+  let open Workloads.Trace in
+  let heap = A.create ~zeroing:true in
+  let i = ref 0 in
+  let step op =
+    let e = A.step heap !i op in
+    incr i;
+    e
+  in
+  ignore (step (Alloc { id = 0; size = 64; site = 0 }));
+  ignore (step (Store_ptr { loc = Root 5; target = 0 }));
+  ignore (step (Store_ptr { loc = Global 5; target = 0 }));
+  Alcotest.(check int) "two slots hold id 0" 2 (A.holder_count heap 0);
+  let dropped op =
+    match step op with
+    | A.Data { displaced = Some (target, _); stored = None; _ } -> Some target
+    | _ -> None
+  in
+  Alcotest.(check bool) "zeroing the root drops its pointer" true
+    (dropped (Zero (Root 5)) = Some (A.Ptr 0));
+  Alcotest.(check int) "the global still holds it" 1 (A.holder_count heap 0);
+  ignore (step (Store_interior { loc = Root 6; target = 0; word = 3 }));
+  Alcotest.(check int) "an interior integer aliases its target" 2
+    (A.holder_count heap 0);
+  Alcotest.(check bool) "zeroing drops the alias" true
+    (dropped (Zero (Root 6)) = Some (A.Alias 0));
+  ignore (step (Store_data { loc = Global 9; value = Layout.heap_base + 8 }));
+  Alcotest.(check int) "one wild word" 1 (A.wild_count heap);
+  Alcotest.(check bool) "zeroing drops the wild binding" true
+    (dropped (Zero (Global (9 - globals_window_words))) = Some A.Wild);
+  Alcotest.(check int) "no wild word left" 0 (A.wild_count heap);
+  Alcotest.(check bool) "zeroing the global drops the last pointer" true
+    (dropped (Zero (Global 5)) = Some (A.Ptr 0));
+  Alcotest.(check int) "nothing holds id 0" 0 (A.holder_count heap 0)
+
 let suite =
   ( "workloads.trace",
     [
@@ -779,4 +1069,11 @@ let suite =
         test_negative_index_certifies;
       Alcotest.test_case "referees replay with the trace's threads" `Quick
         test_referees_share_threads;
+      QCheck_alcotest.to_alcotest prop_new_ops_roundtrip;
+      Alcotest.test_case "new ops in text" `Quick test_new_ops_text;
+      Alcotest.test_case "new ops parse errors" `Quick test_new_ops_parse_errors;
+      QCheck_alcotest.to_alcotest prop_object_table;
+      Alcotest.test_case "zeroing reports" `Quick test_zero_reports;
+      Alcotest.test_case "absheap: globals and zeroing" `Quick
+        test_absheap_globals_and_zero;
     ] )
