@@ -447,6 +447,12 @@ echo "metrics export byte-identical across identical runs"
 # single simulated value.
 require_cksum m1.jsonl "112860682 2834"
 require_cksum s1.jsonl "3720498763 288011"
+# The span dump of the mostly-concurrent preset, the path serve runs:
+# its ring wraps (8,807 spans emitted, 8,192 retained) and it carries
+# free, unmap, stw, stw-rescan, release and purge spans.
+"$CLI" trace -b perlbench -s mostly --scale 0.05 \
+  -o "$workdir/mostly-spans.jsonl" >/dev/null
+require_cksum mostly-spans.jsonl "4029401698 1070941"
 
 # Schema: header line advertises the exact number of metric lines.
 awk '

@@ -27,7 +27,8 @@ type tcache_bin = { mutable items : int list; mutable count : int }
    [Recycled] the moment [free] takes it back (into the thread cache for
    small classes) and [Served] when [malloc] hands it (or fresh memory)
    out. Reuse of quarantined memory would surface as a [Served] of an
-   address the quarantine still holds. *)
+   address the quarantine still holds. Each emission site matches on
+   [observer] itself, so without one no event is built. *)
 type event =
   | Served of { addr : int; usable : int; from_tcache : bool }
   | Recycled of { addr : int; to_tcache : bool }
@@ -69,9 +70,6 @@ let create ?(extra_byte = false) machine =
 
 let set_observer t f = t.observer <- Some f
 let clear_observer t = t.observer <- None
-
-let observe t ev =
-  match t.observer with None -> () | Some f -> f ev
 
 let cost t = t.machine.Machine.cost
 let charge t n = Machine.charge t.machine n
@@ -208,7 +206,9 @@ let malloc t size =
       (addr, pages * page, false)
     end
   in
-  observe t (Served { addr; usable; from_tcache });
+  (match t.observer with
+  | Some f -> f (Served { addr; usable; from_tcache })
+  | None -> ());
   (* Applications initialise what they allocate; model that by zeroing the
      usable range and charging the streaming writes. *)
   Vmem.zero_range t.machine.Machine.mem ~addr ~len:usable;
@@ -232,7 +232,9 @@ let free t addr =
   (match Hashtbl.find_opt t.large addr with
   | Some pages ->
     charge t (cost t).Sim.Cost.free_slow;
-    observe t (Recycled { addr; to_tcache = false });
+    (match t.observer with
+    | Some f -> f (Recycled { addr; to_tcache = false })
+    | None -> ());
     Hashtbl.remove t.large addr;
     for i = 0 to pages - 1 do
       Hashtbl.remove t.large_page_index ((addr / page) + i)
@@ -242,7 +244,9 @@ let free t addr =
   | None ->
     (match Hashtbl.find_opt t.slab_of_page (addr / page) with
     | Some slab ->
-      observe t (Recycled { addr; to_tcache = true });
+      (match t.observer with
+      | Some f -> f (Recycled { addr; to_tcache = true })
+      | None -> ());
       t.live_bytes <- t.live_bytes - Size_class.size_of_class slab.cls;
       free_small t slab addr
     | None -> invalid_arg "Jemalloc.free: not an allocation"));

@@ -105,7 +105,9 @@ val attach_obs : t -> Obs.Registry.t -> unit
     whose address the quarantine still holds means the interposition
     layer was bypassed. [from_tcache]/[to_tcache] distinguish the
     thread-cache fast path from extent traffic. At most one observer is
-    active; emission is synchronous. *)
+    active; emission is synchronous. An event is built only while an
+    observer is attached: without one, [malloc] and [free] allocate
+    none. *)
 
 type event =
   | Served of { addr : int; usable : int; from_tcache : bool }

@@ -170,6 +170,8 @@ type t = {
   mutable last_decay_tick : int;
   mutable post_sweep_hook : (unit -> unit) option;
   mutable sync_observer : (sweep_event -> unit) option;
+      (* matched at each emission site, so no event is built without an
+         observer *)
   mutable last_outcome : Pipeline.outcome option;
   (* Purge-stage accounting: the vmem decommit observer counts decommits
      only while [purging_now] is set around [B.purge_all]. *)
@@ -195,9 +197,6 @@ let mem t = t.machine.Alloc.Machine.mem
 let now t = Alloc.Machine.now t.machine
 
 let count = R.Counter.incr
-
-let emit_sync t ev =
-  match t.sync_observer with None -> () | Some f -> f ev
 
 let sweep_number t = R.Counter.value t.stats.Stats.Live.sweeps
 
@@ -312,7 +311,9 @@ let covered_pages ~addr ~len =
    counts. [f] returns [(items, bytes, cycles_est, result)]. *)
 let in_stage t stage f =
   let sweep = sweep_number t in
-  emit_sync t (Stage_boundary { sweep; stage; enter = true });
+  (match t.sync_observer with
+  | Some f -> f (Stage_boundary { sweep; stage; enter = true })
+  | None -> ());
   let pending =
     Ring.enter ~now:(now t) Ring.Stage (Pipeline.stage_name stage)
   in
@@ -320,7 +321,9 @@ let in_stage t stage f =
   Ring.exit t.ring pending ~now:(now t) ~bytes
     ~attrs:[ ("sweep", sweep); ("items", items); ("cycles_est", cycles) ]
     ();
-  emit_sync t (Stage_boundary { sweep; stage; enter = false });
+  (match t.sync_observer with
+  | Some f -> f (Stage_boundary { sweep; stage; enter = false })
+  | None -> ());
   ({ Pipeline.stage; cycles; items; bytes }, result)
 
 (* ---- Chunk scans (lib/parsweep) ------------------------------------ *)
@@ -600,7 +603,9 @@ let sweep_sink t =
 let flush_batch = 64
 let batches entries = max 1 ((entries + flush_batch - 1) / flush_batch)
 
-(* A lifecycle event: one zero-length span in the shared ring. *)
+(* A per-sweep lifecycle event: one zero-length span in the shared ring.
+   The per-call ones ([free], [double-free], [unmap]) go through
+   [Ring.event], which builds no attribute list. *)
 let log_event t phase label attrs =
   Ring.emit t.ring ~phase ~label ~t_start:(now t) ~t_end:(now t) ~attrs ()
 
@@ -653,7 +658,9 @@ let finish_sweep t state =
      written during the sweep, so moved dangling pointers are seen. *)
   if t.config.Config.sweeping && plan.Pipeline.stop_the_world then begin
     let c = cost t in
-    emit_sync t (Stw_fence { sweep = sweep_number t });
+    (match t.sync_observer with
+    | Some f -> f (Stw_fence { sweep = sweep_number t })
+    | None -> ());
     let pending = Ring.enter ~now:(now t) Ring.Scan "stw-rescan" in
     let dirty_bytes = mark_dirty_pages t in
     (* The re-scan is real marking work: account it with the rest of the
@@ -728,7 +735,9 @@ let finish_sweep t state =
        ~requeued:(if t.config.Config.keep_failed then failed else 0)
        (state.head_reports @ (release_report :: purge_reports)));
   t.sweep <- None;
-  emit_sync t (Sweep_completed { sweep = sweep_number t });
+  (match t.sync_observer with
+  | Some f -> f (Sweep_completed { sweep = sweep_number t })
+  | None -> ());
   match t.post_sweep_hook with None -> () | Some hook -> hook ()
 
 let start_sweep_plan t (plan : Pipeline.plan) =
@@ -741,8 +750,10 @@ let start_sweep_plan t (plan : Pipeline.plan) =
      below sees the complete set at amortised per-entry cost. *)
   let flush_batches = Quarantine.flush_batch t.quarantine ~batch:flush_batch in
   let entries = Quarantine.lock_in t.quarantine in
-  emit_sync t
-    (Sweep_locked { sweep = sweep_number t; entries = List.length entries });
+  (match t.sync_observer with
+  | Some f ->
+    f (Sweep_locked { sweep = sweep_number t; entries = List.length entries })
+  | None -> ());
   if plan.Pipeline.stop_the_world then Vmem.clear_soft_dirty (mem t);
   (* Bytes the marking phase actually moved through memory; also the
      basis for the DRAM-bandwidth wall-clock floor below. Incremental
@@ -756,7 +767,9 @@ let start_sweep_plan t (plan : Pipeline.plan) =
     end
     else (0, 0, [], 0)
   in
-  emit_sync t (Mark_completed { sweep = sweep_number t; scanned_bytes });
+  (match t.sync_observer with
+  | Some f -> f (Mark_completed { sweep = sweep_number t; scanned_bytes })
+  | None -> ());
   let c = cost t in
   let busy = Sim.Cost.bytes_cost c.Sim.Cost.sweep_per_byte scanned_bytes in
   (* The release phase charges itself per entry in [release_all]; the
@@ -920,7 +933,8 @@ let unmap_entry t (e : Quarantine.entry) (lo, len) =
     Hashtbl.replace t.unmapped_pages ((lo / page) + i) ()
   done;
   e.Quarantine.unmapped_len <- len;
-  log_event t Ring.Quarantine "unmap" [ ("addr", lo); ("len", len) ];
+  Ring.event t.ring Ring.Quarantine "unmap" ~now:(now t) ~attrs:2 "addr" lo
+    "len" len;
   count t.stats.Stats.Live.unmapped_allocations 1;
   count t.stats.Stats.Live.unmapped_bytes len
 
@@ -946,7 +960,8 @@ let forward_free t addr =
    quarantined. *)
 let quarantine_free t ~thread addr =
   let usable = B.usable_size t.je addr in
-  log_event t Ring.Quarantine "free" [ ("addr", addr); ("usable", usable) ];
+  Ring.event t.ring Ring.Quarantine "free" ~now:(now t) ~attrs:2 "addr" addr
+    "usable" usable;
   let e = { Quarantine.addr; usable; unmapped_len = 0; failures = 0 } in
   let covered =
     if t.config.Config.unmapping then covered_pages ~addr ~len:usable
@@ -978,7 +993,8 @@ let free_result t ?(thread = 0) addr =
     (* Double free while quarantined: idempotent (Section 3). *)
     count t.stats.Stats.Live.frees_intercepted 1;
     count t.stats.Stats.Live.double_frees 1;
-    log_event t Ring.Quarantine "double-free" [ ("addr", addr) ];
+    Ring.event t.ring Ring.Quarantine "double-free" ~now:(now t) ~attrs:1
+      "addr" addr "" 0;
     Error (Double_free addr)
   end
   else if not (B.is_live t.je addr) then Error (Unknown_pointer addr)

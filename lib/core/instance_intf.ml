@@ -218,7 +218,8 @@ module type S = sig
   val set_sync_observer : t -> (sweep_event -> unit) -> unit
   (** Subscribe to the sweep protocol's synchronization events (see
       {!sweep_event}). At most one observer; emission is synchronous and
-      in protocol order. *)
+      in protocol order. An event is built only while an observer is
+      attached. *)
 
   val clear_sync_observer : t -> unit
 

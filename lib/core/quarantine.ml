@@ -10,7 +10,8 @@ let buffer_flush_threshold = 64
 (* Synchronization events for the race checker: every protocol-relevant
    transition of the quarantine is observable, so a happens-before
    analysis can reconstruct the push -> flush -> lock_in -> requeue/
-   release lifecycle of each entry. *)
+   release lifecycle of each entry. Each emission site matches on
+   [observer] itself, so without one no event is built. *)
 type event =
   | Pushed of { thread : int; raw_thread : int; addr : int; usable : int }
   | Flushed of { thread : int; entries : int }
@@ -49,9 +50,6 @@ let create machine ~threads =
 let set_observer t f = t.observer <- Some f
 let clear_observer t = t.observer <- None
 
-let emit t ev =
-  match t.observer with None -> () | Some f -> f ev
-
 let threads t = Array.length t.buffers
 
 (* Out-of-range thread ids alias buffer 0 (a real per-thread cache keyed
@@ -76,7 +74,9 @@ let flush_thread t ~thread =
     let cost = t.machine.Alloc.Machine.cost in
     Alloc.Machine.charge t.machine
       (t.buffer_lens.(thread) * cost.Sim.Cost.quarantine_flush_per_entry);
-    emit t (Flushed { thread; entries = t.buffer_lens.(thread) });
+    (match t.observer with
+    | Some f -> f (Flushed { thread; entries = t.buffer_lens.(thread) })
+    | None -> ());
     t.fresh <- List.rev_append buffered t.fresh;
     List.iter (fun e -> account_fresh t e) buffered;
     t.buffers.(thread) <- [];
@@ -106,7 +106,9 @@ let flush_batch t ~batch =
     for thread = 0 to Array.length t.buffers - 1 do
       let buffered = t.buffers.(thread) in
       if buffered <> [] then begin
-        emit t (Flushed { thread; entries = t.buffer_lens.(thread) });
+        (match t.observer with
+        | Some f -> f (Flushed { thread; entries = t.buffer_lens.(thread) })
+        | None -> ());
         t.fresh <- List.rev_append buffered t.fresh;
         List.iter (fun e -> account_fresh t e) buffered;
         t.buffers.(thread) <- [];
@@ -122,7 +124,9 @@ let push t ~thread e =
   let thread = clamp_thread t thread in
   let cost = t.machine.Alloc.Machine.cost in
   Alloc.Machine.charge t.machine cost.Sim.Cost.quarantine_push;
-  emit t (Pushed { thread; raw_thread; addr = e.addr; usable = e.usable });
+  (match t.observer with
+  | Some f -> f (Pushed { thread; raw_thread; addr = e.addr; usable = e.usable })
+  | None -> ());
   Hashtbl.replace t.dedup e.addr e;
   t.buffers.(thread) <- e :: t.buffers.(thread);
   t.buffer_lens.(thread) <- t.buffer_lens.(thread) + 1;
@@ -136,7 +140,10 @@ let lock_in t =
   t.fresh_mapped <- 0;
   t.failed_total <- 0;
   t.unmapped <- 0;
-  emit t (Locked_in { entries = List.map (fun e -> (e.addr, e.usable)) locked });
+  (match t.observer with
+  | Some f ->
+    f (Locked_in { entries = List.map (fun e -> (e.addr, e.usable)) locked })
+  | None -> ());
   locked
 
 let requeue_failed t e =
@@ -144,11 +151,11 @@ let requeue_failed t e =
   t.failed <- e :: t.failed;
   t.failed_total <- t.failed_total + (e.usable - e.unmapped_len);
   t.unmapped <- t.unmapped + e.unmapped_len;
-  emit t (Requeued { addr = e.addr })
+  match t.observer with Some f -> f (Requeued { addr = e.addr }) | None -> ()
 
 let release t e =
   Hashtbl.remove t.dedup e.addr;
-  emit t (Released { addr = e.addr })
+  match t.observer with Some f -> f (Released { addr = e.addr }) | None -> ()
 
 let iter_fresh t f = List.iter f t.fresh
 let iter_failed t f = List.iter f t.failed

@@ -82,7 +82,8 @@ val iter_buffered : t -> (entry -> unit) -> unit
     thread id), buffer flushes, the lock-in barrier that opens a sweep,
     and the per-entry requeue/release outcomes that close it. At most
     one observer is active; emission is synchronous and in program
-    order. *)
+    order. An event is built only while an observer is attached: without
+    one, a push, flush, lock-in or release allocates none. *)
 
 type event =
   | Pushed of { thread : int; raw_thread : int; addr : int; usable : int }

@@ -192,9 +192,16 @@ let plain (module B : Alloc.Backend.S) ~cold ~scheme machine =
 let protected (module I : Minesweeper.Instance.S) config ~scheme ~threads
     machine =
   let ms = I.create ~config ~threads machine in
-  (* [I.stats] is a point-in-time snapshot: take a fresh one at every
-     read rather than holding the build-time (all-zero) one. *)
-  let stats () = I.stats ms in
+  (* Each read closure reads its one registry cell: [I.stats] would
+     build a snapshot of every counter per call, and msbench's traced
+     [serve] reads [sweeps] around every malloc and free. *)
+  let cell name =
+    match Obs.Registry.find (I.registry ms) (Minesweeper.Stats.prefix ^ name) with
+    | Some (Obs.Registry.Counter c) -> fun () -> Obs.Registry.Counter.value c
+    | Some (Obs.Registry.Gauge g) -> fun () -> Obs.Registry.Gauge.value g
+    | Some _ | None -> invalid_arg ("Harness.protected: no ms." ^ name)
+  in
+  let summary_cache_bytes = cell "summary_cache_bytes" in
   let quarantining = config.Minesweeper.Config.quarantining in
   {
     scheme;
@@ -220,13 +227,13 @@ let protected (module I : Minesweeper.Instance.S) config ~scheme ~threads
            incremental mode's per-page pointer-summary cache *)
         I.shadow_resident_bytes ms
         + (quarantine_entry_overhead * I.quarantine_entries ms)
-        + (stats ()).Minesweeper.Stats.summary_cache_bytes);
+        + summary_cache_bytes ());
     cold_penalty = cold_penalty_fn machine (if quarantining then 1.0 else 0.0);
     is_protected_addr = I.is_quarantined ms;
     tolerates_double_free = quarantining;
     on_pointer_write = no_pointer_tracking;
-    sweeps = (fun () -> (stats ()).Minesweeper.Stats.sweeps);
-    failed_frees = (fun () -> (stats ()).Minesweeper.Stats.failed_frees);
+    sweeps = cell "sweeps";
+    failed_frees = cell "failed_frees";
   }
 
 let build scheme ~threads machine =

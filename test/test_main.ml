@@ -15,6 +15,7 @@ let () =
       Test_model.suite;
       Test_shadow.suite;
       Test_quarantine.suite;
+      Test_observers.suite;
       Test_config.suite;
       Test_obs.suite;
       Test_instance.suite;

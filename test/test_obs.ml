@@ -174,6 +174,125 @@ let test_ring_enter_exit () =
       s.Ring.attrs
   | spans -> Alcotest.failf "expected 1 span, got %d" (List.length spans)
 
+(* The flat ring against [Reference_ring], the record ring it replaced:
+   random capacities from 1 to 40, so the slots' doubling (16, 32) and
+   the wrap are all crossed, and random spans of every kind. After every
+   step both must hold the same spans and counts. *)
+type ring_op =
+  | Emit of Ring.phase * string * int * int * int option
+            * (string * int) list option
+  | Enter_exit of Ring.phase * string * int * int * int option
+                  * (string * int) list option
+  | Event of Ring.phase * string * int * int * (string * int) * (string * int)
+
+let all_phases =
+  [ Ring.Mark; Ring.Scan; Ring.Purge; Ring.Quarantine; Ring.Alloc_slow;
+    Ring.Race; Ring.Request; Ring.Stage ]
+
+let gen_ring_case =
+  let open QCheck.Gen in
+  let phase = oneofl all_phases in
+  let label = oneofl [ "free"; "double-free"; "unmap"; "mark-full"; "stw" ] in
+  let attr = pair (oneofl [ "addr"; "usable"; "sweep"; "" ]) int in
+  let attrs = int_range 0 3 >>= fun n -> list_repeat n attr in
+  let time = int_range 0 1_000_000 in
+  let op =
+    let* phase = phase and* label = label and* t0 = time and* t1 = time in
+    frequency
+      [
+        ( 3,
+          let+ bytes = opt nat and+ attrs = opt attrs in
+          Emit (phase, label, t0, t1, bytes, attrs) );
+        ( 1,
+          let+ bytes = opt nat and+ attrs = opt attrs in
+          Enter_exit (phase, label, t0, t1, bytes, attrs) );
+        ( 3,
+          let+ n = int_range 0 2 and+ a0 = attr and+ a1 = attr in
+          Event (phase, label, t0, n, a0, a1) );
+      ]
+  in
+  pair (int_range 1 40) (list_size (int_range 0 120) op)
+
+let print_ring_case (capacity, ops) =
+  Printf.sprintf "capacity %d, %d ops" capacity (List.length ops)
+
+let prop_ring_matches_reference =
+  QCheck.Test.make ~name:"flat ring keeps what the record ring keeps"
+    ~count:500
+    (QCheck.make ~print:print_ring_case gen_ring_case)
+    (fun (capacity, ops) ->
+      let ring = Ring.create ~capacity () in
+      let reference = Reference_ring.create ~capacity () in
+      let same () =
+        Ring.capacity ring = Reference_ring.capacity reference
+        && Ring.emitted ring = Reference_ring.emitted reference
+        && Ring.retained ring = Reference_ring.retained reference
+        && Ring.wrapped ring = Reference_ring.wrapped reference
+        && Ring.spans ring = Reference_ring.spans reference
+      in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Emit (phase, label, t_start, t_end, bytes, attrs) ->
+            Ring.emit ring ~phase ~label ~t_start ~t_end ?bytes ?attrs ();
+            Reference_ring.emit reference ~phase ~label ~t_start ~t_end ?bytes
+              ?attrs ()
+          | Enter_exit (phase, label, t0, t1, bytes, attrs) ->
+            let p = Ring.enter ~now:t0 phase label in
+            Ring.exit ring p ~now:t1 ?bytes ?attrs ();
+            let p = Reference_ring.enter ~now:t0 phase label in
+            Reference_ring.exit reference p ~now:t1 ?bytes ?attrs ()
+          | Event (phase, label, now, n, (k0, v0), (k1, v1)) ->
+            Ring.event ring phase label ~now ~attrs:n k0 v0 k1 v1;
+            Reference_ring.emit reference ~phase ~label ~t_start:now ~t_end:now
+              ~attrs:(List.filteri (fun i _ -> i < n) [ (k0, v0); (k1, v1) ])
+              ());
+          same ())
+        ops
+      && same ())
+
+(* A span carries at most three attributes: a fourth is refused, not
+   dropped, and the refused span is not counted. *)
+let test_ring_attribute_limit () =
+  let ring = Ring.create ~capacity:4 () in
+  let attrs = [ ("a", 1); ("b", 2); ("c", 3); ("d", 4) ] in
+  Alcotest.check_raises "a fourth attribute"
+    (Invalid_argument "Trace_ring.emit: a span carries at most 3 attributes")
+    (fun () ->
+      Ring.emit ring ~phase:Ring.Mark ~label:"x" ~t_start:0 ~t_end:1 ~attrs ());
+  Alcotest.check_raises "event beyond two attributes"
+    (Invalid_argument "Trace_ring.event: attrs must be 0, 1 or 2") (fun () ->
+      Ring.event ring Ring.Quarantine "free" ~now:0 ~attrs:3 "a" 1 "b" 2);
+  Alcotest.(check int) "nothing emitted" 0 (Ring.emitted ring);
+  Ring.emit ring ~phase:Ring.Mark ~label:"x" ~t_start:0 ~t_end:1
+    ~attrs:(List.filteri (fun i _ -> i < 3) attrs)
+    ();
+  Alcotest.(check (list (pair string int))) "three attributes kept"
+    [ ("a", 1); ("b", 2); ("c", 3) ]
+    (List.concat_map (fun s -> s.Ring.attrs) (Ring.spans ring))
+
+(* Once its slots reach the capacity, the ring takes the instance's
+   per-call lifecycle events without allocating: every quarantined free
+   emits one. *)
+let test_ring_events_allocate_nothing () =
+  let ring = Ring.create ~capacity:8192 () in
+  for i = 1 to 8192 do
+    Ring.event ring Ring.Quarantine "free" ~now:i ~attrs:2 "addr" i "usable" 64
+  done;
+  let before = Gc.minor_words () in
+  for i = 1 to 100_000 do
+    Ring.event ring Ring.Quarantine "free" ~now:i ~attrs:2 "addr" i "usable" 64;
+    Ring.event ring Ring.Quarantine "double-free" ~now:i ~attrs:1 "addr" i "" 0
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check (float 0.)) "minor words for 200,000 events" 0. words;
+  Alcotest.(check int) "retained at capacity" 8192 (Ring.retained ring);
+  match List.rev (Ring.spans ring) with
+  | last :: _ ->
+    Alcotest.(check (list (pair string int))) "last event's attributes"
+      [ ("addr", 100_000) ] last.Ring.attrs
+  | [] -> Alcotest.fail "empty ring"
+
 let test_phase_names () =
   List.iter
     (fun phase ->
@@ -516,6 +635,11 @@ let suite =
       Alcotest.test_case "ring overflow evicts oldest" `Quick
         test_ring_overflow;
       Alcotest.test_case "ring enter/exit" `Quick test_ring_enter_exit;
+      QCheck_alcotest.to_alcotest prop_ring_matches_reference;
+      Alcotest.test_case "ring attribute limit" `Quick
+        test_ring_attribute_limit;
+      Alcotest.test_case "ring events allocate nothing" `Quick
+        test_ring_events_allocate_nothing;
       Alcotest.test_case "phase names round-trip" `Quick test_phase_names;
       Alcotest.test_case "metrics JSONL round-trip" `Quick
         test_metrics_roundtrip;
