@@ -104,19 +104,22 @@ require_cksum program-omnetpp.txt "2136650888 1772"
 require_cksum program-perlbench.txt "2797519927 1520"
 require_cksum program-xalancbmk.txt "1971510081 4158"
 # Every profile of every suite as the figures run it: no unsound
-# recycle and no invariant finding (retention is reported, not gated).
+# recycle, no invariant finding (retention is reported, not gated), and
+# a race-free, lockset-clean recorded stream under default and mostly.
 for suite in spec2006 spec2017 mimalloc; do
   for bench in $("$CLI" list | awk -v s="$suite:" '$0 == s { on = 1; next }
       /:$/ { on = 0 } on { print $1 }'); do
-    "$CLI" check --suite "$suite" -b "$bench" --scale 0.02 --oracle \
+    "$CLI" check --suite "$suite" -b "$bench" --scale 0.02 --oracle --races \
       >"$workdir/program.txt" 2>&1 || true
     grep -q "oracle: " "$workdir/program.txt" \
       || { echo "FAIL: no oracle verdict on the $suite/$bench program" >&2; exit 1; }
-    grep -q "oracle-unsound\|inv-" "$workdir/program.txt" \
-      && { echo "FAIL: oracle flagged the $suite/$bench program" >&2; exit 1; }
+    grep -q "lockset(mostly): " "$workdir/program.txt" \
+      || { echo "FAIL: no race verdict on the $suite/$bench program" >&2; exit 1; }
+    grep -q "oracle-unsound\|inv-\|rc-\|ls-" "$workdir/program.txt" \
+      && { echo "FAIL: referee finding on the $suite/$bench program" >&2; exit 1; }
   done
 done
-echo "referees certify the figures' programs: five pinned reports, 53 profiles sound"
+echo "referees certify the figures' programs: five pinned reports, 53 profiles sound and race-free"
 
 echo "== sweep-mode equivalence (full vs incremental)"
 # The dedicated equivalence suite: identical mark sets and decisions.
@@ -169,17 +172,32 @@ require_cksum referees-espresso.txt "3280338235 428"
 require_cksum referees-perl.txt "2273817921 4939"
 echo "oracle and race-recorder reports match their pinned bytes"
 
-# Bounded schedule exploration: no quarantined chunk may be released
-# while a ground-truth pointer to it exists, no schedule may race, and
-# two identical explorations must render byte-identically.
+# Bounded schedule exploration: the sweep oracle judges every schedule
+# (no quarantined chunk released while a ground-truth pointer to it
+# exists, no invariant finding), no schedule may race, and two identical
+# explorations must render byte-identically. The report and its metrics
+# export are pinned byte for byte.
 "$CLI" explore --schedules 64 >"$workdir/explore1.txt" \
   || { echo "FAIL: explorer found violations or races" >&2; exit 1; }
-"$CLI" explore --schedules 64 >"$workdir/explore2.txt"
-cmp "$workdir/explore1.txt" "$workdir/explore2.txt" \
+"$CLI" explore --schedules 64 --metrics-out "$workdir/explore.metrics" \
+  >"$workdir/explore2.txt"
+grep -v '^metrics written to ' "$workdir/explore2.txt" \
+  | cmp "$workdir/explore1.txt" - \
   || { echo "FAIL: explorer output differs across identical runs" >&2; exit 1; }
 grep -q "violations=0 races=0" "$workdir/explore1.txt" \
   || { echo "FAIL: explorer summary reports findings" >&2; exit 1; }
-echo "explored 64 schedules: sound, race-free, deterministic"
+require_cksum explore1.txt "3478448023 4930"
+require_cksum explore.metrics "1624163522 605"
+# Positive control: quarantine without sweeping recycles a's extent while
+# root 0 still points at it, in exactly 228 schedules of the full space.
+if "$CLI" explore --config partial --schedules 100000 \
+    >"$workdir/explore-partial.txt"; then
+  echo "FAIL: explorer certified the unsound partial preset" >&2
+  exit 1
+fi
+grep -q "violations=228 " "$workdir/explore-partial.txt" \
+  || { echo "FAIL: explorer no longer finds partial's 228 violations" >&2; exit 1; }
+echo "explored 64 schedules: sound, race-free, deterministic; partial flagged"
 
 echo "== static dataflow analyzer (flowcheck)"
 # Dedicated suite: abstract-domain semantics, witness chains, bounds

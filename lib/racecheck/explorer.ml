@@ -1,55 +1,48 @@
 module Instance = Minesweeper.Instance
 module Config = Minesweeper.Config
-module Registry = Ptrtrack.Registry
 module Diagnostic = Sanitizer.Diagnostic
+module Sweep_oracle = Sanitizer.Sweep_oracle
+module Trace = Workloads.Trace
 
 (* ------------------------------------------------------------------ *)
 (* The mutator script: a fixed two-thread program with a deliberate
-   dangling window (a is freed at step 7 while root[0] still points at
-   it until step 10), so sweeps placed inside the window must requeue
-   and sweeps placed after it may release.                             *)
-
-type step =
-  | Malloc of { key : int; size : int; thread : int }
-  | Store_root of { slot : int; key : int; thread : int }
-  | Clear_root of { slot : int; thread : int }
-  | Store_field of { holder : int; word : int; key : int; thread : int }
-  | Free_key of { key : int; thread : int }
-  | Work of int
+   dangling window (a is freed at op 7 while root 0 still points at it
+   until op 10), so sweeps placed inside the window must requeue and
+   sweeps placed after it may release. Each op is tagged with the
+   mutator that issues it.                                             *)
 
 let script =
-  [|
-    Malloc { key = 0; size = 64; thread = 0 } (* a *);
-    Work 1_000;
-    Store_root { slot = 0; key = 0; thread = 0 };
-    Malloc { key = 1; size = 64; thread = 1 } (* b *);
-    Store_field { holder = 0; word = 0; key = 1; thread = 1 } (* a.f := b *);
-    Work 1_000;
-    Store_root { slot = 1; key = 1; thread = 1 };
-    Free_key { key = 0; thread = 0 } (* root[0] still dangles at a *);
-    Malloc { key = 2; size = 4096; thread = 0 } (* c *);
-    Work 1_000;
-    Clear_root { slot = 0; thread = 0 } (* a now unreferenced *);
-    Clear_root { slot = 1; thread = 1 };
-    Free_key { key = 1; thread = 1 };
-    Store_root { slot = 2; key = 2; thread = 0 };
-    Work 1_000;
-    Clear_root { slot = 2; thread = 0 };
-    Free_key { key = 2; thread = 0 };
-  |]
+  Trace.
+    [|
+      (0, Alloc { id = 0; size = 64; site = 0 }) (* a *);
+      (0, Work 1_000);
+      (0, Store_ptr { loc = Root 0; target = 0 });
+      (1, Alloc { id = 1; size = 64; site = 0 }) (* b *);
+      (1, Store_ptr { loc = Field (0, 0); target = 1 }) (* a.f := b *);
+      (1, Work 1_000);
+      (1, Store_ptr { loc = Root 1; target = 1 });
+      (0, Free { id = 0; thread = 0 }) (* root 0 still dangles at a *);
+      (0, Alloc { id = 2; size = 4096; site = 0 }) (* c *);
+      (0, Work 1_000);
+      (0, Zero (Root 0)) (* a now unreferenced *);
+      (1, Zero (Root 1));
+      (1, Free { id = 1; thread = 1 });
+      (0, Store_ptr { loc = Root 2; target = 2 });
+      (0, Work 1_000);
+      (0, Zero (Root 2));
+      (0, Free { id = 2; thread = 0 });
+    |]
 
-let heap_step = function Work _ -> false | _ -> true
+let is_work i = match snd script.(i) with Trace.Work _ -> true | _ -> false
 
-(* Commutativity points: sweep boundaries are only placed after steps
-   that touch the heap — placements between two pure-compute steps
+(* Commutativity points: sweep boundaries are only placed after ops
+   that touch the heap — placements between two pure-compute ops
    execute identically, so the DPOR-style reduction skips them. *)
 let points =
-  let acc = ref [] in
-  Array.iteri (fun i st -> if heap_step st then acc := i :: !acc) script;
-  List.rev !acc
+  List.filter (fun i -> not (is_work i)) (List.init (Array.length script) Fun.id)
 
 (* A schedule: where to start and where to finish each sweep, as
-   (start_after_step, finish_after_step) pairs in step order. *)
+   (start_after_op, finish_after_op) pairs in op order. *)
 type schedule = (int * int) list
 
 let all_schedules () =
@@ -81,7 +74,8 @@ type outcome = {
   swept_bytes : int;
   released : int;
   requeued : int;
-  violations : string list;
+  violations : Diagnostic.t list;
+  unsound_ids : int list;
   races : Diagnostic.t list;
 }
 
@@ -107,89 +101,35 @@ let explorer_config base =
   }
 
 let run_schedule config index (boundaries : schedule) =
-  let machine = Alloc.Machine.create () in
-  let mem = machine.Alloc.Machine.mem in
-  List.iter
-    (fun (base, size) -> Vmem.map mem ~addr:base ~len:size)
-    Layout.root_regions;
-  let ms = Instance.create ~config ~threads:2 machine in
-  let je = Instance.jemalloc ms in
-  let reg = Registry.create je in
-  let violations = ref [] in
-  (* Ground-truth theorem, checked synchronously at every release: no
-     entry leaves quarantine while a recorded pointer to it exists. *)
-  let on_event (e : Event.t) =
-    match e.Event.kind with
-    | Event.Release { sweep; addr } ->
-      let n = Registry.in_pointer_count reg ~base:addr in
-      if n > 0 then
-        violations :=
-          Printf.sprintf
-            "sweep %d released %#x while %d ground-truth pointer(s) to it \
-             exist (event #%d)"
-            sweep addr n e.Event.seq
-          :: !violations
-    | _ -> ()
+  let ms = Sweep_oracle.fresh_instance ~config ~threads:2 in
+  let oracle = Sweep_oracle.attach ms in
+  let s = Recorder.attach ms ~threads:2 in
+  let on = Sweep_oracle.target oracle in
+  (* The schedule runs the instance between ops: a [Work] op ticks it,
+     then the boundaries placed after the op start or finish sweeps.
+     The oracle checks last, against the registry as the release saw
+     it. *)
+  let exec =
+    Trace.exec ~sites:1 (Instance.machine ms)
+      {
+        on with
+        after_op =
+          (fun i ->
+            if is_work i then Instance.tick ms;
+            List.iter
+              (fun (start_after, finish_after) ->
+                if start_after = i then ignore (Instance.force_sweep ms);
+                if finish_after = i then Instance.drain ms)
+              boundaries;
+            on.after_op i);
+      }
   in
-  let s = Recorder.attach ~on_event ms ~threads:2 in
-  let addr_of = Hashtbl.create 8 in
-  let drop_dead_slots addr =
-    Registry.drop_slots_in reg ~base:addr
-      ~usable:(Alloc.Jemalloc.usable_size je addr) (fun ~slot:_ ~target:_ -> ())
-  in
-  let exec = function
-    | Malloc { key; size; thread } ->
+  Array.iter
+    (fun (thread, op) ->
       Recorder.set_thread s thread;
-      let addr = Instance.malloc ms size in
-      (* Fresh memory is zeroed: slots recorded inside the range belong
-         to a dead incarnation. *)
-      drop_dead_slots addr;
-      Hashtbl.replace addr_of key addr;
-      Instance.tick ms
-    | Store_root { slot; key; thread } -> (
-      Recorder.set_thread s thread;
-      match Hashtbl.find_opt addr_of key with
-      | Some addr ->
-        let sl = Layout.stack_base + (8 * slot) in
-        Vmem.store mem sl addr;
-        Registry.record_write reg ~slot:sl ~value:addr
-      | None -> ())
-    | Clear_root { slot; thread } ->
-      Recorder.set_thread s thread;
-      let sl = Layout.stack_base + (8 * slot) in
-      Vmem.store mem sl 0;
-      Registry.record_write reg ~slot:sl ~value:0
-    | Store_field { holder; word; key; thread } -> (
-      Recorder.set_thread s thread;
-      match (Hashtbl.find_opt addr_of holder, Hashtbl.find_opt addr_of key) with
-      | Some haddr, Some taddr ->
-        let sl = haddr + (8 * word) in
-        Vmem.store mem sl taddr;
-        Registry.record_write reg ~slot:sl ~value:taddr
-      | _ -> ())
-    | Free_key { key; thread } -> (
-      Recorder.set_thread s thread;
-      match Hashtbl.find_opt addr_of key with
-      | Some addr ->
-        Hashtbl.remove addr_of key;
-        (* Zeroing destroys pointers stored inside the freed object. *)
-        drop_dead_slots addr;
-        Instance.free ms ~thread addr
-      | None -> ())
-    | Work cycles ->
-      Alloc.Machine.charge machine cycles;
-      Instance.tick ms
-  in
-  Array.iteri
-    (fun i st ->
-      exec st;
-      List.iter
-        (fun (start_after, finish_after) ->
-          if start_after = i then ignore (Instance.force_sweep ms);
-          if finish_after = i then Instance.drain ms)
-        boundaries)
+      exec op)
     script;
-  Instance.drain ms;
+  let verdict = Sweep_oracle.finish oracle ~trace_name:"explore" in
   Recorder.detach s;
   let evs = Recorder.events s in
   let races = Hb.analyze ~threads:2 evs in
@@ -209,7 +149,8 @@ let run_schedule config index (boundaries : schedule) =
     requeued =
       count (fun e ->
           match e.Event.kind with Event.Requeue _ -> true | _ -> false);
-    violations = List.rev !violations;
+    violations = verdict.Sweep_oracle.soundness @ verdict.Sweep_oracle.audit;
+    unsound_ids = verdict.Sweep_oracle.unsound_ids;
     races;
   }
 
@@ -225,14 +166,12 @@ let render_outcome (o : outcome) =
        (render_boundaries o.boundaries)
        o.released o.requeued o.swept_bytes
        (string_of_int (Hashtbl.hash o.signature)));
-  List.iter
-    (fun v -> Buffer.add_string buf (Printf.sprintf "    VIOLATION %s\n" v))
-    o.violations;
-  List.iter
-    (fun (d : Diagnostic.t) ->
-      Buffer.add_string buf
-        (Printf.sprintf "    RACE %s\n" (Diagnostic.to_string d)))
-    o.races;
+  let finding tag d =
+    Buffer.add_string buf
+      (Printf.sprintf "    %s %s\n" tag (Diagnostic.to_string d))
+  in
+  List.iter (finding "VIOLATION") o.violations;
+  List.iter (finding "RACE") o.races;
   Buffer.contents buf
 
 let run ?(config = Config.mostly_concurrent) ?(config_name = "?") ~schedules ()

@@ -3,14 +3,24 @@
     Drives a fixed two-mutator script — including a window where a freed
     object is still reachable from a root — through every (sampled)
     placement of one or two sweep start/finish boundaries. Boundaries
-    are only placed at commutativity points (after heap-touching steps):
-    placements between pure-compute steps execute identically, so the
+    are only placed at commutativity points (after heap-touching ops):
+    placements between pure-compute ops execute identically, so the
     partial-order reduction skips them.
 
+    The script is {!Workloads.Trace.op}s, each tagged with the mutator
+    that issues it. A schedule replays it through
+    {!Workloads.Trace.exec} against the target of a
+    {!Sanitizer.Sweep_oracle} attached to a fresh instance, with the
+    {!Recorder} attached; after each op the explorer ticks the instance
+    (after [Work]) and places the schedule's boundaries, then lets the
+    oracle check.
+
     Per schedule, three judgments:
-    - {e soundness}: at every observed release, the
-      {!Ptrtrack.Registry} ground truth must hold no pointer to the
-      entry (a violation is the paper's use-after-free reintroduced);
+    - {e soundness}: the oracle's [oracle-unsound] findings (an entry
+      recycled while the {!Ptrtrack.Registry} ground truth holds a
+      pointer to it — the paper's use-after-free reintroduced) and its
+      post-sweep invariant audit, the rule every referee replay is
+      judged by;
     - {e race freedom}: the recorded event stream must satisfy
       {!Hb.analyze} with zero findings;
     - {e determinism/consistency}: each schedule runs twice and must
@@ -20,13 +30,15 @@
     Results export through {!Obs}: [rc.*] counters/gauges in
     [registry], one [race]-phase span per schedule in [ring]. *)
 
-type step
 type schedule = (int * int) list
-(** [(start_after_step, finish_after_step)] per sweep, in step order. *)
+(** [(start_after_op, finish_after_op)] per sweep, in op order. *)
 
-val script : step array
+val script : (int * Workloads.Trace.op) array
+(** The mutator script: (issuing thread, op). Read as a trace of two
+    threads, its one dangling free is op 7 (id 0). *)
+
 val points : int list
-(** Step indices after which a boundary may be placed. *)
+(** Op indices after which a boundary may be placed. *)
 
 val all_schedules : unit -> schedule list
 (** The full bounded space: every single-sweep placement, then every
@@ -39,7 +51,9 @@ type outcome = {
   swept_bytes : int;
   released : int;
   requeued : int;
-  violations : string list;  (** ground-truth soundness failures *)
+  violations : Sanitizer.Diagnostic.t list;
+      (** the oracle's soundness findings, then its audit findings *)
+  unsound_ids : int list;  (** script ids behind [oracle-unsound] *)
   races : Sanitizer.Diagnostic.t list;
 }
 
@@ -64,7 +78,7 @@ val run :
     are suppressed so sweeps happen exactly at the scheduled
     boundaries. *)
 
-val violations : report -> string list
+val violations : report -> Sanitizer.Diagnostic.t list
 val races : report -> Sanitizer.Diagnostic.t list
 
 val render : report -> string

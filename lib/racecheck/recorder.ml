@@ -16,20 +16,15 @@ type session = {
   mutable cur_sweep : int;
   mutable pending_lock : (int * int) list;
   mutable window_writes : int;
-  on_event : (Event.t -> unit) option;
 }
 
 let mutator s = Event.Mutator (if s.current >= 0 && s.current < s.threads then s.current else 0)
 
 let emit s tid kind =
-  let e = { Event.seq = s.seq; tid; kind } in
-  s.events_rev <- e :: s.events_rev;
-  s.seq <- s.seq + 1;
-  match s.on_event with
-  | Some f -> f e
-  | None -> ()
+  s.events_rev <- { Event.seq = s.seq; tid; kind } :: s.events_rev;
+  s.seq <- s.seq + 1
 
-let attach ?on_event ms ~threads =
+let attach ms ~threads =
   let s =
     {
       ms;
@@ -40,7 +35,6 @@ let attach ?on_event ms ~threads =
       cur_sweep = 0;
       pending_lock = [];
       window_writes = 0;
-      on_event;
     }
   in
   let machine = Instance.machine ms in
@@ -114,12 +108,8 @@ type report = {
 let run ?(config = Minesweeper.Config.default) ?(config_name = "?")
     (trace : Trace.t) =
   let threads = max 1 trace.Trace.threads in
-  let machine = Alloc.Machine.create () in
-  List.iter
-    (fun (base, size) ->
-      Vmem.map machine.Alloc.Machine.mem ~addr:base ~len:size)
-    Layout.root_regions;
-  let ms = Instance.create ~config ~threads machine in
+  let ms = Sanitizer.Sweep_oracle.fresh_instance ~config ~threads in
+  let machine = Instance.machine ms in
   let s = attach ms ~threads in
   Trace.run trace machine
     {

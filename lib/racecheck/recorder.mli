@@ -11,24 +11,19 @@
     schedules through the same session type.
 
     {!run} replays a {!Workloads.Trace.t} through
-    {!Workloads.Trace.run} against a fresh instance (one quarantine
-    buffer per declared thread) under observation, analyses the stream,
-    publishes [rc.*] counters into the instance registry and one [race]
-    span per finding into its trace ring, and returns the findings. A
-    well-behaved trace must come back clean under every preset: the
-    generator never republishes a freed address, so no window write can
-    hide a locked-in pointer. *)
+    {!Workloads.Trace.run} against the referees' fresh instance
+    ({!Sanitizer.Sweep_oracle.fresh_instance}) under observation,
+    analyses the stream, publishes [rc.*] counters into the instance
+    registry and one [race] span per finding into its trace ring, and
+    returns the findings. A well-behaved trace must come back clean
+    under every preset: the generator never republishes a freed address,
+    so no window write can hide a locked-in pointer. *)
 
 type session
 
-val attach :
-  ?on_event:(Event.t -> unit) ->
-  Minesweeper.Instance.t ->
-  threads:int ->
-  session
+val attach : Minesweeper.Instance.t -> threads:int -> session
 (** Install the observers (each hook holds at most one subscriber —
-    attaching replaces any previous one). [on_event] additionally sees
-    every event synchronously as it is recorded. *)
+    attaching replaces any previous one). *)
 
 val detach : session -> unit
 (** Remove all four observers. *)

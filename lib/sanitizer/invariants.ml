@@ -319,7 +319,3 @@ let audit ms =
   check_shadow ms je shadow out;
   check_summary ms out;
   List.rev !findings
-
-let attach ms f =
-  Instance.set_post_sweep_hook ms (fun () ->
-      match audit ms with [] -> () | findings -> f findings)

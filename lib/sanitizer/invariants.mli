@@ -36,9 +36,6 @@
       violated. *)
 
 val audit : Minesweeper.Instance.t -> Diagnostic.t list
-(** Run every check; empty list = all invariants hold. *)
-
-val attach : Minesweeper.Instance.t -> (Diagnostic.t list -> unit) -> unit
-(** [attach ms f] installs a post-sweep hook that audits the stack after
-    every completed sweep and calls [f findings] when any invariant is
-    violated — the debug-mode backstop for perf work on the sweep path. *)
+(** Run every check; empty list = all invariants hold. An attached
+    {!Sweep_oracle} runs it after every completed sweep — the debug-mode
+    backstop for perf work on the sweep path. *)

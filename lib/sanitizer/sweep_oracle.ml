@@ -18,6 +18,14 @@ type report = {
 
 let findings r = r.soundness @ r.precision @ r.audit
 
+let fresh_instance ~config ~threads =
+  let machine = Alloc.Machine.create () in
+  List.iter
+    (fun (base, size) ->
+      Vmem.map machine.Alloc.Machine.mem ~addr:base ~len:size)
+    Layout.root_regions;
+  Instance.create ~config ~threads:(max 1 threads) machine
+
 (* One still-quarantined allocation under observation. *)
 type tracked = {
   id : int;
@@ -32,149 +40,175 @@ type tracked = {
   mutable reported : bool;
 }
 
-let run ?(config = Minesweeper.Config.default) ?(latency_sweeps = 3)
-    ?(audit = true) (trace : Trace.t) =
-  let machine = Alloc.Machine.create () in
-  List.iter
-    (fun (base, size) ->
-      Vmem.map machine.Alloc.Machine.mem ~addr:base ~len:size)
-    Layout.root_regions;
-  let ms =
-    Instance.create ~config ~threads:(max 1 trace.Trace.threads) machine
+type t = {
+  ms : Instance.t;
+  registry : Registry.t;
+  latency_sweeps : int;
+  quarantined : (int, tracked) Hashtbl.t;
+      (** addr -> tracked, for every allocation currently in quarantine *)
+  mutable completed : int;  (** sweeps completed, counted by the hook *)
+  mutable checked : int;  (** [completed] as the last check saw it *)
+  mutable ops : int;
+  mutable allocs : int;
+  mutable frees : int;
+  mutable soundness : Diagnostic.t list;  (** newest first *)
+  mutable precision : Diagnostic.t list;  (** newest first *)
+  mutable audit : Diagnostic.t list;
+  mutable unsound_ids : int list;
+  mutable retained_ids : int list;
+}
+
+let attach ?(latency_sweeps = 3) ?(audit = true) ms =
+  let t =
+    {
+      ms;
+      registry = Registry.create (Instance.jemalloc ms);
+      latency_sweeps;
+      quarantined = Hashtbl.create 4096;
+      completed = 0;
+      checked = 0;
+      ops = 0;
+      allocs = 0;
+      frees = 0;
+      soundness = [];
+      precision = [];
+      audit = [];
+      unsound_ids = [];
+      retained_ids = [];
+    }
   in
-  let je = Instance.jemalloc ms in
-  let registry = Registry.create je in
-  (* [Instance.stats] returns a point-in-time snapshot: re-read at every
-     use instead of freezing the build-time zeros. *)
-  let stats () = Instance.stats ms in
-  let audit_findings = ref [] in
-  if audit then
-    Invariants.attach ms (fun fs -> audit_findings := !audit_findings @ fs);
-  (* addr -> tracked, for every allocation currently in quarantine *)
-  let quarantined : (int, tracked) Hashtbl.t = Hashtbl.create 4096 in
-  let soundness = ref [] in
-  let precision = ref [] in
-  let unsound_ids = ref [] in
-  let retained_ids = ref [] in
-  let allocs = ref 0 in
-  let frees = ref 0 in
-  let completed_sweeps () =
-    (stats ()).Minesweeper.Stats.sweeps
-    - if Instance.sweep_in_progress ms then 1 else 0
-  in
-  let last_completed = ref 0 in
-  let drop_slots_in addr =
-    Registry.drop_slots_in registry ~base:addr
-      ~usable:(Alloc.Jemalloc.usable_size je addr)
-      (fun ~slot:_ ~target:_ -> ())
-  in
-  let poll op_index =
-    (* Release detection: quarantine membership dropped => the backend
-       recycled the entry during this op. *)
+  (* Every sweep ends in this hook, after its release stage. *)
+  Instance.set_post_sweep_hook ms (fun () ->
+      t.completed <- t.completed + 1;
+      if audit then t.audit <- t.audit @ Invariants.audit ms);
+  t
+
+(* Only a completing sweep releases anything, and only a completion is
+   retention evidence: until the completed count moves there is nothing
+   to look at. *)
+let check t op_index =
+  if t.completed > t.checked then begin
+    let prev = t.checked and c = t.completed in
+    t.checked <- c;
+    (* Quarantine membership dropped => the sweep recycled the entry. *)
     let released =
       Hashtbl.fold
         (fun addr tr acc ->
-          if Instance.is_quarantined ms addr then acc else (addr, tr) :: acc)
-        quarantined []
+          if Instance.is_quarantined t.ms addr then acc else (addr, tr) :: acc)
+        t.quarantined []
     in
     List.iter
       (fun (addr, (tr : tracked)) ->
-        Hashtbl.remove quarantined addr;
-        let n = Registry.in_pointer_count registry ~base:addr in
+        Hashtbl.remove t.quarantined addr;
+        let n = Registry.in_pointer_count t.registry ~base:addr in
         if n > 0 then begin
-          unsound_ids := tr.id :: !unsound_ids;
-          soundness :=
+          t.unsound_ids <- tr.id :: t.unsound_ids;
+          t.soundness <-
             Diagnostic.make ~rule:"oracle-unsound" ~severity:Diagnostic.Error
               ~op_index
               (Printf.sprintf
                  "id %d (addr %#x) recycled while %d live pointer(s) to it \
                   exist"
                  tr.id addr n)
-            :: !soundness
+            :: t.soundness
         end)
       released;
-    let c = completed_sweeps () in
-    if c > !last_completed then begin
-      let prev = !last_completed in
-      last_completed := c;
-      Hashtbl.iter
-        (fun addr (tr : tracked) ->
-          if Registry.in_pointer_count registry ~base:addr = 0 then begin
-            tr.clean_sweeps <-
-              tr.clean_sweeps + max 0 (c - max prev tr.eligible_from);
-            if tr.clean_sweeps >= latency_sweeps && not tr.reported then begin
-              tr.reported <- true;
-              retained_ids := tr.id :: !retained_ids;
-              precision :=
-                Diagnostic.make ~rule:"oracle-retention"
-                  ~severity:Diagnostic.Warning ~op_index
-                  (Printf.sprintf
-                     "id %d (addr %#x) still quarantined after %d consecutive \
-                      sweeps with no live pointers (conservative retention)"
-                     tr.id addr tr.clean_sweeps)
-                :: !precision
-            end
+    Hashtbl.iter
+      (fun addr (tr : tracked) ->
+        if Registry.in_pointer_count t.registry ~base:addr = 0 then begin
+          tr.clean_sweeps <-
+            tr.clean_sweeps + max 0 (c - max prev tr.eligible_from);
+          if tr.clean_sweeps >= t.latency_sweeps && not tr.reported then begin
+            tr.reported <- true;
+            t.retained_ids <- tr.id :: t.retained_ids;
+            t.precision <-
+              Diagnostic.make ~rule:"oracle-retention"
+                ~severity:Diagnostic.Warning ~op_index
+                (Printf.sprintf
+                   "id %d (addr %#x) still quarantined after %d consecutive \
+                    sweeps with no live pointers (conservative retention)"
+                   tr.id addr tr.clean_sweeps)
+              :: t.precision
           end
-          else tr.clean_sweeps <- 0)
-        quarantined
-    end
+        end
+        else tr.clean_sweeps <- 0)
+      t.quarantined
+  end
+
+let target t =
+  let je = Instance.jemalloc t.ms in
+  let drop_slots_in addr =
+    Registry.drop_slots_in t.registry ~base:addr
+      ~usable:(Alloc.Jemalloc.usable_size je addr)
+      (fun ~slot:_ ~target:_ -> ())
   in
-  Trace.run trace machine
-    {
-      Trace.alloc =
-        (fun ~id:_ ~site:_ size ->
-          let addr = Instance.malloc ms size in
-          incr allocs;
-          (* The backend zeroes fresh memory; any registry slots recorded
-             inside this range belong to a dead incarnation. *)
-          drop_slots_in addr;
-          Instance.tick ms;
-          addr);
-      free =
-        (fun ~id ~thread addr ->
-          incr frees;
-          (* Zeroing destroys pointers stored inside the freed object:
-             the ground truth must forget them too. *)
-          if config.Minesweeper.Config.zeroing then drop_slots_in addr;
-          Instance.free ms ~thread addr;
-          if Instance.is_quarantined ms addr then
-            Hashtbl.replace quarantined addr
-              {
-                id;
-                eligible_from =
-                  completed_sweeps ()
-                  + (if Instance.sweep_in_progress ms then 1 else 0);
-                clean_sweeps = 0;
-                reported = false;
-              });
-      (* Every pointer-typed write is recorded: memory and ground truth
-         stay in lock-step. *)
-      pointer_store =
-        (fun ~slot ~old_value:_ ~value ->
-          Registry.record_write registry ~slot ~value);
-      (* Not a pointer: the write overwrote any tracked pointer in the
-         slot but records nothing — this is exactly the coverage gap
-         between ground truth and the conservative sweep. *)
-      data_store = (fun ~slot -> Registry.forget_slot registry ~slot);
-      after_op = poll;
-    };
-  Instance.drain ms;
-  poll (Array.length trace.Trace.ops);
+  let zeroing = (Instance.config t.ms).Minesweeper.Config.zeroing in
   {
-    trace_name = trace.Trace.name;
-    ops = Array.length trace.Trace.ops;
-    allocs = !allocs;
-    frees = !frees;
-    releases = (stats ()).Minesweeper.Stats.releases;
-    sweeps = completed_sweeps ();
-    soundness = List.rev !soundness;
-    precision = List.rev !precision;
-    audit = !audit_findings;
-    unsound_ids = List.sort_uniq compare !unsound_ids;
-    retained_ids = List.sort_uniq compare !retained_ids;
+    Trace.alloc =
+      (fun ~id:_ ~site:_ size ->
+        let addr = Instance.malloc t.ms size in
+        t.allocs <- t.allocs + 1;
+        (* The backend zeroes fresh memory; any registry slots recorded
+           inside this range belong to a dead incarnation. *)
+        drop_slots_in addr;
+        Instance.tick t.ms;
+        addr);
+    free =
+      (fun ~id ~thread addr ->
+        t.frees <- t.frees + 1;
+        (* Zeroing destroys pointers stored inside the freed object:
+           the ground truth must forget them too. *)
+        if zeroing then drop_slots_in addr;
+        Instance.free t.ms ~thread addr;
+        if Instance.is_quarantined t.ms addr then
+          Hashtbl.replace t.quarantined addr
+            {
+              id;
+              eligible_from =
+                (t.completed + if Instance.sweep_in_progress t.ms then 1 else 0);
+              clean_sweeps = 0;
+              reported = false;
+            });
+    (* Every pointer-typed write is recorded: memory and ground truth
+       stay in lock-step. *)
+    pointer_store =
+      (fun ~slot ~old_value:_ ~value ->
+        Registry.record_write t.registry ~slot ~value);
+    (* Not a pointer: the write overwrote any tracked pointer in the
+       slot but records nothing — this is exactly the coverage gap
+       between ground truth and the conservative sweep. *)
+    data_store = (fun ~slot -> Registry.forget_slot t.registry ~slot);
+    after_op =
+      (fun i ->
+        t.ops <- i + 1;
+        check t i);
   }
 
-let certify_static ~predicted_unsound ~predicted_retained r =
+let finish t ~trace_name =
+  Instance.drain t.ms;
+  check t t.ops;
+  {
+    trace_name;
+    ops = t.ops;
+    allocs = t.allocs;
+    frees = t.frees;
+    releases = (Instance.stats t.ms).Minesweeper.Stats.releases;
+    sweeps = t.completed;
+    soundness = List.rev t.soundness;
+    precision = List.rev t.precision;
+    audit = t.audit;
+    unsound_ids = List.sort_uniq compare t.unsound_ids;
+    retained_ids = List.sort_uniq compare t.retained_ids;
+  }
+
+let run ?(config = Minesweeper.Config.default) ?latency_sweeps ?audit
+    (trace : Trace.t) =
+  let ms = fresh_instance ~config ~threads:trace.Trace.threads in
+  let t = attach ?latency_sweeps ?audit ms in
+  Trace.run trace (Instance.machine ms) (target t);
+  finish t ~trace_name:trace.Trace.name
+
+let certify_static ~predicted_unsound ~predicted_retained (r : report) =
   let missing predicted ids = List.filter (fun id -> not (List.mem id predicted)) ids in
   let diag kind id =
     Diagnostic.make ~rule:"static-miss" ~severity:Diagnostic.Error

@@ -1,13 +1,13 @@
 (** Differential soundness/precision oracle for MineSweeper's sweep.
 
-    Replays a trace through {!Workloads.Trace.run} (the interpreter
-    every replay shares) against a MineSweeper instance with one
-    quarantine buffer per declared thread, maintaining, on the side,
-    the ground-truth pointer graph in a
-    {!Ptrtrack.Registry.t}: every pointer store and clear the replay
-    performs is recorded exactly (data stores are not — an integer that
-    merely aliases an address is {e not} a pointer, which is precisely
-    the information MineSweeper's conservative sweep lacks).
+    A layer over a live MineSweeper instance: {!attach} it, replay
+    through {!Workloads.Trace.exec} (the interpreter every replay shares)
+    against its {!target}, then {!finish}. On the side it keeps the
+    ground-truth pointer graph in a {!Ptrtrack.Registry.t}: every
+    pointer store and clear the replay performs is recorded exactly
+    (data stores are not — an integer that merely aliases an address is
+    {e not} a pointer, which is precisely the information MineSweeper's
+    conservative sweep lacks). {!run} is those calls over one trace.
 
     Against that ground truth the oracle checks the paper's Section 3.2
     invariant from the outside:
@@ -26,8 +26,12 @@
       conservatism cost the paper accepts but a regression here should
       not grow silently.
 
-    With [audit] set, {!Invariants.audit} also runs after every
-    completed sweep and its findings are folded into the report. *)
+    Only a completing sweep releases anything, so both checks run after
+    the op in which the completed-sweep count moves (the oracle counts
+    completions on the instance's post-sweep hook), with the registry
+    as it stands after that op. With [audit] set, {!Invariants.audit}
+    also runs after every completed sweep and its findings are folded
+    into the report. *)
 
 type report = {
   trace_name : string;
@@ -45,15 +49,37 @@ type report = {
       (** trace ids behind [oracle-retention] findings, sorted, deduped *)
 }
 
+val fresh_instance :
+  config:Minesweeper.Config.t -> threads:int -> Minesweeper.Instance.t
+(** The referees' fresh stack: a new machine with its root regions
+    mapped and an instance with one quarantine buffer per declared
+    thread, at least one. *)
+
+type t
+(** An oracle attached to one instance. *)
+
+val attach :
+  ?latency_sweeps:int -> ?audit:bool -> Minesweeper.Instance.t -> t
+(** Start observing a fresh instance ([latency_sweeps] defaults to 3,
+    [audit] to [true]). Takes the instance's post-sweep hook. *)
+
+val target : t -> Workloads.Trace.target
+(** Serve the replay's allocations and frees from the instance and keep
+    the registry in step with its stores; [after_op i] is the check, and
+    a wrapping target that runs the instance itself (ticks, sweep
+    boundaries) calls it last. *)
+
+val finish : t -> trace_name:string -> report
+(** Drain the instance, run the last check and build the report. *)
+
 val run :
   ?config:Minesweeper.Config.t ->
   ?latency_sweeps:int ->
   ?audit:bool ->
   Workloads.Trace.t ->
   report
-(** Replay under the given configuration (default
-    {!Minesweeper.Config.default}; [latency_sweeps] defaults to 3,
-    [audit] to [true]). *)
+(** {!fresh_instance} with the trace's thread count, {!attach},
+    {!Workloads.Trace.run} against {!target}, {!finish}. *)
 
 val findings : report -> Diagnostic.t list
 (** All diagnostics of a report: soundness, then precision, then audit. *)

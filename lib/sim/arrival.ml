@@ -103,9 +103,13 @@ let describe = function
 (* MMPP: exponential gaps at the current phase rate; a draw that crosses
    the phase boundary is discarded and redrawn from the boundary — valid
    because the exponential is memoryless. A zero-rate phase just fast
-   forwards to its end. *)
+   forwards to its end. A phase can hold an arrival only if it lasts at
+   least 2 cycles: the cursor enters it at its start and every gap is at
+   least 1, so in a 1-cycle phase each draw lands on the boundary and is
+   discarded. *)
 let next_mmpp t ~rate_lo ~rate_hi ~dwell_lo ~dwell_hi =
-  if rate_lo <= 0. && rate_hi <= 0. then None
+  let holds rate dwell = rate > 0. && dwell >= 2 in
+  if not (holds rate_lo dwell_lo || holds rate_hi dwell_hi) then None
   else begin
     let result = ref None in
     while !result = None do

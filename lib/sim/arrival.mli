@@ -43,7 +43,8 @@ val make : ?start:int -> process -> Rng.t -> t
 val next : t -> int option
 (** Next absolute arrival timestamp, strictly greater than the previous
     one. [None] once the process can produce no further arrivals (zero
-    rate, or a zero-rate tail segment). *)
+    rate, a zero-rate tail segment, or an MMPP in which no phase with a
+    positive rate lasts at least 2 cycles). *)
 
 val take : t -> int -> int array
 (** [take t n] collects up to [n] arrivals ([< n] only if the process

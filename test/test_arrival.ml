@@ -57,6 +57,20 @@ let test_mmpp_silent_phase () =
         (t / 10_000 mod 2 = 1))
     a
 
+(* Every gap is at least one cycle, so a 1-cycle phase can never hold
+   an arrival: an MMPP whose only positive-rate phases last 1 cycle
+   runs dry instead of redrawing forever. *)
+let test_mmpp_one_cycle_phases_are_silent () =
+  List.iter
+    (fun (name, process) ->
+      Alcotest.(check (array int)) name [||] (take process))
+    [
+      ( "166/0, dwell -8/49600",
+        A.Mmpp { rate_lo = 166.; rate_hi = 0.; dwell_lo = -8; dwell_hi = 49600 } );
+      ( "both rates positive, both dwells clamped to 1",
+        A.Mmpp { rate_lo = 300.; rate_hi = 5.; dwell_lo = 0; dwell_hi = -3 } );
+    ]
+
 let test_spike_density () =
   let process =
     A.Spike { rate = 100.; spike_at = 1_000_000; spike_len = 1_000_000; spike_mult = 8. }
@@ -156,6 +170,8 @@ let suite =
       Alcotest.test_case "poisson empirical rate" `Quick test_poisson_rate;
       Alcotest.test_case "zero/NaN rates are silent" `Quick test_zero_rate_is_silent;
       Alcotest.test_case "mmpp silent phase" `Quick test_mmpp_silent_phase;
+      Alcotest.test_case "mmpp 1-cycle phases are silent" `Quick
+        test_mmpp_one_cycle_phases_are_silent;
       Alcotest.test_case "spike density" `Quick test_spike_density;
       Alcotest.test_case "determinism" `Quick test_determinism;
       Alcotest.test_case "mean/peak rates" `Quick test_rates;

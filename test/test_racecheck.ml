@@ -145,7 +145,7 @@ let test_explorer_sound_and_deterministic () =
   Alcotest.(check int) "explored what was asked" 24
     (List.length r.Explorer.outcomes);
   Alcotest.(check (list string)) "no ground-truth violations" []
-    (Explorer.violations r);
+    (List.map Diagnostic.to_string (Explorer.violations r));
   Alcotest.(check int) "no races in any schedule" 0
     (List.length (Explorer.races r));
   Alcotest.(check bool) "double runs render identically" true
@@ -168,6 +168,54 @@ let test_explorer_render_stable () =
   Alcotest.(check string) "render byte-identical across runs"
     (Explorer.render r1) (Explorer.render r2)
 
+(* The script is a trace of two threads: the static tools must see its
+   one deliberate dangling free, and every unsound release the oracle
+   reports under the unsound [partial] preset must be one the analyzer
+   predicted. *)
+let test_explorer_static_dynamic_cross_check () =
+  let trace =
+    {
+      Workloads.Trace.name = "explore";
+      threads = 2;
+      sites = 1;
+      ops = Array.map snd Explorer.script;
+    }
+  in
+  let lint = Sanitizer.Trace_lint.lint trace in
+  Alcotest.(check (list (pair string int)))
+    "lint flags exactly the dangling free"
+    [ ("unclear-before-free", 7) ]
+    (List.map (fun (d : Diagnostic.t) -> (d.rule, d.op_index)) lint);
+  Alcotest.(check bool) "the dangling free is id 0's" true
+    (List.for_all
+       (fun (d : Diagnostic.t) -> String.starts_with ~prefix:"id 0 " d.message)
+       lint);
+  let config = Minesweeper.Config.partial_quarantine in
+  let predicted =
+    (Flowcheck.Report.analyze_trace
+       ~policies:[ Flowcheck.Policy.Minesweeper config ]
+       trace)
+      .Flowcheck.Report.predicted_unsound
+  in
+  let r = Explorer.run ~config ~config_name:"partial" ~schedules:max_int () in
+  Alcotest.(check int) "the whole space"
+    (List.length (Explorer.all_schedules ()))
+    (List.length r.Explorer.outcomes);
+  Alcotest.(check (list string)) "every violation is an unsound release"
+    [ "oracle-unsound" ]
+    (rules_of (Explorer.violations r));
+  Alcotest.(check int) "partial violations" 228
+    (List.length (Explorer.violations r));
+  List.iter
+    (fun (o : Explorer.outcome) ->
+      List.iter
+        (fun id ->
+          Alcotest.(check bool)
+            (Printf.sprintf "schedule %d: id %d predicted unsound" o.index id)
+            true (List.mem id predicted))
+        o.unsound_ids)
+    r.Explorer.outcomes
+
 let suite =
   ( "racecheck",
     [
@@ -188,4 +236,6 @@ let suite =
         test_explorer_sound_and_deterministic;
       Alcotest.test_case "explorer render stable" `Quick
         test_explorer_render_stable;
+      Alcotest.test_case "explorer static/dynamic cross-check" `Quick
+        test_explorer_static_dynamic_cross_check;
     ] )
