@@ -78,10 +78,7 @@ let mb x = float_of_int x /. 1048576.
    program's would be. *)
 let fresh_machine () =
   let machine = Alloc.Machine.create () in
-  List.iter
-    (fun (base, size) ->
-      Vmem.map machine.Alloc.Machine.mem ~addr:base ~len:size)
-    Layout.root_regions;
+  Alloc.Machine.map_roots machine;
   machine
 
 let print_result (r : Workloads.Driver.result) =
@@ -152,6 +149,13 @@ let scale_conv =
 
 let at_least n =
   in_range Arg.int ~range:(Fmt.str "an integer >= %d" n) (fun v -> v >= n)
+
+(* A size in MiB whose byte count is still a host integer. *)
+let mib_at_least n =
+  let most = max_int / (1024 * 1024) in
+  in_range Arg.int
+    ~range:(Fmt.str "an integer >= %d and <= %d" n most)
+    (fun v -> v >= n && v <= most)
 
 let scale_arg =
   Arg.(value & opt scale_conv 1.0 & info [ "scale" ] ~doc:"Trace length scale")
@@ -255,16 +259,14 @@ let bench_cmd =
              denoise only the host-side timing.")
   in
   (* --config overrides -s; pooled-analyzed derives its pool plan from
-     the benchmark's own trace. *)
+     the program the run executes. *)
   let config_arg =
     let config = function
       | "pooled" -> Ok (fun _ -> Workloads.Harness.Pooled None)
       | "pooled-analyzed" ->
         Ok
-          (fun profile ->
-            let plan =
-              Flowcheck.Poolplan.of_trace (Workloads.Trace.generate profile)
-            in
+          (fun program ->
+            let plan = Flowcheck.Poolplan.of_trace (program ()) in
             Workloads.Harness.Pooled
               (Some (Flowcheck.Poolplan.to_alloc_plan plan)))
       | name -> (
@@ -287,7 +289,7 @@ let bench_cmd =
             "Override the scheme with a named configuration: $(b,pooled) \
              (site-keyed pools, identity plan), $(b,pooled-analyzed) \
              (site-keyed pools driven by a flowcheck siteflow plan derived \
-             from the benchmark's own trace), or a MineSweeper preset name \
+             from the program the run executes), or a MineSweeper preset name \
              (default, mostly, incremental, ...)")
   in
   let scheme_term =
@@ -295,8 +297,9 @@ let bench_cmd =
       apply_domains domains
         (match config with
         | None -> scheme
-        | Some (_, of_profile) ->
-          of_profile (Workloads.Profile.scale_ops scale profile))
+        | Some (_, of_program) ->
+          of_program (fun () ->
+              Workloads.Driver.program ~ops_scale:scale profile))
     in
     Term.(
       term_result' ~usage:true
@@ -600,18 +603,24 @@ let parse_tenants qbudget spec =
       (String.sub s 0 i, Some (String.sub s (i + 1) (String.length s - i - 1)))
     | None -> (s, None)
   in
-  let number entry = function
+  let number entry what = function
     | None -> Ok 1
-    | Some n ->
-      Option.to_result (int_of_string_opt n)
-        ~none:(Fmt.str "tenant entry %s: %S is not a number" entry n)
+    | Some n -> (
+      match int_of_string_opt n with
+      | None -> Error (Fmt.str "tenant entry %s: %S is not a number" entry n)
+      | Some v when v < 1 ->
+        Error
+          (Fmt.str
+             "tenant entry %s: %s %d is out of range: expected an integer >= 1"
+             entry what v)
+      | Some v -> Ok v)
   in
   let parse_entry entry =
     let entry = String.trim entry in
     let rest, weight = split '@' entry in
     let rest, count = split '*' rest in
-    let* weight = number entry weight in
-    let* count = number entry count in
+    let* weight = number entry "weight" weight in
+    let* count = number entry "count" count in
     let* profile_name, scheme_name =
       match split ':' rest with
       | p, Some s -> Ok (p, s)
@@ -620,7 +629,7 @@ let parse_tenants qbudget spec =
     let* profile = server_profile profile_name in
     let* scheme = Workloads.Harness.scheme_of_name scheme_name in
     Ok
-      (List.init (max 1 count) (fun i ->
+      (List.init count (fun i ->
            let name =
              if count = 1 then profile_name else Fmt.str "%s%d" profile_name i
            in
@@ -695,7 +704,7 @@ let fleet_cmd =
   in
   let budget_arg =
     Arg.(
-      value & opt int 192
+      value & opt (mib_at_least 1) 192
       & info [ "budget" ] ~doc:"Machine physical-page budget in MiB")
   in
   let scheduler_arg =
@@ -728,7 +737,7 @@ let fleet_cmd =
   in
   let qbudget_arg =
     Arg.(
-      value & opt (at_least 0) 0
+      value & opt (mib_at_least 0) 0
       & info [ "quarantine-budget" ]
           ~doc:
             "Per-tenant quarantine budget in MiB (0 = unlimited): a tenant \
@@ -901,7 +910,11 @@ let check_cmd =
         & info [ "b"; "bench" ]
             ~doc:
               "Also check the program the figures run for this benchmark \
-               of $(b,--suite) at $(b,--scale)")
+               of $(b,--suite) at $(b,--scale). The referees replay its ops \
+               on their own schedule, one tick after each allocation and no \
+               cold-reuse charge, not on the figure run's (a tick per \
+               program step, cold-reuse cycles charged): a concurrent sweep \
+               can complete at a different op than in the figure's run")
     in
     let program suite bench scale =
       match bench with
@@ -1118,7 +1131,7 @@ let analyze_cmd =
   let chunk_arg =
     Arg.(
       value
-      & opt int Workloads.Trace.default_chunk_ops
+      & opt (at_least 1) Workloads.Trace.default_chunk_ops
       & info [ "chunk" ]
           ~doc:
             "Ops per streamed chunk: the op buffer holds at most this \
@@ -1162,7 +1175,7 @@ let analyze_cmd =
     List.iter
       (fun file ->
         let stream () =
-          Workloads.Trace.stream_of_file ~chunk_ops:(max 1 chunk) file
+          Workloads.Trace.stream_of_file ~chunk_ops:chunk file
         in
         let r =
           reading_trace file (fun () ->

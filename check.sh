@@ -300,7 +300,19 @@ bad_name "integer >= 1" run --suite mimalloc -b espresso --domains=-4
 bad_name "integer >= 1" bench --suite mimalloc -b espresso --repeat 0
 bad_name "integer >= 1" serve --repeat=-2
 bad_name "integer >= 0" fleet --quarantine-budget=-1
-echo "--scale, --schedules, --domains, --repeat and --quarantine-budget reject out-of-range values"
+bad_name "integer >= 1" analyze -i "$workdir/espresso.trace" --chunk 0
+bad_name "integer >= 1" analyze -i "$workdir/espresso.trace" --chunk=-3
+bad_name "integer >= 1" fleet --scale 0.05 --budget 0
+bad_name "integer >= 1" fleet --scale 0.05 --budget=-5
+bad_name "<= 4398046511103" fleet --scale 0.05 --budget 4398046511104
+bad_name "<= 4398046511103" fleet --scale 0.05 --quarantine-budget 4398046511104
+bad_name "count 0 is out of range: expected an integer >= 1" fleet --scale 0.05 \
+  --tenants "steady:minesweeper*0"
+bad_name "count -2 is out of range: expected an integer >= 1" fleet --scale 0.05 \
+  --tenants "steady:minesweeper*-2"
+bad_name "weight 0 is out of range: expected an integer >= 1" fleet --scale 0.05 \
+  --tenants "steady:minesweeper@0"
+echo "--scale, --schedules, --domains, --repeat, --chunk, --budget, --quarantine-budget and --tenants counts and weights reject out-of-range values"
 
 echo "== bad trace input: a located error, not an internal one"
 # Every command that reads a trace file must turn an unreadable file or

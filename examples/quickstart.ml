@@ -21,10 +21,14 @@ let () =
   Fmt.pr "free() intercepted -> quarantined: %b@."
     (Minesweeper.Instance.is_quarantined ms obj);
 
+  (* The instance's counters live in its metrics registry, by name. *)
+  let counter name =
+    Option.get (Obs.Registry.read (Minesweeper.Instance.registry ms) name)
+  in
+
   (* A second free of the same pointer is a double free; it is absorbed. *)
   Minesweeper.Instance.free ms obj;
-  Fmt.pr "double free absorbed (count: %d)@."
-    (Minesweeper.Instance.stats ms).Minesweeper.Stats.double_frees;
+  Fmt.pr "double free absorbed (count: %d)@." (counter "ms.double_frees");
 
   (* Drive enough churn that sweeps run. The dangling global pointer
      keeps the object quarantined through every sweep. *)
@@ -37,7 +41,7 @@ let () =
   in
   churn ();
   Fmt.pr "after %d sweeps with the pointer live -> still quarantined: %b@."
-    (Minesweeper.Instance.stats ms).Minesweeper.Stats.sweeps
+    (counter "ms.sweeps")
     (Minesweeper.Instance.is_quarantined ms obj);
 
   (* Clear the last pointer; the next sweeps release the memory. *)
@@ -46,5 +50,9 @@ let () =
   Fmt.pr "after clearing the pointer           -> still quarantined: %b@.@."
     (Minesweeper.Instance.is_quarantined ms obj);
 
-  let stats = Minesweeper.Instance.stats ms in
-  Fmt.pr "run statistics: %a@." Minesweeper.Stats.pp stats
+  Fmt.pr "run statistics:@.";
+  List.iter
+    (fun (name, v) ->
+      if String.starts_with ~prefix:"ms." name then
+        Fmt.pr "  %-26s %d@." name v)
+    (Obs.Registry.snapshot (Minesweeper.Instance.registry ms))

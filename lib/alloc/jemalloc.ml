@@ -1,15 +1,6 @@
 let page = Vmem.page_size
 let tcache_cap = 16
 
-type stats = {
-  mallocs : int;
-  frees : int;
-  live : int;
-  live_bytes : int;
-  slab_count : int;
-  large_count : int;
-}
-
 type slab = {
   base : int;
   cls : int;
@@ -44,7 +35,6 @@ type t = {
   extra_byte : bool;
   mutable live_bytes : int;
   mutable live_allocs : int;
-  mutable slab_count : int;
   mutable mallocs : int;
   mutable frees : int;
   mutable observer : (event -> unit) option;
@@ -62,7 +52,6 @@ let create ?(extra_byte = false) machine =
     extra_byte;
     live_bytes = 0;
     live_allocs = 0;
-    slab_count = 0;
     mallocs = 0;
     frees = 0;
     observer = None;
@@ -84,7 +73,6 @@ let new_slab t cls =
   for i = 0 to pages - 1 do
     Hashtbl.replace t.slab_of_page ((base / page) + i) slab
   done;
-  t.slab_count <- t.slab_count + 1;
   slab
 
 let release_slab t slab =
@@ -92,7 +80,6 @@ let release_slab t slab =
   for i = 0 to pages - 1 do
     Hashtbl.remove t.slab_of_page ((slab.base / page) + i)
   done;
-  t.slab_count <- t.slab_count - 1;
   Extent.dalloc t.extent ~addr:slab.base ~pages
 
 (* Pop one slot from the bin, creating a slab if needed. *)
@@ -312,16 +299,6 @@ let purge_all t = Extent.purge_all t.extent
 let retained_dirty_bytes t = Extent.retained_dirty_bytes t.extent
 let machine t = t.machine
 let wilderness t = Extent.wilderness t.extent
-
-let stats t =
-  {
-    mallocs = t.mallocs;
-    frees = t.frees;
-    live = t.live_allocs;
-    live_bytes = t.live_bytes;
-    slab_count = t.slab_count;
-    large_count = Hashtbl.length t.large;
-  }
 
 let attach_obs t reg =
   Obs.Registry.derive_counter reg "alloc.mallocs" (fun () -> t.mallocs);

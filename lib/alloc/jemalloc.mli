@@ -81,17 +81,6 @@ val wilderness : t -> int
 (** Heap break of the underlying extent allocator: every heap pointer is
     below this, so sweeps can cheaply reject non-heap word values. *)
 
-type stats = {
-  mallocs : int;
-  frees : int;
-  live : int;
-  live_bytes : int;
-  slab_count : int;
-  large_count : int;
-}
-
-val stats : t -> stats
-
 val attach_obs : t -> Obs.Registry.t -> unit
 (** Register the allocator's accounting as read-through metrics
     ([alloc.mallocs], [alloc.frees], [alloc.live_allocations],

@@ -18,9 +18,14 @@ type t = {
   mutable sink : sink;
 }
 
-val create : ?cost:Sim.Cost.t -> unit -> t
-(** Builds the machine and installs a demand-commit hook that charges
-    page-fault costs to the current sink. *)
+val create : unit -> t
+(** Builds the machine over the default cost model ({!Sim.Cost.default})
+    and installs a demand-commit hook that charges page-fault costs to
+    the current sink. *)
+
+val map_roots : t -> unit
+(** Map the root regions ({!Layout.root_regions}: globals and stack), as
+    a program's would be. Regions already mapped are left as they are. *)
 
 val charge : t -> int -> unit
 

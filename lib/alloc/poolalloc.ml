@@ -332,16 +332,6 @@ let pool_stats t =
 let footprint_bytes t = Array.fold_left ( + ) 0 t.pool_footprint
 let retired_bytes t = Array.fold_left ( + ) 0 t.pool_retired
 
-type stats = { mallocs : int; frees : int; live : int; live_bytes : int }
-
-let stats (t : t) =
-  {
-    mallocs = t.mallocs;
-    frees = t.frees;
-    live = t.live_allocs;
-    live_bytes = t.live_bytes;
-  }
-
 let attach_obs (t : t) reg =
   Obs.Registry.derive_counter reg "alloc.mallocs" (fun () -> t.mallocs);
   Obs.Registry.derive_counter reg "alloc.frees" (fun () -> t.frees);

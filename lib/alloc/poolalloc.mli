@@ -74,9 +74,6 @@ val pool_stats : t -> pool_stats array
 val footprint_bytes : t -> int
 val retired_bytes : t -> int
 
-type stats = { mallocs : int; frees : int; live : int; live_bytes : int }
-
-val stats : t -> stats
 val attach_obs : t -> Obs.Registry.t -> unit
 (** Registers [alloc.*] and the [pool.*] gauges ([pool.pools],
     [pool.footprint_bytes], [pool.retired_bytes]). *)

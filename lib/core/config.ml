@@ -111,36 +111,6 @@ let partial_versions =
     ("+ Failed Frees", partial_full);
   ]
 
-(* Labelled constructor: every field defaults to the shipping
-   configuration, so call sites name only what they change. *)
-let make ?(quarantining = default.quarantining) ?(zeroing = default.zeroing)
-    ?(unmapping = default.unmapping) ?(sweeping = default.sweeping)
-    ?(keep_failed = default.keep_failed) ?(purging = default.purging)
-    ?(concurrency = default.concurrency)
-    ?(sweep_mode = default.sweep_mode)
-    ?(domains = default.domains)
-    ?(threshold = default.threshold)
-    ?(threshold_min_bytes = default.threshold_min_bytes)
-    ?(unmap_factor = default.unmap_factor)
-    ?(pause_factor = default.pause_factor)
-    ?(shadow_granule = default.shadow_granule) () =
-  {
-    quarantining;
-    zeroing;
-    unmapping;
-    sweeping;
-    keep_failed;
-    purging;
-    concurrency;
-    sweep_mode;
-    domains = max 1 domains;
-    threshold;
-    threshold_min_bytes;
-    unmap_factor;
-    pause_factor;
-    shadow_granule;
-  }
-
 (* The canonical preset table: the single place a preset string is tied
    to a configuration. The CLI, the harness and the oracle all resolve
    through it; aliases keep historical spellings working. *)

@@ -104,27 +104,6 @@ val partial_versions : (string * t) list
 
 (** {1 Construction and presets} *)
 
-val make :
-  ?quarantining:bool ->
-  ?zeroing:bool ->
-  ?unmapping:bool ->
-  ?sweeping:bool ->
-  ?keep_failed:bool ->
-  ?purging:bool ->
-  ?concurrency:concurrency ->
-  ?sweep_mode:sweep_mode ->
-  ?domains:int ->
-  ?threshold:float ->
-  ?threshold_min_bytes:int ->
-  ?unmap_factor:float ->
-  ?pause_factor:float ->
-  ?shadow_granule:int ->
-  unit ->
-  t
-(** Labelled constructor; every omitted field takes its {!default}
-    value, so [make ~sweep_mode:Incremental ()] reads as a delta.
-    [domains] is clamped to at least 1. *)
-
 val with_sweep_mode : sweep_mode -> t -> t
 (** Replace the marking mode. *)
 

@@ -148,6 +148,33 @@ type stage_telemetry = {
   st_flush_batches : R.counter;
 }
 
+(* The instance's counters and gauges, registered as [ms.<field>]. The
+   registry cell is the only copy: exports, figures and referees read
+   it by name. *)
+type counters = {
+  frees_intercepted : R.counter;
+  double_frees : R.counter;
+  sweeps : R.counter;
+  swept_bytes : R.counter;
+      (* bytes every marking phase scanned, the stop-the-world dirty
+         re-scans included; clean pages replayed from the summary cache
+         do not count *)
+  stw_rescanned_bytes : R.counter; (* the stop-the-world re-scans' share *)
+  sweep_pages_skipped : R.counter; (* incremental: summaries replayed *)
+  sweep_pages_rescanned : R.counter; (* incremental: pages rescanned *)
+  summary_cache_bytes : R.gauge;
+  releases : R.counter;
+  released_bytes : R.counter;
+  failed_frees : R.counter; (* release attempts blocked by a mark *)
+  unmapped_allocations : R.counter;
+  unmapped_bytes : R.counter;
+  stw_pauses : R.counter;
+  stw_cycles : R.counter;
+  alloc_pauses : R.counter;
+  alloc_pause_cycles : R.counter;
+  peak_quarantine_bytes : R.gauge;
+}
+
 type t = {
   machine : Alloc.Machine.t;
   je : B.t;
@@ -156,7 +183,7 @@ type t = {
   shadow : Shadow.t;
   registry : R.t;
   ring : Ring.t;
-  stats : Stats.Live.t;
+  ms : counters;
   scan_hist : R.histogram; (* per-sweep scanned bytes distribution *)
   alloc_hist : R.histogram; (* malloc request sizes *)
   pause_hist : R.histogram;
@@ -198,11 +225,11 @@ let now t = Alloc.Machine.now t.machine
 
 let count = R.Counter.incr
 
-let sweep_number t = R.Counter.value t.stats.Stats.Live.sweeps
+let sweep_number t = R.Counter.value t.ms.sweeps
 
-let create ?(config = Config.default) ?(threads = 1) ?obs machine =
+let create ?(config = Config.default) ?(threads = 1) machine =
   let je = B.create ~extra_byte:true machine in
-  let registry = match obs with Some r -> r | None -> R.create () in
+  let registry = R.create () in
   let ring = Ring.create ~capacity:ring_capacity () in
   let par =
     if config.Config.domains > 1 then begin
@@ -232,6 +259,33 @@ let create ?(config = Config.default) ?(threads = 1) ?obs machine =
       st_flush_batches = R.counter registry "sweep.stage.flush_batches";
     }
   in
+  let ms =
+    let c name = R.counter registry ("ms." ^ name) in
+    let g name = R.gauge registry ("ms." ^ name) in
+    (* Accesses to quarantined memory are not observed: the counter
+       stays registered, at 0, for the export's fixed name set. *)
+    ignore (c "uaf_prevented" : R.counter);
+    {
+      frees_intercepted = c "frees_intercepted";
+      double_frees = c "double_frees";
+      sweeps = c "sweeps";
+      swept_bytes = c "swept_bytes";
+      stw_rescanned_bytes = c "stw_rescanned_bytes";
+      sweep_pages_skipped = c "sweep_pages_skipped";
+      sweep_pages_rescanned = c "sweep_pages_rescanned";
+      summary_cache_bytes = g "summary_cache_bytes";
+      releases = c "releases";
+      released_bytes = c "released_bytes";
+      failed_frees = c "failed_frees";
+      unmapped_allocations = c "unmapped_allocations";
+      unmapped_bytes = c "unmapped_bytes";
+      stw_pauses = c "stw_pauses";
+      stw_cycles = c "stw_cycles";
+      alloc_pauses = c "alloc_pauses";
+      alloc_pause_cycles = c "alloc_pause_cycles";
+      peak_quarantine_bytes = g "peak_quarantine_bytes";
+    }
+  in
   let t =
     {
       machine;
@@ -241,7 +295,7 @@ let create ?(config = Config.default) ?(threads = 1) ?obs machine =
       shadow = Shadow.create ~granule:config.Config.shadow_granule ();
       registry;
       ring;
-      stats = Stats.Live.create registry;
+      ms;
       scan_hist = R.histogram registry "ms.sweep_scan_bytes";
       alloc_hist = R.histogram registry "ms.alloc_request_bytes";
       pause_hist = R.histogram registry "ms.sweep_pause_cycles";
@@ -409,7 +463,7 @@ let run_full_scan t =
   let merge_report, () =
     merge_stage t ~pages:(Array.length pages) ~bytes:swept ignore
   in
-  count t.stats.Stats.Live.swept_bytes swept;
+  count t.ms.swept_bytes swept;
   let mark_pipelined =
     close_mark t pending stats ~bytes:swept
       ~attrs:[ ("sweep", sweep_number t) ]
@@ -488,12 +542,10 @@ let run_incremental t =
             end)
           snapshot;
         if Page_table.length summaries > pages then prune_summaries t gen;
-        count t.stats.Stats.Live.swept_bytes rescanned;
-        count t.stats.Stats.Live.sweep_pages_skipped
-          (pages - Array.length rescan);
-        count t.stats.Stats.Live.sweep_pages_rescanned (Array.length rescan);
-        R.Gauge.set t.stats.Stats.Live.summary_cache_bytes
-          (summary_cache_bytes t);
+        count t.ms.swept_bytes rescanned;
+        count t.ms.sweep_pages_skipped (pages - Array.length rescan);
+        count t.ms.sweep_pages_rescanned (Array.length rescan);
+        R.Gauge.set t.ms.summary_cache_bytes (summary_cache_bytes t);
         !replayed)
   in
   let mark_pipelined =
@@ -564,8 +616,8 @@ let release_entry t (e : Quarantine.entry) =
   restore_unmapped t e;
   Quarantine.release t.quarantine e;
   B.free t.je e.Quarantine.addr;
-  count t.stats.Stats.Live.releases 1;
-  count t.stats.Stats.Live.released_bytes e.Quarantine.usable
+  count t.ms.releases 1;
+  count t.ms.released_bytes e.Quarantine.usable
 
 let release_all t entries =
   let c = cost t in
@@ -582,7 +634,7 @@ let release_all t entries =
            ~len:e.Quarantine.usable)
       in
       if blocked then begin
-        count t.stats.Stats.Live.failed_frees 1;
+        count t.ms.failed_frees 1;
         if t.config.Config.keep_failed then Quarantine.requeue_failed t.quarantine e
         else release_entry t e
       end
@@ -665,16 +717,16 @@ let finish_sweep t state =
     let dirty_bytes = mark_dirty_pages t in
     (* The re-scan is real marking work: account it with the rest of the
        swept bytes, and separately so pause work stays visible. *)
-    count t.stats.Stats.Live.swept_bytes dirty_bytes;
-    count t.stats.Stats.Live.stw_rescanned_bytes dirty_bytes;
+    count t.ms.swept_bytes dirty_bytes;
+    count t.ms.stw_rescanned_bytes dirty_bytes;
     let scan_cycles = Sim.Cost.bytes_cost c.Sim.Cost.sweep_per_byte dirty_bytes in
     let pause =
       c.Sim.Cost.stw_signal + (scan_cycles / (plan.Pipeline.helpers + 1))
     in
     Sim.Clock.stall t.machine.Alloc.Machine.clock pause;
     Sim.Clock.background t.machine.Alloc.Machine.clock scan_cycles;
-    count t.stats.Stats.Live.stw_pauses 1;
-    count t.stats.Stats.Live.stw_cycles pause;
+    count t.ms.stw_pauses 1;
+    count t.ms.stw_cycles pause;
     R.Histogram.observe t.pause_hist pause;
     Ring.exit t.ring pending ~now:(now t) ~bytes:dirty_bytes
       ~attrs:[ ("sweep", sweep_number t); ("pause_cycles", pause) ]
@@ -682,9 +734,9 @@ let finish_sweep t state =
     log_event t Ring.Scan "stw" [ ("cycles", pause) ]
   end;
   let c = cost t in
-  let released_before = R.Counter.value t.stats.Stats.Live.releases in
-  let failed_before = R.Counter.value t.stats.Stats.Live.failed_frees in
-  let released_bytes_before = R.Counter.value t.stats.Stats.Live.released_bytes in
+  let released_before = R.Counter.value t.ms.releases in
+  let failed_before = R.Counter.value t.ms.failed_frees in
+  let released_bytes_before = R.Counter.value t.ms.released_bytes in
   let pending = Ring.enter ~now:(now t) Ring.Quarantine "release" in
   let release_report, () =
     in_stage t Pipeline.Release (fun () ->
@@ -692,8 +744,7 @@ let finish_sweep t state =
             release_all t state.entries);
         let entries_n = List.length state.entries in
         let bytes =
-          R.Counter.value t.stats.Stats.Live.released_bytes
-          - released_bytes_before
+          R.Counter.value t.ms.released_bytes - released_bytes_before
         in
         (entries_n, bytes, entries_n * c.Sim.Cost.release_per_entry, ()))
   in
@@ -720,11 +771,10 @@ let finish_sweep t state =
     end
     else []
   in
-  let released = R.Counter.value t.stats.Stats.Live.releases - released_before in
-  let failed = R.Counter.value t.stats.Stats.Live.failed_frees - failed_before in
+  let released = R.Counter.value t.ms.releases - released_before in
+  let failed = R.Counter.value t.ms.failed_frees - failed_before in
   Ring.exit t.ring pending ~now:(now t)
-    ~bytes:(R.Counter.value t.stats.Stats.Live.released_bytes
-            - released_bytes_before)
+    ~bytes:(R.Counter.value t.ms.released_bytes - released_bytes_before)
     ~attrs:[ ("sweep", sweep_number t); ("released", released);
              ("failed", failed) ]
     ();
@@ -741,7 +791,7 @@ let finish_sweep t state =
   match t.post_sweep_hook with None -> () | Some hook -> hook ()
 
 let start_sweep_plan t (plan : Pipeline.plan) =
-  count t.stats.Stats.Live.sweeps 1;
+  count t.ms.sweeps 1;
   log_event t Ring.Mark "sweep-start"
     [ ("sweep", sweep_number t);
       ("quarantined_bytes", Quarantine.total_bytes t.quarantine) ];
@@ -899,8 +949,8 @@ let malloc t size =
         ~attrs:[ ("cycles", wait) ]
         ();
       log_event t Ring.Alloc_slow "alloc-pause" [ ("cycles", wait) ];
-      count t.stats.Stats.Live.alloc_pauses 1;
-      count t.stats.Stats.Live.alloc_pause_cycles wait;
+      count t.ms.alloc_pauses 1;
+      count t.ms.alloc_pause_cycles wait;
       R.Histogram.observe t.pause_hist wait;
       tick t
     end
@@ -935,8 +985,8 @@ let unmap_entry t (e : Quarantine.entry) (lo, len) =
   e.Quarantine.unmapped_len <- len;
   Ring.event t.ring Ring.Quarantine "unmap" ~now:(now t) ~attrs:2 "addr" lo
     "len" len;
-  count t.stats.Stats.Live.unmapped_allocations 1;
-  count t.stats.Stats.Live.unmapped_bytes len
+  count t.ms.unmapped_allocations 1;
+  count t.ms.unmapped_bytes len
 
 let forward_free t addr =
   (* Quarantining disabled (partial versions 1-2): optionally unmap-and-
@@ -976,7 +1026,7 @@ let quarantine_free t ~thread addr =
      quarantine at once so the 9x-footprint trigger sees them. *)
   if e.Quarantine.unmapped_len > 0 then
     Quarantine.flush_thread t.quarantine ~thread;
-  R.Gauge.set_max t.stats.Stats.Live.peak_quarantine_bytes
+  R.Gauge.set_max t.ms.peak_quarantine_bytes
     (Quarantine.total_bytes t.quarantine);
   maybe_sweep t
 
@@ -985,21 +1035,21 @@ let free_result t ?(thread = 0) addr =
   if not t.config.Config.quarantining then
     if not (B.is_live t.je addr) then Error (Unknown_pointer addr)
     else begin
-      count t.stats.Stats.Live.frees_intercepted 1;
+      count t.ms.frees_intercepted 1;
       forward_free t addr;
       Ok ()
     end
   else if Quarantine.contains t.quarantine addr then begin
     (* Double free while quarantined: idempotent (Section 3). *)
-    count t.stats.Stats.Live.frees_intercepted 1;
-    count t.stats.Stats.Live.double_frees 1;
+    count t.ms.frees_intercepted 1;
+    count t.ms.double_frees 1;
     Ring.event t.ring Ring.Quarantine "double-free" ~now:(now t) ~attrs:1
       "addr" addr "" 0;
     Error (Double_free addr)
   end
   else if not (B.is_live t.je addr) then Error (Unknown_pointer addr)
   else begin
-    count t.stats.Stats.Live.frees_intercepted 1;
+    count t.ms.frees_intercepted 1;
     quarantine_free t ~thread addr;
     Ok ()
   end
@@ -1064,14 +1114,10 @@ let realloc_result t ?(thread = 0) addr size =
 
 let is_quarantined t addr = Quarantine.contains t.quarantine addr
 
-let note_prevented_uaf t = count t.stats.Stats.Live.uaf_prevented 1
-
 let backend t = t.je
 let live_bytes t = B.live_bytes t.je
 let machine t = t.machine
 let config t = t.config
-let stats t = Stats.snapshot t.stats
-let reset_stats t = Stats.reset t.stats
 let registry t = t.registry
 let trace_ring t = t.ring
 let quarantine_bytes t = Quarantine.total_bytes t.quarantine

@@ -54,17 +54,10 @@ module type S = sig
   type backend
   (** The underlying allocator's handle. *)
 
-  val create :
-    ?config:Config.t -> ?threads:int -> ?obs:Obs.Registry.t ->
-    Alloc.Machine.t -> t
+  val create : ?config:Config.t -> ?threads:int -> Alloc.Machine.t -> t
   (** Builds the layer over a fresh allocator (with the extra-byte
       modification). [threads] sizes the thread-local quarantine
-      buffers. [obs] joins an existing metrics registry (the instance
-      registers its counters under the [ms.] prefix, the address
-      space's under [vmem.] and the allocator's under [alloc.] via
-      {!Alloc.Backend.S.attach_obs}, and raises
-      {!Obs.Registry.Duplicate} if another instance already claimed
-      them); by default a private registry is created. *)
+      buffers. The instance creates its {!registry}. *)
 
   val malloc : t -> int -> int
   (** Allocate. May stall (allocation pause) when a sweep is struggling
@@ -145,9 +138,6 @@ module type S = sig
       to it is a use-after-free that MineSweeper has prevented from
       becoming a use-after-reallocate. *)
 
-  val note_prevented_uaf : t -> unit
-  (** Record that the application just accessed quarantined memory. *)
-
   val backend : t -> backend
 
   val live_bytes : t -> int
@@ -157,17 +147,13 @@ module type S = sig
   val machine : t -> Alloc.Machine.t
   val config : t -> Config.t
 
-  val stats : t -> Stats.t
-  (** A point-in-time snapshot of the instance's counters. The
-      underlying values live in {!registry}; call again for fresh
-      numbers — the returned record never changes. *)
-
-  val reset_stats : t -> unit
-  (** Zero the instance's [ms.] counters (see {!Stats.reset}). *)
-
   val registry : t -> Obs.Registry.t
-  (** The metrics registry the instance publishes through (the one
-      passed as [?obs], or the private one). *)
+  (** The metrics registry the instance publishes through, and the one
+      place its counters live: [ms.sweeps], [ms.swept_bytes],
+      [ms.releases], [ms.failed_frees] and the rest of the [ms.]
+      family, beside the address space's [vmem.] and the allocator's
+      [alloc.] metrics ({!Alloc.Backend.S.attach_obs}). Read a counter
+      by name ({!Obs.Registry.read}). *)
 
   val trace_ring : t -> Obs.Trace_ring.t
   (** The span ring holding both the lifecycle events — zero-length

@@ -8,8 +8,10 @@
     - {!Config} — operation modes, optimisation levels, thresholds;
     - {!Pipeline} — sweep stage descriptors, plans and outcomes;
     - {!Shadow} — the per-granule mark bitmap used by sweeps;
-    - {!Quarantine} — the delayed-free list with thread-local buffers;
-    - {!Stats} — counters published by a running instance.
+    - {!Quarantine} — the delayed-free list with thread-local buffers.
+
+    A running instance's counters live in its metrics registry
+    ({!Instance.S.registry}) under the [ms.] prefix.
 
     Quickstart:
     {[
@@ -23,6 +25,5 @@
 module Config = Config
 module Pipeline = Pipeline
 module Shadow = Shadow
-module Stats = Stats
 module Quarantine = Quarantine
 module Instance = Instance

@@ -67,10 +67,7 @@ let checked title ~ok failed body =
    mapped, as a program's would be. *)
 let fresh_stack ?(threads = 1) scheme =
   let machine = Alloc.Machine.create () in
-  List.iter
-    (fun (base, size) ->
-      Vmem.map machine.Alloc.Machine.mem ~addr:base ~len:size)
-    Layout.root_regions;
+  Alloc.Machine.map_roots machine;
   Workloads.Harness.build scheme ~threads machine
 
 (* ------------------------------------------------------------------ *)

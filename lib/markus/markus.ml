@@ -16,8 +16,6 @@ type sweep_state = {
 type t = {
   machine : Alloc.Machine.t;
   je : Alloc.Jemalloc.t;
-  threshold : float;
-  helpers : int;
   quarantine : Quarantine.t;
   mutable sweep : sweep_state option;
   mutable sweeps : int;
@@ -26,6 +24,10 @@ type t = {
   mutable last_decay_tick : int;
 }
 
+(* MarkUs sweeps once quarantine reaches 25 % of the heap, with three
+   helper threads beside the sweeper. *)
+let threshold = 0.25
+let helpers = 3
 let threshold_min_bytes = 128 * 1024
 let decay_tick_interval = 1_000_000
 
@@ -33,12 +35,10 @@ let cost t = t.machine.Alloc.Machine.cost
 let mem t = t.machine.Alloc.Machine.mem
 let now t = Alloc.Machine.now t.machine
 
-let create ?(threshold = 0.25) ?(helpers = 3) machine =
+let create machine =
   {
     machine;
     je = Alloc.Jemalloc.create ~extra_byte:false machine;
-    threshold;
-    helpers;
     quarantine = Quarantine.create machine ~threads:1;
     sweep = None;
     sweeps = 0;
@@ -140,7 +140,7 @@ let finish_sweep t state =
   let rescan =
     Sim.Cost.bytes_cost c.Sim.Cost.mark_per_byte (dirty_pages * page)
   in
-  let pause = c.Sim.Cost.stw_signal + (rescan / (t.helpers + 1)) in
+  let pause = c.Sim.Cost.stw_signal + (rescan / (helpers + 1)) in
   Sim.Clock.stall t.machine.Alloc.Machine.clock pause;
   Sim.Clock.background t.machine.Alloc.Machine.clock rescan;
   Alloc.Machine.with_sink t.machine Alloc.Machine.Background (fun () ->
@@ -162,7 +162,7 @@ let start_sweep t =
   let floor_cycles =
     Sim.Cost.bytes_cost 0.0625 (Alloc.Jemalloc.live_bytes t.je)
   in
-  let duration = max (busy / (t.helpers + 1)) floor_cycles in
+  let duration = max (busy / (helpers + 1)) floor_cycles in
   t.sweep <- Some { entries; visited; completion = now t + duration }
 
 let trigger_due t =
@@ -174,7 +174,7 @@ let trigger_due t =
     - Quarantine.unmapped_bytes q
   in
   fresh >= threshold_min_bytes
-  && float_of_int fresh >= t.threshold *. float_of_int (max heap 1)
+  && float_of_int fresh >= threshold *. float_of_int (max heap 1)
 
 let maybe_sweep t = if t.sweep = None && trigger_due t then start_sweep t
 

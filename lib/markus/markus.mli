@@ -21,8 +21,7 @@
 
 type t
 
-val create :
-  ?threshold:float -> ?helpers:int -> Alloc.Machine.t -> t
+val create : Alloc.Machine.t -> t
 
 val malloc : t -> int -> int
 val free : t -> int -> unit

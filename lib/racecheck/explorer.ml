@@ -142,7 +142,8 @@ let run_schedule config index (boundaries : schedule) =
     index;
     boundaries;
     signature;
-    swept_bytes = (Instance.stats ms).Minesweeper.Stats.swept_bytes;
+    swept_bytes =
+      Option.get (Obs.Registry.read (Instance.registry ms) "ms.swept_bytes");
     released =
       count (fun e ->
           match e.Event.kind with Event.Release _ -> true | _ -> false);

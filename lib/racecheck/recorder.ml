@@ -131,28 +131,12 @@ let run ?(config = Minesweeper.Config.default) ?(config_name = "?")
   detach s;
   let evs = events s in
   let diags = Hb.analyze ~threads evs in
-  (* Export through the instance's own observability: rc.* counters next
-     to the ms.* ones, race spans in the trace ring. *)
-  let reg = Instance.registry ms in
-  let count name v = Obs.Registry.Counter.incr (Obs.Registry.counter reg name) v in
-  count "rc.events" (List.length evs);
-  count "rc.window_writes" s.window_writes;
-  count "rc.races" (List.length diags);
-  let ring = Instance.trace_ring ms in
-  let now = Alloc.Machine.now machine in
-  List.iter
-    (fun (d : Diagnostic.t) ->
-      let p = Obs.Trace_ring.enter ~now Obs.Trace_ring.Race d.Diagnostic.rule in
-      Obs.Trace_ring.exit ring p ~now
-        ~attrs:[ ("event", d.Diagnostic.op_index) ]
-        ())
-    diags;
   {
     trace_name = trace.Trace.name;
     config_name;
     threads;
     ops = Array.length trace.Trace.ops;
-    sweeps = (Instance.stats ms).Minesweeper.Stats.sweeps;
+    sweeps = Option.get (Obs.Registry.read (Instance.registry ms) "ms.sweeps");
     events = List.length evs;
     window_writes = s.window_writes;
     diags;

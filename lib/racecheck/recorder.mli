@@ -13,9 +13,8 @@
     {!run} replays a {!Workloads.Trace.t} through
     {!Workloads.Trace.run} against the referees' fresh instance
     ({!Sanitizer.Sweep_oracle.fresh_instance}) under observation,
-    analyses the stream, publishes [rc.*] counters into the instance
-    registry and one [race] span per finding into its trace ring, and
-    returns the findings. A well-behaved trace must come back clean
+    analyses the stream and returns the findings; it exports nothing
+    (the instance is dropped). A well-behaved trace must come back clean
     under every preset: the generator never republishes a freed address,
     so no window write can hide a locked-in pointer. *)
 

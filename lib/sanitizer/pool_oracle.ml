@@ -40,10 +40,7 @@ let run ?plan (trace : Trace.t) =
     | None -> Poolalloc.identity_plan ~sites:trace.Trace.sites
   in
   let machine = Alloc.Machine.create () in
-  List.iter
-    (fun (base, size) ->
-      Vmem.map machine.Alloc.Machine.mem ~addr:base ~len:size)
-    Layout.root_regions;
+  Alloc.Machine.map_roots machine;
   let pa = Poolalloc.create ~plan machine in
   let registry =
     Registry.create_with ~resolve:(fun value ->

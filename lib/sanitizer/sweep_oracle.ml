@@ -20,10 +20,7 @@ let findings r = r.soundness @ r.precision @ r.audit
 
 let fresh_instance ~config ~threads =
   let machine = Alloc.Machine.create () in
-  List.iter
-    (fun (base, size) ->
-      Vmem.map machine.Alloc.Machine.mem ~addr:base ~len:size)
-    Layout.root_regions;
+  Alloc.Machine.map_roots machine;
   Instance.create ~config ~threads:(max 1 threads) machine
 
 (* One still-quarantined allocation under observation. *)
@@ -192,7 +189,8 @@ let finish t ~trace_name =
     ops = t.ops;
     allocs = t.allocs;
     frees = t.frees;
-    releases = (Instance.stats t.ms).Minesweeper.Stats.releases;
+    releases =
+      Option.get (Obs.Registry.read (Instance.registry t.ms) "ms.releases");
     sweeps = t.completed;
     soundness = List.rev t.soundness;
     precision = List.rev t.precision;

@@ -53,14 +53,12 @@ let normalise = function
     Spike { rate = clean_rate rate; spike_at = max 0 spike_at;
             spike_len = max 0 spike_len; spike_mult }
 
-let make ?(start = 0) process rng =
+let make process rng =
   let process = normalise process in
   let phase_end =
-    match process with
-    | Mmpp { dwell_lo; _ } -> start + dwell_lo
-    | _ -> start
+    match process with Mmpp { dwell_lo; _ } -> dwell_lo | _ -> 0
   in
-  { process; rng; cursor = start; phase = Lo; phase_end }
+  { process; rng; cursor = 0; phase = Lo; phase_end }
 
 (* One exponential inter-arrival gap at [rate] aMc, floored at 1 cycle so
    timestamps are strictly increasing. Returns None when the rate is 0.

@@ -36,9 +36,9 @@ type process =
 type t
 (** A generator: process + RNG + cursor. *)
 
-val make : ?start:int -> process -> Rng.t -> t
-(** [make ?start process rng] positions the generator at absolute cycle
-    [start] (default 0). The generator owns [rng] from here on. *)
+val make : process -> Rng.t -> t
+(** [make process rng] positions the generator at cycle 0. The generator
+    owns [rng] from here on. *)
 
 val next : t -> int option
 (** Next absolute arrival timestamp, strictly greater than the previous

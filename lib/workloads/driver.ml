@@ -239,16 +239,16 @@ let program ?(ops_scale = 1.0) profile =
     ops = Array.of_list (List.rev !ops);
   }
 
-let run ?(trace_points = 240) ?(ops_scale = 1.0)
+(* Resident memory is sampled this many times a run. *)
+let trace_points = 240
+
+let run ?(ops_scale = 1.0)
     ?(rss_limit = Harness.default_rss_limit) ?on_build profile scheme =
   let profile = scaled ops_scale profile in
   let machine = Alloc.Machine.create () in
-  let mem = machine.Alloc.Machine.mem in
   let stack = Harness.build scheme ~threads:profile.Profile.threads machine in
   (match on_build with Some f -> f stack | None -> ());
-  List.iter
-    (fun (base, size) -> Vmem.map mem ~addr:base ~len:size)
-    Layout.root_regions;
+  Alloc.Machine.map_roots machine;
   let sampler = Sim.Sampler.create () in
   let frees = ref 0 in
   let exec =

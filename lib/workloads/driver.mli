@@ -42,7 +42,6 @@ type result = {
 }
 
 val run :
-  ?trace_points:int ->
   ?ops_scale:float ->
   ?rss_limit:int ->
   ?on_build:(Harness.t -> unit) ->
@@ -53,7 +52,7 @@ val run :
     {!Trace.exec} against the stack, whose target charges the profile's
     share of the stack's cold-reuse penalty after each allocation; after
     each step's closing [Work] the stack ticks and, every
-    [ops / trace_points] steps, resident memory is sampled. Deterministic
+    [ops / 240] steps, resident memory is sampled. Deterministic
     for a given profile seed. [ops_scale] shortens traces for quick runs; a run whose
     resident set exceeds [rss_limit] (default 768 MiB) is killed and
     returned with [oom_killed] set. [on_build] receives the freshly

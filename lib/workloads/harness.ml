@@ -192,11 +192,11 @@ let plain (module B : Alloc.Backend.S) ~cold ~scheme machine =
 let protected (module I : Minesweeper.Instance.S) config ~scheme ~threads
     machine =
   let ms = I.create ~config ~threads machine in
-  (* Each read closure reads its one registry cell: [I.stats] would
-     build a snapshot of every counter per call, and msbench's traced
-     [serve] reads [sweeps] around every malloc and free. *)
+  (* Each read closure holds its one registry cell, found once here:
+     msbench's traced [serve] reads [sweeps] around every malloc and
+     free. *)
   let cell name =
-    match Obs.Registry.find (I.registry ms) (Minesweeper.Stats.prefix ^ name) with
+    match Obs.Registry.find (I.registry ms) ("ms." ^ name) with
     | Some (Obs.Registry.Counter c) -> fun () -> Obs.Registry.Counter.value c
     | Some (Obs.Registry.Gauge g) -> fun () -> Obs.Registry.Gauge.value g
     | Some _ | None -> invalid_arg ("Harness.protected: no ms." ^ name)

@@ -247,8 +247,6 @@ type session = {
   mutable arrival_ptr : int;  (* arrivals.(0..ptr-1) are <= current start *)
   mutable server_time : int;  (* finish_{k-1} of the real queue *)
   mutable ideal_time : int;  (* finish0_{k-1} of the stall-free queue *)
-  mutable completed : int;
-  mutable max_depth : int;
   mutable oom : bool;
   mutable external_stall : (unit -> int) option;
       (* machine-level interference: cycles of stall to charge inside the
@@ -261,11 +259,7 @@ let clock s = (machine s).Alloc.Machine.clock
 let start ?(rss_limit = Harness.default_rss_limit) ?seed sp (stack : Harness.t) =
   let seed = Option.value seed ~default:sp.seed in
   let machine = stack.Harness.machine in
-  List.iter
-    (fun (base, size) ->
-      if not (Vmem.is_mapped machine.Alloc.Machine.mem base) then
-        Vmem.map machine.Alloc.Machine.mem ~addr:base ~len:size)
-    Layout.root_regions;
+  Alloc.Machine.map_roots machine;
   let arrivals, gen = requests sp ~seed in
   let exec =
     Trace.exec ~sites:trace_sites machine
@@ -325,8 +319,6 @@ let start ?(rss_limit = Harness.default_rss_limit) ?seed sp (stack : Harness.t) 
     arrival_ptr = 0;
     server_time = 0;
     ideal_time = 0;
-    completed = 0;
-    max_depth = 0;
     oom = false;
     external_stall = None;
   }
@@ -334,7 +326,7 @@ let start ?(rss_limit = Harness.default_rss_limit) ?seed sp (stack : Harness.t) 
 let set_external_stall s f = s.external_stall <- Some f
 
 let total_requests s = Array.length s.arrivals
-let served s = s.completed
+let served s = Obs.Registry.Counter.value s.c_completed
 let registry s = s.reg
 
 let record_rss s = Harness.sample_rss s.stack s.sampler ~limit:s.rss_limit
@@ -383,7 +375,6 @@ let serve_one s k =
     s.arrival_ptr <- s.arrival_ptr + 1
   done;
   let depth = s.arrival_ptr - k in
-  if depth > s.max_depth then s.max_depth <- depth;
   Obs.Registry.Gauge.set_max s.g_depth depth;
   if stall_latency > 0 || latency >= s.slow_span then
     Obs.Trace_ring.emit s.ring ~phase:Obs.Trace_ring.Request ~label:s.sp.name
@@ -391,7 +382,6 @@ let serve_one s k =
       ~attrs:
         [ ("latency", latency); ("stall", stall_latency); ("queue", queue_wait) ]
       ();
-  s.completed <- s.completed + 1;
   Obs.Registry.Counter.incr s.c_completed 1;
   if k mod s.sample_every = 0 then record_rss s
 
@@ -421,7 +411,7 @@ let finish s =
     profile = s.sp.name;
     scheme = s.stack.Harness.scheme;
     requests = Array.length s.arrivals;
-    completed = s.completed;
+    completed = served s;
     wall = Sim.Clock.wall clk;
     app_busy = Sim.Clock.app_busy clk;
     stalled = Sim.Clock.stalled clk;
@@ -429,7 +419,7 @@ let finish s =
     stall_latency = quantiles_of s.h_stall;
     queue_wait = quantiles_of s.h_queue;
     service = quantiles_of s.h_service;
-    max_queue_depth = s.max_depth;
+    max_queue_depth = Obs.Registry.Gauge.value s.g_depth;
     peak_rss = Sim.Sampler.peak s.sampler;
     avg_rss = Sim.Sampler.average s.sampler;
     sweeps = s.stack.Harness.sweeps ();

@@ -68,7 +68,7 @@ let test_sweep_counters_consistent () =
   (* The ring may have dropped early sweeps; what remains must not
      exceed the stats total. *)
   Alcotest.(check bool) "log releases <= stats releases" true
-    (released_in_log <= (I.stats ms).Minesweeper.Stats.releases)
+    (released_in_log <= Metric.read (I.registry ms) "ms.releases")
 
 let suite =
   ( "minesweeper.event_log",

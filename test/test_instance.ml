@@ -63,7 +63,7 @@ let test_double_free_idempotent () =
   I.free ms p;
   I.free ms p;
   Alcotest.(check int) "double frees counted" 2
-    (I.stats ms).Minesweeper.Stats.double_frees
+    (Metric.read (I.registry ms) "ms.double_frees")
 
 (* The core soundness property (Section 3): while a pointer to a freed
    allocation exists anywhere in memory, no new allocation may alias it. *)
@@ -79,7 +79,7 @@ let test_dangling_pointer_blocks_reuse () =
     I.free ms p
   done;
   Alcotest.(check bool) "survived many sweeps" true
-    ((I.stats ms).Minesweeper.Stats.sweeps > 3);
+    (Metric.read (I.registry ms) "ms.sweeps" > 3);
   Alcotest.(check bool) "held in quarantine" true (I.is_quarantined ms victim)
 
 let test_interior_pointer_blocks_reuse () =
@@ -142,7 +142,7 @@ let test_failed_frees_counted () =
   I.free ms victim;
   churn ms 20_000 48;
   Alcotest.(check bool) "failed frees recorded" true
-    ((I.stats ms).Minesweeper.Stats.failed_frees > 0)
+    (Metric.read (I.registry ms) "ms.failed_frees" > 0)
 
 let test_cyclic_garbage_is_freed () =
   (* Two freed objects pointing at each other: zeroing breaks the cycle
@@ -181,7 +181,7 @@ let test_unmapping_releases_pages () =
   Alcotest.(check bool) "physical pages released in quarantine" true
     (rss_before - rss_after >= 65536);
   Alcotest.(check int) "unmap recorded" 1
-    (I.stats ms).Minesweeper.Stats.unmapped_allocations;
+    (Metric.read (I.registry ms) "ms.unmapped_allocations");
   (* Writes through the dangling pointer now fault: clean termination. *)
   Alcotest.(check bool) "access faults" true
     (match Vmem.load machine.Alloc.Machine.mem big with
@@ -205,7 +205,7 @@ let test_small_allocations_not_unmapped () =
   let p = I.malloc ms 256 in
   I.free ms p;
   Alcotest.(check int) "no unmapping below the threshold" 0
-    (I.stats ms).Minesweeper.Stats.unmapped_allocations
+    (Metric.read (I.registry ms) "ms.unmapped_allocations")
 
 let test_unmapped_trigger_rule () =
   (* Section 4.2: even when the mapped quarantine stays below the 15 %
@@ -222,7 +222,7 @@ let test_unmapped_trigger_rule () =
     I.tick ms
   done;
   Alcotest.(check bool) "unmapped-quarantine rule fired" true
-    ((I.stats ms).Minesweeper.Stats.sweeps > 0)
+    (Metric.read (I.registry ms) "ms.sweeps" > 0)
 
 let test_no_unmapped_trigger_at_default_factor () =
   let _, ms = fresh () in
@@ -233,7 +233,8 @@ let test_no_unmapped_trigger_at_default_factor () =
   done;
   (* At the paper's 9x the same pattern must NOT sweep (mapped fresh
      bytes are ~0 and unmapped < 9x RSS). *)
-  Alcotest.(check int) "no sweep at 9x" 0 (I.stats ms).Minesweeper.Stats.sweeps
+  Alcotest.(check int) "no sweep at 9x" 0
+    (Metric.read (I.registry ms) "ms.sweeps")
 
 let test_allocation_pause_under_flood () =
   (* Section 5.7: when frees outrun sweeps, allocation stalls briefly
@@ -247,7 +248,7 @@ let test_allocation_pause_under_flood () =
   done;
   I.drain ms;
   Alcotest.(check bool) "pauses recorded" true
-    ((I.stats ms).Minesweeper.Stats.alloc_pauses > 0)
+    (Metric.read (I.registry ms) "ms.alloc_pauses" > 0)
 
 let test_shadow_granule_config () =
   (* Coarse shadow granules alias neighbours: a pointer to an adjacent
@@ -264,7 +265,7 @@ let test_shadow_granule_config () =
   ignore a;
   (* The property we can assert robustly: the run completes and failed
      frees are at least as common as at fine granularity. *)
-  let coarse_failed = (I.stats ms).Minesweeper.Stats.failed_frees in
+  let coarse_failed = Metric.read (I.registry ms) "ms.failed_frees" in
   let _, ms2 = fresh () in
   let a2 = I.malloc ms2 48 in
   let b2 = I.malloc ms2 48 in
@@ -272,14 +273,14 @@ let test_shadow_granule_config () =
   I.free ms2 a2;
   churn ms2 20_000 48;
   Alcotest.(check bool) "coarse granule fails at least as often" true
-    (coarse_failed >= (I.stats ms2).Minesweeper.Stats.failed_frees)
+    (coarse_failed >= Metric.read (I.registry ms2) "ms.failed_frees")
 
 let test_sweeps_triggered_by_threshold () =
   let _, ms = fresh () in
   (* Push well past the quarantine threshold; sweeps must fire. *)
   churn ms 30_000 128;
   Alcotest.(check bool) "sweeps happened" true
-    ((I.stats ms).Minesweeper.Stats.sweeps > 0)
+    (Metric.read (I.registry ms) "ms.sweeps" > 0)
 
 let test_no_sweep_below_floor () =
   let _, ms = fresh () in
@@ -289,7 +290,7 @@ let test_no_sweep_below_floor () =
     I.free ms p
   done;
   Alcotest.(check int) "no sweep for a tiny quarantine" 0
-    (I.stats ms).Minesweeper.Stats.sweeps
+    (Metric.read (I.registry ms) "ms.sweeps")
 
 let protection_holds_under config =
   let machine, ms = fresh ~config () in
@@ -320,11 +321,11 @@ let test_mostly_concurrent_pauses () =
   let machine, ms = fresh ~config:C.mostly_concurrent () in
   ignore machine;
   churn ms 30_000 128;
-  let stats = I.stats ms in
+  let read = Metric.read (I.registry ms) in
   Alcotest.(check bool) "stop-the-world pauses happened" true
-    (stats.Minesweeper.Stats.stw_pauses > 0);
-  Alcotest.(check int) "one pause per sweep" stats.Minesweeper.Stats.sweeps
-    stats.Minesweeper.Stats.stw_pauses
+    (read "ms.stw_pauses" > 0);
+  Alcotest.(check int) "one pause per sweep" (read "ms.sweeps")
+    (read "ms.stw_pauses")
 
 let test_stw_rescan_bytes_accounted () =
   (* Regression: the stop-the-world dirty re-scan did real marking work
@@ -332,12 +333,11 @@ let test_stw_rescan_bytes_accounted () =
   let machine, ms = fresh ~config:C.mostly_concurrent () in
   ignore machine;
   churn ms 30_000 128;
-  let stats = I.stats ms in
+  let read = Metric.read (I.registry ms) in
   Alcotest.(check bool) "dirty re-scan work recorded" true
-    (stats.Minesweeper.Stats.stw_rescanned_bytes > 0);
+    (read "ms.stw_rescanned_bytes" > 0);
   Alcotest.(check bool) "re-scan counted inside swept_bytes" true
-    (stats.Minesweeper.Stats.swept_bytes
-    >= stats.Minesweeper.Stats.stw_rescanned_bytes)
+    (read "ms.swept_bytes" >= read "ms.stw_rescanned_bytes")
 
 let test_partial_no_quarantine_reuses () =
   let _, ms = fresh ~config:C.partial_base () in
@@ -354,7 +354,7 @@ let test_partial_sweep_releases_everything () =
   I.free ms victim;
   churn ms 20_000 48;
   Alcotest.(check bool) "would-fail detected" true
-    ((I.stats ms).Minesweeper.Stats.failed_frees > 0);
+    (Metric.read (I.registry ms) "ms.failed_frees" > 0);
   Alcotest.(check bool) "but released anyway (reused despite the pointer)"
     true
     (eventually_reused ms 48 victim)
@@ -362,12 +362,10 @@ let test_partial_sweep_releases_everything () =
 let test_stats_balance () =
   let _, ms = fresh () in
   churn ms 25_000 96;
-  let stats = I.stats ms in
+  let read = Metric.read (I.registry ms) in
   Alcotest.(check int) "frees = releases + still-quarantined + doubles"
-    stats.Minesweeper.Stats.frees_intercepted
-    (stats.Minesweeper.Stats.releases
-    + I.quarantine_entries ms
-    + stats.Minesweeper.Stats.double_frees)
+    (read "ms.frees_intercepted")
+    (read "ms.releases" + I.quarantine_entries ms + read "ms.double_frees")
 
 let prop_protection_random_workload =
   (* Soundness under random traffic: a victim with a live root pointer is

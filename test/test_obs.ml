@@ -1,13 +1,12 @@
 (* Telemetry subsystem tests: registry semantics, trace-ring bounds,
-   export determinism, and the redesigned Stats / error APIs built on
-   top of them. *)
+   export determinism, the instance's [ms.*] counters and the typed
+   error API. *)
 
 module R = Obs.Registry
 module Ring = Obs.Trace_ring
 module Export = Obs.Export
 module I = Minesweeper.Instance
 module C = Minesweeper.Config
-module Stats = Minesweeper.Stats
 
 let fresh ?config () =
   let machine = Alloc.Machine.create () in
@@ -385,39 +384,36 @@ let test_export_determinism () =
   Alcotest.(check string) "byte-identical across identical runs" a b
 
 (* ------------------------------------------------------------------ *)
-(* Stats over the registry                                            *)
+(* The instance's counters in the registry                            *)
 
-let test_stats_completeness () =
+(* The exact [ms.*] family a fresh instance registers: counters, gauges,
+   the two read-through gauges and the three histograms. The metrics
+   exports, the figures and check.sh's pins read these names. *)
+let ms_names =
+  [
+    "ms.alloc_pause_cycles"; "ms.alloc_pauses"; "ms.alloc_request_bytes";
+    "ms.double_frees"; "ms.failed_frees"; "ms.frees_intercepted";
+    "ms.peak_quarantine_bytes"; "ms.quarantine_bytes"; "ms.released_bytes";
+    "ms.releases"; "ms.shadow_resident_bytes"; "ms.stw_cycles";
+    "ms.stw_pauses"; "ms.stw_rescanned_bytes"; "ms.summary_cache_bytes";
+    "ms.sweep_pages_rescanned"; "ms.sweep_pages_skipped";
+    "ms.sweep_pause_cycles"; "ms.sweep_scan_bytes"; "ms.sweeps";
+    "ms.swept_bytes"; "ms.uaf_prevented"; "ms.unmapped_allocations";
+    "ms.unmapped_bytes";
+  ]
+
+let test_ms_names () =
   let _, ms = fresh () in
   let reg = I.registry ms in
+  Alcotest.(check (list string)) "registered ms.* names" ms_names
+    (List.filter (String.starts_with ~prefix:"ms.") (R.names reg));
+  let export = Export.metrics_to_string reg in
   List.iter
     (fun name ->
-      Alcotest.(check bool)
-        (Printf.sprintf "%s registered" name)
-        true (R.mem reg name))
-    Stats.registered_names;
-  Alcotest.(check int) "one registry name per snapshot field"
-    (List.length Stats.field_names)
-    (List.length Stats.registered_names);
-  Alcotest.(check (list string)) "to_fields covers the field set"
-    Stats.field_names
-    (List.map fst (Stats.to_fields (I.stats ms)))
-
-let test_stats_reset () =
-  let _, ms = fresh () in
-  churn ms 4_000 64;
-  let s = I.stats ms in
-  Alcotest.(check bool) "activity recorded" true
-    (s.Stats.frees_intercepted > 0 && s.Stats.sweeps > 0);
-  I.reset_stats ms;
-  List.iter
-    (fun (name, v) ->
-      Alcotest.(check int) (Printf.sprintf "%s zeroed" name) 0 v)
-    (Stats.to_fields (I.stats ms));
-  (* A snapshot is a point-in-time copy: resetting must not rewrite
-     history captured before the reset. *)
-  Alcotest.(check bool) "pre-reset snapshot unaffected" true
-    (s.Stats.frees_intercepted > 0)
+      Alcotest.(check bool) (name ^ " exported") true
+        (Astring_contains.contains export
+           (Printf.sprintf "\"metric\":\"%s\"" name)))
+    ms_names
 
 (* Acceptance criterion: sweep-phase spans account for 100% of the
    charged cost-model bytes — the mark spans (full or incremental) plus
@@ -437,9 +433,10 @@ let span_coverage config =
         | _ -> acc)
       0 (Ring.spans ring)
   in
-  let s = I.stats ms in
-  Alcotest.(check bool) "profile actually swept" true (s.Stats.sweeps > 0);
-  Alcotest.(check int) "span bytes == swept_bytes" s.Stats.swept_bytes charged
+  let read = Metric.read (I.registry ms) in
+  Alcotest.(check bool) "profile actually swept" true (read "ms.sweeps" > 0);
+  Alcotest.(check int) "span bytes == swept_bytes" (read "ms.swept_bytes")
+    charged
 
 let test_span_coverage_default () = span_coverage C.default
 let test_span_coverage_incremental () = span_coverage C.incremental
@@ -463,10 +460,10 @@ let test_free_result () =
   Alcotest.(check (result unit error)) "unknown pointer rejected"
     (Error (I.Unknown_pointer bogus))
     (I.free_result ms bogus);
-  let s = I.stats ms in
-  Alcotest.(check int) "double free counted once" 1 s.Stats.double_frees;
+  let read = Metric.read (I.registry ms) in
+  Alcotest.(check int) "double free counted once" 1 (read "ms.double_frees");
   Alcotest.(check int) "unknown pointer intercepts nothing" 2
-    s.Stats.frees_intercepted
+    (read "ms.frees_intercepted")
 
 let test_calloc_result () =
   let _, ms = fresh () in
@@ -529,13 +526,7 @@ let test_config_presets () =
         (Some name) (C.preset_name c))
     C.presets;
   Alcotest.(check (option string)) "hand-built config has no preset name" None
-    (C.preset_name (C.make ~threshold_min_bytes:123_456 ()))
-
-let test_config_make () =
-  Alcotest.(check bool) "make () = default" true (C.make () = C.default);
-  let c = C.make ~zeroing:false () in
-  Alcotest.(check bool) "override applies" true
-    ((not c.C.zeroing) && C.default.C.zeroing)
+    (C.preset_name { C.default with C.threshold_min_bytes = 123_456 })
 
 (* ------------------------------------------------------------------ *)
 (* Histogram quantiles: within-bucket interpolation boundary cases.    *)
@@ -645,10 +636,8 @@ let suite =
         test_metrics_roundtrip;
       Alcotest.test_case "spans JSONL export" `Quick test_spans_export;
       Alcotest.test_case "export determinism" `Slow test_export_determinism;
-      Alcotest.test_case "stats registry completeness" `Quick
-        test_stats_completeness;
-      Alcotest.test_case "stats reset + snapshot isolation" `Quick
-        test_stats_reset;
+      Alcotest.test_case "ms.* names registered and exported" `Quick
+        test_ms_names;
       Alcotest.test_case "span coverage: default" `Quick
         test_span_coverage_default;
       Alcotest.test_case "span coverage: incremental" `Quick
@@ -659,5 +648,4 @@ let suite =
       Alcotest.test_case "calloc_result overflow" `Quick test_calloc_result;
       Alcotest.test_case "realloc_result errors" `Quick test_realloc_result;
       Alcotest.test_case "config presets" `Quick test_config_presets;
-      Alcotest.test_case "config make" `Quick test_config_make;
     ] )

@@ -140,10 +140,10 @@ let test_sweep_run_api () =
     (plan = P.plan_of_config (I.config ms));
   Alcotest.(check bool) "default plan runs every stage" true
     (plan.P.stages = [ P.Mark; P.Merge; P.Release; P.Purge ]);
-  let before = (I.stats ms).Minesweeper.Stats.sweeps in
+  let before = Metric.read (I.registry ms) "ms.sweeps" in
   let o = I.Sweep.run ms plan in
   Alcotest.(check int) "the run is counted as a sweep" (before + 1)
-    (I.stats ms).Minesweeper.Stats.sweeps;
+    (Metric.read (I.registry ms) "ms.sweeps");
   Alcotest.(check bool) "Sweep.last returns the same outcome" true
     (I.Sweep.last ms = Some o);
   Alcotest.(check bool) "one report per executed stage, in order" true
@@ -165,7 +165,7 @@ let test_mark_only_plans () =
       let machine, ms = fresh ~config () in
       run_workload ~ops:2_000 machine ms 3;
       let plan = P.mark_only (I.Sweep.plan ms) in
-      let sweeps = (I.stats ms).Minesweeper.Stats.sweeps in
+      let sweeps = Metric.read (I.registry ms) "ms.sweeps" in
       let o = I.Sweep.run ms plan in
       Alcotest.(check bool) (name ^ ": Sweep.last returns the outcome") true
         (I.Sweep.last ms = Some o);
@@ -174,7 +174,7 @@ let test_mark_only_plans () =
       Alcotest.(check int) (name ^ ": no quarantine entries locked in") 0
         o.P.entries;
       Alcotest.(check int) (name ^ ": no sweep counted") sweeps
-        (I.stats ms).Minesweeper.Stats.sweeps;
+        (Metric.read (I.registry ms) "ms.sweeps");
       Alcotest.(check bool) (name ^ ": the plan's marking mode") true
         (o.P.plan.P.mode = mode);
       let merged =
@@ -252,7 +252,7 @@ let test_summary_cache_prunes_unreadable () =
       let plan = P.mark_only (I.Sweep.plan ms) in
       let cache_bytes () =
         ignore (I.Sweep.run ms plan);
-        (I.stats ms).Minesweeper.Stats.summary_cache_bytes
+        (Metric.read (I.registry ms) "ms.summary_cache_bytes")
       in
       let before = cache_bytes () in
       Alcotest.(check int) (name ^ ": a second mark replays the cache") before
@@ -302,7 +302,6 @@ type observation = {
   metrics : string;
   spans : string;
   marks : int list;
-  stats : Minesweeper.Stats.t;
   wall : int;
 }
 
@@ -315,15 +314,14 @@ let observe config seed =
     metrics = strip (Obs.Export.metrics_to_string (I.registry ms));
     spans = strip (Obs.Export.spans_to_string (I.trace_ring ms));
     marks = granule_set (I.shadow ms);
-    stats = I.stats ms;
     wall = Sim.Clock.wall machine.Alloc.Machine.clock;
   }
 
 (* The tentpole property, extended from the mark phase to the whole
    pipeline: every preset × marking mode × domain count produces
    byte-identical metrics and spans exports modulo the stripped
-   telemetry, the same shadow set, the same stats snapshot and the same
-   simulated wall clock. *)
+   telemetry (whose [ms.*] lines are every instance counter), the same
+   shadow set and the same simulated wall clock. *)
 let test_exports_equivalent_across_domains () =
   List.iter
     (fun (preset, base) ->
@@ -344,10 +342,7 @@ let test_exports_equivalent_across_domains () =
               Alcotest.(check (list int))
                 (name ^ ": shadow mark set") reference.marks observed.marks;
               Alcotest.(check int)
-                (name ^ ": simulated wall clock") reference.wall observed.wall;
-              Alcotest.(check bool)
-                (name ^ ": full stats snapshot") true
-                (reference.stats = observed.stats))
+                (name ^ ": simulated wall clock") reference.wall observed.wall)
             [ 2; 4; 8 ])
         [ ("full", C.Full_scan); ("incremental", C.Incremental) ])
     C.presets

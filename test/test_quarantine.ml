@@ -170,7 +170,7 @@ let test_double_free_dedup_live () =
   Minesweeper.Instance.free ms addr;
   Minesweeper.Instance.free ms addr;
   Alcotest.(check int) "double frees counted" 2
-    (Minesweeper.Instance.stats ms).Minesweeper.Stats.double_frees;
+    (Metric.read (Minesweeper.Instance.registry ms) "ms.double_frees");
   Alcotest.(check int) "no duplicate entries" entries
     (Minesweeper.Quarantine.entry_count q);
   Alcotest.(check bool) "still quarantined" true
@@ -184,7 +184,7 @@ let test_double_free_dedup_live () =
   let other = Minesweeper.Instance.malloc ms 64 in
   Minesweeper.Instance.free ms other;
   Alcotest.(check int) "distinct free is not a double free" 2
-    (Minesweeper.Instance.stats ms).Minesweeper.Stats.double_frees;
+    (Metric.read (Minesweeper.Instance.registry ms) "ms.double_frees");
   Alcotest.(check bool) "distinct free quarantined" true
     (Minesweeper.Quarantine.contains q other)
 

@@ -127,7 +127,7 @@ let test_post_sweep_hook_fires () =
   Minesweeper.Instance.set_post_sweep_hook ms (fun () -> incr fired);
   churn ms 4000;
   Minesweeper.Instance.drain ms;
-  let sweeps = (Minesweeper.Instance.stats ms).Minesweeper.Stats.sweeps in
+  let sweeps = Metric.read (Minesweeper.Instance.registry ms) "ms.sweeps" in
   Alcotest.(check bool) "workload swept" true (sweeps > 0);
   Alcotest.(check int) "hook ran once per completed sweep" sweeps !fired
 

@@ -81,7 +81,7 @@ let test_minesweeper_over_scudo_protects () =
   Scudo_ms.drain ms;
   Alcotest.(check bool) "no aliasing over Scudo" true !ok;
   Alcotest.(check bool) "sweeps ran" true
-    ((Scudo_ms.stats ms).Minesweeper.Stats.sweeps > 0);
+    (Metric.read (Scudo_ms.registry ms) "ms.sweeps" > 0);
   Alcotest.(check bool) "victim still quarantined" true
     (Scudo_ms.is_quarantined ms victim)
 

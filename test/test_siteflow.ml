@@ -326,6 +326,32 @@ let test_server_trace_certified () =
           true c.Flowcheck.Poolplan.holds)
       (Flowcheck.Poolplan.check_pool_stats plan r.Sanitizer.Pool_oracle.pool_stats)
 
+(* `bench --config pooled-analyzed` plans for the program the run
+   executes ([Driver.program]). Its back pointers, interior pointers and
+   phase teardowns reach objects that a plan drawn from the generated
+   trace recycles on these five profiles; the program's own plan must
+   recycle none of them. *)
+let test_figure_programs_certified () =
+  List.iter
+    (fun (suite, bench) ->
+      let profile =
+        Result.get_ok (Workloads.Harness.find_profile ~suite bench)
+      in
+      let program = Workloads.Driver.program ~ops_scale:0.05 profile in
+      let plan = Flowcheck.Poolplan.of_trace program in
+      let r =
+        Sanitizer.Pool_oracle.run
+          ~plan:(Flowcheck.Poolplan.to_alloc_plan plan)
+          program
+      in
+      Alcotest.(check (list int))
+        (Printf.sprintf "%s/%s: unsound ids" suite bench)
+        [] r.Sanitizer.Pool_oracle.unsound_ids)
+    [
+      ("spec2006", "gobmk"); ("spec2006", "soplex"); ("spec2017", "mcf");
+      ("spec2017", "leela"); ("mimalloc", "barnes");
+    ]
+
 let test_bound_check_detector_fires () =
   let plan = plan_of_text "# msweep-trace v1 t\na 0 64\nx 0\n" in
   let forged =
@@ -423,6 +449,8 @@ let suite =
         test_mimalloc_certified_and_bounded;
       Alcotest.test_case "server trace certified" `Quick
         test_server_trace_certified;
+      Alcotest.test_case "figure programs' own plans certified" `Quick
+        test_figure_programs_certified;
       Alcotest.test_case "bound-check detector fires" `Quick
         test_bound_check_detector_fires;
       Alcotest.test_case "json schema v2" `Quick test_json_v2_schema;

@@ -65,7 +65,7 @@ let test_reference_marks_agree () =
   let machine, ms = fresh () in
   ignore (run_workload machine ms 11);
   Alcotest.(check bool) "summaries exercised" true
-    ((I.stats ms).Minesweeper.Stats.sweeps > 1);
+    (Metric.read (I.registry ms) "ms.sweeps" > 1);
   Alcotest.(check (list int))
     "incremental rebuild equals from-scratch full mark"
     (granule_set (I.reference_full_mark ms))
@@ -112,11 +112,11 @@ let prop_equivalent_decisions =
         fresh ~config:(C.with_sweep_mode C.Incremental sequential) ()
       in
       let addrs_i = run_workload ~ops:10_000 machine_i ms_i seed in
-      let sf = I.stats ms_f and si = I.stats ms_i in
+      let same name =
+        Metric.read (I.registry ms_f) name = Metric.read (I.registry ms_i) name
+      in
       addrs_f = addrs_i
-      && sf.Minesweeper.Stats.sweeps = si.Minesweeper.Stats.sweeps
-      && sf.Minesweeper.Stats.releases = si.Minesweeper.Stats.releases
-      && sf.Minesweeper.Stats.failed_frees = si.Minesweeper.Stats.failed_frees)
+      && same "ms.sweeps" && same "ms.releases" && same "ms.failed_frees")
 
 let protection_holds_under config =
   let machine, ms = fresh ~config () in
@@ -142,10 +142,8 @@ let test_incremental_protection () =
 let bytes_swept_under config seed =
   let machine, ms = fresh ~config () in
   ignore (run_workload machine ms seed);
-  let stats = I.stats ms in
-  ( stats.Minesweeper.Stats.sweeps,
-    stats.Minesweeper.Stats.swept_bytes,
-    stats.Minesweeper.Stats.sweep_pages_skipped )
+  let read = Metric.read (I.registry ms) in
+  (read "ms.sweeps", read "ms.swept_bytes", read "ms.sweep_pages_skipped")
 
 let test_incremental_sweeps_fewer_bytes () =
   let sequential = { C.default with C.concurrency = C.Sequential } in
@@ -167,7 +165,7 @@ let test_summary_cache_accounted () =
   let machine = I.machine ms in
   ignore (run_workload machine ms 31);
   Alcotest.(check bool) "summary cache footprint reported" true
-    ((I.stats ms).Minesweeper.Stats.summary_cache_bytes > 0)
+    (Metric.read (I.registry ms) "ms.summary_cache_bytes" > 0)
 
 (* --- Sanitizer gates ------------------------------------------------ *)
 
