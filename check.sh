@@ -34,6 +34,17 @@ dune build
 echo "== dune runtest"
 dune runtest
 
+echo "== examples"
+# The build compiles the examples; run them too, so a change that breaks
+# one at run time fails here. trace_workflow saves its trace as a
+# temporary file, which lands in the work dir.
+for example in quickstart exploit_demo server_cache trace_workflow; do
+  TMPDIR="$workdir" "_build/default/examples/$example.exe" \
+    >"$workdir/example-$example.txt" \
+    || { echo "FAIL: example $example exited nonzero" >&2; exit 1; }
+done
+echo "quickstart, exploit_demo, server_cache and trace_workflow ran cleanly"
+
 echo "== sanitizer corpus self-test (lint + protocol + lockset mutants)"
 # --races adds the protocol-mutant and static-lockset self-tests: every
 # seeded mutation of the sweep protocol must be flagged with exactly its

@@ -22,9 +22,7 @@ type session = {
 
 let run scheme =
   let machine = Alloc.Machine.create () in
-  List.iter
-    (fun (base, size) -> Vmem.map machine.Alloc.Machine.mem ~addr:base ~len:size)
-    Layout.root_regions;
+  Alloc.Machine.map_roots machine;
   let stack = Workloads.Harness.build scheme ~threads:1 machine in
   let mem = machine.Alloc.Machine.mem in
   let rng = Sim.Rng.create 7 in

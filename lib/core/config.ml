@@ -69,15 +69,6 @@ let plus_concurrency =
 
 let plus_purging = { plus_concurrency with purging = true }
 
-let optimisation_levels =
-  [
-    ("Unoptimised", unoptimised);
-    ("+ Zeroing", plus_zeroing);
-    ("+ Unmapping", plus_unmapping);
-    ("+ Concurrency", plus_concurrency);
-    ("+ Purging", plus_purging);
-  ]
-
 (* Partial versions for the source-of-overheads study (Section 5.5). *)
 let partial_base = {
   default with
@@ -100,16 +91,6 @@ let partial_concurrency =
 
 let partial_sweep = { partial_concurrency with sweeping = true; keep_failed = false }
 let partial_full = { partial_sweep with keep_failed = true; purging = true }
-
-let partial_versions =
-  [
-    ("Base overheads", partial_base);
-    ("+ Unmapping + Zeroing", partial_unmap_zero);
-    ("+ Quarantine", partial_quarantine);
-    ("+ Concurrency", partial_concurrency);
-    ("+ Sweep", partial_sweep);
-    ("+ Failed Frees", partial_full);
-  ]
 
 (* The canonical preset table: the single place a preset string is tied
    to a configuration. The CLI, the harness and the oracle all resolve

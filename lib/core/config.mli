@@ -89,8 +89,6 @@ val plus_concurrency : t
 val plus_purging : t
 (** [plus_purging = default]. *)
 
-val optimisation_levels : (string * t) list
-
 (** {1 Partial versions (Figure 17)} *)
 
 val partial_base : t
@@ -99,8 +97,6 @@ val partial_quarantine : t
 val partial_concurrency : t
 val partial_sweep : t
 val partial_full : t
-
-val partial_versions : (string * t) list
 
 (** {1 Construction and presets} *)
 

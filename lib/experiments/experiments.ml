@@ -63,13 +63,6 @@ let checked title ~ok failed body =
   in
   { (figure title (body ^ verdict)) with failed }
 
-(* A stack on a fresh machine whose root regions (globals, stacks) are
-   mapped, as a program's would be. *)
-let fresh_stack ?(threads = 1) scheme =
-  let machine = Alloc.Machine.create () in
-  Alloc.Machine.map_roots machine;
-  Workloads.Harness.build scheme ~threads machine
-
 (* ------------------------------------------------------------------ *)
 
 let fig1 _env =
@@ -104,7 +97,13 @@ let fig2 _env =
       "scudo"; "scudo-minesweeper"; "crcount"; "psweeper"; "dangsan";
     ]
   in
-  let stack key = fresh_stack (resolve key) in
+  (* A stack on a fresh machine whose root regions (globals, stacks)
+     are mapped, as a program's would be. *)
+  let stack key =
+    let machine = Alloc.Machine.create () in
+    Alloc.Machine.map_roots machine;
+    Workloads.Harness.build (resolve key) ~threads:1 machine
+  in
   let line scheme =
     let hijack = Attack.vtable_hijack (stack scheme) in
     let dfree = Attack.double_free_hijack (stack scheme) in
@@ -323,19 +322,14 @@ let fig14 env =
 
 (* ------------------------------------------------------------------ *)
 
-let optimisation_levels =
-  [
-    ("Unoptimised", "ms-unopt");
-    ("+ Zeroing", "ms-zero");
-    ("+ Unmapping", "ms-unmap");
-    ("+ Concurrency", "ms-conc");
-    ("+ Purging", "minesweeper");
-  ]
-
 let levels_figure env ~metric ~title ~paper_note =
   let table =
     Report.Table.create
-      ~columns:("benchmark" :: List.map fst optimisation_levels)
+      ~columns:
+        ("benchmark"
+        :: List.map
+             (fun (label, _, _) -> label)
+             Workloads.Harness.optimisation_levels)
   in
   (* A run killed for exhausting the memory budget shows as '>' and
      leaves its geomean cell empty. *)
@@ -345,10 +339,10 @@ let levels_figure env ~metric ~title ~paper_note =
         let baseline = baseline_for env ~suite:"spec2006" ~bench in
         let cells =
           List.map
-            (fun (_, scheme) ->
+            (fun (_, scheme, _) ->
               let r = run env ~suite:"spec2006" ~bench ~scheme in
               (r.Workloads.Driver.oom_killed, overhead metric ~baseline r))
-            optimisation_levels
+            Workloads.Harness.optimisation_levels
         in
         Report.Table.add_text_row table bench
           (List.map
@@ -383,29 +377,19 @@ let fig16 env =
 
 let fig17_benches = [ "dealII"; "gcc"; "omnetpp"; "perlbench"; "xalancbmk" ]
 
-let partial_versions =
-  [
-    ("Base overheads", "ms-partial-base");
-    ("+ Unmapping + Zeroing", "ms-partial-uz");
-    ("+ Quarantine", "ms-partial-q");
-    ("+ Concurrency", "ms-partial-c");
-    ("+ Sweep", "ms-partial-s");
-    ("+ Failed Frees", "minesweeper");
-  ]
-
 let fig17 env =
   let section metric label =
     let columns = "version" :: fig17_benches @ [ "geomean" ] in
     let table = Report.Table.create ~columns in
     List.iter
-      (fun (name, scheme) ->
+      (fun (name, scheme, _) ->
         let values =
           List.map
             (fun bench -> measure env metric ~suite:"spec2006" ~bench ~scheme)
             fig17_benches
         in
         Report.Table.add_row table name (values @ [ geomean values ]))
-      partial_versions;
+      Workloads.Harness.partial_versions;
     label ^ "\n" ^ Report.Table.render table
   in
   figure "Figure 17: sources of overheads (five most affected benchmarks)"
@@ -824,8 +808,8 @@ let scaled_trace env p =
     (if env.scale = 1.0 then p else Workloads.Profile.scale_ops env.scale p)
 
 (* Static-vs-dynamic differential: run the flowcheck analyzer (one pass,
-   no replay) next to a real replay plus the differential sweep oracle
-   on every mimalloc-bench profile, and certify the two contracts the
+   no replay) next to one replay under the differential sweep oracle on
+   every mimalloc-bench profile, and certify the two contracts the
    static side makes: its occupancy/swept/sweep-count bounds dominate
    the measured ms.* telemetry, and every dynamic oracle finding was
    statically predicted (zero static false negatives). *)
@@ -846,20 +830,24 @@ let static_bounds env =
       if env.verbose then Printf.eprintf "  [static] mimalloc/%s\n%!" bench;
       let trace = scaled_trace env p in
       let sr = Flowcheck.Report.analyze_trace trace in
-      (* Dynamic side 1: a plain replay under the default MineSweeper
-         stack; the harness telemetry registry carries the measured
-         quarantine occupancy and sweep totals. *)
-      let stack =
-        fresh_stack ~threads:(max 1 trace.Workloads.Trace.threads)
-          (Workloads.Harness.Mine_sweeper Minesweeper.Config.default)
+      (* The dynamic side: a replay under the default MineSweeper stack
+         with the differential oracle laid over it. The instance's
+         registry carries the measured quarantine occupancy and sweep
+         totals, and every ground-truth finding must have been predicted
+         statically. *)
+      let module Oracle = Sanitizer.Sweep_oracle in
+      let ms =
+        Oracle.fresh_instance ~config:Minesweeper.Config.default
+          ~threads:trace.Workloads.Trace.threads
       in
-      ignore (Workloads.Trace.replay trace stack);
-      let reg =
-        match stack.Workloads.Harness.obs with
-        | Some r -> r
-        | None -> assert false (* the MineSweeper stack keeps a registry *)
+      let oracle = Oracle.attach ~audit:false ms in
+      Workloads.Trace.run trace (Minesweeper.Instance.machine ms)
+        (Oracle.layer oracle (Oracle.serve ms));
+      let orc = Oracle.finish oracle ~trace_name:trace.Workloads.Trace.name in
+      let read name =
+        Option.value ~default:0
+          (Obs.Registry.read (Minesweeper.Instance.registry ms) name)
       in
-      let read name = Option.value ~default:0 (Obs.Registry.read reg name) in
       let peak = read "ms.peak_quarantine_bytes" in
       let swept = read "ms.swept_bytes" in
       let sweeps = read "ms.sweeps" in
@@ -869,11 +857,8 @@ let static_bounds env =
       List.iter diag
         (Flowcheck.Report.check_bounds sr ~policy:"minesweeper"
            ~peak_quarantine_bytes:peak ~swept_bytes:swept ~sweeps);
-      (* Dynamic side 2: the differential oracle's ground-truth findings
-         must all have been predicted statically. *)
-      let orc = Sanitizer.Sweep_oracle.run ~audit:false trace in
       let misses =
-        Sanitizer.Sweep_oracle.certify_static
+        Oracle.certify_static
           ~predicted_unsound:sr.Flowcheck.Report.predicted_unsound
           ~predicted_retained:sr.Flowcheck.Report.predicted_retained orc
       in
@@ -893,7 +878,7 @@ let static_bounds env =
           float_of_int b.Flowcheck.Policy.sweeps_bound;
           float_of_int sweeps;
           float_of_int (List.length sr.Flowcheck.Report.predicted_retained);
-          float_of_int (List.length orc.Sanitizer.Sweep_oracle.retained_ids);
+          float_of_int (List.length orc.Oracle.retained_ids);
           float_of_int (List.length misses);
         ])
     Workloads.Mimalloc_bench.all;

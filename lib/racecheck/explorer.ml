@@ -104,11 +104,11 @@ let run_schedule config index (boundaries : schedule) =
   let ms = Sweep_oracle.fresh_instance ~config ~threads:2 in
   let oracle = Sweep_oracle.attach ms in
   let s = Recorder.attach ms ~threads:2 in
-  let on = Sweep_oracle.target oracle in
-  (* The schedule runs the instance between ops: a [Work] op ticks it,
-     then the boundaries placed after the op start or finish sweeps.
-     The oracle checks last, against the registry as the release saw
-     it. *)
+  let on = Sweep_oracle.layer oracle (Sweep_oracle.serve ms) in
+  (* The schedule's layer on top runs the instance between ops: a [Work]
+     op ticks it, then the boundaries placed after the op start or
+     finish sweeps. The oracle below checks last, against the registry
+     as the release saw it. *)
   let exec =
     Trace.exec ~sites:1 (Instance.machine ms)
       {

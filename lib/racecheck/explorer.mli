@@ -9,11 +9,11 @@
 
     The script is {!Workloads.Trace.op}s, each tagged with the mutator
     that issues it. A schedule replays it through
-    {!Workloads.Trace.exec} against the target of a
-    {!Sanitizer.Sweep_oracle} attached to a fresh instance, with the
-    {!Recorder} attached; after each op the explorer ticks the instance
-    (after [Work]) and places the schedule's boundaries, then lets the
-    oracle check.
+    {!Workloads.Trace.exec} on a fresh instance, against the referees'
+    serving target under the {!Sanitizer.Sweep_oracle.layer}, with the
+    {!Recorder} attached. The explorer's own layer sits on top: after
+    each op it ticks the instance (after [Work]) and places the
+    schedule's boundaries, then lets the oracle check.
 
     Per schedule, three judgments:
     - {e soundness}: the oracle's [oracle-unsound] findings (an entry

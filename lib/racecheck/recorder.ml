@@ -90,6 +90,16 @@ let detach s =
 let events s = List.rev s.events_rev
 let set_thread s t = s.current <- t
 
+let layer s (on : Trace.target) =
+  {
+    on with
+    Trace.free =
+      (fun ~id ~thread addr ->
+        set_thread s thread;
+        on.free ~id ~thread addr;
+        set_thread s 0);
+  }
+
 (* ------------------------------------------------------------------ *)
 (* Trace replay under observation                                      *)
 
@@ -109,24 +119,9 @@ let run ?(config = Minesweeper.Config.default) ?(config_name = "?")
     (trace : Trace.t) =
   let threads = max 1 trace.Trace.threads in
   let ms = Sanitizer.Sweep_oracle.fresh_instance ~config ~threads in
-  let machine = Instance.machine ms in
   let s = attach ms ~threads in
-  Trace.run trace machine
-    {
-      Trace.alloc =
-        (fun ~id:_ ~site:_ size ->
-          let addr = Instance.malloc ms size in
-          Instance.tick ms;
-          addr);
-      free =
-        (fun ~id:_ ~thread addr ->
-          set_thread s thread;
-          Instance.free ms ~thread addr;
-          set_thread s 0);
-      pointer_store = (fun ~slot:_ ~old_value:_ ~value:_ -> ());
-      data_store = (fun ~slot:_ -> ());
-      after_op = ignore;
-    };
+  Trace.run trace (Instance.machine ms)
+    (layer s (Sanitizer.Sweep_oracle.serve ms));
   Instance.drain ms;
   detach s;
   let evs = events s in

@@ -10,9 +10,8 @@
     one {!Event.t} stream for {!Hb.analyze}. The {!Explorer} drives its
     schedules through the same session type.
 
-    {!run} replays a {!Workloads.Trace.t} through
-    {!Workloads.Trace.run} against the referees' fresh instance
-    ({!Sanitizer.Sweep_oracle.fresh_instance}) under observation,
+    {!run} replays a {!Workloads.Trace.t} through {!layer} over
+    {!Sanitizer.Sweep_oracle.serve} on a fresh referee instance,
     analyses the stream and returns the findings; it exports nothing
     (the instance is dropped). A well-behaved trace must come back clean
     under every preset: the generator never republishes a freed address,
@@ -34,6 +33,11 @@ val set_thread : session -> int -> unit
 (** Declare which mutator issues the ops that follow (events from hooks
     fired on the mutator's behalf are attributed to it; out-of-range ids
     alias mutator 0, mirroring the quarantine). *)
+
+val layer : session -> Workloads.Trace.target -> Workloads.Trace.target
+(** Over any target serving from the observed instance: attribute the
+    events of each [free] to the freeing mutator, then to mutator 0
+    again. The session only listens; the target serves. *)
 
 type report = {
   trace_name : string;

@@ -4,17 +4,11 @@
    argument is entirely static ("this pool may recycle because no site
    in it is ever dangling-exposed"). This oracle replays a trace
    against the backend, as a target of the one trace interpreter
-   ([Trace.run]), while maintaining the same instrumented-pointer
-   ground truth the sweep oracle uses, and flags every *unsound
-   recycle*: a malloc that returns a previously-freed base while the
-   registry still records live pointers into it. A plan derived from
-   the siteflow analysis must produce zero such events; any hit is a
-   static false negative.
-
-   Unlike the sweep oracle, a free here never drops registry records:
-   the pooled backend does not zero on free, so pointers stored inside
-   a freed-but-not-reused object physically persist. Records die only
-   when their memory is re-served (malloc zeroes) or overwritten. *)
+   ([Trace.run]), under the sweep oracle's ground-truth layer, and
+   flags every *unsound recycle*: a malloc that returns a
+   previously-freed base while the registry still records live
+   pointers into it. A plan derived from the siteflow analysis must
+   produce zero such events; any hit is a static false negative. *)
 
 module Poolalloc = Alloc.Poolalloc
 module Registry = Ptrtrack.Registry
@@ -54,7 +48,11 @@ let run ?plan (trace : Trace.t) =
   let frees = ref 0 in
   let recycled = ref 0 in
   let op_index = ref 0 in (* the op being replayed; [after_op] advances it *)
-  Trace.run trace machine
+  (* The recycle check serves from the pooled backend, below the ground
+     truth: it reads the registry before the fresh memory's records are
+     dropped. The pooled backend does not zero on free, so records inside
+     a freed object persist until its memory is re-served or overwritten. *)
+  let recycle_check =
     {
       Trace.alloc =
         (fun ~id ~site size ->
@@ -80,25 +78,20 @@ let run ?plan (trace : Trace.t) =
                 :: !soundness
             end
           | None -> ());
-          (* Malloc zeroes the slot: any surviving records inside it
-             belong to the dead incarnation. *)
-          Registry.drop_slots_in registry ~base:addr
-            ~usable:(Poolalloc.usable_size pa addr)
-            (fun ~slot:_ ~target:_ -> ());
           addr);
       free =
         (fun ~id ~thread:_ addr ->
           incr frees;
-          (* No zeroing on free: registry records inside the object
-             persist until the memory is re-served. *)
           Poolalloc.free pa addr;
           Hashtbl.replace freed_bases addr id);
-      pointer_store =
-        (fun ~slot ~old_value:_ ~value ->
-          Registry.record_write registry ~slot ~value);
-      data_store = (fun ~slot -> Registry.forget_slot registry ~slot);
+      pointer_store = (fun ~slot:_ ~old_value:_ ~value:_ -> ());
+      data_store = (fun ~slot:_ -> ());
       after_op = (fun i -> op_index := i + 1);
-    };
+    }
+  in
+  Trace.run trace machine
+    (Sweep_oracle.ground_truth registry ~usable:(Poolalloc.usable_size pa)
+       ~zeroing:false recycle_check);
   {
     trace_name = trace.Trace.name;
     ops = Array.length trace.Trace.ops;

@@ -23,6 +23,54 @@ let fresh_instance ~config ~threads =
   Alloc.Machine.map_roots machine;
   Instance.create ~config ~threads:(max 1 threads) machine
 
+let serve ms =
+  {
+    Trace.alloc =
+      (fun ~id:_ ~site:_ size ->
+        let addr = Instance.malloc ms size in
+        Instance.tick ms;
+        addr);
+    free = (fun ~id:_ ~thread addr -> Instance.free ms ~thread addr);
+    pointer_store = (fun ~slot:_ ~old_value:_ ~value:_ -> ());
+    data_store = (fun ~slot:_ -> ());
+    after_op = ignore;
+  }
+
+let ground_truth registry ~usable ~zeroing (on : Trace.target) =
+  let drop_slots_in addr =
+    Registry.drop_slots_in registry ~base:addr ~usable:(usable addr)
+      (fun ~slot:_ ~target:_ -> ())
+  in
+  {
+    on with
+    Trace.alloc =
+      (fun ~id ~site size ->
+        let addr = on.alloc ~id ~site size in
+        (* The backend zeroes fresh memory; any records inside it belong
+           to a dead incarnation. *)
+        drop_slots_in addr;
+        addr);
+    free =
+      (fun ~id ~thread addr ->
+        (* Zeroing destroys the pointers stored inside the freed object:
+           forget them while the object is still live to measure. *)
+        if zeroing then drop_slots_in addr;
+        on.free ~id ~thread addr);
+    (* Every pointer-typed write is recorded: memory and ground truth
+       stay in lock-step. *)
+    pointer_store =
+      (fun ~slot ~old_value ~value ->
+        Registry.record_write registry ~slot ~value;
+        on.pointer_store ~slot ~old_value ~value);
+    (* Not a pointer: the write overwrote any tracked pointer in the
+       slot but records nothing — this is exactly the coverage gap
+       between ground truth and the conservative sweep. *)
+    data_store =
+      (fun ~slot ->
+        Registry.forget_slot registry ~slot;
+        on.data_store ~slot);
+  }
+
 (* One still-quarantined allocation under observation. *)
 type tracked = {
   id : int;
@@ -132,54 +180,36 @@ let check t op_index =
       t.quarantined
   end
 
-let target t =
-  let je = Instance.jemalloc t.ms in
-  let drop_slots_in addr =
-    Registry.drop_slots_in t.registry ~base:addr
-      ~usable:(Alloc.Jemalloc.usable_size je addr)
-      (fun ~slot:_ ~target:_ -> ())
-  in
-  let zeroing = (Instance.config t.ms).Minesweeper.Config.zeroing in
-  {
-    Trace.alloc =
-      (fun ~id:_ ~site:_ size ->
-        let addr = Instance.malloc t.ms size in
-        t.allocs <- t.allocs + 1;
-        (* The backend zeroes fresh memory; any registry slots recorded
-           inside this range belong to a dead incarnation. *)
-        drop_slots_in addr;
-        Instance.tick t.ms;
-        addr);
-    free =
-      (fun ~id ~thread addr ->
-        t.frees <- t.frees + 1;
-        (* Zeroing destroys pointers stored inside the freed object:
-           the ground truth must forget them too. *)
-        if zeroing then drop_slots_in addr;
-        Instance.free t.ms ~thread addr;
-        if Instance.is_quarantined t.ms addr then
-          Hashtbl.replace t.quarantined addr
-            {
-              id;
-              eligible_from =
-                (t.completed + if Instance.sweep_in_progress t.ms then 1 else 0);
-              clean_sweeps = 0;
-              reported = false;
-            });
-    (* Every pointer-typed write is recorded: memory and ground truth
-       stay in lock-step. *)
-    pointer_store =
-      (fun ~slot ~old_value:_ ~value ->
-        Registry.record_write t.registry ~slot ~value);
-    (* Not a pointer: the write overwrote any tracked pointer in the
-       slot but records nothing — this is exactly the coverage gap
-       between ground truth and the conservative sweep. *)
-    data_store = (fun ~slot -> Registry.forget_slot t.registry ~slot);
-    after_op =
-      (fun i ->
-        t.ops <- i + 1;
-        check t i);
-  }
+let layer t (on : Trace.target) =
+  ground_truth t.registry
+    ~usable:(Alloc.Jemalloc.usable_size (Instance.jemalloc t.ms))
+    ~zeroing:(Instance.config t.ms).Minesweeper.Config.zeroing
+    {
+      on with
+      Trace.alloc =
+        (fun ~id ~site size ->
+          t.allocs <- t.allocs + 1;
+          on.alloc ~id ~site size);
+      free =
+        (fun ~id ~thread addr ->
+          t.frees <- t.frees + 1;
+          on.free ~id ~thread addr;
+          if Instance.is_quarantined t.ms addr then
+            Hashtbl.replace t.quarantined addr
+              {
+                id;
+                eligible_from =
+                  (t.completed
+                  + if Instance.sweep_in_progress t.ms then 1 else 0);
+                clean_sweeps = 0;
+                reported = false;
+              });
+      after_op =
+        (fun i ->
+          on.after_op i;
+          t.ops <- i + 1;
+          check t i);
+    }
 
 let finish t ~trace_name =
   Instance.drain t.ms;
@@ -203,7 +233,7 @@ let run ?(config = Minesweeper.Config.default) ?latency_sweeps ?audit
     (trace : Trace.t) =
   let ms = fresh_instance ~config ~threads:trace.Trace.threads in
   let t = attach ?latency_sweeps ?audit ms in
-  Trace.run trace (Instance.machine ms) (target t);
+  Trace.run trace (Instance.machine ms) (layer t (serve ms));
   finish t ~trace_name:trace.Trace.name
 
 let certify_static ~predicted_unsound ~predicted_retained (r : report) =

@@ -1,13 +1,12 @@
 (** Differential soundness/precision oracle for MineSweeper's sweep.
 
-    A layer over a live MineSweeper instance: {!attach} it, replay
-    through {!Workloads.Trace.exec} (the interpreter every replay shares)
-    against its {!target}, then {!finish}. On the side it keeps the
-    ground-truth pointer graph in a {!Ptrtrack.Registry.t}: every
-    pointer store and clear the replay performs is recorded exactly
-    (data stores are not — an integer that merely aliases an address is
-    {e not} a pointer, which is precisely the information MineSweeper's
-    conservative sweep lacks). {!run} is those calls over one trace.
+    Referees are layers over one serving target ({!serve}, the only
+    caller of the instance's allocator): the oracle ({!layer}) is the
+    {!ground_truth}, a {!Ptrtrack.Registry.t} of every pointer store and
+    clear the replay performs (data stores are not recorded — an
+    integer that merely aliases an address is {e not} a pointer, which
+    is precisely the information the conservative sweep lacks), over a
+    check that watches the quarantine. {!run} lays it over {!serve}.
 
     Against that ground truth the oracle checks the paper's Section 3.2
     invariant from the outside:
@@ -55,6 +54,24 @@ val fresh_instance :
     mapped and an instance with one quarantine buffer per declared
     thread, at least one. *)
 
+val serve : Minesweeper.Instance.t -> Workloads.Trace.target
+(** The referees' serving target: [alloc] is [Instance.malloc] then
+    [Instance.tick], [free] is [Instance.free]; nothing else. *)
+
+val ground_truth :
+  Ptrtrack.Registry.t ->
+  usable:(int -> int) ->
+  zeroing:bool ->
+  Workloads.Trace.target ->
+  Workloads.Trace.target
+(** Keep a registry in step with the memory a target serves: record
+    pointer stores, forget data-stored slots, drop the records inside
+    each allocation the target returns (fresh memory is zeroed) and,
+    when the backend's free zeroes ([zeroing]), inside each object
+    before the target frees it. [usable addr] is the backend's usable
+    size of a live allocation. A layer below sees the registry as it
+    stood before the op's drops. *)
+
 type t
 (** An oracle attached to one instance. *)
 
@@ -63,11 +80,13 @@ val attach :
 (** Start observing a fresh instance ([latency_sweeps] defaults to 3,
     [audit] to [true]). Takes the instance's post-sweep hook. *)
 
-val target : t -> Workloads.Trace.target
-(** Serve the replay's allocations and frees from the instance and keep
-    the registry in step with its stores; [after_op i] is the check, and
-    a wrapping target that runs the instance itself (ticks, sweep
-    boundaries) calls it last. *)
+val layer : t -> Workloads.Trace.target -> Workloads.Trace.target
+(** The oracle over a target serving from the attached instance: the
+    {!ground_truth} over a layer that tracks the frees the instance
+    quarantines and checks after the target's own [after_op]. It only
+    reads the instance, so the run it observes is the run without it.
+    A layer that runs the instance between ops (the explorer's sweep
+    boundaries) wraps this one and calls its [after_op] last. *)
 
 val finish : t -> trace_name:string -> report
 (** Drain the instance, run the last check and build the report. *)
@@ -79,7 +98,7 @@ val run :
   Workloads.Trace.t ->
   report
 (** {!fresh_instance} with the trace's thread count, {!attach},
-    {!Workloads.Trace.run} against {!target}, {!finish}. *)
+    {!Workloads.Trace.run} against {!layer} over {!serve}, {!finish}. *)
 
 val findings : report -> Diagnostic.t list
 (** All diagnostics of a report: soundness, then precision, then audit. *)

@@ -56,6 +56,31 @@ let schemes =
     Dl_sweeper default; Cr_count; P_sweeper; Dang_san; Pooled None;
   ]
 
+(* The figures' ablation ladders: each rung is the label a figure
+   prints, the scheme name the CLI accepts and the figures' run log
+   shows, and the configuration. Both ladders end at the shipping
+   default, which the scheme table already names. *)
+let optimisation_levels =
+  let open Minesweeper.Config in
+  [
+    ("Unoptimised", "ms-unopt", unoptimised);
+    ("+ Zeroing", "ms-zero", plus_zeroing);
+    ("+ Unmapping", "ms-unmap", plus_unmapping);
+    ("+ Concurrency", "ms-conc", plus_concurrency);
+    ("+ Purging", "minesweeper", plus_purging);
+  ]
+
+let partial_versions =
+  let open Minesweeper.Config in
+  [
+    ("Base overheads", "ms-partial-base", partial_base);
+    ("+ Unmapping + Zeroing", "ms-partial-uz", partial_unmap_zero);
+    ("+ Quarantine", "ms-partial-q", partial_quarantine);
+    ("+ Concurrency", "ms-partial-c", partial_concurrency);
+    ("+ Sweep", "ms-partial-s", partial_sweep);
+    ("+ Failed Frees", "minesweeper", partial_full);
+  ]
+
 let scheme_aliases =
   let open Minesweeper.Config in
   let ms c = Mine_sweeper c in
@@ -64,14 +89,11 @@ let scheme_aliases =
     ("incremental", ms incremental); ("ms-inc", ms incremental);
     ("incremental-mostly", ms incremental_mostly); ("ff", Ff_malloc);
     ("scudo-ms", Scudo_sweeper default); ("dl-ms", Dl_sweeper default);
-    ("ms-unopt", ms unoptimised); ("ms-zero", ms plus_zeroing);
-    ("ms-unmap", ms plus_unmapping); ("ms-conc", ms plus_concurrency);
-    ("ms-partial-base", ms partial_base);
-    ("ms-partial-uz", ms partial_unmap_zero);
-    ("ms-partial-q", ms partial_quarantine);
-    ("ms-partial-c", ms partial_concurrency);
-    ("ms-partial-s", ms partial_sweep);
   ]
+  @ List.filter_map
+      (fun (_, name, config) ->
+        if name = scheme_name (ms config) then None else Some (name, ms config))
+      (optimisation_levels @ partial_versions)
 
 let scheme_names = List.map scheme_name schemes @ List.map fst scheme_aliases
 
@@ -236,10 +258,38 @@ let protected (module I : Minesweeper.Instance.S) config ~scheme ~threads
     failed_frees = cell "failed_frees";
   }
 
+(* What a stack does where its scheme does nothing: no registry or span
+   ring, no background work, nothing retained, protected or tracked, no
+   metadata, no sweeps, and the allocation site ignored. The schemes
+   built from it state only what differs. *)
+let defaults ~scheme machine ~malloc ~free ~live_bytes ~cold =
+  {
+    scheme;
+    machine;
+    obs = None;
+    trace = None;
+    malloc;
+    malloc_site = (fun ~site:_ size -> malloc size);
+    free = (fun ~thread:_ addr -> free addr);
+    tick = ignore;
+    drain = ignore;
+    reclaim = ignore;
+    quarantine_bytes = (fun () -> 0);
+    live_bytes;
+    metadata_bytes = (fun () -> 0);
+    cold_penalty = cold_penalty_fn machine cold;
+    is_protected_addr = (fun _ -> false);
+    tolerates_double_free = false;
+    on_pointer_write = no_pointer_tracking;
+    sweeps = (fun () -> 0);
+    failed_frees = (fun () -> 0);
+  }
+
 let build scheme ~threads machine =
   let name = scheme_name scheme in
   let plain m ~cold = plain m ~cold ~scheme:name machine in
   let protected m config = protected m config ~scheme:name ~threads machine in
+  let defaults = defaults ~scheme:name machine in
   match scheme with
   | Baseline -> plain (module Alloc.Jemalloc) ~cold:0.0
   | Scudo_baseline ->
@@ -252,13 +302,10 @@ let build scheme ~threads machine =
   | Mark_us ->
     let mk = Markus.create machine in
     {
-      scheme = name;
-      machine;
-      obs = None;
-      trace = None;
-      malloc = Markus.malloc mk;
-      malloc_site = (fun ~site:_ size -> Markus.malloc mk size);
-      free = (fun ~thread:_ addr -> Markus.free mk addr);
+      (defaults ~malloc:(Markus.malloc mk) ~free:(Markus.free mk)
+         ~live_bytes:(fun () -> Alloc.Jemalloc.live_bytes (Markus.jemalloc mk))
+         ~cold:1.15)
+      with
       tick = (fun () -> Markus.tick mk);
       drain = (fun () -> Markus.drain mk);
       reclaim =
@@ -267,112 +314,59 @@ let build scheme ~threads machine =
           Alloc.Machine.with_sink machine Alloc.Machine.Background (fun () ->
               Alloc.Jemalloc.purge_all (Markus.jemalloc mk)));
       quarantine_bytes = (fun () -> Markus.quarantine_bytes mk);
-      live_bytes = (fun () -> Alloc.Jemalloc.live_bytes (Markus.jemalloc mk));
-      metadata_bytes = (fun () -> 0);
-      cold_penalty = cold_penalty_fn machine 1.15;
-      is_protected_addr = (fun addr -> Markus.is_quarantined mk addr);
+      is_protected_addr = Markus.is_quarantined mk;
       tolerates_double_free = true;
-      on_pointer_write = no_pointer_tracking;
       sweeps = (fun () -> Markus.sweeps mk);
       failed_frees = (fun () -> Markus.failed_frees mk);
     }
   | Cr_count ->
     let cr = Ptrtrack.Crcount.create machine in
     {
-      scheme = name;
-      machine;
-      obs = None;
-      trace = None;
-      malloc = Ptrtrack.Crcount.malloc cr;
-      malloc_site = (fun ~site:_ size -> Ptrtrack.Crcount.malloc cr size);
-      free = (fun ~thread:_ addr -> Ptrtrack.Crcount.free cr addr);
-      tick = (fun () -> ());
-      drain = (fun () -> ());
-      reclaim = (fun () -> ());
+      (defaults ~malloc:(Ptrtrack.Crcount.malloc cr)
+         ~free:(Ptrtrack.Crcount.free cr)
+         ~live_bytes:(fun () -> Ptrtrack.Crcount.live_bytes cr) ~cold:0.2)
+      with
       quarantine_bytes = (fun () -> Ptrtrack.Crcount.pending_bytes cr);
-      live_bytes = (fun () -> Ptrtrack.Crcount.live_bytes cr);
       metadata_bytes = (fun () -> Ptrtrack.Crcount.metadata_bytes cr);
-      cold_penalty = cold_penalty_fn machine 0.2;
-      is_protected_addr = (fun addr -> Ptrtrack.Crcount.is_pending cr addr);
+      is_protected_addr = Ptrtrack.Crcount.is_pending cr;
       tolerates_double_free = true;
-      on_pointer_write =
-        (fun ~slot ~old_value ~value ->
-          Ptrtrack.Crcount.on_pointer_write cr ~slot ~old_value ~value);
-      sweeps = (fun () -> 0);
-      failed_frees = (fun () -> 0);
+      on_pointer_write = Ptrtrack.Crcount.on_pointer_write cr;
     }
   | P_sweeper ->
     let ps = Ptrtrack.Psweeper.create machine in
     {
-      scheme = name;
-      machine;
-      obs = None;
-      trace = None;
-      malloc = Ptrtrack.Psweeper.malloc ps;
-      malloc_site = (fun ~site:_ size -> Ptrtrack.Psweeper.malloc ps size);
-      free = (fun ~thread:_ addr -> Ptrtrack.Psweeper.free ps addr);
+      (defaults ~malloc:(Ptrtrack.Psweeper.malloc ps)
+         ~free:(Ptrtrack.Psweeper.free ps)
+         ~live_bytes:(fun () -> Ptrtrack.Psweeper.live_bytes ps) ~cold:0.4)
+      with
       tick = (fun () -> Ptrtrack.Psweeper.tick ps);
       drain = (fun () -> Ptrtrack.Psweeper.drain ps);
       reclaim = (fun () -> Ptrtrack.Psweeper.drain ps);
       quarantine_bytes = (fun () -> Ptrtrack.Psweeper.deferred_bytes ps);
-      live_bytes = (fun () -> Ptrtrack.Psweeper.live_bytes ps);
       metadata_bytes = (fun () -> Ptrtrack.Psweeper.metadata_bytes ps);
-      cold_penalty = cold_penalty_fn machine 0.4;
-      is_protected_addr = (fun addr -> Ptrtrack.Psweeper.is_deferred ps addr);
+      is_protected_addr = Ptrtrack.Psweeper.is_deferred ps;
       tolerates_double_free = true;
-      on_pointer_write =
-        (fun ~slot ~old_value ~value ->
-          Ptrtrack.Psweeper.on_pointer_write ps ~slot ~old_value ~value);
+      on_pointer_write = Ptrtrack.Psweeper.on_pointer_write ps;
       sweeps = (fun () -> Ptrtrack.Psweeper.sweeps ps);
-      failed_frees = (fun () -> 0);
     }
   | Dang_san ->
     let ds = Ptrtrack.Dangsan.create machine in
     {
-      scheme = name;
-      machine;
-      obs = None;
-      trace = None;
-      malloc = Ptrtrack.Dangsan.malloc ds;
-      malloc_site = (fun ~site:_ size -> Ptrtrack.Dangsan.malloc ds size);
-      free = (fun ~thread:_ addr -> Ptrtrack.Dangsan.free ds addr);
-      tick = (fun () -> ());
-      drain = (fun () -> ());
-      reclaim = (fun () -> ());
-      quarantine_bytes = (fun () -> 0);
-      live_bytes = (fun () -> Ptrtrack.Dangsan.live_bytes ds);
+      (defaults ~malloc:(Ptrtrack.Dangsan.malloc ds)
+         ~free:(Ptrtrack.Dangsan.free ds)
+         ~live_bytes:(fun () -> Ptrtrack.Dangsan.live_bytes ds) ~cold:0.1)
+      with
       metadata_bytes = (fun () -> Ptrtrack.Dangsan.metadata_bytes ds);
-      cold_penalty = cold_penalty_fn machine 0.1;
-      is_protected_addr = (fun _ -> false);
-      tolerates_double_free = false;
-      on_pointer_write =
-        (fun ~slot ~old_value ~value ->
-          Ptrtrack.Dangsan.on_pointer_write ds ~slot ~old_value ~value);
-      sweeps = (fun () -> 0);
-      failed_frees = (fun () -> 0);
+      on_pointer_write = Ptrtrack.Dangsan.on_pointer_write ds;
     }
   | Ff_malloc ->
+    (* Never reuses: nothing is held back, so [reclaim] does nothing. *)
     let ff = Ffmalloc.create machine in
     {
-      scheme = name;
-      machine;
-      obs = None;
-      trace = None;
-      malloc = Ffmalloc.malloc ff;
-      malloc_site = (fun ~site:_ size -> Ffmalloc.malloc ff size);
-      free = (fun ~thread:_ addr -> Ffmalloc.free ff addr);
-      tick = (fun () -> ());
-      drain = (fun () -> ());
-      reclaim = (fun () -> ()) (* never reuses: nothing held back to purge *);
-      quarantine_bytes = (fun () -> 0);
-      live_bytes = (fun () -> Ffmalloc.live_bytes ff);
-      metadata_bytes = (fun () -> 0);
-      cold_penalty = cold_penalty_fn machine 0.05;
-      is_protected_addr = (fun addr -> Ffmalloc.is_freed_address ff addr);
-      tolerates_double_free = false;
-      on_pointer_write = no_pointer_tracking;
-      sweeps = (fun () -> 0);
-      failed_frees = (fun () -> 0);
+      (defaults ~malloc:(Ffmalloc.malloc ff) ~free:(Ffmalloc.free ff)
+         ~live_bytes:(fun () -> Ffmalloc.live_bytes ff) ~cold:0.05)
+      with
+      is_protected_addr = Ffmalloc.is_freed_address ff;
     }
   | Pooled plan ->
     let plan =
@@ -383,32 +377,21 @@ let build scheme ~threads machine =
     let pa = Alloc.Poolalloc.create ~plan machine in
     let reg = Obs.Registry.create () in
     Alloc.Poolalloc.attach_obs pa reg;
+    (* Segregation delays spatial reuse a little ([cold]); far milder
+       than a quarantine since pools recycle their own slots
+       immediately. *)
     {
-      scheme = name;
-      machine;
+      (defaults ~malloc:(Alloc.Poolalloc.malloc pa)
+         ~free:(Alloc.Poolalloc.free pa)
+         ~live_bytes:(fun () -> Alloc.Poolalloc.live_bytes pa) ~cold:0.05)
+      with
       obs = Some reg;
-      trace = None;
-      malloc = Alloc.Poolalloc.malloc pa;
-      malloc_site =
-        (fun ~site size -> Alloc.Poolalloc.malloc_site pa ~site size);
-      free = (fun ~thread:_ addr -> Alloc.Poolalloc.free pa addr);
-      tick = (fun () -> ());
-      drain = (fun () -> ());
+      malloc_site = Alloc.Poolalloc.malloc_site pa;
       reclaim =
         (fun () ->
           Alloc.Machine.with_sink machine Alloc.Machine.Background (fun () ->
               Alloc.Poolalloc.purge_all pa));
       quarantine_bytes = (fun () -> Alloc.Poolalloc.retired_bytes pa);
-      live_bytes = (fun () -> Alloc.Poolalloc.live_bytes pa);
-      metadata_bytes = (fun () -> 0);
-      (* Segregation delays spatial reuse a little; far milder than a
-         quarantine since pools recycle their own slots immediately. *)
-      cold_penalty = cold_penalty_fn machine 0.05;
-      is_protected_addr = (fun _ -> false);
-      tolerates_double_free = false;
-      on_pointer_write = no_pointer_tracking;
-      sweeps = (fun () -> 0);
-      failed_frees = (fun () -> 0);
     }
 
 (* Program text + statics: PSRecord measures whole-process RSS, so every

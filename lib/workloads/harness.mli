@@ -38,9 +38,15 @@ val scheme_name : scheme -> string
 val schemes : scheme list
 (** Every scheme a name selects under the name {!scheme_name} prints. *)
 
+val optimisation_levels : (string * string * Minesweeper.Config.t) list
+val partial_versions : (string * string * Minesweeper.Config.t) list
+(** The ablation ladders of Figures 15/16 (Section 5.4) and Figure 17
+    (Section 5.5), a label, scheme name and configuration per rung. Each
+    ends at the default, ["minesweeper"]; the other names are aliases. *)
+
 val scheme_aliases : (string * scheme) list
 (** Further names: the CLI's short spellings ([ms], [mostly], [ff],
-    [scudo-ms], ...) and the figures' ablation variants ([ms-unopt],
+    [scudo-ms], ...) and the ablation rungs' names ([ms-unopt],
     [ms-partial-q], ...), which {!scheme_name} prints as
     ["minesweeper-variant"]. *)
 

@@ -2,10 +2,7 @@
 
 let fresh scheme =
   let machine = Alloc.Machine.create () in
-  List.iter
-    (fun (base, size) ->
-      Vmem.map machine.Alloc.Machine.mem ~addr:base ~len:size)
-    Layout.root_regions;
+  Alloc.Machine.map_roots machine;
   Workloads.Harness.build scheme ~threads:1 machine
 
 let baseline () = fresh Workloads.Harness.Baseline

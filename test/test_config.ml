@@ -33,7 +33,8 @@ let test_mostly_concurrent_differs_only_in_stw () =
 
 let test_optimisation_levels_cumulative () =
   (* Each level must add exactly its named feature. *)
-  Alcotest.(check int) "five levels" 5 (List.length C.optimisation_levels);
+  Alcotest.(check int) "five levels" 5
+    (List.length Workloads.Harness.optimisation_levels);
   Alcotest.(check bool) "unoptimised sequential" true
     (C.unoptimised.C.concurrency = C.Sequential);
   Alcotest.(check bool) "unoptimised lacks zeroing" false
@@ -46,7 +47,8 @@ let test_optimisation_levels_cumulative () =
     (C.plus_purging = C.default)
 
 let test_partial_versions_ordering () =
-  Alcotest.(check int) "six versions" 6 (List.length C.partial_versions);
+  Alcotest.(check int) "six versions" 6
+    (List.length Workloads.Harness.partial_versions);
   Alcotest.(check bool) "base forwards frees" false
     C.partial_base.C.quarantining;
   Alcotest.(check bool) "uz still forwards" false
@@ -58,6 +60,18 @@ let test_partial_versions_ordering () =
     C.partial_sweep.C.keep_failed;
   Alcotest.(check bool) "full version equals default" true
     (C.partial_full = C.default)
+
+(* The figures run each rung by its name: the name must select the
+   rung's configuration. *)
+let test_ladder_names_select_their_config () =
+  List.iter
+    (fun (label, name, config) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s (%s)" label name)
+        true
+        (Workloads.Harness.scheme_of_name name
+        = Ok (Workloads.Harness.Mine_sweeper config)))
+    (Workloads.Harness.optimisation_levels @ Workloads.Harness.partial_versions)
 
 let test_pp_mentions_mode () =
   let s = Format.asprintf "%a" C.pp C.default in
@@ -76,5 +90,7 @@ let suite =
         test_optimisation_levels_cumulative;
       Alcotest.test_case "partial versions ordering" `Quick
         test_partial_versions_ordering;
+      Alcotest.test_case "ladder names select their config" `Quick
+        test_ladder_names_select_their_config;
       Alcotest.test_case "pp mentions mode" `Quick test_pp_mentions_mode;
     ] )

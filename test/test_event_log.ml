@@ -18,10 +18,7 @@ let logged spans label =
 
 let test_instance_logs_lifecycle () =
   let machine = Alloc.Machine.create () in
-  List.iter
-    (fun (base, size) ->
-      Vmem.map machine.Alloc.Machine.mem ~addr:base ~len:size)
-    Layout.root_regions;
+  Alloc.Machine.map_roots machine;
   let ms = I.create machine in
   let p = I.malloc ms 64 in
   I.free ms p;

@@ -222,10 +222,7 @@ let test_bounds_dominate_replay () =
   let trace = Workloads.Trace.generate profile in
   let sr = Flowcheck.Report.analyze_trace trace in
   let machine = Alloc.Machine.create () in
-  List.iter
-    (fun (base, size) ->
-      Vmem.map machine.Alloc.Machine.mem ~addr:base ~len:size)
-    Layout.root_regions;
+  Alloc.Machine.map_roots machine;
   let stack =
     Workloads.Harness.build
       (Workloads.Harness.Mine_sweeper Minesweeper.Config.default)

@@ -5,10 +5,7 @@ module C = Minesweeper.Config
 
 let fresh ?config () =
   let machine = Alloc.Machine.create () in
-  List.iter
-    (fun (base, size) ->
-      Vmem.map machine.Alloc.Machine.mem ~addr:base ~len:size)
-    Layout.root_regions;
+  Alloc.Machine.map_roots machine;
   (machine, I.create ?config machine)
 
 let root_slot = Layout.globals_base + 64
@@ -314,8 +311,8 @@ let test_modes_equal_protection () =
     (protection_holds_under C.unoptimised);
   Alcotest.(check bool) "every optimisation level" true
     (List.for_all
-       (fun (_, config) -> protection_holds_under config)
-       C.optimisation_levels)
+       (fun (_, _, config) -> protection_holds_under config)
+       Workloads.Harness.optimisation_levels)
 
 let test_mostly_concurrent_pauses () =
   let machine, ms = fresh ~config:C.mostly_concurrent () in

@@ -2,10 +2,7 @@
 
 let fresh () =
   let machine = Alloc.Machine.create () in
-  List.iter
-    (fun (base, size) ->
-      Vmem.map machine.Alloc.Machine.mem ~addr:base ~len:size)
-    Layout.root_regions;
+  Alloc.Machine.map_roots machine;
   (machine, Markus.create machine)
 
 let root_slot = Layout.globals_base + 64

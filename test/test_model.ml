@@ -74,10 +74,7 @@ let prop_minesweeper_against_model =
     actions
     (fun script ->
       let machine = Alloc.Machine.create () in
-      List.iter
-        (fun (base, size) ->
-          Vmem.map machine.Alloc.Machine.mem ~addr:base ~len:size)
-        Layout.root_regions;
+      Alloc.Machine.map_roots machine;
       let ms = Minesweeper.Instance.create machine in
       let live = ref [] in
       let quarantined = ref [] in

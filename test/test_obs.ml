@@ -10,10 +10,7 @@ module C = Minesweeper.Config
 
 let fresh ?config () =
   let machine = Alloc.Machine.create () in
-  List.iter
-    (fun (base, size) ->
-      Vmem.map machine.Alloc.Machine.mem ~addr:base ~len:size)
-    Layout.root_regions;
+  Alloc.Machine.map_roots machine;
   (machine, I.create ?config machine)
 
 let churn ms n size =

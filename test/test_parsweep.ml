@@ -101,10 +101,7 @@ let test_critical_path () =
 
 let fresh ?(config = C.default) () =
   let machine = Alloc.Machine.create () in
-  List.iter
-    (fun (base, size) ->
-      Vmem.map machine.Alloc.Machine.mem ~addr:base ~len:size)
-    Layout.root_regions;
+  Alloc.Machine.map_roots machine;
   (machine, I.create ~config machine)
 
 let granule_set shadow =

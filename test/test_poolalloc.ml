@@ -4,9 +4,7 @@
 
 let machine () =
   let m = Alloc.Machine.create () in
-  List.iter
-    (fun (base, size) -> Vmem.map m.Alloc.Machine.mem ~addr:base ~len:size)
-    Layout.root_regions;
+  Alloc.Machine.map_roots m;
   m
 
 let plan_two_pools ~recycles_a ~recycles_b =

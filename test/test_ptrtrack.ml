@@ -3,10 +3,7 @@
 
 let fresh_machine () =
   let machine = Alloc.Machine.create () in
-  List.iter
-    (fun (base, size) ->
-      Vmem.map machine.Alloc.Machine.mem ~addr:base ~len:size)
-    Layout.root_regions;
+  Alloc.Machine.map_roots machine;
   machine
 
 let slot1 = Layout.globals_base + 64

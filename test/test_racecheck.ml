@@ -138,6 +138,76 @@ let test_recorder_deterministic () =
     (render r1) (render r2)
 
 (* ------------------------------------------------------------------ *)
+(* Referees observe: laid over a run, they leave it as it was          *)
+
+(* The same program through the referees' serving target alone, then
+   under the sweep oracle (with its post-sweep audit) and the race
+   recorder: the instance's metrics and spans must not move. An audited
+   run is the unaudited run. *)
+let test_observation_is_free () =
+  let module Instance = Minesweeper.Instance in
+  let module Oracle = Sanitizer.Sweep_oracle in
+  let profile suite bench =
+    match Workloads.Harness.find_profile ~suite bench with
+    | Ok p -> p
+    | Error msg -> Alcotest.fail msg
+  in
+  let generated suite bench =
+    Workloads.Trace.generate
+      (Workloads.Profile.scale_ops 0.05 (profile suite bench))
+  in
+  List.iter
+    (fun (trace : Workloads.Trace.t) ->
+      let name = trace.Workloads.Trace.name in
+      let fresh () =
+        Oracle.fresh_instance ~config:Minesweeper.Config.default
+          ~threads:trace.Workloads.Trace.threads
+      in
+      let exports ms =
+        ( Obs.Export.metrics_to_string (Instance.registry ms),
+          Obs.Export.spans_to_string (Instance.trace_ring ms) )
+      in
+      let served = fresh () in
+      Workloads.Trace.run trace (Instance.machine served) (Oracle.serve served);
+      Instance.drain served;
+      let observed = fresh () in
+      let oracle = Oracle.attach ~audit:true observed in
+      let s =
+        Recorder.attach observed ~threads:(max 1 trace.Workloads.Trace.threads)
+      in
+      Workloads.Trace.run trace (Instance.machine observed)
+        (Recorder.layer s (Oracle.layer oracle (Oracle.serve observed)));
+      let report = Oracle.finish oracle ~trace_name:name in
+      Recorder.detach s;
+      Alcotest.(check bool) (name ^ ": the oracle saw sweeps") true
+        (report.Oracle.sweeps > 0);
+      Alcotest.(check bool) (name ^ ": the recorder recorded events") true
+        (Recorder.events s <> []);
+      let metrics, spans = exports served in
+      let metrics', spans' = exports observed in
+      Alcotest.(check bool) (name ^ ": metrics byte-identical") true
+        (metrics = metrics');
+      Alcotest.(check bool) (name ^ ": spans byte-identical") true
+        (spans = spans'))
+    [
+      generated "mimalloc" "espresso";
+      generated "spec2006" "perlbench";
+      Workloads.Driver.program ~ops_scale:0.02 (profile "spec2006" "xalancbmk");
+      (* Two Work ops in a row after each free: a sweep falls due while
+         the program computes, so a layer that ticked the instance at
+         the end of an op would complete it one Work op early. The
+         programs above cannot tell: after each Work op they reach an
+         allocation or a free, which tick on entry, before the clock
+         moves again. *)
+      Workloads.Trace.of_string
+        ("# msweep-trace v1 work-after-free\n# threads 2\n"
+        ^ String.concat ""
+            (List.init 3000 (fun k ->
+                 Printf.sprintf "a %d 2048\nx %d %d\nw 2500\nw 2500\n" k k
+                   (k mod 2))));
+    ]
+
+(* ------------------------------------------------------------------ *)
 (* Explorer *)
 
 let test_explorer_sound_and_deterministic () =
@@ -232,6 +302,8 @@ let suite =
         test_recorder_clean_on_seeded_trace;
       Alcotest.test_case "recorder deterministic" `Quick
         test_recorder_deterministic;
+      Alcotest.test_case "observation is free" `Quick
+        test_observation_is_free;
       Alcotest.test_case "explorer sound and deterministic" `Quick
         test_explorer_sound_and_deterministic;
       Alcotest.test_case "explorer render stable" `Quick

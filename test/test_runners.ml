@@ -85,10 +85,7 @@ let test_driver_program_is_what_runs () =
     Workloads.Harness.build scheme ~threads:scaled.Workloads.Profile.threads
       machine
   in
-  List.iter
-    (fun (base, size) ->
-      Vmem.map machine.Alloc.Machine.mem ~addr:base ~len:size)
-    Layout.root_regions;
+  Alloc.Machine.map_roots machine;
   let frees = ref 0 in
   Workloads.Trace.run program machine
     {

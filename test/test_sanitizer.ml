@@ -10,10 +10,7 @@ let rules_of diags =
 
 let fresh_machine () =
   let machine = Alloc.Machine.create () in
-  List.iter
-    (fun (base, size) ->
-      Vmem.map machine.Alloc.Machine.mem ~addr:base ~len:size)
-    Layout.root_regions;
+  Alloc.Machine.map_roots machine;
   machine
 
 (* Perlbench (spec2006) has a nonzero dangling rate: frees with live

@@ -5,10 +5,7 @@ module Scudo_ms = Minesweeper.Instance.Make (Alloc.Scudo)
 
 let fresh () =
   let machine = Alloc.Machine.create () in
-  List.iter
-    (fun (base, size) ->
-      Vmem.map machine.Alloc.Machine.mem ~addr:base ~len:size)
-    Layout.root_regions;
+  Alloc.Machine.map_roots machine;
   machine
 
 let test_malloc_free_roundtrip () =

@@ -121,9 +121,7 @@ let test_program_replays () =
   let t = Server.program small in
   let machine = Alloc.Machine.create () in
   let stack = Workloads.Harness.build ms_scheme ~threads:1 machine in
-  List.iter
-    (fun (base, size) -> Vmem.map machine.Alloc.Machine.mem ~addr:base ~len:size)
-    Layout.root_regions;
+  Alloc.Machine.map_roots machine;
   let executed = Trace.replay t stack in
   Alcotest.(check int) "replay executes every op" (Trace.length t) executed
 

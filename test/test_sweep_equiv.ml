@@ -10,10 +10,7 @@ module Shadow = Minesweeper.Shadow
 
 let fresh ?(config = C.incremental) () =
   let machine = Alloc.Machine.create () in
-  List.iter
-    (fun (base, size) ->
-      Vmem.map machine.Alloc.Machine.mem ~addr:base ~len:size)
-    Layout.root_regions;
+  Alloc.Machine.map_roots machine;
   (machine, I.create ~config machine)
 
 let granule_set shadow =

@@ -8,10 +8,7 @@ let tiny_profile =
 
 let fresh_stack ?(threads = 1) scheme =
   let machine = Alloc.Machine.create () in
-  List.iter
-    (fun (base, size) ->
-      Vmem.map machine.Alloc.Machine.mem ~addr:base ~len:size)
-    Layout.root_regions;
+  Alloc.Machine.map_roots machine;
   Workloads.Harness.build scheme ~threads machine
 
 let test_generate_structure () =
@@ -881,10 +878,7 @@ let prop_object_table =
     (QCheck.make gen)
     (fun steps ->
       let machine = Alloc.Machine.create () in
-      List.iter
-        (fun (base, size) ->
-          Vmem.map machine.Alloc.Machine.mem ~addr:base ~len:size)
-        Layout.root_regions;
+      Alloc.Machine.map_roots machine;
       let next = ref Layout.heap_base in
       let freed = ref [] in
       let exec =
@@ -948,10 +942,7 @@ let prop_object_table =
    word lay in the heap window. *)
 let test_zero_reports () =
   let machine = Alloc.Machine.create () in
-  List.iter
-    (fun (base, size) ->
-      Vmem.map machine.Alloc.Machine.mem ~addr:base ~len:size)
-    Layout.root_regions;
+  Alloc.Machine.map_roots machine;
   let seen = ref [] in
   let step =
     Workloads.Trace.exec ~sites:1 machine
