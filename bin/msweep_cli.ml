@@ -1135,9 +1135,10 @@ let analyze_cmd =
       & info [ "chunk" ]
           ~doc:
             "Ops per streamed chunk: the op buffer holds at most this \
-             many ops. The abstract heap is not bounded: it keeps one \
-             record per allocation id the trace makes, so memory still \
-             grows with trace length")
+             many ops. Memory is one chunk plus live state (the live \
+             ids, and freed ones a slot still points at), not trace \
+             length; --pools also keeps the edges stored inside freed \
+             objects, by design")
   in
   let json_arg =
     Arg.(

@@ -245,6 +245,14 @@ cmp "$workdir/flow1.stripped" "$workdir/flow2.stripped" \
 # the same abstract interpreter as the lint, and must not drift from it.
 require_cksum flow1.json "139427039 17197"
 require_cksum flow1.stripped "1993164388 11344"
+# Streaming holds one chunk of ops: the chunk size must not move a byte.
+for chunk in 1 257 4096; do
+  "$CLI" analyze -i "$workdir/perl.trace" --chunk "$chunk" \
+    --json "$workdir/perl-chunk$chunk.json" >/dev/null
+done
+cmp "$workdir/perl-chunk1.json" "$workdir/perl-chunk4096.json" \
+  && cmp "$workdir/perl-chunk257.json" "$workdir/perl-chunk4096.json" \
+  || { echo "FAIL: analyze --json depends on --chunk" >&2; exit 1; }
 head -1 "$workdir/flow1.json" | grep -q '"schema":"msweep-flowcheck-v2"' \
   || { echo "FAIL: missing flowcheck JSON schema header" >&2; exit 1; }
 # --pools must land the site/pool records in the JSON and a rendered
@@ -357,6 +365,34 @@ bad_trace bad-huge.trace "line 1: size 4611686018427387903 outside"
 bad_trace bad-beyond-heap.trace "line 1: size 300000000000 outside"
 bad_trace missing.trace "No such file or directory"
 echo "check, analyze and trace-replay report bad or missing trace files with their line"
+
+# The scanner reads every integer spelling int_of_string takes (hex,
+# octal, binary, '_', '+', an explicit 0 site or thread column) and any
+# run of spaces as the canonical text does: a hand-spelled trace and its
+# canonical twin must lint, replay and analyze to identical bytes. Each
+# runs in its own directory under the same file name, since check's
+# report prints the path.
+mkdir "$workdir/spelled" "$workdir/canonical"
+printf '#   msweep-trace   v1   spelled  \n# threads 0x2\n#  sites  +2\na 0x0 64 0\na  1  0x40  +1\na 2 1_024 0\np r 0x10 0\np f 0x1 -0 0\np  f  0  0b111  +1\np g 5 2  \nd r 17 -0x3\ni g 0o3 2 0x1\nz f 0 7\nx 0x1 0\nc  r  16  0\nx 2 0x1\nx 0 +1\nw 1_000\n' \
+  >"$workdir/spelled/twin.trace"
+printf '# msweep-trace v1 spelled\n# threads 2\n# sites 2\na 0 64\na 1 64 1\na 2 1024\np r 16 0\np f 1 0 0\np f 0 7 1\np g 5 2\nd r 17 -3\ni g 3 2 1\nz f 0 7\nx 1\nc r 16 0\nx 2 1\nx 0 1\nw 1000\n' \
+  >"$workdir/canonical/twin.trace"
+for form in spelled canonical; do
+  (cd "$workdir/$form" \
+    && "$top/$CLI" check -i twin.trace >check.txt \
+    && "$top/$CLI" analyze -i twin.trace --json twin.json >/dev/null) \
+    || { echo "FAIL: check or analyze exited nonzero on the $form twin" >&2; exit 1; }
+done
+cmp "$workdir/spelled/check.txt" "$workdir/canonical/check.txt" \
+  || { echo "FAIL: check reads the spelled trace unlike its canonical twin" >&2; exit 1; }
+cmp "$workdir/spelled/twin.json" "$workdir/canonical/twin.json" \
+  || { echo "FAIL: analyze reads the spelled trace unlike its canonical twin" >&2; exit 1; }
+grep -q "unclear-before-free" "$workdir/canonical/check.txt" \
+  || { echo "FAIL: the twin traces lost their dangling free" >&2; exit 1; }
+# Line 10 with two bad fields: the word is read before the id.
+sed '10s/.*/p f 0x 0b2 1/' "$workdir/spelled/twin.trace" >"$workdir/spelled-bad.trace"
+bad_trace spelled-bad.trace "line 10: word"
+echo "a hand-spelled trace reads as its canonical twin; its bad line is named"
 
 echo "== bench smoke: static bounds vs dynamic telemetry"
 # Every mimalloc-bench profile: the static quarantine-occupancy and

@@ -3,9 +3,10 @@
     predictions and per-policy bounds.
 
     No Vmem, no Instance, no replay: state is the abstract heap (the
-    live points-to graph and one record per id) plus the dangling
-    windows, and the analyzer reads the trace through
-    {!Workloads.Trace.fold_stream}, one chunk of ops at a time.
+    live points-to graph and a record per live or still-bound id) plus
+    the dangling windows, and the analyzer reads the trace through
+    {!Workloads.Trace.fold_stream}, one chunk of ops at a time, so its
+    memory is one chunk plus live state.
 
     Prediction contract (the soundness argument, DESIGN §11): every
     dynamic [oracle-unsound] id is in [predicted_unsound], and every

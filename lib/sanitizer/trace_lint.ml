@@ -1,5 +1,6 @@
 module Trace = Workloads.Trace
 module Heap = Workloads.Absheap
+module Flat_table = Workloads.Flat_table
 
 let rules =
   [
@@ -30,6 +31,13 @@ let slot_to_string = function
 
 let lint (trace : Trace.t) =
   let heap = Heap.create ~zeroing:true in
+  (* The heap forgets freed ids; the rules that name a free op read it
+     here: id -> the op that last freed it. *)
+  let freed = Flat_table.create ~width:1 in
+  let free_op id =
+    let i = Flat_table.find freed id 0 in
+    if i < 0 then None else Some freed.Flat_table.rows.(i)
+  in
   let diags = ref [] in
   let report ~rule ~severity ~op_index message =
     diags := Diagnostic.make ~rule ~severity ~op_index message :: !diags
@@ -65,18 +73,21 @@ let lint (trace : Trace.t) =
            "%s into id %d of size %d, which has no addressable words (replay \
             skips it)"
            what holder size)
-    | Heap.Unallocated holder ->
+    | Heap.No_holder holder -> (
       if dead_holder then
-        report ~rule:"store-unallocated" ~severity:Diagnostic.Error ~op_index
-          (Printf.sprintf "%s through field of id %d which was never allocated"
-             what holder)
-    | Heap.Holder_dead { holder; free_op } ->
-      if dead_holder then
-        report ~rule:"store-after-free" ~severity:Diagnostic.Error ~op_index
-          (Printf.sprintf
-             "%s through field of id %d which was freed at op %d — a \
-              use-after-free write"
-             what holder free_op)
+        match free_op holder with
+        | None ->
+          report ~rule:"store-unallocated" ~severity:Diagnostic.Error
+            ~op_index
+            (Printf.sprintf
+               "%s through field of id %d which was never allocated" what
+               holder)
+        | Some free_op ->
+          report ~rule:"store-after-free" ~severity:Diagnostic.Error ~op_index
+            (Printf.sprintf
+               "%s through field of id %d which was freed at op %d — a \
+                use-after-free write"
+               what holder free_op))
   in
   let step op_index = function
     | Heap.Alloc { id; site; before; _ } -> (
@@ -94,10 +105,13 @@ let lint (trace : Trace.t) =
         report ~rule:"duplicate-alloc" ~severity:Diagnostic.Error ~op_index
           (Printf.sprintf "id %d is still live (allocated at op %d)" id
              alloc_op)
-      | Some (Heap.Dead { free_op }) ->
-        report ~rule:"duplicate-alloc" ~severity:Diagnostic.Error ~op_index
-          (Printf.sprintf "id %d was already used (freed at op %d)" id free_op)
-      | None -> ())
+      | None -> (
+        match free_op id with
+        | Some free_op ->
+          report ~rule:"duplicate-alloc" ~severity:Diagnostic.Error ~op_index
+            (Printf.sprintf "id %d was already used (freed at op %d)" id
+               free_op)
+        | None -> ()))
     | Heap.Free { id; thread; before; outside; dropped = _ } -> (
       if thread < 0 || thread >= trace.Trace.threads then
         report ~rule:"free-thread-out-of-range" ~severity:Diagnostic.Warning
@@ -109,13 +123,16 @@ let lint (trace : Trace.t) =
              id thread trace.Trace.threads
              (if trace.Trace.threads = 1 then "" else "s"));
       match before with
-      | None ->
-        report ~rule:"free-unallocated" ~severity:Diagnostic.Error ~op_index
-          (Printf.sprintf "free of id %d which was never allocated" id)
-      | Some (Heap.Dead { free_op }) ->
-        report ~rule:"double-free" ~severity:Diagnostic.Error ~op_index
-          (Printf.sprintf "id %d was already freed at op %d" id free_op)
+      | None -> (
+        match free_op id with
+        | None ->
+          report ~rule:"free-unallocated" ~severity:Diagnostic.Error ~op_index
+            (Printf.sprintf "free of id %d which was never allocated" id)
+        | Some free_op ->
+          report ~rule:"double-free" ~severity:Diagnostic.Error ~op_index
+            (Printf.sprintf "id %d was already freed at op %d" id free_op))
       | Some (Heap.Live _) -> (
+        Flat_table.set freed (Flat_table.add freed id 0) 0 op_index;
         (* The paper's precondition: report every slot outside the
            dying object that still holds a pointer to it. Most frees
            leave none, and [List.sort] allocates its merge closures even
@@ -141,18 +158,22 @@ let lint (trace : Trace.t) =
     | Heap.Store { place; target; target_state; displaced = _ } -> (
       place_diags ~op_index ~what:"pointer store" ~dead_holder:true place;
       match (place, target_state) with
-      | (Heap.Slot _ | Heap.Wrapped _), None ->
-        report ~rule:"dangling-target" ~severity:Diagnostic.Warning ~op_index
-          (Printf.sprintf
-             "pointer store of id %d which was never allocated (replay skips \
-              it)"
-             target)
-      | (Heap.Slot _ | Heap.Wrapped _), Some (Heap.Dead { free_op }) ->
-        report ~rule:"dangling-target" ~severity:Diagnostic.Warning ~op_index
-          (Printf.sprintf
-             "pointer store of id %d which was freed at op %d (replay skips \
-              it)"
-             target free_op)
+      | (Heap.Slot _ | Heap.Wrapped _), None -> (
+        match free_op target with
+        | None ->
+          report ~rule:"dangling-target" ~severity:Diagnostic.Warning
+            ~op_index
+            (Printf.sprintf
+               "pointer store of id %d which was never allocated (replay \
+                skips it)"
+               target)
+        | Some free_op ->
+          report ~rule:"dangling-target" ~severity:Diagnostic.Warning
+            ~op_index
+            (Printf.sprintf
+               "pointer store of id %d which was freed at op %d (replay \
+                skips it)"
+               target free_op))
       | _ -> ())
     | Heap.Clear { place; _ } ->
       place_diags ~op_index ~what:"pointer clear" ~dead_holder:false place

@@ -1,9 +1,12 @@
 (** Static analysis over {!Workloads.Trace.t} programs.
 
     Walks the op array without executing it, a fold over the events of
-    {!Workloads.Absheap} (id records, which slot statically holds which
-    pointer, how each location resolved) created with zeroing, as
+    {!Workloads.Absheap} (live id records, which slot statically holds
+    which pointer, how each location resolved) created with zeroing, as
     MineSweeper frees, and emits a {!Diagnostic.t} per violation. The
+    heap forgets freed ids, so the lint keeps each freed id's last free
+    op itself, for the rules that tell a freed id from one never
+    allocated. The
     heap mirrors the semantics {!Workloads.Trace.run} gives every replay
     — the same index rule and skip rules — so a clean lint means the
     replay performs no silent no-ops beyond the guarded [Clear_ptr]

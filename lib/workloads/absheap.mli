@@ -9,9 +9,18 @@
     that land on the same concrete word always collapse to the same
     slot.
 
-    The heap keeps every id's record (live with its size, site and
-    alloc op, or freed with its free op) and a points-to graph: one
-    binding per slot, the last store into it and the op of that store.
+    The heap keeps a points-to graph, one binding per slot (the last
+    store into it and the op of that store), and a record for each id
+    it can still reach: every live id with its size, site and alloc op,
+    and a freed id only while some slot binds it or it binds some slot.
+    A freed id that is neither is forgotten, so the heap holds live
+    state, not history: an id that is not live reads the same whether
+    it was freed or never allocated (the lint pass, which tells the
+    two apart, keeps its own table of free ops). Its tables are flat
+    int arrays ({!Flat_table}, the one {!Trace.exec} keeps its objects
+    in), and each target's bindings are a list in store order, so
+    {!step} allocates nothing per op but the event it hands back.
+
     {!step} interprets one op under {!Trace}'s skip rules and hands back
     what happened; the lint pass, the dangling report and the siteflow
     lattice are folds over those events that keep only their own
@@ -43,7 +52,6 @@ type edge = slot * target * int
 type id_state =
   | Live of { size : int; site : int; alloc_op : int }
       (** [site] as written in the trace, not clamped *)
-  | Dead of { free_op : int }
 
 (** How a store, clear or raw write's location resolved. *)
 type place =
@@ -51,9 +59,9 @@ type place =
   | Wrapped of { slot : slot; index : int; words : int }
       (** the index rule moved word [index] into a window of [words]
           words (the root window or the holder) *)
-  | Unallocated of int  (** holder id never allocated: the op is skipped *)
-  | Holder_dead of { holder : int; free_op : int }
-      (** holder freed at [free_op]: the op is skipped *)
+  | No_holder of int
+      (** holder id not live (freed, or never allocated): the op is
+          skipped *)
   | No_words of { holder : int; size : int }
       (** live holder under 8 bytes, no addressable word: skipped *)
 
@@ -61,15 +69,16 @@ type place =
     nothing. *)
 type event =
   | Alloc of { id : int; size : int; site : int; before : id_state option }
-      (** [before]: the id's record before this alloc ([Some] reuses it) *)
+      (** [before]: the id's state before this alloc ([Some] reuses a
+          live id) *)
   | Free of {
       id : int;
       thread : int;
       before : id_state option;
-          (** only a [Live] record is freed; otherwise nothing happened *)
+          (** only a live id is freed; on [None] nothing happened *)
       outside : edge list;
           (** slots outside the object still bound to it, pointer or
-              alias, sorted by (store op, slot) *)
+              alias, in store-op order *)
       dropped : edge list;
           (** bindings held inside the object, which a zeroing heap
               removed at the free; in no particular order *)
@@ -110,9 +119,16 @@ val create : zeroing:bool -> t
     not, so edges held inside freed holders persist until reuse. *)
 
 val step : t -> int -> Trace.op -> event
-(** Interpret op number [i] under {!Trace}'s index and skip rules. *)
+(** Interpret op number [i] under {!Trace}'s index and skip rules. The
+    op numbers of successive steps must increase: the order of [outside]
+    and of {!witness_chain}'s holders is the order bindings were made
+    in, which is store-op order only then. *)
 
 val is_live : t -> int -> bool
+
+val tracked : t -> int
+(** Ids the heap keeps a record for: the live ones, and the freed ones
+    some slot still binds or that still bind some slot. *)
 
 val holder_count : t -> int -> int
 (** Slots currently bound to object [id] (pointer or alias). *)

@@ -199,104 +199,17 @@ type target = {
   after_op : int -> unit;
 }
 
-(* The live objects: id -> (address, size), open addressing with linear
-   probing over flat arrays, so a lookup allocates nothing. Any integer
-   is a key; which slots are in use is kept apart, in [used], rather
-   than in a sentinel id. Removal shifts the rest of the probe run back,
-   so no tombstones build up. *)
-module Objects = struct
-  type t = {
-    mutable keys : int array;
-    mutable addrs : int array;
-    mutable sizes : int array;
-    mutable used : Bytes.t;
-    mutable count : int;
-    mutable shift : int;  (* Sys.int_size - log2 capacity *)
-  }
-
-  let make bits =
-    let n = 1 lsl bits in
-    {
-      keys = Array.make n 0;
-      addrs = Array.make n 0;
-      sizes = Array.make n 0;
-      used = Bytes.make n '\000';
-      count = 0;
-      shift = Sys.int_size - bits;
-    }
-
-  let create () = make 8
-  let mask t = Array.length t.keys - 1
-
-  (* Fibonacci hashing: the top bits of the key times 2^63 / phi, made
-     odd (the literal wraps to a negative [int]; the product is the same
-     modulo 2^63). Consecutive ids land far apart. *)
-  let home t key = (key * 0x4F1BBCDCBFA53E0B) lsr t.shift
-
-  (* The key's slot, or [-1 - free] for the free slot ending its run. *)
-  let rec probe t key i =
-    if Bytes.unsafe_get t.used i = '\000' then -1 - i
-    else if t.keys.(i) = key then i
-    else probe t key ((i + 1) land mask t)
-
-  let find t key = probe t key (home t key)
-
-  let rec add t key ~addr ~size =
-    let i =
-      match find t key with
-      | i when i >= 0 -> i
-      | free ->
-        let i = -1 - free in
-        Bytes.set t.used i '\001';
-        t.keys.(i) <- key;
-        t.count <- t.count + 1;
-        i
-    in
-    t.addrs.(i) <- addr;
-    t.sizes.(i) <- size;
-    if 4 * t.count > 3 * Array.length t.keys then grow t
-
-  (* Double the capacity and enter every entry again. *)
-  and grow t =
-    let keys = t.keys and addrs = t.addrs and sizes = t.sizes in
-    let used = t.used in
-    let bigger = make (Sys.int_size - t.shift + 1) in
-    t.keys <- bigger.keys;
-    t.addrs <- bigger.addrs;
-    t.sizes <- bigger.sizes;
-    t.used <- bigger.used;
-    t.count <- 0;
-    t.shift <- bigger.shift;
-    Bytes.iteri
-      (fun i u ->
-        if u <> '\000' then add t keys.(i) ~addr:addrs.(i) ~size:sizes.(i))
-      used
-
-  (* Empty slot [hole], then move back every later entry of the run
-     whose home does not lie cyclically in (hole, j]. *)
-  let remove t i =
-    t.count <- t.count - 1;
-    let m = mask t in
-    let rec fill hole j =
-      let j = (j + 1) land m in
-      if Bytes.get t.used j = '\000' then Bytes.set t.used hole '\000'
-      else if (j - home t t.keys.(j)) land m >= (j - hole) land m then begin
-        t.keys.(hole) <- t.keys.(j);
-        t.addrs.(hole) <- t.addrs.(j);
-        t.sizes.(hole) <- t.sizes.(j);
-        fill j j
-      end
-      else fill hole j
-    in
-    fill i i
-end
+(* The live objects: id -> (address, size) in a two-column
+   {!Flat_table}, so a lookup allocates nothing. *)
+let addr_col = 0
+let size_col = 1
 
 let exec ~sites (machine : Alloc.Machine.t) on =
   let mem = machine.Alloc.Machine.mem in
-  let objects = Objects.create () in
+  let objects = Flat_table.create ~width:2 in
   (* Address and size of the object in table slot [i]. *)
-  let addr_of i = objects.Objects.addrs.(i) in
-  let size_of i = objects.Objects.sizes.(i) in
+  let addr_of i = objects.Flat_table.rows.((2 * i) + addr_col) in
+  let size_of i = objects.Flat_table.rows.((2 * i) + size_col) in
   (* The writable slot a location names, or -1 when the op skips it. *)
   let slot_of loc =
     let slot =
@@ -304,7 +217,7 @@ let exec ~sites (machine : Alloc.Machine.t) on =
       | Root w -> Layout.stack_base + (8 * root_word w)
       | Global w -> Layout.globals_base + (8 * global_word w)
       | Field (id, w) ->
-        let i = Objects.find objects id in
+        let i = Flat_table.find objects id 0 in
         let w = if i < 0 then -1 else field_index ~size:(size_of i) w in
         if w < 0 then -1 else addr_of i + (8 * w)
     in
@@ -319,16 +232,18 @@ let exec ~sites (machine : Alloc.Machine.t) on =
     (match op with
     | Alloc { id; size; site } ->
       let addr = on.alloc ~id ~site:(clamp_site ~sites site) size in
-      Objects.add objects id ~addr ~size
+      let i = Flat_table.add objects id 0 in
+      Flat_table.set objects i addr_col addr;
+      Flat_table.set objects i size_col size
     | Free { id; thread } ->
-      let i = Objects.find objects id in
+      let i = Flat_table.find objects id 0 in
       if i >= 0 then begin
         let addr = addr_of i in
-        Objects.remove objects i;
+        Flat_table.remove objects i;
         on.free ~id ~thread addr
       end
     | Store_ptr { loc; target } ->
-      let slot = slot_of loc and i = Objects.find objects target in
+      let slot = slot_of loc and i = Flat_table.find objects target 0 in
       if slot >= 0 && i >= 0 then begin
         let value = addr_of i in
         let old_value = Vmem.load mem slot in
@@ -336,7 +251,7 @@ let exec ~sites (machine : Alloc.Machine.t) on =
         on.pointer_store ~slot ~old_value ~value
       end
     | Clear_ptr { loc; target } ->
-      let slot = slot_of loc and i = Objects.find objects target in
+      let slot = slot_of loc and i = Flat_table.find objects target 0 in
       if slot >= 0 && i >= 0 && Vmem.load mem slot = addr_of i then begin
         Vmem.store mem slot 0;
         on.pointer_store ~slot ~old_value:(addr_of i) ~value:0
@@ -347,13 +262,13 @@ let exec ~sites (machine : Alloc.Machine.t) on =
         data_store slot
           (match aliased_id value with
           | Some id ->
-            let i = Objects.find objects id in
+            let i = Flat_table.find objects id 0 in
             if i >= 0 then addr_of i else 0
           | None -> value)
     | Store_interior { loc; target; word } ->
       let slot = slot_of loc in
       if slot >= 0 then begin
-        let i = Objects.find objects target in
+        let i = Flat_table.find objects target 0 in
         data_store slot
           (if i < 0 then 0
            else addr_of i + (8 * interior_word ~size:(size_of i) word))
@@ -392,38 +307,74 @@ let replay t (stack : Harness.t) =
 (* ------------------------------------------------------------------ *)
 (* Serialisation                                                       *)
 
-let loc_to_string = function
-  | Root w -> Printf.sprintf "r %d" w
-  | Global w -> Printf.sprintf "g %d" w
-  | Field (id, w) -> Printf.sprintf "f %d %d" id w
+let add_int buffer n = Buffer.add_string buffer (string_of_int n)
+
+(* A location as its window letter and indices, each after one space. *)
+let add_loc buffer = function
+  | Root w ->
+    Buffer.add_string buffer " r ";
+    add_int buffer w
+  | Global w ->
+    Buffer.add_string buffer " g ";
+    add_int buffer w
+  | Field (id, w) ->
+    Buffer.add_string buffer " f ";
+    add_int buffer id;
+    Buffer.add_char buffer ' ';
+    add_int buffer w
 
 let to_string t =
   let buffer = Buffer.create (Array.length t.ops * 12) in
-  Buffer.add_string buffer (Printf.sprintf "# msweep-trace v1 %s\n" t.name);
-  if t.threads <> 1 then
-    Buffer.add_string buffer (Printf.sprintf "# threads %d\n" t.threads);
-  if t.sites <> 1 then
-    Buffer.add_string buffer (Printf.sprintf "# sites %d\n" t.sites);
+  let field n =
+    Buffer.add_char buffer ' ';
+    add_int buffer n
+  in
+  let header key n =
+    Buffer.add_string buffer key;
+    field n;
+    Buffer.add_char buffer '\n'
+  in
+  Buffer.add_string buffer "# msweep-trace v1 ";
+  Buffer.add_string buffer t.name;
+  Buffer.add_char buffer '\n';
+  if t.threads <> 1 then header "# threads" t.threads;
+  if t.sites <> 1 then header "# sites" t.sites;
   Array.iter
     (fun op ->
-      Buffer.add_string buffer
-        (match op with
-        | Alloc { id; size; site } ->
-          if site = 0 then Printf.sprintf "a %d %d\n" id size
-          else Printf.sprintf "a %d %d %d\n" id size site
-        | Free { id; thread } ->
-          if thread = 0 then Printf.sprintf "x %d\n" id
-          else Printf.sprintf "x %d %d\n" id thread
-        | Store_ptr { loc; target } ->
-          Printf.sprintf "p %s %d\n" (loc_to_string loc) target
-        | Clear_ptr { loc; target } ->
-          Printf.sprintf "c %s %d\n" (loc_to_string loc) target
-        | Store_data { loc; value } ->
-          Printf.sprintf "d %s %d\n" (loc_to_string loc) value
-        | Store_interior { loc; target; word } ->
-          Printf.sprintf "i %s %d %d\n" (loc_to_string loc) target word
-        | Zero loc -> Printf.sprintf "z %s\n" (loc_to_string loc)
-        | Work cycles -> Printf.sprintf "w %d\n" cycles))
+      (match op with
+      | Alloc { id; size; site } ->
+        Buffer.add_char buffer 'a';
+        field id;
+        field size;
+        if site <> 0 then field site
+      | Free { id; thread } ->
+        Buffer.add_char buffer 'x';
+        field id;
+        if thread <> 0 then field thread
+      | Store_ptr { loc; target } ->
+        Buffer.add_char buffer 'p';
+        add_loc buffer loc;
+        field target
+      | Clear_ptr { loc; target } ->
+        Buffer.add_char buffer 'c';
+        add_loc buffer loc;
+        field target
+      | Store_data { loc; value } ->
+        Buffer.add_char buffer 'd';
+        add_loc buffer loc;
+        field value
+      | Store_interior { loc; target; word } ->
+        Buffer.add_char buffer 'i';
+        add_loc buffer loc;
+        field target;
+        field word
+      | Zero loc ->
+        Buffer.add_char buffer 'z';
+        add_loc buffer loc
+      | Work cycles ->
+        Buffer.add_char buffer 'w';
+        field cycles);
+      Buffer.add_char buffer '\n')
     t.ops;
   Buffer.contents buffer
 
@@ -435,103 +386,214 @@ let parse_error line message = raise (Parse_error { line; message })
    space; a negative one is no request at all. *)
 let max_size = Layout.heap_limit - Layout.heap_base
 
-(* One line of the text format. The one-shot parser and the chunked
-   stream share this so they can never disagree on the grammar. *)
-type parsed_line =
-  | L_op of op
-  | L_name of string
-  | L_threads of int
-  | L_sites of int
-  | L_nothing
+(* The one scanner of the text format: [of_string] and every stream
+   read their lines through [scan_line], so they can never disagree on
+   the grammar. A line splits on ' ' into tokens, empty ones skipped
+   (any other byte, '\t' and '\r' included, belongs to its token). The
+   scanner records where the first [max_tokens] tokens lie rather than
+   copying them, and keeps the header lines' name, thread count and
+   site count. *)
+let max_tokens = 6
 
-let parse_line ~line_no line =
-  let words =
-    String.split_on_char ' ' line |> List.filter (fun w -> w <> "")
-  in
-  let int_at msg w =
-    match int_of_string_opt w with
+type scanner = {
+  starts : int array;
+  stops : int array;
+  mutable eol : int;  (* where the line just scanned ends *)
+  mutable name : string;
+  mutable threads : int;
+  mutable sites : int;
+}
+
+let scanner () =
+  {
+    starts = Array.make max_tokens 0;
+    stops = Array.make max_tokens 0;
+    eol = 0;
+    name = "trace";
+    threads = 1;
+    sites = 1;
+  }
+
+(* Record the tokens of the line at [pos], which ends at the first '\n'
+   before [limit] or at [limit]; return how many there are (those past
+   [max_tokens] are counted, not recorded). Slots for absent tokens are
+   left empty, so reading one never reaches past this line's text. *)
+let tokenize sc s pos limit =
+  Array.fill sc.starts 0 max_tokens 0;
+  Array.fill sc.stops 0 max_tokens 0;
+  let n = ref 0 and i = ref pos in
+  while !i < limit && String.unsafe_get s !i <> '\n' do
+    if String.unsafe_get s !i = ' ' then incr i
+    else begin
+      let start = !i in
+      while
+        !i < limit
+        && (let c = String.unsafe_get s !i in
+            c <> ' ' && c <> '\n')
+      do
+        incr i
+      done;
+      if !n < max_tokens then begin
+        sc.starts.(!n) <- start;
+        sc.stops.(!n) <- !i
+      end;
+      incr n
+    end
+  done;
+  sc.eol <- !i;
+  !n
+
+(* Token [k] when it is one byte long, '\000' otherwise. *)
+let token_char sc s k =
+  if sc.stops.(k) - sc.starts.(k) = 1 then String.unsafe_get s sc.starts.(k)
+  else '\000'
+
+(* Token [k] copied out: for the rare header lines only. *)
+let token sc s k = String.sub s sc.starts.(k) (sc.stops.(k) - sc.starts.(k))
+
+(* Token [k] as an integer; [field] names it in the error. A plain
+   decimal token, an optional '-' and at most 18 digits (which cannot
+   overflow), is read in place. Any other goes to [int_of_string_opt],
+   which takes the hex, octal and binary prefixes, '_' and '+', and
+   rejects what overflows. *)
+let token_int sc ~line_no s k field =
+  let start = sc.starts.(k) and stop = sc.stops.(k) in
+  let first = if String.unsafe_get s start = '-' then start + 1 else start in
+  let n = ref 0 and i = ref first in
+  while
+    !i < stop
+    && (let c = String.unsafe_get s !i in
+        c >= '0' && c <= '9')
+  do
+    n := (10 * !n) + (Char.code (String.unsafe_get s !i) - Char.code '0');
+    incr i
+  done;
+  if !i = stop && stop > first && stop - first <= 18 then
+    if first > start then - !n else !n
+  else
+    match int_of_string_opt (String.sub s start (stop - start)) with
     | Some v -> v
-    | None -> parse_error line_no msg
-  in
-  let size_at w =
-    let size = int_at "size" w in
-    if size < 0 || size > max_size then
-      parse_error line_no
-        (Printf.sprintf "size %d outside [0, %d]" size max_size);
-    size
-  in
-  let root_loc window w =
-    let w = int_at "word" w in
-    if window = "r" then Root w else Global w
-  in
-  let store kind loc v =
-    let v = int_at "value" v in
-    L_op
-      (match kind with
-      | "p" -> Store_ptr { loc; target = v }
-      | "c" -> Clear_ptr { loc; target = v }
-      | _ -> Store_data { loc; value = v })
-  in
-  let interior loc target word =
-    let target = int_at "target" target in
-    L_op (Store_interior { loc; target; word = int_at "word" word })
-  in
-  match words with
-  | [] -> L_nothing
-  | "#" :: "msweep-trace" :: "v1" :: rest ->
-    if rest <> [] then L_name (String.concat " " rest) else L_nothing
-  | [ "#"; "threads"; n ] ->
-    let n = int_at "threads" n in
-    if n < 1 then parse_error line_no "threads must be >= 1";
-    L_threads n
-  | [ "#"; "sites"; n ] ->
-    let n = int_at "sites" n in
-    if n < 1 then parse_error line_no "sites must be >= 1";
-    L_sites n
-  | "#" :: _ -> L_nothing
-  | [ "a"; id; size ] ->
-    L_op (Alloc { id = int_at "id" id; size = size_at size; site = 0 })
-  | [ "a"; id; size; site ] ->
-    L_op
-      (Alloc
-         {
-           id = int_at "id" id;
-           size = size_at size;
-           site = int_at "site" site;
-         })
-  | [ "x"; id ] -> L_op (Free { id = int_at "id" id; thread = 0 })
-  | [ "x"; id; thread ] ->
-    L_op (Free { id = int_at "id" id; thread = int_at "thread" thread })
-  | [ "w"; cycles ] -> L_op (Work (int_at "cycles" cycles))
-  | [ (("p" | "c" | "d") as kind); (("r" | "g") as window); w; v ] ->
-    store kind (root_loc window w) v
-  | [ (("p" | "c" | "d") as kind); "f"; id; w; v ] ->
-    store kind (Field (int_at "id" id, int_at "word" w)) v
-  | [ "i"; (("r" | "g") as window); w; target; word ] ->
-    interior (root_loc window w) target word
-  | [ "i"; "f"; id; w; target; word ] ->
-    interior (Field (int_at "id" id, int_at "word" w)) target word
-  | [ "z"; (("r" | "g") as window); w ] -> L_op (Zero (root_loc window w))
-  | [ "z"; "f"; id; w ] -> L_op (Zero (Field (int_at "id" id, int_at "word" w)))
-  | _ -> parse_error line_no ("unrecognised op: " ^ line)
+    | None -> parse_error line_no field
 
+let token_size sc ~line_no s k =
+  let size = token_int sc ~line_no s k "size" in
+  if size < 0 || size > max_size then
+    parse_error line_no (Printf.sprintf "size %d outside [0, %d]" size max_size);
+  size
+
+let unrecognised sc ~line_no s pos =
+  parse_error line_no ("unrecognised op: " ^ String.sub s pos (sc.eol - pos))
+
+(* A header line sets the scanner's fields; any other line starting
+   with a "#" token is a comment. *)
+let scan_header sc ~line_no s n =
+  if n >= 3 && token sc s 1 = "msweep-trace" && token sc s 2 = "v1" then begin
+    if n > 3 then
+      sc.name <-
+        String.sub s sc.stops.(2) (sc.eol - sc.stops.(2))
+        |> String.split_on_char ' '
+        |> List.filter (fun w -> w <> "")
+        |> String.concat " "
+  end
+  else if n = 3 && token sc s 1 = "threads" then begin
+    let threads = token_int sc ~line_no s 2 "threads" in
+    if threads < 1 then parse_error line_no "threads must be >= 1";
+    sc.threads <- threads
+  end
+  else if n = 3 && token sc s 1 = "sites" then begin
+    let sites = token_int sc ~line_no s 2 "sites" in
+    if sites < 1 then parse_error line_no "sites must be >= 1";
+    sc.sites <- sites
+  end
+
+(* [r w] or [g w] at tokens 1 and 2. *)
+let window_loc sc ~line_no s window =
+  let w = token_int sc ~line_no s 2 "word" in
+  if window = 'r' then Root w else Global w
+
+(* [f id w] at tokens 1 to 3. *)
+let field_loc sc ~line_no s =
+  let w = token_int sc ~line_no s 3 "word" in
+  Field (token_int sc ~line_no s 2 "id", w)
+
+let store kind loc v =
+  match kind with
+  | 'p' -> Store_ptr { loc; target = v }
+  | 'c' -> Clear_ptr { loc; target = v }
+  | _ -> Store_data { loc; value = v }
+
+(* The op on line [line_no], which starts at [pos] (see [tokenize]);
+   [None] for a blank, comment or header line. Where a line has several
+   malformed fields, the order they are read in below decides which one
+   the error names. *)
+let scan_line sc ~line_no s pos limit =
+  let n = tokenize sc s pos limit in
+  if n = 0 then None
+  else
+    match token_char sc s 0 with
+    | '#' ->
+      scan_header sc ~line_no s n;
+      None
+    | 'a' when n = 3 || n = 4 ->
+      let site = if n = 4 then token_int sc ~line_no s 3 "site" else 0 in
+      let size = token_size sc ~line_no s 2 in
+      Some (Alloc { id = token_int sc ~line_no s 1 "id"; size; site })
+    | 'x' when n = 2 || n = 3 ->
+      let thread = if n = 3 then token_int sc ~line_no s 2 "thread" else 0 in
+      Some (Free { id = token_int sc ~line_no s 1 "id"; thread })
+    | 'w' when n = 2 -> Some (Work (token_int sc ~line_no s 1 "cycles"))
+    | ('p' | 'c' | 'd') as kind -> (
+      match token_char sc s 1 with
+      | ('r' | 'g') as window when n = 4 ->
+        let loc = window_loc sc ~line_no s window in
+        Some (store kind loc (token_int sc ~line_no s 3 "value"))
+      | 'f' when n = 5 ->
+        let loc = field_loc sc ~line_no s in
+        Some (store kind loc (token_int sc ~line_no s 4 "value"))
+      | _ -> unrecognised sc ~line_no s pos)
+    | 'i' -> (
+      let interior loc k =
+        let target = token_int sc ~line_no s k "target" in
+        Some
+          (Store_interior
+             { loc; target; word = token_int sc ~line_no s (k + 1) "word" })
+      in
+      match token_char sc s 1 with
+      | ('r' | 'g') as window when n = 5 ->
+        interior (window_loc sc ~line_no s window) 3
+      | 'f' when n = 6 -> interior (field_loc sc ~line_no s) 4
+      | _ -> unrecognised sc ~line_no s pos)
+    | 'z' -> (
+      match token_char sc s 1 with
+      | ('r' | 'g') as window when n = 3 ->
+        Some (Zero (window_loc sc ~line_no s window))
+      | 'f' when n = 4 -> Some (Zero (field_loc sc ~line_no s))
+      | _ -> unrecognised sc ~line_no s pos)
+    | _ -> unrecognised sc ~line_no s pos
+
+(* As [String.split_on_char '\n']: [n] newlines make [n + 1] lines, so
+   a trailing segment (possibly empty) still counts. *)
 let of_string s =
-  let lines = String.split_on_char '\n' s in
-  let name = ref "trace" in
-  let threads = ref 1 in
-  let sites = ref 1 in
-  let ops = ref [] in
-  List.iteri
-    (fun idx line ->
-      match parse_line ~line_no:(idx + 1) line with
-      | L_op op -> ops := op :: !ops
-      | L_name n -> name := n
-      | L_threads n -> threads := n
-      | L_sites n -> sites := n
-      | L_nothing -> ())
-    lines;
-  { name = !name; threads = !threads; sites = !sites;
-    ops = Array.of_list (List.rev !ops) }
+  let sc = scanner () in
+  let len = String.length s in
+  let ops = ref (Array.make 1024 (Work 0)) and count = ref 0 in
+  let pos = ref 0 and line_no = ref 1 in
+  while !pos <= len do
+    (match scan_line sc ~line_no:!line_no s !pos len with
+    | Some op ->
+      if !count = Array.length !ops then begin
+        let bigger = Array.make (2 * !count) (Work 0) in
+        Array.blit !ops 0 bigger 0 !count;
+        ops := bigger
+      end;
+      !ops.(!count) <- op;
+      incr count
+    | None -> ());
+    pos := sc.eol + 1;
+    incr line_no
+  done;
+  ({ name = sc.name; threads = sc.threads; sites = sc.sites;
+     ops = Array.sub !ops 0 !count } : t)
 
 (* ------------------------------------------------------------------ *)
 (* Chunked streaming                                                   *)
@@ -539,9 +601,7 @@ let of_string s =
 let default_chunk_ops = 4096
 
 type stream = {
-  s_name : string ref;
-  s_threads : int ref;
-  s_sites : int ref;
+  s_header : scanner;  (* name, threads and sites, as read so far *)
   s_chunk : int;
   s_pull : unit -> op option;
   s_close : unit -> unit;
@@ -549,38 +609,21 @@ type stream = {
   mutable s_consumed : bool;
 }
 
-(* Build a stream over a line producer. Leading header/comment lines are
-   consumed eagerly (one op of lookahead) so [stream_name] and
-   [stream_threads] are usable before the fold; header lines appearing
-   later in the file are still honoured as the fold passes them. *)
-let stream_of_lines ?(chunk_ops = default_chunk_ops) next_line close =
-  let name = ref "trace" in
-  let threads = ref 1 in
-  let sites = ref 1 in
-  let line_no = ref 0 in
-  let rec pull () =
-    match next_line () with
-    | None -> None
-    | Some line -> (
-      incr line_no;
-      match parse_line ~line_no:!line_no line with
-      | L_op op -> Some op
-      | L_name n ->
-        name := n;
-        pull ()
-      | L_threads n ->
-        threads := n;
-        pull ()
-      | L_sites n ->
-        sites := n;
-        pull ()
-      | L_nothing -> pull ())
+(* Build a stream over an op producer that reads its headers into [sc].
+   Leading header/comment lines are consumed eagerly (one op of
+   lookahead) so [stream_name] and [stream_threads] are usable before
+   the fold; header lines appearing later in the file are still honoured
+   as the fold passes them. *)
+let make_stream ?(chunk_ops = default_chunk_ops) sc pull close =
+  let peek =
+    match pull () with
+    | op -> op
+    | exception e ->
+      close ();
+      raise e
   in
-  let peek = pull () in
   {
-    s_name = name;
-    s_threads = threads;
-    s_sites = sites;
+    s_header = sc;
     s_chunk = max 1 chunk_ops;
     s_pull = pull;
     s_close = close;
@@ -589,35 +632,40 @@ let stream_of_lines ?(chunk_ops = default_chunk_ops) next_line close =
   }
 
 let stream_of_string ?chunk_ops s =
+  let sc = scanner () in
   let len = String.length s in
-  let pos = ref 0 in
-  (* Mirrors [String.split_on_char '\n']: [n] newlines make [n + 1]
-     lines, so a trailing segment (possibly empty) still counts. *)
-  let next_line () =
+  let pos = ref 0 and line_no = ref 0 in
+  let rec pull () =
     if !pos > len then None
     else begin
-      let start = !pos in
-      let stop =
-        match String.index_from_opt s start '\n' with
-        | Some i -> i
-        | None -> len
-      in
-      pos := stop + 1;
-      Some (String.sub s start (stop - start))
+      incr line_no;
+      let op = scan_line sc ~line_no:!line_no s !pos len in
+      pos := sc.eol + 1;
+      match op with Some _ -> op | None -> pull ()
     end
   in
-  stream_of_lines ?chunk_ops next_line (fun () -> ())
+  make_stream ?chunk_ops sc pull (fun () -> ())
 
 let stream_of_file ?chunk_ops path =
   let ic = open_in path in
-  let next_line () =
+  let sc = scanner () in
+  let line_no = ref 0 in
+  let rec pull () =
     match input_line ic with
-    | line -> Some line
     | exception End_of_file -> None
+    | line -> (
+      incr line_no;
+      match scan_line sc ~line_no:!line_no line 0 (String.length line) with
+      | Some _ as op -> op
+      | None -> pull ())
   in
-  stream_of_lines ?chunk_ops next_line (fun () -> close_in_noerr ic)
+  make_stream ?chunk_ops sc pull (fun () -> close_in_noerr ic)
 
-let stream_of_trace ?(chunk_ops = default_chunk_ops) t =
+let stream_of_trace ?(chunk_ops = default_chunk_ops) (t : t) =
+  let sc = scanner () in
+  sc.name <- t.name;
+  sc.threads <- t.threads;
+  sc.sites <- t.sites;
   let i = ref 0 in
   let pull () =
     if !i >= Array.length t.ops then None
@@ -628,9 +676,7 @@ let stream_of_trace ?(chunk_ops = default_chunk_ops) t =
     end
   in
   {
-    s_name = ref t.name;
-    s_threads = ref t.threads;
-    s_sites = ref t.sites;
+    s_header = sc;
     s_chunk = max 1 chunk_ops;
     s_pull = pull;
     s_close = (fun () -> ());
@@ -638,9 +684,9 @@ let stream_of_trace ?(chunk_ops = default_chunk_ops) t =
     s_consumed = false;
   }
 
-let stream_name st = !(st.s_name)
-let stream_threads st = !(st.s_threads)
-let stream_sites st = !(st.s_sites)
+let stream_name st = st.s_header.name
+let stream_threads st = st.s_header.threads
+let stream_sites st = st.s_header.sites
 
 let fold_stream st ~init ~f =
   if st.s_consumed then

@@ -208,8 +208,11 @@ val of_file : string -> t
     materialised as an array. [stream_of_file] reads the file line by
     line, so folding a stream holds at most one chunk of ops plus the
     consumer's own state — memory independent of trace length. The
-    chunked fold and {!of_string} share one line parser, so they agree
-    exactly (including parse errors and their line numbers). *)
+    chunked fold and {!of_string} share one line scanner, so they agree
+    exactly (including parse errors and their line numbers). A line
+    splits into tokens on runs of spaces; an integer field takes any
+    spelling [int_of_string] does (hex, octal and binary prefixes, ['_'],
+    a leading ['+']). *)
 
 type stream
 
@@ -221,7 +224,8 @@ val stream_of_string : ?chunk_ops:int -> string -> stream
     (header lines are read at construction). *)
 
 val stream_of_file : ?chunk_ops:int -> string -> stream
-(** As {!stream_of_string}.
+(** As {!stream_of_string}, reading the file a line at a time (a parse
+    error at construction closes it).
     @raise Sys_error when the file cannot be opened. *)
 
 val stream_of_trace : ?chunk_ops:int -> t -> stream

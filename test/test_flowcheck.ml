@@ -367,6 +367,200 @@ let prop_lint_matches_analyzer =
       in
       lint_pairs trace = analyzer_pairs trace)
 
+(* --- The flat heap against the Hashtbl heap it replaced --------------
+
+   [Reference_absheap] keeps the parent's heap, which never forgot an
+   id, and its lint, report and siteflow folds. On random op sequences
+   over a few ids (so ids are freed, reused, stored into after their
+   free and bound from inside freed holders), the flat heap must give
+   the same event at every step under both zeroing modes, reading [Dead]
+   and [Holder_dead] as absent and [dropped] as a multiset, and the same
+   lint, report and pool plan. *)
+
+module A = Workloads.Absheap
+module R = Reference_absheap
+
+let gen_heap_ops =
+  let open QCheck.Gen in
+  let open Workloads.Trace in
+  let id = frequency [ (8, int_range 0 7); (1, int_range (-2) 12) ] in
+  let word = frequency [ (6, int_range 0 8); (1, int_range (-10) 8200) ] in
+  let loc =
+    frequency
+      [
+        (3, map (fun w -> Root w) word);
+        (1, map (fun w -> Global w) word);
+        (5, map2 (fun id w -> Field (id, w)) id word);
+      ]
+  in
+  let value =
+    frequency
+      [
+        (3, map (fun id -> -id - 1) id);
+        (1, oneofl [ 0; 7; Layout.heap_base; Layout.heap_base + 64 ]);
+      ]
+  in
+  list_size (0 -- 150)
+    (frequency
+       [
+         ( 4,
+           map3
+             (fun id size site -> Alloc { id; size; site })
+             id
+             (oneofl [ 0; 4; 8; 16; 24; 64 ])
+             (int_range (-1) 3) );
+         (3, map2 (fun id thread -> Free { id; thread }) id (int_range 0 2));
+         (6, map2 (fun loc target -> Store_ptr { loc; target }) loc id);
+         (2, map2 (fun loc target -> Clear_ptr { loc; target }) loc id);
+         (2, map2 (fun loc value -> Store_data { loc; value }) loc value);
+         ( 1,
+           map3
+             (fun loc target word -> Store_interior { loc; target; word })
+             loc id word );
+         (1, map (fun loc -> Zero loc) loc);
+         (1, return (Work 5));
+       ])
+
+let heap_trace ops =
+  { Workloads.Trace.name = "heap"; threads = 2; sites = 3;
+    ops = Array.of_list ops }
+
+(* A reference event in the flat heap's terms. *)
+let of_reference =
+  let slot = function
+    | R.Heap.Root_slot w -> A.Root_slot w
+    | R.Heap.Global_slot w -> A.Global_slot w
+    | R.Heap.Field_slot (h, w) -> A.Field_slot (h, w)
+  in
+  let target = function
+    | R.Heap.Ptr id -> A.Ptr id
+    | R.Heap.Alias id -> A.Alias id
+    | R.Heap.Wild -> A.Wild
+  in
+  let binding = Option.map (fun (t, op) -> (target t, op)) in
+  let edge (s, t, op) = (slot s, target t, op) in
+  let state = function
+    | Some (R.Heap.Live { size; site; alloc_op }) ->
+      Some (A.Live { size; site; alloc_op })
+    | Some (R.Heap.Dead _) | None -> None
+  in
+  let place = function
+    | R.Heap.Slot s -> A.Slot (slot s)
+    | R.Heap.Wrapped { slot = s; index; words } ->
+      A.Wrapped { slot = slot s; index; words }
+    | R.Heap.Unallocated holder | R.Heap.Holder_dead { holder; _ } ->
+      A.No_holder holder
+    | R.Heap.No_words { holder; size } -> A.No_words { holder; size }
+  in
+  function
+  | R.Heap.Alloc { id; size; site; before } ->
+    A.Alloc { id; size; site; before = state before }
+  | R.Heap.Free { id; thread; before; outside; dropped } ->
+    A.Free
+      {
+        id;
+        thread;
+        before = state before;
+        outside = List.map edge outside;
+        dropped = List.sort compare (List.map edge dropped);
+      }
+  | R.Heap.Store { place = p; target; target_state; displaced } ->
+    A.Store
+      {
+        place = place p;
+        target;
+        target_state = state target_state;
+        displaced = binding displaced;
+      }
+  | R.Heap.Clear { place = p; cleared } ->
+    A.Clear { place = place p; cleared = binding cleared }
+  | R.Heap.Data { place = p; value; stored; displaced } ->
+    A.Data
+      {
+        place = place p;
+        value;
+        stored = Option.map target stored;
+        displaced = binding displaced;
+      }
+  | R.Heap.Work -> A.Work
+
+let sort_dropped = function
+  | A.Free f -> A.Free { f with dropped = List.sort compare f.dropped }
+  | e -> e
+
+let events_agree ~zeroing ops =
+  let heap = A.create ~zeroing and reference = R.Heap.create ~zeroing in
+  let ids = List.init 15 (fun k -> k - 2) in
+  List.for_all Fun.id
+    (List.mapi
+       (fun i op ->
+         sort_dropped (A.step heap i op)
+         = of_reference (R.Heap.step reference i op)
+         && A.wild_count heap = R.Heap.wild_count reference
+         && List.for_all
+              (fun id ->
+                A.is_live heap id = R.Heap.is_live reference id
+                && A.holder_count heap id = R.Heap.holder_count reference id)
+              ids)
+       ops)
+
+let outputs_agree ops =
+  let t = heap_trace ops in
+  let stream () = Workloads.Trace.stream_of_trace t in
+  let report policies =
+    let flat = Flowcheck.Report.analyze_trace ~policies t
+    and reference = R.analyze ~policies (stream ()) in
+    Flowcheck.Report.to_json ~pools:(Flowcheck.Poolplan.of_trace t) flat
+    = Flowcheck.Report.to_json
+        ~pools:(Flowcheck.Poolplan.build (R.siteflow (stream ())))
+        reference
+    && Flowcheck.Report.render flat = Flowcheck.Report.render reference
+  in
+  Sanitizer.Trace_lint.lint t = R.lint t
+  && report Flowcheck.Policy.default_policies
+  && report [ Flowcheck.Policy.Minesweeper Minesweeper.Config.unoptimised ]
+
+let prop_heap_matches_reference =
+  QCheck.Test.make
+    ~name:"flat heap gives the Hashtbl heap's events, lint, report and plan"
+    ~count:300
+    (QCheck.make
+       ~print:(fun ops -> Workloads.Trace.to_string (heap_trace ops))
+       gen_heap_ops)
+    (fun ops ->
+      events_agree ~zeroing:true ops
+      && events_agree ~zeroing:false ops
+      && outputs_agree ops)
+
+(* The heap holds live state: a freed id stays only while a slot binds
+   it or, without zeroing, while it still binds a slot of its own. *)
+let test_heap_forgets_freed_ids () =
+  let open Workloads.Trace in
+  let run ~zeroing ops =
+    let heap = A.create ~zeroing in
+    List.mapi
+      (fun i op ->
+        ignore (A.step heap i op);
+        A.tracked heap)
+      ops
+  in
+  let ops =
+    [
+      Alloc { id = 0; size = 64; site = 0 };
+      Alloc { id = 1; size = 64; site = 0 };
+      Store_ptr { loc = Field (0, 0); target = 1 };
+      Store_ptr { loc = Root 3; target = 0 };
+      Free { id = 0; thread = 0 };
+      Store_data { loc = Root 3; value = 9 };
+      Free { id = 1; thread = 0 };
+    ]
+  in
+  Alcotest.(check (list int)) "zeroing: the root keeps 0 until overwritten"
+    [ 1; 2; 2; 2; 2; 1; 0 ] (run ~zeroing:true ops);
+  Alcotest.(check (list int))
+    "no zeroing: 0 stays while it binds 1, 1 while 0 binds it"
+    [ 1; 2; 2; 2; 2; 2; 2 ] (run ~zeroing:false ops)
+
 let suite =
   ( "flowcheck",
     [
@@ -394,4 +588,7 @@ let suite =
         test_lint_matches_corpus;
       QCheck_alcotest.to_alcotest prop_lint_matches_analyzer;
       Alcotest.test_case "diagnostic sort order" `Quick test_diagnostic_sort;
+      QCheck_alcotest.to_alcotest prop_heap_matches_reference;
+      Alcotest.test_case "heap forgets unbound freed ids" `Quick
+        test_heap_forgets_freed_ids;
     ] )

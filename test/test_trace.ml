@@ -292,6 +292,132 @@ let prop_parse_total =
              let st = Workloads.Trace.stream_of_string ~chunk_ops:7 text in
              Workloads.Trace.fold_stream st ~init:() ~f:(fun () _ _ -> ())))
 
+(* The in-place scanner against the list parser it replaced
+   ([Reference_trace_parse]): on random lines, every way in reads the
+   same ops and headers, or fails with the same line and message.
+   Lines are op and header templates filled with integers in every
+   spelling [int_of_string] knows (hex, octal, binary, '_', '+'), at and
+   past the int range and the size bound, some truncated or with a
+   token too many, joined by runs of spaces, with spaces at both ends
+   and '\r' before some newlines. *)
+let gen_scan_text =
+  let open QCheck.Gen in
+  let number =
+    frequency
+      [
+        (6, map string_of_int (int_range (-3) 100));
+        (1, map string_of_int int);
+        ( 4,
+          oneofl
+            [ "0x1f"; "0X1F"; "-0x10"; "0o17"; "0b101"; "1_000"; "_1"; "1_";
+              "+5"; "+0"; "-0"; "007"; "-"; "+"; "0x"; "1e3"; "12a";
+              string_of_int min_int; string_of_int max_int;
+              "4611686018427387904"; "-4611686018427387905";
+              "999999999999999999"; "-999999999999999999";
+              "1234567890123456789"; "-1234567890123456789";
+              "9999999999999999999"; "12345678901234567890";
+              "-12345678901234567890"; "273804165120"; "273804165121";
+              "0x3fc0000000"; "0x7fffffffffffffff"; "64\r" ] );
+      ]
+  in
+  let word =
+    oneofl
+      [ "a"; "x"; "w"; "p"; "c"; "d"; "i"; "z"; "r"; "g"; "f"; "#"; "q";
+        "aa"; "msweep-trace"; "v1"; "threads"; "sites"; "t\tab" ]
+  in
+  let kind = oneofl [ "p"; "c"; "d" ] and window = oneofl [ "r"; "g" ] in
+  let lit s = return s in
+  let template =
+    frequency
+      [
+        (2, flatten_l [ lit "a"; number; number ]);
+        (2, flatten_l [ lit "a"; number; number; number ]);
+        (1, flatten_l [ lit "x"; number ]);
+        (1, flatten_l [ lit "x"; number; number ]);
+        (1, flatten_l [ lit "w"; number ]);
+        (2, flatten_l [ kind; window; number; number ]);
+        (2, flatten_l [ kind; lit "f"; number; number; number ]);
+        (1, flatten_l [ lit "i"; window; number; number; number ]);
+        (1, flatten_l [ lit "i"; lit "f"; number; number; number; number ]);
+        (1, flatten_l [ lit "z"; window; number ]);
+        (1, flatten_l [ lit "z"; lit "f"; number; number ]);
+        ( 1,
+          map
+            (fun rest -> "#" :: "msweep-trace" :: "v1" :: rest)
+            (list_size (0 -- 3) word) );
+        (1, flatten_l [ lit "#"; oneofl [ "threads"; "sites" ]; number ]);
+        (1, list_size (0 -- 7) (oneof [ word; number ]));
+      ]
+  in
+  let mutate tokens =
+    let n = List.length tokens in
+    frequency
+      [
+        (6, return tokens);
+        (1, map (fun k -> List.filteri (fun i _ -> i < n - k) tokens) (1 -- 2));
+        (1, map (fun extra -> tokens @ [ extra ]) number);
+      ]
+  in
+  let spaces lo hi = map (fun n -> String.make n ' ') (lo -- hi) in
+  let line =
+    template >>= mutate >>= fun tokens ->
+    map3
+      (fun lead seps (trail, cr) ->
+        lead
+        ^ String.concat "" (List.map2 (fun sep t -> sep ^ t) seps tokens)
+        ^ trail ^ cr)
+      (spaces 0 2)
+      (list_repeat (List.length tokens) (spaces 1 3))
+      (pair (spaces 0 2) (frequency [ (7, return ""); (1, return "\r") ]))
+  in
+  map2
+    (fun lines trailing -> String.concat "\n" lines ^ trailing)
+    (list_size (1 -- 8) line)
+    (oneofl [ ""; "\n" ])
+
+let prop_scanner_matches_reference =
+  let outcome f =
+    match f () with
+    | v -> Ok v
+    | exception Workloads.Trace.Parse_error { line; message } ->
+      Error (line, message)
+  in
+  let whole (t : Workloads.Trace.t) =
+    Workloads.Trace.(t.name, t.threads, t.sites, Array.to_list t.ops)
+  in
+  let folded st =
+    let ops =
+      Workloads.Trace.fold_stream st ~init:[] ~f:(fun acc _ op -> op :: acc)
+    in
+    Workloads.Trace.
+      (stream_name st, stream_threads st, stream_sites st, List.rev ops)
+  in
+  let path =
+    lazy
+      (let path = Filename.temp_file "msweep-scan" ".trace" in
+       at_exit (fun () -> Sys.remove path);
+       path)
+  in
+  QCheck.Test.make ~name:"scanner reads every line as the list parser did"
+    ~count:500
+    (QCheck.make ~print:String.escaped gen_scan_text)
+    (fun text ->
+      let expected =
+        outcome (fun () -> whole (Reference_trace_parse.of_string text))
+      in
+      let path = Lazy.force path in
+      Out_channel.with_open_bin path (fun oc -> output_string oc text);
+      outcome (fun () -> whole (Workloads.Trace.of_string text)) = expected
+      && List.for_all
+           (fun chunk_ops ->
+             outcome (fun () ->
+                 folded (Workloads.Trace.stream_of_string ~chunk_ops text))
+             = expected)
+           [ 1; 7; 4096 ]
+      && outcome (fun () ->
+             folded (Workloads.Trace.stream_of_file ~chunk_ops:7 path))
+         = expected)
+
 let test_parse_error_line_numbers () =
   (* The reported line number must point at the offending line, counting
      the header and every earlier (valid) line. *)
@@ -1035,6 +1161,7 @@ let suite =
       Alcotest.test_case "parse error line numbers" `Quick
         test_parse_error_line_numbers;
       QCheck_alcotest.to_alcotest prop_parse_total;
+      QCheck_alcotest.to_alcotest prop_scanner_matches_reference;
       Alcotest.test_case "file roundtrip" `Quick test_file_roundtrip;
       Alcotest.test_case "replay all schemes" `Quick test_replay_all_schemes;
       Alcotest.test_case "replay deterministic" `Quick test_replay_deterministic;
