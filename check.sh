@@ -132,6 +132,22 @@ for suite in spec2006 spec2017 mimalloc; do
 done
 echo "referees certify the figures' programs: five pinned reports, 53 profiles sound and race-free"
 
+echo "== generator pins at scale 0.2"
+# At 0.02 the phase profiles pass only one or two teardowns. At 0.2,
+# xalancbmk tears down five phases holding back pointers and
+# alloc-testN frees from 8 threads: the run stdout (stats and registry)
+# under baseline and minesweeper moves if a single draw of the program
+# does.
+for pin in "spec2006 xalancbmk baseline 1465607142 316" \
+    "spec2006 xalancbmk minesweeper 666346955 1398" \
+    "mimalloc alloc-testN baseline 3876676873 313" \
+    "mimalloc alloc-testN minesweeper 3230295428 1401"; do
+  set -- $pin
+  "$CLI" run --suite "$1" -b "$2" -s "$3" --scale 0.2 >"$workdir/gen-$2-$3.txt"
+  require_cksum "gen-$2-$3.txt" "$4 $5"
+done
+echo "xalancbmk and alloc-testN runs at 0.2 match their pinned bytes"
+
 echo "== sweep-mode equivalence (full vs incremental)"
 # The dedicated equivalence suite: identical mark sets and decisions.
 _build/default/test/test_main.exe test minesweeper.sweep-equivalence \

@@ -29,16 +29,24 @@ let size_of_class i =
   assert (i >= 0 && i < count);
   sizes.(i)
 
+(* Every class size is a multiple of 8, so the first class >= [sz] is
+   the first one >= [sz] rounded up to 8: one byte per 8-byte step,
+   indexed by [(sz + 7) / 8]. *)
+let class_table =
+  assert (count <= 256 && Array.for_all (fun sz -> sz mod 8 = 0) sizes);
+  let t = Bytes.make ((small_max / 8) + 1) '\000' in
+  let cls = ref 0 in
+  for k = 1 to small_max / 8 do
+    while sizes.(!cls) < 8 * k do
+      incr cls
+    done;
+    Bytes.set t k (Char.chr !cls)
+  done;
+  t
+
 let class_of_size sz =
   assert (sz >= 1 && sz <= small_max);
-  (* Binary search for the first class >= sz. *)
-  let rec search lo hi =
-    if lo >= hi then lo
-    else
-      let mid = (lo + hi) / 2 in
-      if sizes.(mid) >= sz then search lo mid else search (mid + 1) hi
-  in
-  search 0 (count - 1)
+  Char.code (Bytes.unsafe_get class_table ((sz + 7) lsr 3))
 
 (* Pick the smallest slab (up to 8 pages) wasting < 1/16 of its space,
    falling back to the least-waste choice. *)

@@ -1,5 +1,6 @@
 module Trace = Workloads.Trace
 module Heap = Workloads.Absheap
+module Flat_table = Workloads.Flat_table
 module Diagnostic = Sanitizer.Diagnostic
 
 type window_stats = {
@@ -49,81 +50,111 @@ let analyze ?(policies = Policy.default_policies) stream =
   let primary = primary_policy policies in
   let granule = Option.value ~default:16 (Policy.shadow_granule primary) in
   let heap = Heap.create ~zeroing:(Policy.zeroing primary) in
-  let accs = List.map (fun p -> (p, Policy.acc p)) policies in
+  let policies = Array.of_list policies in
+  let accs = Array.map Policy.acc policies in
   let diags = ref [] in
   let flag ~rule ~op message =
     diags :=
       Diagnostic.make ~rule ~severity:Diagnostic.Warning ~op_index:op message
       :: !diags
   in
-  let unsound : (int, unit) Hashtbl.t = Hashtbl.create 64 in
-  let retained : (int, int) Hashtbl.t = Hashtbl.create 64 in
-  let retain id size = Hashtbl.replace retained id size in
+  (* Id sets and maps in flat tables, so an event's upkeep allocates
+     nothing: unsound ids (no row), retained id -> size, and the open
+     dangling windows ({!window_stats}) id -> the op it opened at. *)
+  let unsound = Flat_table.create ~width:0 in
+  let retained = Flat_table.create ~width:1 in
+  let retain id size =
+    Flat_table.set retained (Flat_table.add retained id 0) 0 size
+  in
+  let windows = Flat_table.create ~width:1 in
   let wild_stores = ref 0 in
   let subgranule = ref 0 in
   let allocs = ref 0 in
   let frees = ref 0 in
-  (* Dangling windows ({!window_stats}): id -> the op it opened at. *)
-  let windows : (int, int) Hashtbl.t = Hashtbl.create 256 in
   let opened = ref 0 and closed = ref 0 in
   let max_len = ref 0 and total_len = ref 0 in
   let measure len =
     max_len := max !max_len len;
     total_len := !total_len + len
   in
-  (* An edge to [id] died at [op]: close the dangling window once the
-     last one is gone. *)
+  (* An edge to [target] died at [op]: close the dangling window once
+     the last one is gone. *)
   let edge_died op = function
-    | Some ((Heap.Ptr id | Heap.Alias id), _)
-      when (not (Heap.is_live heap id)) && Heap.holder_count heap id = 0 -> (
-      match Hashtbl.find_opt windows id with
-      | Some opened_at ->
-        Hashtbl.remove windows id;
+    | Heap.Ptr id | Heap.Alias id
+      when (not (Heap.is_live heap id)) && Heap.holder_count heap id = 0 ->
+      let w = Flat_table.find windows id 0 in
+      if w >= 0 then begin
+        let opened_at = windows.Flat_table.rows.(w) in
+        Flat_table.remove windows w;
         incr closed;
         measure (op - opened_at)
-      | None -> ())
-    | Some _ | None -> ()
+      end
+    | Heap.Ptr _ | Heap.Alias _ | Heap.Wild -> ()
+  in
+  let displaced_died op = function
+    | Some (target, _) -> edge_died op target
+    | None -> ()
+  in
+  (* Zeroing destroyed every slot stored inside the dying object —
+     exactly what the replay's registry drop models. *)
+  let rec dropped_died op = function
+    | [] -> ()
+    | (_, target, _) :: rest ->
+      edge_died op target;
+      dropped_died op rest
+  in
+  (* The free's outside edges in one pass: how many are pointers and
+     how many aliases, and the first slot of each. *)
+  let ptrs = ref 0 and aliases = ref 0 in
+  let first_ptr = ref (Heap.Root_slot 0)
+  and first_alias = ref (Heap.Root_slot 0) in
+  let rec count_outside = function
+    | [] -> ()
+    | (slot, Heap.Ptr _, _) :: rest ->
+      if !ptrs = 0 then first_ptr := slot;
+      incr ptrs;
+      count_outside rest
+    | (slot, (Heap.Alias _ | Heap.Wild), _) :: rest ->
+      if !aliases = 0 then first_alias := slot;
+      incr aliases;
+      count_outside rest
   in
   let step i = function
     | Heap.Alloc { size; _ } ->
       incr allocs;
-      List.iter (fun (_, a) -> Policy.acc_alloc a ~size) accs
+      for k = 0 to Array.length accs - 1 do
+        Policy.acc_alloc accs.(k) ~size
+      done
     | Heap.Free
         { id; before = Some (Heap.Live { size; _ }); outside; dropped; _ } ->
       incr frees;
-      List.iter (fun (_, a) -> Policy.acc_free a ~size) accs;
-      (* Zeroing destroyed every slot stored inside the dying object —
-         exactly what the replay's registry drop models. *)
-      List.iter
-        (fun (_, target, stored_at) -> edge_died i (Some (target, stored_at)))
-        dropped;
-      let ptrs, aliases =
-        List.partition
-          (fun (_, target, _) ->
-            match target with Heap.Ptr _ -> true | _ -> false)
-          outside
-      in
-      (match ptrs with
-      | (slot, _, _) :: _ ->
-        Hashtbl.replace unsound id ();
+      for k = 0 to Array.length accs - 1 do
+        Policy.acc_free accs.(k) ~size
+      done;
+      dropped_died i dropped;
+      ptrs := 0;
+      aliases := 0;
+      count_outside outside;
+      if !ptrs > 0 then begin
+        ignore (Flat_table.add unsound id 0);
         retain id size;
         flag ~rule:"flow-dangling" ~op:i
           (Printf.sprintf
              "id %d freed while %d live slot(s) still point at it; witness: %s"
-             id (List.length ptrs)
-             (render_chain (Heap.witness_chain heap slot) id))
-      | [] -> ());
-      (match (ptrs, aliases) with
-      | [], (slot, _, _) :: _ ->
+             id !ptrs
+             (render_chain (Heap.witness_chain heap !first_ptr) id))
+      end
+      else if !aliases > 0 then begin
         retain id size;
         flag ~rule:"flow-alias" ~op:i
           (Printf.sprintf
              "id %d freed while %d data slot(s) alias its address (unlucky \
               integers, e.g. %s): conservative retention expected"
-             id (List.length aliases) (slot_to_string slot))
-      | _ -> ());
-      if outside <> [] && not (Hashtbl.mem windows id) then begin
-        Hashtbl.replace windows id i;
+             id !aliases
+             (slot_to_string !first_alias))
+      end;
+      if !ptrs + !aliases > 0 && Flat_table.find windows id 0 < 0 then begin
+        Flat_table.set windows (Flat_table.add windows id 0) 0 i;
         incr opened
       end;
       if Heap.wild_count heap > 0 then retain id size;
@@ -132,8 +163,8 @@ let analyze ?(policies = Policy.default_policies) stream =
         retain id size
       end
     | Heap.Free _ | Heap.Work -> ()
-    | Heap.Store { displaced; _ } -> edge_died i displaced
-    | Heap.Clear { cleared; _ } -> edge_died i cleared
+    | Heap.Store { displaced; _ } -> displaced_died i displaced
+    | Heap.Clear { cleared; _ } -> displaced_died i cleared
     | Heap.Data { place; value; stored; displaced } ->
       (match (stored, place) with
       | Some Heap.Wild, Heap.(Slot slot | Wrapped { slot; _ }) ->
@@ -144,28 +175,29 @@ let analyze ?(policies = Policy.default_policies) stream =
               allocation (conservative retention possible)"
              value (slot_to_string slot))
       | _ -> ());
-      edge_died i displaced
+      displaced_died i displaced
   in
   let ops = ref 0 in
   Trace.fold_stream stream ~init:() ~f:(fun () i op ->
       ops := i + 1;
       step i (Heap.step heap i op));
   (* Windows still open ran to the end of the trace: measure them there. *)
-  Hashtbl.iter (fun _ opened_at -> measure (!ops - opened_at)) windows;
-  let sorted_keys tbl =
-    Hashtbl.fold (fun id _ acc -> id :: acc) tbl [] |> List.sort compare
+  Flat_table.iter windows (fun _ _ w ->
+      measure (!ops - windows.Flat_table.rows.(w)));
+  let sorted_ids tbl =
+    let ids = ref [] in
+    Flat_table.iter tbl (fun id _ _ -> ids := id :: !ids);
+    List.sort compare !ids
   in
-  let retained_ids = sorted_keys retained in
   let bounds =
-    List.map
-      (fun (pol, a) ->
-        let retained_bytes =
-          Hashtbl.fold
-            (fun _ size acc -> acc + Policy.usable pol size)
-            retained 0
-        in
-        Policy.finish a ~retained_bytes)
-      accs
+    List.init (Array.length accs) (fun k ->
+        let retained_bytes = ref 0 in
+        Flat_table.iter retained (fun _ _ r ->
+            retained_bytes :=
+              !retained_bytes
+              + Policy.usable policies.(k)
+                  retained.Flat_table.rows.(r));
+        Policy.finish accs.(k) ~retained_bytes:!retained_bytes)
   in
   {
     trace_name = Trace.stream_name stream;
@@ -174,13 +206,13 @@ let analyze ?(policies = Policy.default_policies) stream =
     allocs = !allocs;
     frees = !frees;
     findings = Diagnostic.sort (List.rev !diags);
-    predicted_unsound = sorted_keys unsound;
-    predicted_retained = retained_ids;
+    predicted_unsound = sorted_ids unsound;
+    predicted_retained = sorted_ids retained;
     windows =
       {
         opened = !opened;
         closed = !closed;
-        open_at_end = Hashtbl.length windows;
+        open_at_end = Flat_table.count windows;
         max_len = !max_len;
         total_len = !total_len;
       };

@@ -17,6 +17,7 @@
 
 module Trace = Workloads.Trace
 module Heap = Workloads.Absheap
+module Flat_table = Workloads.Flat_table
 
 (* Demand is tracked in the pooled allocator's own units: a small
    request occupies one slot of its size class (footprint comes in
@@ -24,12 +25,6 @@ module Heap = Workloads.Absheap
 type class_key =
   | Small of int  (** size-class index *)
   | Large of int  (** page count *)
-
-type class_stats = {
-  mutable live : int;
-  mutable peak : int;  (** peak concurrent live slots *)
-  mutable total : int;  (** slots ever allocated *)
-}
 
 type summary = {
   site : int;
@@ -70,17 +65,30 @@ let class_key_compare a b =
   | Small _, Large _ -> -1
   | Large _, Small _ -> 1
 
-let class_key_of_size size =
+(* Inside the fold a class is one int, its code: a small class's index,
+   or [Size_class.count] plus a large run's page count. Codes ascend in
+   {!class_key_compare} order. *)
+let small_classes = Alloc.Size_class.count
+
+let class_code_of_size size =
   let size = max 1 size in
-  if Alloc.Size_class.is_small size then
-    Small (Alloc.Size_class.class_of_size size)
-  else Large (Alloc.Size_class.large_pages size)
+  if Alloc.Size_class.is_small size then Alloc.Size_class.class_of_size size
+  else small_classes + Alloc.Size_class.large_pages size
+
+let key_of_code code =
+  if code < small_classes then Small code else Large (code - small_classes)
+
+let usable_of_code code =
+  if code < small_classes then Alloc.Size_class.size_of_class code
+  else (code - small_classes) * Vmem.page_size
+
+let class_key_of_size size = key_of_code (class_code_of_size size)
 
 (* usable_of_key ∘ class_key_of_size = Policy.pooled_usable: the demand
    model is stated in exactly the backend's units (tested). *)
 let usable_of_key = function
-  | Small cls -> Alloc.Size_class.size_of_class cls
-  | Large pages -> pages * Vmem.page_size
+  | Small cls -> usable_of_code cls
+  | Large pages -> usable_of_code (small_classes + pages)
 
 (* Mutable per-site accumulator. *)
 type acc = {
@@ -93,7 +101,6 @@ type acc = {
   mutable a_alias : bool;
   mutable a_wild : bool;
   mutable a_exposed_frees : int;
-  a_classes : (class_key, class_stats) Hashtbl.t;
 }
 
 let fresh_acc () =
@@ -107,12 +114,22 @@ let fresh_acc () =
     a_alias = false;
     a_wild = false;
     a_exposed_frees = 0;
-    a_classes = Hashtbl.create 16;
   }
+
+(* Which kinds of edge survive a free, from outside the dying object:
+   bit 0 a pointer, bit 1 an alias. *)
+let rec exposure bits = function
+  | [] -> bits
+  | (_, Heap.Ptr _, _) :: rest -> exposure (bits lor 1) rest
+  | (_, Heap.Alias _, _) :: rest -> exposure (bits lor 2) rest
+  | (_, Heap.Wild, _) :: rest -> exposure bits rest
 
 let analyze stream =
   let sites = max 1 (Trace.stream_sites stream) in
   let accs = Array.init sites (fun _ -> fresh_acc ()) in
+  (* Per (site, class code): live, peak and total slots. *)
+  let classes = Flat_table.create ~width:3 in
+  let column slot c = classes.Flat_table.rows.((3 * slot) + c) in
   let heap = Heap.create ~zeroing:false in
   let allocs = ref 0 in
   let frees = ref 0 in
@@ -121,45 +138,47 @@ let analyze stream =
     | Heap.Alloc { size; site; _ } ->
       incr allocs;
       if site < 0 || site >= sites then incr out_of_range;
-      let a = accs.(Trace.clamp_site ~sites site) in
+      let site = Trace.clamp_site ~sites site in
+      let a = accs.(site) in
       a.a_allocs <- a.a_allocs + 1;
-      let key = class_key_of_size size in
+      let code = class_code_of_size size in
       let cs =
-        match Hashtbl.find_opt a.a_classes key with
-        | Some cs -> cs
-        | None ->
-          let cs = { live = 0; peak = 0; total = 0 } in
-          Hashtbl.replace a.a_classes key cs;
+        let cs = Flat_table.find classes site code in
+        if cs >= 0 then cs
+        else begin
+          let cs = Flat_table.add classes site code in
+          for c = 0 to 2 do
+            Flat_table.set classes cs c 0
+          done;
           cs
+        end
       in
-      cs.live <- cs.live + 1;
-      if cs.live > cs.peak then cs.peak <- cs.live;
-      cs.total <- cs.total + 1;
-      a.a_live_bytes <- a.a_live_bytes + usable_of_key key;
+      let live = column cs 0 + 1 in
+      Flat_table.set classes cs 0 live;
+      if live > column cs 1 then Flat_table.set classes cs 1 live;
+      Flat_table.set classes cs 2 (column cs 2 + 1);
+      a.a_live_bytes <- a.a_live_bytes + usable_of_code code;
       if a.a_live_bytes > a.a_peak_live_bytes then
         a.a_peak_live_bytes <- a.a_live_bytes
     | Heap.Free { before = Some (Heap.Live { size; site; _ }); outside; _ } ->
       incr frees;
-      let a = accs.(Trace.clamp_site ~sites site) in
+      let site = Trace.clamp_site ~sites site in
+      let a = accs.(site) in
       a.a_frees <- a.a_frees + 1;
-      let key = class_key_of_size size in
-      (match Hashtbl.find_opt a.a_classes key with
-      | Some cs -> cs.live <- cs.live - 1
-      | None -> ());
-      let usable = usable_of_key key in
+      let code = class_code_of_size size in
+      let cs = Flat_table.find classes site code in
+      if cs >= 0 then Flat_table.set classes cs 0 (column cs 0 - 1);
+      let usable = usable_of_code code in
       a.a_live_bytes <- a.a_live_bytes - usable;
       a.a_total_freed_bytes <- a.a_total_freed_bytes + usable;
-      (* Which edges survive this free, from outside the dying object?
-         Interior edges of *other* dead holders persist by design (no
+      (* Interior edges of *other* dead holders persist by design (no
          zeroing on free in the pooled backend). *)
-      let has kind = List.exists (fun (_, target, _) -> kind target) outside in
-      let has_ptr = has (function Heap.Ptr _ -> true | _ -> false) in
-      let has_alias = has (function Heap.Alias _ -> true | _ -> false) in
+      let bits = exposure 0 outside in
       let has_wild = Heap.wild_count heap > 0 in
-      if has_ptr then a.a_ptr <- true;
-      if has_alias then a.a_alias <- true;
+      if bits land 1 <> 0 then a.a_ptr <- true;
+      if bits land 2 <> 0 then a.a_alias <- true;
       if has_wild then a.a_wild <- true;
-      if has_ptr || has_alias || has_wild then
+      if bits <> 0 || has_wild then
         a.a_exposed_frees <- a.a_exposed_frees + 1
     | Heap.(Free _ | Store _ | Clear _ | Data _ | Work) -> ()
   in
@@ -167,14 +186,16 @@ let analyze stream =
   Trace.fold_stream stream ~init:() ~f:(fun () i op ->
       ops := i + 1;
       step (Heap.step heap i op));
+  let demands = Array.make sites [] in
+  Flat_table.iter classes (fun site code cs ->
+      demands.(site) <-
+        (code, (column cs 1, column cs 2)) :: demands.(site));
   let summaries =
     Array.mapi
       (fun site a ->
         let demand =
-          Hashtbl.fold
-            (fun key cs acc -> (key, (cs.peak, cs.total)) :: acc)
-            a.a_classes []
-          |> List.sort (fun (k1, _) (k2, _) -> class_key_compare k1 k2)
+          List.sort (fun (c1, _) (c2, _) -> compare c1 c2) demands.(site)
+          |> List.map (fun (code, stats) -> (key_of_code code, stats))
         in
         {
           site;

@@ -56,11 +56,16 @@ let shifted k d = Shifted (k, d)
 (* Largest float that converts to int without overflow on 64-bit OCaml.
    [int_of_float] on values outside [min_int, max_int] is unspecified, so
    every float->int conversion of an unbounded variate goes through here. *)
-let to_int_clamped x =
+let[@inline] to_int_clamped x =
   if Float.is_nan x then 0
   else if x >= 4.611686018427387904e18 then max_int
   else if x <= 0. then 0
   else int_of_float x
+
+(* [Rng.float rng bound], computed here: a float returned from [Rng]
+   would be boxed, so a draw would allocate. *)
+let[@inline] float_draw rng bound =
+  bound *. (float_of_int (Rng.bits53 rng) /. 9007199254740992.0)
 
 let rec sample t rng =
   match t with
@@ -70,10 +75,10 @@ let rec sample t rng =
     (* u in (0, 1]: [Rng.float] returns [0, 1), so [1 - u'] never hits 0
        and [log u] is finite. u = 1 gives log u = 0, i.e. a sample of 1
        after the floor below. *)
-    let u = 1.0 -. Rng.float rng 1.0 in
+    let u = 1.0 -. float_draw rng 1.0 in
     max 1 (to_int_clamped (-.mean *. log u))
   | Pareto (shape, scale, cap) ->
-    let u = 1.0 -. Rng.float rng 1.0 in
+    let u = 1.0 -. float_draw rng 1.0 in
     if shape <= 0. then begin
       (* Degenerate heavy tail: all mass at the cap. The draw above keeps
          the RNG stream aligned with the non-degenerate case. *)
@@ -86,13 +91,21 @@ let rec sample t rng =
       if not (Float.is_finite x) || x >= float_of_int cap then cap
       else max scale (to_int_clamped x)
   | Choice (branches, total) ->
-    let x = Rng.float rng (if total > 0. then total else 0.) in
-    let rec pick i acc =
-      let w, d = branches.(i) in
-      if (w > 0. && x < acc +. w) || i = Array.length branches - 1 then d
-      else pick (i + 1) (acc +. w)
-    in
-    sample (pick 0 0.) rng
+    let x = float_draw rng (if total > 0. then total else 0.) in
+    (* The first branch whose cumulative weight passes [x], else the
+       last. *)
+    let last = Array.length branches - 1 in
+    let i = ref 0 and acc = ref 0. in
+    while
+      !i < last
+      && not
+           (let w = fst branches.(!i) in
+            w > 0. && x < !acc +. w)
+    do
+      acc := !acc +. fst branches.(!i);
+      incr i
+    done;
+    sample (snd branches.(!i)) rng
   | Shifted (k, d) -> k + sample d rng
 
 let rec mean_estimate = function

@@ -50,7 +50,8 @@ val shifted : int -> t -> t
 
 val sample : t -> Rng.t -> int
 (** Draw one variate. Results are always [>= 0] for the built-in
-    constructors with non-negative parameters. *)
+    constructors with non-negative parameters. A draw allocates
+    nothing. *)
 
 val mean_estimate : t -> float
 (** Analytic or approximate mean, used for sizing simulations a priori.

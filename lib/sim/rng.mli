@@ -2,7 +2,14 @@
 
     All randomness in the reproduction flows through this SplitMix64
     generator so that every experiment is exactly reproducible from its
-    seed. *)
+    seed.
+
+    The 64-bit state is kept unboxed, so {!next}, {!int}, {!word},
+    {!bits53} and {!bool} allocate nothing (the program generators draw
+    a dozen values a step). The stream is SplitMix64's and must not
+    move: every pinned trace, program and figure is drawn from it, and
+    [test sim.rng] holds the first values of every kind of draw for
+    three seeds. *)
 
 type t
 
@@ -30,7 +37,13 @@ val int : t -> int -> int
     be positive. *)
 
 val float : t -> float -> float
-(** [float t bound] returns a uniform float in [\[0, bound)]. *)
+(** [float t bound] returns a uniform float in [\[0, bound)]: [bound *.
+    (float_of_int (bits53 t) /. 2{^53})]. *)
+
+val bits53 : t -> int
+(** [bits53 t] is the uniform 53-bit integer a {!float} draw scales.
+    For callers in other modules that build the float themselves: a
+    float returned from a call is boxed, an [int] is not. *)
 
 val bool : t -> float -> bool
 (** [bool t p] is [true] with probability [p]. *)

@@ -13,7 +13,16 @@
     marking passes therefore scan genuine reference graphs — failed
     frees, quarantine growth and protection behaviour all emerge from
     the memory contents rather than from modelling shortcuts — and
-    {!program} hands the same ops to the referees. *)
+    {!program} hands the same ops to the referees.
+
+    Drawing the program costs O(1) a step plus O(refs) per free and
+    O(live) per phase teardown, and allocates nothing but the ops it
+    emits: the generator's state is flat int arrays (live objects in
+    reused slots, their remembered references and the scheduled deaths
+    as lists in one node pool, deaths keyed by step in a {!Flat_table}),
+    and its draws are unboxed. That state grows with the live objects,
+    their references and the pending deaths, not with the number of
+    steps. *)
 
 type result = {
   benchmark : string;

@@ -82,6 +82,13 @@ and grow t =
 
 let set t i c v = t.rows.((t.width * i) + c) <- v
 
+let iter t f =
+  let used = t.used in
+  for i = 0 to Bytes.length used - 1 do
+    if Bytes.unsafe_get used i <> '\000' then
+      f t.keys.(2 * i) t.keys.((2 * i) + 1) i
+  done
+
 (* Empty slot [hole], then move back every later entry of the run
    whose home does not lie cyclically in (hole, j]. *)
 let remove t i =

@@ -41,3 +41,8 @@ val remove : t -> int -> unit
 
 val count : t -> int
 (** Entries in the table. *)
+
+val iter : t -> (int -> int -> int -> unit) -> unit
+(** [iter t f] calls [f a b slot] for every entry, in slot order (an
+    order of hashes: sort what must come out in key order). [f] must
+    not change the table. *)

@@ -194,6 +194,16 @@ let test_sampler_normalised_guard () =
 (* Valid parameters keep their exact pre-clamp sample streams: the CI
    export gates compare runs byte-for-byte, so the clamps must be inert
    in range. Golden first draws for a fixed seed. *)
+(* Every kind of branch, one of them never taken. *)
+let mixture =
+  Sim.Dist.choice
+    [
+      (0.5, Sim.Dist.uniform ~lo:1 ~hi:10);
+      (0.0, Sim.Dist.constant 7);
+      (2.0, Sim.Dist.exponential ~mean:100.);
+      (1.0, Sim.Dist.pareto ~shape:1.3 ~scale:64 ~cap:4096);
+    ]
+
 let test_valid_params_bit_identical () =
   let draws d =
     let r = Sim.Rng.create 5 in
@@ -205,7 +215,33 @@ let test_valid_params_bit_identical () =
   check "exponential" [ 53; 76; 152; 146 ] (Sim.Dist.exponential ~mean:100.);
   check "pareto" [ 96; 115; 207; 197 ]
     (Sim.Dist.pareto ~shape:1.3 ~scale:64 ~cap:4096);
-  check "uniform" [ 18; 20; 10; 18 ] (Sim.Dist.uniform ~lo:10 ~hi:20)
+  check "uniform" [ 18; 20; 10; 18 ] (Sim.Dist.uniform ~lo:10 ~hi:20);
+  check "shifted choice"
+    [ 79; 200; 559; 195 ]
+    (Sim.Dist.shifted 3 mixture)
+
+(* A draw allocates nothing, whichever constructor it goes through: the
+   generators sample sizes and lifetimes on every step. *)
+let test_sample_allocates_nothing () =
+  let r = Sim.Rng.create 5 in
+  let sink = ref 0 in
+  List.iter
+    (fun (name, d) ->
+      let before = Gc.minor_words () in
+      for _ = 1 to 10_000 do
+        sink := !sink + Sim.Dist.sample d r
+      done;
+      Alcotest.(check (float 0.))
+        (name ^ ": minor words over 10000 draws")
+        0.
+        (Gc.minor_words () -. before))
+    [
+      ("uniform", Sim.Dist.uniform ~lo:10 ~hi:20);
+      ("exponential", Sim.Dist.exponential ~mean:100.);
+      ("pareto", Sim.Dist.pareto ~shape:1.3 ~scale:64 ~cap:4096);
+      ("shifted choice", Sim.Dist.shifted 3 mixture);
+    ];
+  ignore (Sys.opaque_identity !sink)
 
 let prop_degenerate_total =
   QCheck.Test.make ~name:"sampling never raises for arbitrary parameters"
@@ -255,6 +291,8 @@ let suite =
         test_sampler_normalised_guard;
       Alcotest.test_case "valid params bit-identical" `Quick
         test_valid_params_bit_identical;
+      Alcotest.test_case "sample allocates nothing" `Quick
+        test_sample_allocates_nothing;
       QCheck_alcotest.to_alcotest prop_degenerate_total;
       QCheck_alcotest.to_alcotest prop_sample_non_negative;
     ] )

@@ -68,6 +68,85 @@ let test_server_matches_reference () =
         server_schemes)
     Workloads.Server.profiles
 
+(* Random profiles that stress the generator's (slot, id) handles:
+   lifetimes of a few steps, so slots are freed and refilled at once; a
+   phase teardown every 500 steps that frees objects whose deaths are
+   still scheduled, so by its step a death's slot may hold another
+   object; all or no back pointers and leaks, up to 8 threads, and
+   separate lifetimes for large objects. *)
+let stress_profile =
+  let open QCheck.Gen in
+  let rate = map (fun k -> float_of_int k /. 8.) (int_range 0 8) in
+  let* seed = int_range 0 1_000_000
+  and* ops = int_range 1000 2500
+  and* short = int_range 1 40
+  and* large = opt (int_range 0 400)
+  and* pointer_density = rate
+  and* root_fraction = rate
+  and* dangling_rate = rate
+  and* false_pointer_rate = rate
+  and* back_pointer_rate = map float_of_int (int_range 0 1)
+  and* phase_kill = rate
+  and* threads = int_range 1 8
+  and* leak_rate = map float_of_int (int_range 0 1)
+  and* sites = int_range 1 8 in
+  return
+    (Workloads.Profile.make ~name:"stress" ~suite:"test" ~ops
+       ~size:
+         (Sim.Dist.choice
+            [
+              (0.5, Sim.Dist.uniform ~lo:1 ~hi:24);
+              (0.4, Sim.Dist.uniform ~lo:8 ~hi:2048);
+              (0.1, Sim.Dist.uniform ~lo:16384 ~hi:40000);
+            ])
+       ~lifetime:(Sim.Dist.uniform ~lo:0 ~hi:short)
+       ?lifetime_large:
+         (Option.map (fun hi -> Sim.Dist.uniform ~lo:0 ~hi) large)
+       ~work_per_op:200 ~pointer_density ~root_fraction ~dangling_rate
+       ~false_pointer_rate ~back_pointer_rate ~phase_ops:(Some 500)
+       ~phase_kill ~threads ~leak_rate ~sites ~seed ())
+
+let print_profile (p : Workloads.Profile.t) =
+  Printf.sprintf
+    "seed %d, ops %d, mean lifetime %g, large %s, density %g, roots %g, \
+     dangling %g, false %g, back %g, kill %g, threads %d, leak %g, sites %d"
+    p.seed p.ops
+    (Sim.Dist.mean_estimate p.lifetime)
+    (match p.lifetime_large with
+    | Some d -> Printf.sprintf "mean %g" (Sim.Dist.mean_estimate d)
+    | None -> "none")
+    p.pointer_density p.root_fraction p.dangling_rate p.false_pointer_rate
+    p.back_pointer_rate p.phase_kill p.threads p.leak_rate p.sites
+
+let prop_driver_matches_reference_under_stress =
+  QCheck.Test.make ~count:25
+    ~name:"driver == reference on slot-reusing, teardown-heavy profiles"
+    (QCheck.make ~print:print_profile stress_profile)
+    (fun p ->
+      List.for_all
+        (fun scheme ->
+          Workloads.Driver.run p scheme = Reference_runners.driver_run p scheme)
+        Workloads.Harness.[ Baseline; Mine_sweeper Minesweeper.Config.default ])
+
+(* The generator's state is flat ints and its draws are unboxed, so
+   drawing a program allocates only the ops it emits. [Driver.program]
+   on perlbench at 0.05 took 32.1 minor words per emitted op with a
+   boxed RNG state, a record per object, a list of refs and a [Hashtbl]
+   of deaths; it takes 10.5 now: 4.0 for the op records, 6.0 for the
+   list [program] collects them in and reverses. *)
+let test_program_minor_words () =
+  let p = Workloads.Spec2006.find "perlbench" in
+  ignore (Workloads.Driver.program ~ops_scale:0.05 p);
+  let before = Gc.minor_words () in
+  let program = Workloads.Driver.program ~ops_scale:0.05 p in
+  let per_op =
+    (Gc.minor_words () -. before)
+    /. float_of_int (Workloads.Trace.length program)
+  in
+  if per_op > 11.5 then
+    Alcotest.failf "Driver.program allocates %.2f minor words/op, above 11.5"
+      per_op
+
 (* [Driver.program] is what [Driver.run] streams: replaying it through a
    target that does what the runner's does lands on the same clock. *)
 let test_driver_program_is_what_runs () =
@@ -153,6 +232,9 @@ let suite =
         test_driver_matches_reference;
       Alcotest.test_case "server == reference on every profile" `Slow
         test_server_matches_reference;
+      QCheck_alcotest.to_alcotest prop_driver_matches_reference_under_stress;
+      Alcotest.test_case "driver program minor words per op" `Quick
+        test_program_minor_words;
       Alcotest.test_case "driver program is what runs" `Quick
         test_driver_program_is_what_runs;
       Alcotest.test_case "server program is what runs" `Quick

@@ -65,6 +65,39 @@ let prop_class_is_tight =
       let cls = Alloc.Size_class.class_of_size size in
       cls = 0 || Alloc.Size_class.size_of_class (cls - 1) < size)
 
+(* [class_of_size] as it was first written: a binary search over the
+   class sizes for the first one >= [sz]. The table lookup must agree
+   with it on every small size. *)
+let reference_class_of_size sz =
+  let size = Alloc.Size_class.size_of_class in
+  let rec search lo hi =
+    if lo >= hi then lo
+    else
+      let mid = (lo + hi) / 2 in
+      if size mid >= sz then search lo mid else search (mid + 1) hi
+  in
+  search 0 (Alloc.Size_class.count - 1)
+
+let test_matches_reference () =
+  for sz = 1 to Alloc.Size_class.small_max do
+    let expected = reference_class_of_size sz in
+    let got = Alloc.Size_class.class_of_size sz in
+    if got <> expected then
+      Alcotest.failf "class_of_size %d = %d, reference %d" sz got expected
+  done
+
+(* Every small malloc looks its class up: the lookup allocates nothing. *)
+let test_lookup_allocates_nothing () =
+  let sink = ref 0 in
+  let before = Gc.minor_words () in
+  for sz = 1 to Alloc.Size_class.small_max do
+    sink := !sink + Alloc.Size_class.class_of_size sz
+  done;
+  let words = Gc.minor_words () -. before in
+  ignore (Sys.opaque_identity !sink);
+  Alcotest.(check (float 0.))
+    "minor words over every small size" 0. words
+
 let suite =
   ( "alloc.size_class",
     [
@@ -74,6 +107,10 @@ let suite =
       Alcotest.test_case "round up" `Quick test_round_up;
       Alcotest.test_case "slab geometry" `Quick test_slab_geometry;
       Alcotest.test_case "large pages" `Quick test_large_pages;
+      Alcotest.test_case "lookup matches the binary search" `Quick
+        test_matches_reference;
+      Alcotest.test_case "lookup allocates nothing" `Quick
+        test_lookup_allocates_nothing;
       QCheck_alcotest.to_alcotest prop_class_covers_request;
       QCheck_alcotest.to_alcotest prop_class_is_tight;
     ] )
