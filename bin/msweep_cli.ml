@@ -74,13 +74,6 @@ let apply_domains n scheme =
 
 let mb x = float_of_int x /. 1048576.
 
-(* A machine whose root regions (globals, stacks) are mapped, as a
-   program's would be. *)
-let fresh_machine () =
-  let machine = Alloc.Machine.create () in
-  Alloc.Machine.map_roots machine;
-  machine
-
 let print_result (r : Workloads.Driver.result) =
   Fmt.pr "benchmark      %s@." r.benchmark;
   Fmt.pr "scheme         %s@." r.scheme;
@@ -451,9 +444,7 @@ let figures_cmd =
 let attack_cmd =
   let doc = "Run the use-after-free exploit scenarios against a scheme" in
   let f scheme =
-    let fresh () =
-      Workloads.Harness.build scheme ~threads:1 (fresh_machine ())
-    in
+    let fresh () = Workloads.Harness.fresh scheme ~threads:1 in
     Fmt.pr "scheme: %s@." (Workloads.Harness.scheme_name scheme);
     Fmt.pr "  vtable hijack      %s@."
       (Attack.describe (Attack.vtable_hijack (fresh ())));
@@ -840,20 +831,17 @@ let trace_replay_cmd =
   in
   let f input scheme =
     let trace = reading_trace input (fun () -> Workloads.Trace.of_file input) in
-    let machine = fresh_machine () in
     let stack =
-      Workloads.Harness.build scheme
-        ~threads:(max 1 trace.Workloads.Trace.threads)
-        machine
+      Workloads.Harness.fresh scheme ~threads:trace.Workloads.Trace.threads
     in
+    let machine = stack.Workloads.Harness.machine in
     let executed = Workloads.Trace.replay trace stack in
     Fmt.pr "replayed %d ops of %s under %s@." executed
       trace.Workloads.Trace.name stack.Workloads.Harness.scheme;
     Fmt.pr "wall %d cycles, cpu util %.3f, rss %.2f MiB, sweeps %d@."
       (Sim.Clock.wall machine.Alloc.Machine.clock)
       (Sim.Clock.cpu_utilisation machine.Alloc.Machine.clock)
-      (float_of_int (Vmem.committed_bytes machine.Alloc.Machine.mem)
-      /. 1048576.)
+      (float_of_int (Workloads.Harness.rss stack) /. 1048576.)
       (stack.Workloads.Harness.sweeps ())
   in
   Cmd.v (Cmd.info "trace-replay" ~doc) Term.(const f $ in_arg $ scheme_arg)
@@ -910,11 +898,9 @@ let check_cmd =
         & info [ "b"; "bench" ]
             ~doc:
               "Also check the program the figures run for this benchmark \
-               of $(b,--suite) at $(b,--scale). The referees replay its ops \
-               on their own schedule, one tick after each allocation and no \
-               cold-reuse charge, not on the figure run's (a tick per \
-               program step, cold-reuse cycles charged): a concurrent sweep \
-               can complete at a different op than in the figure's run")
+               of $(b,--suite) at $(b,--scale): the lint reads its ops, and \
+               the referees judge the run the figures and $(b,run) report, \
+               laid over it")
     in
     let program suite bench scale =
       match bench with
@@ -924,7 +910,11 @@ let check_cmd =
           (fun profile ->
             Some
               ( Fmt.str "%s/%s@%g" suite name scale,
-                fun () -> Workloads.Driver.program ~ops_scale:scale profile ))
+                (fun () -> Workloads.Driver.program ~ops_scale:scale profile),
+                fun _program scheme observe ->
+                  ignore
+                    (Workloads.Driver.run ~ops_scale:scale ~observe profile
+                       scheme) ))
           (Workloads.Harness.find_profile ~suite name)
     in
     Term.(
@@ -936,8 +926,10 @@ let check_cmd =
       value & flag
       & info [ "oracle" ]
           ~doc:
-            "Also replay each trace under MineSweeper with the differential \
-             sweep oracle and the cross-layer invariant audit")
+            "Also run each input under MineSweeper with the differential \
+             sweep oracle and the cross-layer invariant audit laid over \
+             it: a trace file as a replay, $(b,-b)'s program as the \
+             figures' own run")
   in
   let corpus_arg =
     Arg.(
@@ -968,7 +960,7 @@ let check_cmd =
       value & flag
       & info [ "races" ]
           ~doc:
-            "Also record each trace's synchronization events on a live \
+            "Also record each input's synchronization events on a live \
              instrumented stack (under both the default and \
              mostly-concurrent presets) and run the vector-clock \
              happens-before analysis; with --corpus, additionally replay \
@@ -991,25 +983,31 @@ let check_cmd =
           Fmt.pr "  %s@." (Sanitizer.Diagnostic.to_string d))
         diags
     in
+    (* Each input is read as a trace for the lint, and run once per
+       referee with the referee laid over the run: a trace file as a
+       replay, a figure's program as the figure's own [Driver.run]. *)
     let inputs =
       List.map
         (fun file ->
           ( file,
-            fun () ->
-              reading_trace file (fun () -> Workloads.Trace.of_file file) ))
+            (fun () ->
+              reading_trace file (fun () -> Workloads.Trace.of_file file)),
+            Workloads.Trace.replay_observed ))
         files
       @ Option.to_list program
     in
     List.iter
-      (fun (file, read) ->
+      (fun (file, read, replay) ->
         let trace = read () in
+        let run config = replay trace (Workloads.Harness.Mine_sweeper config) in
         let diags = Sanitizer.Trace_lint.lint trace in
         Fmt.pr "%s: lint: %d finding(s)@." file (List.length diags);
         print_diags diags;
         if oracle then begin
           let r =
-            Sanitizer.Sweep_oracle.run ~config:(oracle_config config)
-              ~latency_sweeps:latency trace
+            Sanitizer.Sweep_oracle.over ~latency_sweeps:latency
+              ~trace_name:file
+              (run (oracle_config config))
           in
           let diags = Sanitizer.Sweep_oracle.findings r in
           Fmt.pr
@@ -1024,8 +1022,9 @@ let check_cmd =
           List.iter
             (fun (config_name, config) ->
               let r =
-                Racecheck.Recorder.run ~config:(oracle_config config)
-                  ~config_name trace
+                Racecheck.Recorder.over ~config_name ~trace_name:file
+                  ~threads:(max 1 trace.Workloads.Trace.threads)
+                  (run (oracle_config config))
               in
               Fmt.pr
                 "%s: races(%s): %d threads, %d sweeps, %d events, %d window \

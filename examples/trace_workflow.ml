@@ -15,11 +15,6 @@ let profile =
     ~lifetime:(Sim.Dist.exponential ~mean:1500.)
     ~work_per_op:400 ~dangling_rate:0.01 ()
 
-let fresh_stack scheme =
-  let machine = Alloc.Machine.create () in
-  Alloc.Machine.map_roots machine;
-  Workloads.Harness.build scheme ~threads:1 machine
-
 let () =
   (* 1. Derive a concrete trace from the profile (deterministic). *)
   let trace = Workloads.Trace.generate ~seed:2026 profile in
@@ -40,7 +35,7 @@ let () =
   let baseline_wall = ref 0 in
   List.iter
     (fun scheme ->
-      let stack = fresh_stack scheme in
+      let stack = Workloads.Harness.fresh scheme ~threads:1 in
       ignore (Workloads.Trace.replay trace stack);
       let machine = stack.Workloads.Harness.machine in
       let wall = Sim.Clock.wall machine.Alloc.Machine.clock in
@@ -48,8 +43,7 @@ let () =
       Fmt.pr "%-22s %14d %9.3f %10.2f %7d   (%.2fx)@."
         stack.Workloads.Harness.scheme wall
         (Sim.Clock.cpu_utilisation machine.Alloc.Machine.clock)
-        (float_of_int (Vmem.committed_bytes machine.Alloc.Machine.mem)
-        /. 1048576.)
+        (float_of_int (Workloads.Harness.rss stack) /. 1048576.)
         (stack.Workloads.Harness.sweeps ())
         (float_of_int wall /. float_of_int !baseline_wall))
     [

@@ -97,13 +97,7 @@ let fig2 _env =
       "scudo"; "scudo-minesweeper"; "crcount"; "psweeper"; "dangsan";
     ]
   in
-  (* A stack on a fresh machine whose root regions (globals, stacks)
-     are mapped, as a program's would be. *)
-  let stack key =
-    let machine = Alloc.Machine.create () in
-    Alloc.Machine.map_roots machine;
-    Workloads.Harness.build (resolve key) ~threads:1 machine
-  in
+  let stack key = Workloads.Harness.fresh (resolve key) ~threads:1 in
   let line scheme =
     let hijack = Attack.vtable_hijack (stack scheme) in
     let dfree = Attack.double_free_hijack (stack scheme) in
@@ -836,13 +830,16 @@ let static_bounds env =
          totals, and every ground-truth finding must have been predicted
          statically. *)
       let module Oracle = Sanitizer.Sweep_oracle in
-      let ms =
-        Oracle.fresh_instance ~config:Minesweeper.Config.default
+      let stack =
+        Workloads.Harness.fresh
+          (Workloads.Harness.Mine_sweeper Minesweeper.Config.default)
           ~threads:trace.Workloads.Trace.threads
       in
+      let ms = Workloads.Harness.instance stack in
       let oracle = Oracle.attach ~audit:false ms in
-      Workloads.Trace.run trace (Minesweeper.Instance.machine ms)
-        (Oracle.layer oracle (Oracle.serve ms));
+      Workloads.Trace.run trace stack.Workloads.Harness.machine
+        (Oracle.layer oracle
+           Workloads.Trace.(ticking stack (serve stack)));
       let orc = Oracle.finish oracle ~trace_name:trace.Workloads.Trace.name in
       let read name =
         Option.value ~default:0

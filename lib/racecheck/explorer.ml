@@ -3,6 +3,7 @@ module Config = Minesweeper.Config
 module Diagnostic = Sanitizer.Diagnostic
 module Sweep_oracle = Sanitizer.Sweep_oracle
 module Trace = Workloads.Trace
+module Harness = Workloads.Harness
 
 (* ------------------------------------------------------------------ *)
 (* The mutator script: a fixed two-thread program with a deliberate
@@ -101,16 +102,19 @@ let explorer_config base =
   }
 
 let run_schedule config index (boundaries : schedule) =
-  let ms = Sweep_oracle.fresh_instance ~config ~threads:2 in
+  let stack = Harness.fresh (Harness.Mine_sweeper config) ~threads:2 in
+  let ms = Harness.instance stack in
   let oracle = Sweep_oracle.attach ms in
   let s = Recorder.attach ms ~threads:2 in
-  let on = Sweep_oracle.layer oracle (Sweep_oracle.serve ms) in
+  let on =
+    Sweep_oracle.layer oracle (Trace.ticking stack (Trace.serve stack))
+  in
   (* The schedule's layer on top runs the instance between ops: a [Work]
      op ticks it, then the boundaries placed after the op start or
-     finish sweeps. The oracle below checks last, against the registry
-     as the release saw it. *)
+     finish sweeps; the oracle judges each release on the instance's
+     post-sweep hook. *)
   let exec =
-    Trace.exec ~sites:1 (Instance.machine ms)
+    Trace.exec ~sites:1 stack.Harness.machine
       {
         on with
         after_op =

@@ -9,11 +9,13 @@
 
     The script is {!Workloads.Trace.op}s, each tagged with the mutator
     that issues it. A schedule replays it through
-    {!Workloads.Trace.exec} on a fresh instance, against the referees'
-    serving target under the {!Sanitizer.Sweep_oracle.layer}, with the
-    {!Recorder} attached. The explorer's own layer sits on top: after
-    each op it ticks the instance (after [Work]) and places the
-    schedule's boundaries, then lets the oracle check.
+    {!Workloads.Trace.exec} on a fresh MineSweeper stack
+    ({!Workloads.Harness.fresh}), against its serving target ticked
+    after each allocation, as every trace replay is, under the
+    {!Sanitizer.Sweep_oracle.layer}, with the {!Recorder} attached. The
+    explorer's own layer sits on top: after each op it ticks the
+    instance (after [Work]) and places the schedule's boundaries; the
+    oracle judges each release when its sweep completes.
 
     Per schedule, three judgments:
     - {e soundness}: the oracle's [oracle-unsound] findings (an entry

@@ -10,6 +10,7 @@ module Diagnostic = Sanitizer.Diagnostic
 type session = {
   ms : Instance.t;
   threads : int;
+  mutable ops : int;  (** ops the observed run has executed *)
   mutable events_rev : Event.t list;
   mutable seq : int;
   mutable current : int;  (** mutator issuing the op being replayed *)
@@ -29,6 +30,7 @@ let attach ms ~threads =
     {
       ms;
       threads;
+      ops = 0;
       events_rev = [];
       seq = 0;
       current = 0;
@@ -98,6 +100,10 @@ let layer s (on : Trace.target) =
         set_thread s thread;
         on.free ~id ~thread addr;
         set_thread s 0);
+    after_op =
+      (fun i ->
+        on.after_op i;
+        s.ops <- i + 1);
   }
 
 (* ------------------------------------------------------------------ *)
@@ -115,25 +121,34 @@ type report = {
   stream : Event.t list;
 }
 
-let run ?(config = Minesweeper.Config.default) ?(config_name = "?")
-    (trace : Trace.t) =
-  let threads = max 1 trace.Trace.threads in
-  let ms = Sanitizer.Sweep_oracle.fresh_instance ~config ~threads in
-  let s = attach ms ~threads in
-  Trace.run trace (Instance.machine ms)
-    (layer s (Sanitizer.Sweep_oracle.serve ms));
-  Instance.drain ms;
+let over ?(config_name = "?") ~trace_name ~threads run =
+  let session = ref None in
+  run (fun stack on ->
+      let s = attach (Workloads.Harness.instance stack) ~threads in
+      session := Some s;
+      layer s on);
+  let s =
+    match !session with
+    | Some s -> s
+    | None -> invalid_arg "Recorder.over: the run built no stack"
+  in
   detach s;
   let evs = events s in
-  let diags = Hb.analyze ~threads evs in
   {
-    trace_name = trace.Trace.name;
+    trace_name;
     config_name;
     threads;
-    ops = Array.length trace.Trace.ops;
-    sweeps = Option.get (Obs.Registry.read (Instance.registry ms) "ms.sweeps");
+    ops = s.ops;
+    sweeps =
+      Option.get (Obs.Registry.read (Instance.registry s.ms) "ms.sweeps");
     events = List.length evs;
     window_writes = s.window_writes;
-    diags;
+    diags = Hb.analyze ~threads evs;
     stream = evs;
   }
+
+let run ?(config = Minesweeper.Config.default) ?config_name (trace : Trace.t)
+    =
+  over ?config_name ~trace_name:trace.Trace.name
+    ~threads:(max 1 trace.Trace.threads)
+    (Trace.replay_observed trace (Workloads.Harness.Mine_sweeper config))

@@ -10,12 +10,14 @@
     one {!Event.t} stream for {!Hb.analyze}. The {!Explorer} drives its
     schedules through the same session type.
 
-    {!run} replays a {!Workloads.Trace.t} through {!layer} over
-    {!Sanitizer.Sweep_oracle.serve} on a fresh referee instance,
-    analyses the stream and returns the findings; it exports nothing
-    (the instance is dropped). A well-behaved trace must come back clean
-    under every preset: the generator never republishes a freed address,
-    so no window write can hide a locked-in pointer. *)
+    The recorder builds no stack: {!over} lays {!layer} over the
+    serving target ({!Workloads.Trace.serve}) of the stack a run builds
+    and records that run, [Driver.run ~observe] (the figures' run,
+    which [msweep check -b] records) or a trace replay ({!run}); then it
+    analyses the stream and returns the findings. It exports nothing.
+    A well-behaved program must come back clean under every preset: the
+    generators never republish a freed address, so no window write can
+    hide a locked-in pointer. *)
 
 type session
 
@@ -37,7 +39,8 @@ val set_thread : session -> int -> unit
 val layer : session -> Workloads.Trace.target -> Workloads.Trace.target
 (** Over any target serving from the observed instance: attribute the
     events of each [free] to the freeing mutator, then to mutator 0
-    again. The session only listens; the target serves. *)
+    again, and count ops. The session only listens; the target
+    serves. *)
 
 type report = {
   trace_name : string;
@@ -53,10 +56,25 @@ type report = {
           (e.g. static lockset passes) that want the raw schedule *)
 }
 
+val over :
+  ?config_name:string ->
+  trace_name:string ->
+  threads:int ->
+  ((Workloads.Harness.t -> Workloads.Trace.target -> Workloads.Trace.target) ->
+  unit) ->
+  report
+(** [over ~trace_name ~threads run] calls [run observe] and records the
+    run it performs: [run] builds a [Sweeper] stack and hands it and its
+    serving target to [observe] before the first op, which {!attach}es
+    a session for [threads] mutators and lays {!layer} over the target.
+    Then it detaches and analyses.
+    @raise Invalid_argument if [run] never calls [observe]. *)
+
 val run :
   ?config:Minesweeper.Config.t ->
   ?config_name:string ->
   Workloads.Trace.t ->
   report
-(** Replay under observation and analyse; deterministic in the trace and
-    config. *)
+(** {!over} a trace's replay ({!Workloads.Trace.replay_observed}) on a
+    MineSweeper stack under [config], which ticks after each
+    allocation; deterministic in the trace and config. *)

@@ -2,13 +2,13 @@
 
    The pooled allocator has no quarantine and no sweeps: its safety
    argument is entirely static ("this pool may recycle because no site
-   in it is ever dangling-exposed"). This oracle replays a trace
-   against the backend, as a target of the one trace interpreter
-   ([Trace.run]), under the sweep oracle's ground-truth layer, and
-   flags every *unsound recycle*: a malloc that returns a
-   previously-freed base while the registry still records live
-   pointers into it. A plan derived from the siteflow analysis must
-   produce zero such events; any hit is a static false negative. *)
+   in it is ever dangling-exposed"). This oracle replays a trace on a
+   [Pooled] stack, over its serving target ([Trace.serve]) under the
+   sweep oracle's ground-truth layer, and flags every *unsound
+   recycle*: a malloc that returns a previously-freed base while the
+   registry still records live pointers into it. A plan derived from
+   the siteflow analysis must produce zero such events; any hit is a
+   static false negative. *)
 
 module Poolalloc = Alloc.Poolalloc
 module Registry = Ptrtrack.Registry
@@ -33,9 +33,11 @@ let run ?plan (trace : Trace.t) =
     | Some p -> p
     | None -> Poolalloc.identity_plan ~sites:trace.Trace.sites
   in
-  let machine = Alloc.Machine.create () in
-  Alloc.Machine.map_roots machine;
-  let pa = Poolalloc.create ~plan machine in
+  let stack =
+    Workloads.Harness.fresh (Workloads.Harness.Pooled (Some plan))
+      ~threads:trace.Trace.threads
+  in
+  let pa = Workloads.Harness.pool stack in
   let registry =
     Registry.create_with ~resolve:(fun value ->
         Poolalloc.allocation_containing pa value)
@@ -48,15 +50,17 @@ let run ?plan (trace : Trace.t) =
   let frees = ref 0 in
   let recycled = ref 0 in
   let op_index = ref 0 in (* the op being replayed; [after_op] advances it *)
-  (* The recycle check serves from the pooled backend, below the ground
+  (* The recycle check sits on the serving target, below the ground
      truth: it reads the registry before the fresh memory's records are
      dropped. The pooled backend does not zero on free, so records inside
      a freed object persist until its memory is re-served or overwritten. *)
+  let on = Trace.ticking stack (Trace.serve stack) in
   let recycle_check =
     {
+      on with
       Trace.alloc =
         (fun ~id ~site size ->
-          let addr = Poolalloc.malloc_site pa ~site size in
+          let addr = on.alloc ~id ~site size in
           incr allocs;
           (match Hashtbl.find_opt freed_bases addr with
           | Some prev_id ->
@@ -80,16 +84,14 @@ let run ?plan (trace : Trace.t) =
           | None -> ());
           addr);
       free =
-        (fun ~id ~thread:_ addr ->
+        (fun ~id ~thread addr ->
           incr frees;
-          Poolalloc.free pa addr;
+          on.free ~id ~thread addr;
           Hashtbl.replace freed_bases addr id);
-      pointer_store = (fun ~slot:_ ~old_value:_ ~value:_ -> ());
-      data_store = (fun ~slot:_ -> ());
       after_op = (fun i -> op_index := i + 1);
     }
   in
-  Trace.run trace machine
+  Trace.run trace stack.Workloads.Harness.machine
     (Sweep_oracle.ground_truth registry ~usable:(Poolalloc.usable_size pa)
        ~zeroing:false recycle_check);
   {

@@ -2,11 +2,13 @@
 
     The pooled allocator has no quarantine and no sweeps; its safety is
     a static claim about the pool plan. This oracle replays a trace
-    through {!Workloads.Trace.run} against {!Alloc.Poolalloc} under a
-    given plan, under {!Sweep_oracle.ground_truth} (no zeroing on
-    free), and flags every {e unsound recycle}: a malloc served from a
-    previously-freed base while live pointers into that base are still
-    recorded.
+    through {!Workloads.Trace.run} on a [Pooled] stack of
+    {!Workloads.Harness} under a given plan, over the stack's serving
+    target ({!Workloads.Trace.serve}, ticked after each allocation as
+    every trace replay is) under {!Sweep_oracle.ground_truth} (no
+    zeroing on free), and flags every {e unsound recycle}: a malloc
+    served from a previously-freed base while live pointers into that
+    base are still recorded.
 
     A plan produced by the siteflow analysis must yield zero unsound
     recycles on its own trace; {!certify} turns any survivor into a

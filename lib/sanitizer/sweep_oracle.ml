@@ -18,24 +18,6 @@ type report = {
 
 let findings r = r.soundness @ r.precision @ r.audit
 
-let fresh_instance ~config ~threads =
-  let machine = Alloc.Machine.create () in
-  Alloc.Machine.map_roots machine;
-  Instance.create ~config ~threads:(max 1 threads) machine
-
-let serve ms =
-  {
-    Trace.alloc =
-      (fun ~id:_ ~site:_ size ->
-        let addr = Instance.malloc ms size in
-        Instance.tick ms;
-        addr);
-    free = (fun ~id:_ ~thread addr -> Instance.free ms ~thread addr);
-    pointer_store = (fun ~slot:_ ~old_value:_ ~value:_ -> ());
-    data_store = (fun ~slot:_ -> ());
-    after_op = ignore;
-  }
-
 let ground_truth registry ~usable ~zeroing (on : Trace.target) =
   let drop_slots_in addr =
     Registry.drop_slots_in registry ~base:addr ~usable:(usable addr)
@@ -92,8 +74,7 @@ type t = {
   quarantined : (int, tracked) Hashtbl.t;
       (** addr -> tracked, for every allocation currently in quarantine *)
   mutable completed : int;  (** sweeps completed, counted by the hook *)
-  mutable checked : int;  (** [completed] as the last check saw it *)
-  mutable ops : int;
+  mutable ops : int;  (** ops finished: the index of the op running *)
   mutable allocs : int;
   mutable frees : int;
   mutable soundness : Diagnostic.t list;  (** newest first *)
@@ -103,6 +84,55 @@ type t = {
   mutable retained_ids : int list;
 }
 
+(* Only a completing sweep releases anything, and only a completion is
+   retention evidence: the post-sweep hook judges each completion where
+   it happens, whichever runner's tick completed it, with the registry
+   as the op running then left it. *)
+let check t =
+  let c = t.completed and op_index = t.ops in
+  (* Quarantine membership dropped => the sweep recycled the entry. *)
+  let released =
+    Hashtbl.fold
+      (fun addr tr acc ->
+        if Instance.is_quarantined t.ms addr then acc else (addr, tr) :: acc)
+      t.quarantined []
+  in
+  List.iter
+    (fun (addr, (tr : tracked)) ->
+      Hashtbl.remove t.quarantined addr;
+      let n = Registry.in_pointer_count t.registry ~base:addr in
+      if n > 0 then begin
+        t.unsound_ids <- tr.id :: t.unsound_ids;
+        t.soundness <-
+          Diagnostic.make ~rule:"oracle-unsound" ~severity:Diagnostic.Error
+            ~op_index
+            (Printf.sprintf
+               "id %d (addr %#x) recycled while %d live pointer(s) to it \
+                exist"
+               tr.id addr n)
+          :: t.soundness
+      end)
+    released;
+  Hashtbl.iter
+    (fun addr (tr : tracked) ->
+      if Registry.in_pointer_count t.registry ~base:addr = 0 then begin
+        if c > tr.eligible_from then tr.clean_sweeps <- tr.clean_sweeps + 1;
+        if tr.clean_sweeps >= t.latency_sweeps && not tr.reported then begin
+          tr.reported <- true;
+          t.retained_ids <- tr.id :: t.retained_ids;
+          t.precision <-
+            Diagnostic.make ~rule:"oracle-retention"
+              ~severity:Diagnostic.Warning ~op_index
+              (Printf.sprintf
+                 "id %d (addr %#x) still quarantined after %d consecutive \
+                  sweeps with no live pointers (conservative retention)"
+                 tr.id addr tr.clean_sweeps)
+            :: t.precision
+        end
+      end
+      else tr.clean_sweeps <- 0)
+    t.quarantined
+
 let attach ?(latency_sweeps = 3) ?(audit = true) ms =
   let t =
     {
@@ -111,7 +141,6 @@ let attach ?(latency_sweeps = 3) ?(audit = true) ms =
       latency_sweeps;
       quarantined = Hashtbl.create 4096;
       completed = 0;
-      checked = 0;
       ops = 0;
       allocs = 0;
       frees = 0;
@@ -125,60 +154,9 @@ let attach ?(latency_sweeps = 3) ?(audit = true) ms =
   (* Every sweep ends in this hook, after its release stage. *)
   Instance.set_post_sweep_hook ms (fun () ->
       t.completed <- t.completed + 1;
+      check t;
       if audit then t.audit <- t.audit @ Invariants.audit ms);
   t
-
-(* Only a completing sweep releases anything, and only a completion is
-   retention evidence: until the completed count moves there is nothing
-   to look at. *)
-let check t op_index =
-  if t.completed > t.checked then begin
-    let prev = t.checked and c = t.completed in
-    t.checked <- c;
-    (* Quarantine membership dropped => the sweep recycled the entry. *)
-    let released =
-      Hashtbl.fold
-        (fun addr tr acc ->
-          if Instance.is_quarantined t.ms addr then acc else (addr, tr) :: acc)
-        t.quarantined []
-    in
-    List.iter
-      (fun (addr, (tr : tracked)) ->
-        Hashtbl.remove t.quarantined addr;
-        let n = Registry.in_pointer_count t.registry ~base:addr in
-        if n > 0 then begin
-          t.unsound_ids <- tr.id :: t.unsound_ids;
-          t.soundness <-
-            Diagnostic.make ~rule:"oracle-unsound" ~severity:Diagnostic.Error
-              ~op_index
-              (Printf.sprintf
-                 "id %d (addr %#x) recycled while %d live pointer(s) to it \
-                  exist"
-                 tr.id addr n)
-            :: t.soundness
-        end)
-      released;
-    Hashtbl.iter
-      (fun addr (tr : tracked) ->
-        if Registry.in_pointer_count t.registry ~base:addr = 0 then begin
-          tr.clean_sweeps <-
-            tr.clean_sweeps + max 0 (c - max prev tr.eligible_from);
-          if tr.clean_sweeps >= t.latency_sweeps && not tr.reported then begin
-            tr.reported <- true;
-            t.retained_ids <- tr.id :: t.retained_ids;
-            t.precision <-
-              Diagnostic.make ~rule:"oracle-retention"
-                ~severity:Diagnostic.Warning ~op_index
-                (Printf.sprintf
-                   "id %d (addr %#x) still quarantined after %d consecutive \
-                    sweeps with no live pointers (conservative retention)"
-                   tr.id addr tr.clean_sweeps)
-              :: t.precision
-          end
-        end
-        else tr.clean_sweeps <- 0)
-      t.quarantined
-  end
 
 let layer t (on : Trace.target) =
   ground_truth t.registry
@@ -207,13 +185,11 @@ let layer t (on : Trace.target) =
       after_op =
         (fun i ->
           on.after_op i;
-          t.ops <- i + 1;
-          check t i);
+          t.ops <- i + 1);
     }
 
 let finish t ~trace_name =
   Instance.drain t.ms;
-  check t t.ops;
   {
     trace_name;
     ops = t.ops;
@@ -229,12 +205,22 @@ let finish t ~trace_name =
     retained_ids = List.sort_uniq compare t.retained_ids;
   }
 
+let over ?latency_sweeps ?audit ~trace_name run =
+  let oracle = ref None in
+  run (fun stack on ->
+      let t =
+        attach ?latency_sweeps ?audit (Workloads.Harness.instance stack)
+      in
+      oracle := Some t;
+      layer t on);
+  match !oracle with
+  | Some t -> finish t ~trace_name
+  | None -> invalid_arg "Sweep_oracle.over: the run built no stack"
+
 let run ?(config = Minesweeper.Config.default) ?latency_sweeps ?audit
     (trace : Trace.t) =
-  let ms = fresh_instance ~config ~threads:trace.Trace.threads in
-  let t = attach ?latency_sweeps ?audit ms in
-  Trace.run trace (Instance.machine ms) (layer t (serve ms));
-  finish t ~trace_name:trace.Trace.name
+  over ?latency_sweeps ?audit ~trace_name:trace.Trace.name
+    (Trace.replay_observed trace (Workloads.Harness.Mine_sweeper config))
 
 let certify_static ~predicted_unsound ~predicted_retained (r : report) =
   let missing predicted ids = List.filter (fun id -> not (List.mem id predicted)) ids in

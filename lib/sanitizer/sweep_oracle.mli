@@ -1,12 +1,16 @@
 (** Differential soundness/precision oracle for MineSweeper's sweep.
 
-    Referees are layers over one serving target ({!serve}, the only
-    caller of the instance's allocator): the oracle ({!layer}) is the
-    {!ground_truth}, a {!Ptrtrack.Registry.t} of every pointer store and
-    clear the replay performs (data stores are not recorded — an
-    integer that merely aliases an address is {e not} a pointer, which
-    is precisely the information the conservative sweep lacks), over a
-    check that watches the quarantine. {!run} lays it over {!serve}.
+    Referees are layers over the one serving target,
+    {!Workloads.Trace.serve}, of a stack a run builds: the oracle
+    ({!layer}) is the {!ground_truth}, a {!Ptrtrack.Registry.t} of every
+    pointer store and clear the run performs (data stores are not
+    recorded — an integer that merely aliases an address is {e not} a
+    pointer, which is precisely the information the conservative sweep
+    lacks), over a layer that watches the quarantine. It observes the
+    stack's MineSweeper instance ({!Workloads.Harness.instance}) and
+    builds none: {!over} lays it over any run with an observation seam,
+    [Driver.run ~observe] (the figures' run, which [msweep check -b]
+    judges) or a trace replay ({!run}).
 
     Against that ground truth the oracle checks the paper's Section 3.2
     invariant from the outside:
@@ -25,12 +29,15 @@
       conservatism cost the paper accepts but a regression here should
       not grow silently.
 
-    Only a completing sweep releases anything, so both checks run after
-    the op in which the completed-sweep count moves (the oracle counts
-    completions on the instance's post-sweep hook), with the registry
-    as it stands after that op. With [audit] set, {!Invariants.audit}
-    also runs after every completed sweep and its findings are folded
-    into the report. *)
+    Only a completing sweep releases anything, so both checks run at
+    sweep completion, on the instance's post-sweep hook, with the
+    registry as the runner's last op left it: wherever the runner ticks
+    the stack (after an allocation, a program step or an explorer
+    boundary), the oracle judges the release where it happens. A
+    finding's op index is the op running when the sweep completed, or
+    the next op when it completed between ops. With [audit] set,
+    {!Invariants.audit} also runs after every completed sweep and its
+    findings are folded into the report. *)
 
 type report = {
   trace_name : string;
@@ -47,16 +54,6 @@ type report = {
   retained_ids : int list;
       (** trace ids behind [oracle-retention] findings, sorted, deduped *)
 }
-
-val fresh_instance :
-  config:Minesweeper.Config.t -> threads:int -> Minesweeper.Instance.t
-(** The referees' fresh stack: a new machine with its root regions
-    mapped and an instance with one quarantine buffer per declared
-    thread, at least one. *)
-
-val serve : Minesweeper.Instance.t -> Workloads.Trace.target
-(** The referees' serving target: [alloc] is [Instance.malloc] then
-    [Instance.tick], [free] is [Instance.free]; nothing else. *)
 
 val ground_truth :
   Ptrtrack.Registry.t ->
@@ -78,18 +75,32 @@ type t
 val attach :
   ?latency_sweeps:int -> ?audit:bool -> Minesweeper.Instance.t -> t
 (** Start observing a fresh instance ([latency_sweeps] defaults to 3,
-    [audit] to [true]). Takes the instance's post-sweep hook. *)
+    [audit] to [true]). Takes the instance's post-sweep hook, where the
+    checks and the audit run. *)
 
 val layer : t -> Workloads.Trace.target -> Workloads.Trace.target
 (** The oracle over a target serving from the attached instance: the
     {!ground_truth} over a layer that tracks the frees the instance
-    quarantines and checks after the target's own [after_op]. It only
-    reads the instance, so the run it observes is the run without it.
-    A layer that runs the instance between ops (the explorer's sweep
-    boundaries) wraps this one and calls its [after_op] last. *)
+    quarantines and counts ops. It only reads the instance, so the run
+    it observes is the run without it. *)
 
 val finish : t -> trace_name:string -> report
-(** Drain the instance, run the last check and build the report. *)
+(** Drain the instance and build the report. *)
+
+val over :
+  ?latency_sweeps:int ->
+  ?audit:bool ->
+  trace_name:string ->
+  ((Workloads.Harness.t -> Workloads.Trace.target -> Workloads.Trace.target) ->
+  unit) ->
+  report
+(** [over ~trace_name run] calls [run observe] and judges the run it
+    performs: [run] builds a [Sweeper] stack and hands it and its
+    serving target to [observe] before the first op, as
+    [Driver.run ~observe] and {!Workloads.Trace.replay_observed} do;
+    [observe] {!attach}es the oracle to the stack's instance and lays
+    {!layer} over the target. Then {!finish}.
+    @raise Invalid_argument if [run] never calls [observe]. *)
 
 val run :
   ?config:Minesweeper.Config.t ->
@@ -97,8 +108,9 @@ val run :
   ?audit:bool ->
   Workloads.Trace.t ->
   report
-(** {!fresh_instance} with the trace's thread count, {!attach},
-    {!Workloads.Trace.run} against {!layer} over {!serve}, {!finish}. *)
+(** {!over} a trace's replay ({!Workloads.Trace.replay_observed}) on a
+    MineSweeper stack under [config] (default: the default preset),
+    which ticks after each allocation. *)
 
 val findings : report -> Diagnostic.t list
 (** All diagnostics of a report: soundness, then precision, then audit. *)

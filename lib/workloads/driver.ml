@@ -348,20 +348,20 @@ let scaled ops_scale profile =
 
 let program ?(ops_scale = 1.0) profile =
   let profile = scaled ops_scale profile in
-  let ops = ref [] in
-  emit_program profile ~emit:(fun op -> ops := op :: !ops) ~step_done:ignore;
+  let ops = Trace.Op_buffer.create () in
+  emit_program profile ~emit:(Trace.Op_buffer.add ops) ~step_done:ignore;
   {
     Trace.name = profile.Profile.name;
     threads = max 1 profile.Profile.threads;
     sites = max 1 profile.Profile.sites;
-    ops = Array.of_list (List.rev !ops);
+    ops = Trace.Op_buffer.contents ops;
   }
 
 (* Resident memory is sampled this many times a run. *)
 let trace_points = 240
 
 let run ?(ops_scale = 1.0)
-    ?(rss_limit = Harness.default_rss_limit) ?on_build profile scheme =
+    ?(rss_limit = Harness.default_rss_limit) ?on_build ?observe profile scheme =
   let profile = scaled ops_scale profile in
   let machine = Alloc.Machine.create () in
   let stack = Harness.build scheme ~threads:profile.Profile.threads machine in
@@ -369,25 +369,21 @@ let run ?(ops_scale = 1.0)
   Alloc.Machine.map_roots machine;
   let sampler = Sim.Sampler.create () in
   let frees = ref 0 in
+  let served =
+    Trace.serve ~sensitivity:profile.Profile.cache_sensitivity stack
+  in
+  let counted =
+    {
+      served with
+      Trace.free =
+        (fun ~id ~thread addr ->
+          served.Trace.free ~id ~thread addr;
+          incr frees);
+    }
+  in
   let exec =
     Trace.exec ~sites:(max 1 profile.Profile.sites) machine
-      {
-        Trace.alloc =
-          (fun ~id:_ ~site size ->
-            let addr = stack.Harness.malloc_site ~site size in
-            Alloc.Machine.charge machine
-              (int_of_float
-                 (profile.Profile.cache_sensitivity
-                 *. float_of_int (stack.Harness.cold_penalty size)));
-            addr);
-        free =
-          (fun ~id:_ ~thread addr ->
-            stack.Harness.free ~thread addr;
-            incr frees);
-        pointer_store = stack.Harness.on_pointer_write;
-        data_store = (fun ~slot:_ -> ());
-        after_op = ignore;
-      }
+      (match observe with Some f -> f stack counted | None -> counted)
   in
   let ops = profile.Profile.ops in
   let sample_every = max 1 (ops / trace_points) in

@@ -54,27 +54,39 @@ val run :
   ?ops_scale:float ->
   ?rss_limit:int ->
   ?on_build:(Harness.t -> unit) ->
+  ?observe:(Harness.t -> Trace.target -> Trace.target) ->
   Profile.t ->
   Harness.scheme ->
   result
 (** Run one benchmark under one scheme: stream its program through
-    {!Trace.exec} against the stack, whose target charges the profile's
-    share of the stack's cold-reuse penalty after each allocation; after
-    each step's closing [Work] the stack ticks and, every
-    [ops / 240] steps, resident memory is sampled. Deterministic
-    for a given profile seed. [ops_scale] shortens traces for quick runs; a run whose
-    resident set exceeds [rss_limit] (default 768 MiB) is killed and
-    returned with [oom_killed] set. [on_build] receives the freshly
+    {!Trace.exec} against the stack's serving target ({!Trace.serve},
+    charging the profile's [cache_sensitivity] share of the stack's
+    cold-reuse penalty after each allocation); after each step's closing
+    [Work] the stack ticks and, every [ops / 240] steps, resident memory
+    is sampled ({!Harness.sample_rss}). Deterministic for a given
+    profile seed. [ops_scale] shortens traces for quick runs; a run
+    whose resident set exceeds [rss_limit] (default 768 MiB) is killed
+    and returned with [oom_killed] set. [on_build] receives the freshly
     built stack before any operation runs — the hook for capturing its
-    metrics registry and trace ring for post-run export. *)
+    metrics registry and trace ring for post-run export.
+
+    [observe] is the referees' seam: after the root regions are mapped
+    it receives the stack and its serving target and returns the target
+    the program runs against, the referees' layers over the serving
+    target. It selects no behaviour: layers that only observe (the
+    sweep oracle, the race recorder) leave the result, the metrics and
+    the spans as they are without them, so [msweep check -b] judges the
+    run [msweep run] reports. *)
 
 val program : ?ops_scale:float -> Profile.t -> Trace.t
-(** The ops {!run} streams for this profile and [ops_scale], as a trace:
-    the program the figures run, for the lint, the sweep oracle and the
-    race recorder. The program does not depend on the scheme. Its
-    replay target differs from {!run}'s (a referee ticks after each
-    allocation and charges no cold-reuse cycles), and {!run} stops at
-    an out-of-memory kill where the program runs on. *)
+(** The ops {!run} streams for this profile and [ops_scale], collected
+    as a trace ({!Trace.Op_buffer}): the program the figures run, for the
+    lint and the static tools. The program does not depend on the
+    scheme. A referee that must judge the figures' run lays itself over
+    {!run} through [observe] instead of replaying this trace, whose
+    replay ticks after each allocation and charges no cold-reuse
+    cycles; {!run} also stops at an out-of-memory kill where the
+    program runs on. *)
 
 val slowdown : baseline:result -> result -> float
 val memory_overhead : baseline:result -> result -> float

@@ -126,15 +126,21 @@ let find_profile ~suite name =
       unknown (suite ^ " benchmark") name
         (List.map (fun p -> p.Profile.name) profiles))
 
+type core =
+  | Sweeper of Minesweeper.Instance.t
+  | Pool of Alloc.Poolalloc.t
+  | Sealed
+
 type t = {
   scheme : string;
   machine : Alloc.Machine.t;
+  core : core;
   obs : Obs.Registry.t option;
   trace : Obs.Trace_ring.t option;
   malloc : int -> int;
-  malloc_site : site:int -> int -> int;
-      (** site-attributed allocation; every scheme except [Pooled]
-          ignores the site and behaves exactly like [malloc] *)
+  malloc_site : (site:int -> int -> int) option;
+      (** site-attributed allocation, for [Pooled] only: every other
+          scheme ignores the site and is served through [malloc] *)
   free : thread:int -> int -> unit;
   tick : unit -> unit;
   drain : unit -> unit;
@@ -180,10 +186,11 @@ let plain (module B : Alloc.Backend.S) ~cold ~scheme machine =
   {
     scheme;
     machine;
+    core = Sealed;
     obs = None;
     trace = None;
     malloc = B.malloc a;
-    malloc_site = (fun ~site:_ size -> B.malloc a size);
+    malloc_site = None;
     free = (fun ~thread:_ addr -> B.free a addr);
     tick =
       (fun () ->
@@ -210,9 +217,10 @@ let plain (module B : Alloc.Backend.S) ~cold ~scheme machine =
   }
 
 (* MineSweeper over any backend. The instance registers the [ms.],
-   [vmem.] and [alloc.] metrics of the whole stack in one registry. *)
-let protected (module I : Minesweeper.Instance.S) config ~scheme ~threads
-    machine =
+   [vmem.] and [alloc.] metrics of the whole stack in one registry;
+   [core] shows it to the referees where they can read it. *)
+let protected (type i) (module I : Minesweeper.Instance.S with type t = i)
+    ~(core : i -> core) config ~scheme ~threads machine =
   let ms = I.create ~config ~threads machine in
   (* Each read closure holds its one registry cell, found once here:
      msbench's traced [serve] reads [sweeps] around every malloc and
@@ -228,10 +236,11 @@ let protected (module I : Minesweeper.Instance.S) config ~scheme ~threads
   {
     scheme;
     machine;
+    core = core ms;
     obs = Some (I.registry ms);
     trace = Some (I.trace_ring ms);
     malloc = I.malloc ms;
-    malloc_site = (fun ~site:_ size -> I.malloc ms size);
+    malloc_site = None;
     free = (fun ~thread addr -> I.free ms ~thread addr);
     tick = (fun () -> I.tick ms);
     drain = (fun () -> I.drain ms);
@@ -266,10 +275,11 @@ let defaults ~scheme machine ~malloc ~free ~live_bytes ~cold =
   {
     scheme;
     machine;
+    core = Sealed;
     obs = None;
     trace = None;
     malloc;
-    malloc_site = (fun ~site:_ size -> malloc size);
+    malloc_site = None;
     free = (fun ~thread:_ addr -> free addr);
     tick = ignore;
     drain = ignore;
@@ -285,10 +295,26 @@ let defaults ~scheme machine ~malloc ~free ~live_bytes ~cold =
     failed_frees = (fun () -> 0);
   }
 
+let instance t =
+  match t.core with
+  | Sweeper ms -> ms
+  | Pool _ | Sealed ->
+    invalid_arg
+      ("Harness.instance: " ^ t.scheme ^ " has no MineSweeper instance")
+
+let pool t =
+  match t.core with
+  | Pool pa -> pa
+  | Sweeper _ | Sealed ->
+    invalid_arg ("Harness.pool: " ^ t.scheme ^ " has no pool allocator")
+
 let build scheme ~threads machine =
   let name = scheme_name scheme in
   let plain m ~cold = plain m ~cold ~scheme:name machine in
-  let protected m config = protected m config ~scheme:name ~threads machine in
+  let protected m ~core config =
+    protected m ~core config ~scheme:name ~threads machine
+  in
+  let sealed _ = Sealed in
   let defaults = defaults ~scheme:name machine in
   match scheme with
   | Baseline -> plain (module Alloc.Jemalloc) ~cold:0.0
@@ -296,9 +322,12 @@ let build scheme ~threads machine =
     (* The randomisation pool delays some reuse: a small cold share. *)
     plain (module Alloc.Scudo) ~cold:0.1
   | Dl_baseline -> plain (module Alloc.Dlmalloc) ~cold:0.0
-  | Mine_sweeper config -> protected (module Minesweeper.Instance) config
-  | Scudo_sweeper config -> protected (module Scudo_ms) config
-  | Dl_sweeper config -> protected (module Dl_ms) config
+  | Mine_sweeper config ->
+    protected (module Minesweeper.Instance)
+      ~core:(fun ms -> Sweeper ms)
+      config
+  | Scudo_sweeper config -> protected (module Scudo_ms) ~core:sealed config
+  | Dl_sweeper config -> protected (module Dl_ms) ~core:sealed config
   | Mark_us ->
     let mk = Markus.create machine in
     {
@@ -385,14 +414,21 @@ let build scheme ~threads machine =
          ~free:(Alloc.Poolalloc.free pa)
          ~live_bytes:(fun () -> Alloc.Poolalloc.live_bytes pa) ~cold:0.05)
       with
+      core = Pool pa;
       obs = Some reg;
-      malloc_site = Alloc.Poolalloc.malloc_site pa;
+      malloc_site = Some (Alloc.Poolalloc.malloc_site pa);
       reclaim =
         (fun () ->
           Alloc.Machine.with_sink machine Alloc.Machine.Background (fun () ->
               Alloc.Poolalloc.purge_all pa));
       quarantine_bytes = (fun () -> Alloc.Poolalloc.retired_bytes pa);
     }
+
+let fresh scheme ~threads =
+  let machine = Alloc.Machine.create () in
+  let t = build scheme ~threads:(max 1 threads) machine in
+  Alloc.Machine.map_roots machine;
+  t
 
 (* Program text + statics: PSRecord measures whole-process RSS, so every
    run carries the image's constant resident share. *)
@@ -402,10 +438,11 @@ let default_rss_limit = 768 * 1024 * 1024
 
 exception Out_of_memory_budget
 
+let rss t =
+  static_rss + Vmem.committed_bytes t.machine.Alloc.Machine.mem
+  + t.metadata_bytes ()
+
 let sample_rss t sampler ~limit =
-  let rss =
-    static_rss + Vmem.committed_bytes t.machine.Alloc.Machine.mem
-    + t.metadata_bytes ()
-  in
+  let rss = rss t in
   Sim.Sampler.record sampler ~now:(Alloc.Machine.now t.machine) ~rss;
   if rss > limit then raise Out_of_memory_budget

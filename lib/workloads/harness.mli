@@ -67,9 +67,19 @@ val default_pool_sites : int
 (** Site universe assumed by a plan-free [Pooled None] stack; matches
     the [Profile.make] default. *)
 
+(** What a stack was built around, for the referees that read it (the
+    sweep and pool oracles, the race recorder): they observe the stack
+    a run builds instead of building one of their own. *)
+type core =
+  | Sweeper of Minesweeper.Instance.t
+      (** MineSweeper over JeMalloc ([Mine_sweeper _]) *)
+  | Pool of Alloc.Poolalloc.t  (** the pool allocator of [Pooled _] *)
+  | Sealed  (** every other stack: nothing a referee reads *)
+
 type t = {
   scheme : string;
   machine : Alloc.Machine.t;
+  core : core;
   obs : Obs.Registry.t option;
       (** the stack's metrics registry: for the MineSweeper schemes the
           instance's, which holds the [ms.*], [sweep.stage.*] (and, at
@@ -81,10 +91,11 @@ type t = {
   trace : Obs.Trace_ring.t option;
       (** the stack's span ring (events + sweep-phase profiling) *)
   malloc : int -> int;
-  malloc_site : site:int -> int -> int;
-      (** site-attributed allocation ({!Trace} replay calls this);
-          every scheme except [Pooled] ignores the site and behaves
-          exactly like [malloc] *)
+  malloc_site : (site:int -> int -> int) option;
+      (** site-attributed allocation, [Some] for [Pooled] only: every
+          other scheme ignores the site, and {!Trace.serve} allocates
+          through [malloc] (so a layer wrapped around [malloc] sees
+          every allocation) *)
   free : thread:int -> int -> unit;
   tick : unit -> unit;
   drain : unit -> unit;
@@ -126,18 +137,32 @@ type t = {
 
 val build : scheme -> threads:int -> Alloc.Machine.t -> t
 
+val fresh : scheme -> threads:int -> t
+(** {!build} on a new machine, for at least one thread, then the
+    machine's root regions mapped: the stack a replay starts from. *)
+
+val instance : t -> Minesweeper.Instance.t
+(** The MineSweeper instance of a [Sweeper] stack.
+    @raise Invalid_argument for any other stack. *)
+
+val pool : t -> Alloc.Poolalloc.t
+(** The pool allocator of a [Pool] stack.
+    @raise Invalid_argument for any other stack. *)
+
 (** {1 Resident set}
 
-    The one RSS rule the batch driver ({!Driver}) and the server
-    ({!Server}) report and enforce. *)
+    The one RSS rule: the batch driver ({!Driver}) and the server
+    ({!Server}) report and enforce it, and [trace-replay] prints it. *)
 
 val default_rss_limit : int
 (** 768 MiB: a run whose resident set exceeds this is killed. *)
 
 exception Out_of_memory_budget
 
+val rss : t -> int
+(** The stack's resident set now: a constant 3 MiB for the program
+    image, plus the committed simulated pages, plus [metadata_bytes]. *)
+
 val sample_rss : t -> Sim.Sampler.t -> limit:int -> unit
-(** Record the stack's resident set in the sampler at the current
-    simulated time, then raise {!Out_of_memory_budget} if it exceeds
-    [limit]. The resident set is a constant 3 MiB for the program image,
-    plus the committed simulated pages, plus [metadata_bytes]. *)
+(** Record {!rss} in the sampler at the current simulated time, then
+    raise {!Out_of_memory_budget} if it exceeds [limit]. *)

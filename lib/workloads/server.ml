@@ -261,22 +261,13 @@ let start ?(rss_limit = Harness.default_rss_limit) ?seed sp (stack : Harness.t) 
   let machine = stack.Harness.machine in
   Alloc.Machine.map_roots machine;
   let arrivals, gen = requests sp ~seed in
+  (* A session serves every request from one site: one declared site
+     aliases the program's connection site onto the request site, so a
+     site-keyed stack serves both arenas from one pool, as [malloc]
+     does. The program's sites are what a trace of it records. *)
   let exec =
-    Trace.exec ~sites:trace_sites machine
-      {
-        Trace.alloc =
-          (fun ~id:_ ~site:_ size ->
-            let addr = stack.Harness.malloc size in
-            Alloc.Machine.charge machine
-              (int_of_float
-                 (sp.cache_sensitivity
-                 *. float_of_int (stack.Harness.cold_penalty size)));
-            addr);
-        free = (fun ~id:_ ~thread addr -> stack.Harness.free ~thread addr);
-        pointer_store = stack.Harness.on_pointer_write;
-        data_store = (fun ~slot:_ -> ());
-        after_op = ignore;
-      }
+    Trace.exec ~sites:1 machine
+      (Trace.serve ~sensitivity:sp.cache_sensitivity stack)
   in
   let reg =
     match stack.Harness.obs with Some r -> r | None -> Obs.Registry.create ()
@@ -460,8 +451,8 @@ let median xs =
 
 let program ?seed sp =
   let arrivals, gen = requests sp ~seed:(Option.value seed ~default:sp.seed) in
-  let ops = ref [] in
-  let emit op = ops := op :: !ops in
+  let ops = Trace.Op_buffer.create () in
+  let emit = Trace.Op_buffer.add ops in
   for k = 0 to Array.length arrivals - 1 do
     emit_request gen k emit
   done;
@@ -469,5 +460,5 @@ let program ?seed sp =
     Trace.name = sp.name;
     threads = 1;
     sites = trace_sites;
-    ops = Array.of_list (List.rev !ops);
+    ops = Trace.Op_buffer.contents ops;
   }

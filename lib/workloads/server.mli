@@ -103,11 +103,14 @@ type session
 
 val start : ?rss_limit:int -> ?seed:int -> profile -> Harness.t -> session
 (** Maps the root regions, pre-generates the open-loop arrival timeline
-    and starts the session's interpreter, whose target allocates with
-    the stack's [malloc] (the site is not passed on) and charges the
-    profile's share of its cold-reuse penalty. [seed] overrides the profile's seed (used by repeat
-    derivation). Registers the [srv.*] metrics into the stack's registry
-    when it has one. *)
+    and starts the session's interpreter against the stack's serving
+    target ({!Trace.serve}, charging the profile's [cache_sensitivity]
+    share of its cold-reuse penalty). The session serves every request
+    from one site: the interpreter declares one, so the connection site
+    aliases the request site. The stack ticks after each request.
+    [seed] overrides the profile's seed (used by repeat derivation).
+    Registers the [srv.*] metrics into the stack's registry when it has
+    one. *)
 
 val total_requests : session -> int
 val served : session -> int

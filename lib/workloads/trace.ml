@@ -93,12 +93,33 @@ module Live = struct
     !pos
 end
 
+(* A growing array of ops: how every program and every parsed trace
+   collects its ops. An op costs its own record and nothing more: no
+   list cell to build and reverse, and the arrays past 256 words, the
+   doublings included, are allocated on the major heap. *)
+module Op_buffer = struct
+  type t = { mutable ops : op array; mutable count : int }
+
+  let create () = { ops = Array.make 1024 (Work 0); count = 0 }
+
+  let add b op =
+    if b.count = Array.length b.ops then begin
+      let bigger = Array.make (2 * b.count) (Work 0) in
+      Array.blit b.ops 0 bigger 0 b.count;
+      b.ops <- bigger
+    end;
+    b.ops.(b.count) <- op;
+    b.count <- b.count + 1
+
+  let contents b = Array.sub b.ops 0 b.count
+end
+
 let generate ?(seed = 1) profile =
   let rng = Sim.Rng.create (seed lxor profile.Profile.seed) in
   let size_rng = Sim.Rng.split rng in
   let life_rng = Sim.Rng.split rng in
-  let ops = ref [] in
-  let emit op = ops := op :: !ops in
+  let ops = Op_buffer.create () in
+  let emit = Op_buffer.add ops in
   let total = profile.Profile.ops in
   let live = Live.create (max 0 total) in
   let sizes = Array.make (max 0 total) 0 in (* allocation id -> size *)
@@ -170,8 +191,7 @@ let generate ?(seed = 1) profile =
     emit (Work profile.Profile.work_per_op)
   done;
   { name = profile.Profile.name; threads = 1;
-    sites = max 1 profile.Profile.sites;
-    ops = Array.of_list (List.rev !ops) }
+    sites = max 1 profile.Profile.sites; ops = Op_buffer.contents ops }
 
 (* ------------------------------------------------------------------ *)
 (* Index rule and interpreter                                          *)
@@ -288,21 +308,49 @@ let exec ~sites (machine : Alloc.Machine.t) on =
 
 let run t machine on = Array.iter (exec ~sites:t.sites machine on) t.ops
 
+(* The one target that hands ops to an allocator. A stack that ignores
+   the site is served through [malloc], so a layer wrapped around
+   [malloc] by record update sees every allocation. *)
+let serve ?(sensitivity = 0.0) (stack : Harness.t) =
+  let machine = stack.Harness.machine in
+  let malloc =
+    match stack.Harness.malloc_site with
+    | Some malloc_site -> malloc_site
+    | None -> fun ~site:_ size -> stack.Harness.malloc size
+  in
+  {
+    alloc =
+      (fun ~id:_ ~site size ->
+        let addr = malloc ~site size in
+        Alloc.Machine.charge machine
+          (int_of_float
+             (sensitivity *. float_of_int (stack.Harness.cold_penalty size)));
+        addr);
+    free = (fun ~id:_ ~thread addr -> stack.Harness.free ~thread addr);
+    pointer_store = stack.Harness.on_pointer_write;
+    data_store = (fun ~slot:_ -> ());
+    after_op = ignore;
+  }
+
+let ticking (stack : Harness.t) (on : target) =
+  {
+    on with
+    alloc =
+      (fun ~id ~site size ->
+        let addr = on.alloc ~id ~site size in
+        stack.Harness.tick ();
+        addr);
+  }
+
 let replay t (stack : Harness.t) =
-  run t stack.Harness.machine
-    {
-      alloc =
-        (fun ~id:_ ~site size ->
-          let addr = stack.Harness.malloc_site ~site size in
-          stack.Harness.tick ();
-          addr);
-      free = (fun ~id:_ ~thread addr -> stack.Harness.free ~thread addr);
-      pointer_store = stack.Harness.on_pointer_write;
-      data_store = (fun ~slot:_ -> ());
-      after_op = ignore;
-    };
+  run t stack.Harness.machine (ticking stack (serve stack));
   stack.Harness.drain ();
   length t
+
+let replay_observed t scheme observe =
+  let stack = Harness.fresh scheme ~threads:t.threads in
+  run t stack.Harness.machine (observe stack (ticking stack (serve stack)));
+  stack.Harness.drain ()
 
 (* ------------------------------------------------------------------ *)
 (* Serialisation                                                       *)
@@ -576,24 +624,17 @@ let scan_line sc ~line_no s pos limit =
 let of_string s =
   let sc = scanner () in
   let len = String.length s in
-  let ops = ref (Array.make 1024 (Work 0)) and count = ref 0 in
+  let ops = Op_buffer.create () in
   let pos = ref 0 and line_no = ref 1 in
   while !pos <= len do
     (match scan_line sc ~line_no:!line_no s !pos len with
-    | Some op ->
-      if !count = Array.length !ops then begin
-        let bigger = Array.make (2 * !count) (Work 0) in
-        Array.blit !ops 0 bigger 0 !count;
-        ops := bigger
-      end;
-      !ops.(!count) <- op;
-      incr count
+    | Some op -> Op_buffer.add ops op
     | None -> ());
     pos := sc.eol + 1;
     incr line_no
   done;
   ({ name = sc.name; threads = sc.threads; sites = sc.sites;
-     ops = Array.sub !ops 0 !count } : t)
+     ops = Op_buffer.contents ops } : t)
 
 (* ------------------------------------------------------------------ *)
 (* Chunked streaming                                                   *)

@@ -70,6 +70,19 @@ val globals_window_words : int
 (** Size of the globals window in words ({!Layout.globals_size} / 8),
     starting at {!Layout.globals_base}. *)
 
+(** A growing array of ops: how {!generate}, {!of_string},
+    {!Driver.program} and {!Server.program} collect their ops, at no
+    allocation beyond the ops themselves and the array. *)
+module Op_buffer : sig
+  type t
+
+  val create : unit -> t
+  val add : t -> op -> unit
+
+  val contents : t -> op array
+  (** The ops added so far, in order. *)
+end
+
 val generate : ?seed:int -> Profile.t -> t
 (** Derive a concrete trace from a profile: allocations with sampled
     sizes, deaths on schedule, pointer publications and (mostly) clears
@@ -93,8 +106,8 @@ val generate : ?seed:int -> Profile.t -> t
 
     This section is the only statement of a trace's semantics: every
     replay and every runner (the figures' {!Driver.run}, [serve] and
-    each fleet tenant through {!Server}, the harness replay, the sweep
-    and pool oracles, the race recorder) executes ops through {!exec},
+    each fleet tenant through {!Server}, {!replay}, the sweep and pool
+    oracles, the race recorder) executes ops through {!exec},
     and the lint pass and the static analyzer read a trace through
     {!Absheap}, which resolves indices with {!root_word},
     {!global_word} and {!field_word}.
@@ -173,10 +186,44 @@ val exec : sites:int -> Alloc.Machine.t -> target -> op -> unit
 val run : t -> Alloc.Machine.t -> target -> unit
 (** {!exec} over every op of the trace, in order. *)
 
+(** {1 Serving a stack}
+
+    {!serve} is the only target that hands a program's ops to an
+    allocator: the figures' runs ({!Driver.run}), every [serve] and
+    fleet session ({!Server}), {!replay} and every referee. It does not
+    tick the stack; each runner keeps its own step rule and ticks it
+    itself:
+    - {!Driver.run} after each program step's closing [Work];
+    - a {!Server} session after each request;
+    - a trace replay ({!replay}, {!replay_observed}, the referees'
+      replays and the schedule explorer's) after each allocation,
+      through {!ticking}. A trace file has no steps to end, and the
+      generated traces' replay reports are pinned to this rule.
+
+    A referee lays its own target over the serving target and only
+    observes, so the run it judges is the run without it. *)
+
+val serve : ?sensitivity:float -> Harness.t -> target
+(** The stack's serving target: [Alloc] allocates through the stack
+    ([malloc_site] when it has one, [malloc] otherwise) and charges
+    [sensitivity] (default 0) times its [cold_penalty] of the size to
+    the application; [Free] calls [free]; pointer stores reach
+    [on_pointer_write]. *)
+
+val ticking : Harness.t -> target -> target
+(** A trace replay's step rule over a target: the stack ticks after
+    each allocation. *)
+
 val replay : t -> Harness.t -> int
-(** {!run} against a stack: [Alloc] calls [malloc_site] then [tick],
-    [Free] calls [free], pointer stores reach [on_pointer_write]; then
+(** {!run} against a stack, through {!ticking} over {!serve}, then
     [drain]. Returns the number of operations executed. *)
+
+val replay_observed :
+  t -> Harness.scheme -> (Harness.t -> target -> target) -> unit
+(** [replay_observed t scheme observe] is a referee's replay:
+    {!Harness.fresh} builds a stack of [scheme] for the trace's
+    threads, [observe] receives it and lays its layers over {!ticking}
+    over {!serve}, {!run} executes the trace and the stack drains. *)
 
 val length : t -> int
 val allocation_count : t -> int

@@ -223,7 +223,11 @@ let driver_run ?(trace_points = 240) ?(ops_scale = 1.0)
     | Some _ | None -> ());
     let size = Sim.Dist.sample profile.Workloads.Profile.size size_rng in
     let site = Workloads.Trace.site_of_size ~sites:profile.Workloads.Profile.sites size in
-    let addr = stack.Workloads.Harness.malloc_site ~site size in
+    let addr =
+      match stack.Workloads.Harness.malloc_site with
+      | Some malloc_site -> malloc_site ~site size
+      | None -> stack.Workloads.Harness.malloc size
+    in
     Alloc.Machine.charge machine
       (int_of_float
          (profile.Workloads.Profile.cache_sensitivity

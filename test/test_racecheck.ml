@@ -140,59 +140,75 @@ let test_recorder_deterministic () =
 (* ------------------------------------------------------------------ *)
 (* Referees observe: laid over a run, they leave it as it was          *)
 
-(* The same program through the referees' serving target alone, then
+(* Lay the sweep oracle (with its post-sweep audit) and the race
+   recorder over the run [run observe] performs, through the public
+   seams [Sweep_oracle.over] and [Recorder.over]; return the run's own
+   value, the stack it built and both reports. *)
+let observed ~name ~threads run =
+  let module Oracle = Sanitizer.Sweep_oracle in
+  let built = ref None and value = ref None and recorded = ref None in
+  let report =
+    Oracle.over ~audit:true ~trace_name:name (fun observe_oracle ->
+        recorded :=
+          Some
+            (Recorder.over ~trace_name:name ~threads (fun observe_recorder ->
+                 value :=
+                   Some
+                     (run (fun stack on ->
+                          built := Some stack;
+                          observe_recorder stack (observe_oracle stack on))))))
+  in
+  (Option.get !value, Option.get !built, report, Option.get !recorded)
+
+let exports (stack : Workloads.Harness.t) =
+  ( Obs.Export.metrics_to_string (Option.get stack.Workloads.Harness.obs),
+    Obs.Export.spans_to_string (Option.get stack.Workloads.Harness.trace) )
+
+let check_observed name (plain, observed) report (recorded : Recorder.report) =
+  Alcotest.(check bool) (name ^ ": the oracle saw sweeps") true
+    (report.Sanitizer.Sweep_oracle.sweeps > 0);
+  Alcotest.(check bool) (name ^ ": the recorder recorded events") true
+    (recorded.Recorder.events > 0);
+  let metrics, spans = exports plain in
+  let metrics', spans' = exports observed in
+  Alcotest.(check bool) (name ^ ": metrics byte-identical") true
+    (metrics = metrics');
+  Alcotest.(check bool) (name ^ ": spans byte-identical") true (spans = spans')
+
+let find_profile suite bench =
+  match Workloads.Harness.find_profile ~suite bench with
+  | Ok p -> p
+  | Error msg -> Alcotest.fail msg
+
+let default_scheme = Workloads.Harness.Mine_sweeper Minesweeper.Config.default
+
+(* The same program through the stack's serving target alone, then
    under the sweep oracle (with its post-sweep audit) and the race
    recorder: the instance's metrics and spans must not move. An audited
    run is the unaudited run. *)
 let test_observation_is_free () =
-  let module Instance = Minesweeper.Instance in
-  let module Oracle = Sanitizer.Sweep_oracle in
-  let profile suite bench =
-    match Workloads.Harness.find_profile ~suite bench with
-    | Ok p -> p
-    | Error msg -> Alcotest.fail msg
-  in
   let generated suite bench =
     Workloads.Trace.generate
-      (Workloads.Profile.scale_ops 0.05 (profile suite bench))
+      (Workloads.Profile.scale_ops 0.05 (find_profile suite bench))
   in
   List.iter
     (fun (trace : Workloads.Trace.t) ->
       let name = trace.Workloads.Trace.name in
-      let fresh () =
-        Oracle.fresh_instance ~config:Minesweeper.Config.default
-          ~threads:trace.Workloads.Trace.threads
+      let replay observe =
+        Workloads.Trace.replay_observed trace default_scheme observe
       in
-      let exports ms =
-        ( Obs.Export.metrics_to_string (Instance.registry ms),
-          Obs.Export.spans_to_string (Instance.trace_ring ms) )
+      let plain = ref None in
+      replay (fun stack on ->
+          plain := Some stack;
+          on);
+      let (), stack, report, recorded =
+        observed ~name ~threads:(max 1 trace.Workloads.Trace.threads) replay
       in
-      let served = fresh () in
-      Workloads.Trace.run trace (Instance.machine served) (Oracle.serve served);
-      Instance.drain served;
-      let observed = fresh () in
-      let oracle = Oracle.attach ~audit:true observed in
-      let s =
-        Recorder.attach observed ~threads:(max 1 trace.Workloads.Trace.threads)
-      in
-      Workloads.Trace.run trace (Instance.machine observed)
-        (Recorder.layer s (Oracle.layer oracle (Oracle.serve observed)));
-      let report = Oracle.finish oracle ~trace_name:name in
-      Recorder.detach s;
-      Alcotest.(check bool) (name ^ ": the oracle saw sweeps") true
-        (report.Oracle.sweeps > 0);
-      Alcotest.(check bool) (name ^ ": the recorder recorded events") true
-        (Recorder.events s <> []);
-      let metrics, spans = exports served in
-      let metrics', spans' = exports observed in
-      Alcotest.(check bool) (name ^ ": metrics byte-identical") true
-        (metrics = metrics');
-      Alcotest.(check bool) (name ^ ": spans byte-identical") true
-        (spans = spans'))
+      check_observed name (Option.get !plain, stack) report recorded)
     [
       generated "mimalloc" "espresso";
       generated "spec2006" "perlbench";
-      Workloads.Driver.program ~ops_scale:0.02 (profile "spec2006" "xalancbmk");
+      Workloads.Driver.program ~ops_scale:0.02 (find_profile "spec2006" "xalancbmk");
       (* Two Work ops in a row after each free: a sweep falls due while
          the program computes, so a layer that ticked the instance at
          the end of an op would complete it one Work op early. The
@@ -205,6 +221,38 @@ let test_observation_is_free () =
             (List.init 3000 (fun k ->
                  Printf.sprintf "a %d 2048\nx %d %d\nw 2500\nw 2500\n" k k
                    (k mod 2))));
+    ]
+
+(* The figures' run itself: laid over [Driver.run] through [?observe],
+   the oracle and the recorder leave its result, metrics and spans as
+   the plain run's. xalancbmk's programs are the two on which a replay
+   on the referees' own schedule counted other releases than the run;
+   alloc-testN frees from 8 threads. *)
+let test_observation_of_driver_run_is_free () =
+  List.iter
+    (fun (suite, bench) ->
+      let profile = find_profile suite bench in
+      let name = suite ^ "/" ^ bench in
+      let run ?observe () =
+        let built = ref None in
+        let r =
+          Workloads.Driver.run ~ops_scale:0.02
+            ~on_build:(fun stack -> built := Some stack)
+            ?observe profile default_scheme
+        in
+        (r, Option.get !built)
+      in
+      let result, plain = run () in
+      let (result', _), stack, report, recorded =
+        observed ~name ~threads:profile.Workloads.Profile.threads (fun observe ->
+            run ~observe ())
+      in
+      Alcotest.(check bool) (name ^ ": the same Driver.result") true
+        (result = result');
+      check_observed name (plain, stack) report recorded)
+    [
+      ("spec2006", "xalancbmk"); ("spec2017", "xalancbmk");
+      ("mimalloc", "alloc-testN");
     ]
 
 (* ------------------------------------------------------------------ *)
@@ -304,6 +352,8 @@ let suite =
         test_recorder_deterministic;
       Alcotest.test_case "observation is free" `Quick
         test_observation_is_free;
+      Alcotest.test_case "observing Driver.run is free" `Quick
+        test_observation_of_driver_run_is_free;
       Alcotest.test_case "explorer sound and deterministic" `Quick
         test_explorer_sound_and_deterministic;
       Alcotest.test_case "explorer render stable" `Quick

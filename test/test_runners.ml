@@ -128,24 +128,46 @@ let prop_driver_matches_reference_under_stress =
           Workloads.Driver.run p scheme = Reference_runners.driver_run p scheme)
         Workloads.Harness.[ Baseline; Mine_sweeper Minesweeper.Config.default ])
 
-(* The generator's state is flat ints and its draws are unboxed, so
-   drawing a program allocates only the ops it emits. [Driver.program]
-   on perlbench at 0.05 took 32.1 minor words per emitted op with a
-   boxed RNG state, a record per object, a list of refs and a [Hashtbl]
-   of deaths; it takes 10.5 now: 4.0 for the op records, 6.0 for the
-   list [program] collects them in and reverses. *)
+(* Minor words per op of drawing one program, after a warm-up draw. *)
+let minor_words_per_op draw =
+  ignore (draw ());
+  let before = Gc.minor_words () in
+  let program = draw () in
+  (Gc.minor_words () -. before)
+  /. float_of_int (Workloads.Trace.length program)
+
+let at_most what bound per_op =
+  if per_op > bound then
+    Alcotest.failf "%s allocates %.2f minor words/op, above %g" what per_op
+      bound
+
+(* The generator's state is flat ints and its draws are unboxed, and
+   [Trace.Op_buffer] gathers the ops in one growing array, so drawing a
+   program allocates only the ops it emits. [Driver.program] on
+   perlbench at 0.05 took 32.1 minor words per emitted op with a boxed
+   RNG state, a record per object, a list of refs and a [Hashtbl] of
+   deaths, then 10.5 with the ops in a list it reversed; it takes 4.5
+   now, 4.0 of them the op records. *)
 let test_program_minor_words () =
   let p = Workloads.Spec2006.find "perlbench" in
-  ignore (Workloads.Driver.program ~ops_scale:0.05 p);
-  let before = Gc.minor_words () in
-  let program = Workloads.Driver.program ~ops_scale:0.05 p in
-  let per_op =
-    (Gc.minor_words () -. before)
-    /. float_of_int (Workloads.Trace.length program)
+  at_most "Driver.program" 5.5
+    (minor_words_per_op (fun () -> Workloads.Driver.program ~ops_scale:0.05 p))
+
+(* The other two programs collect their ops the same way: a served
+   [bursty] stream at 0.5 took 11.7 words an op and a generated
+   perlbench trace at 0.05 15.7 when each built a list and reversed it
+   (5.7 and 9.7 now). *)
+let test_other_programs_minor_words () =
+  let bursty =
+    Workloads.Server.scale 0.5 (Option.get (Workloads.Server.find "bursty"))
   in
-  if per_op > 11.5 then
-    Alcotest.failf "Driver.program allocates %.2f minor words/op, above 11.5"
-      per_op
+  at_most "Server.program" 6.5
+    (minor_words_per_op (fun () -> Workloads.Server.program bursty));
+  let perl =
+    Workloads.Profile.scale_ops 0.05 (Workloads.Spec2006.find "perlbench")
+  in
+  at_most "Trace.generate" 10.5
+    (minor_words_per_op (fun () -> Workloads.Trace.generate perl))
 
 (* [Driver.program] is what [Driver.run] streams: replaying it through a
    target that does what the runner's does lands on the same clock. *)
@@ -170,7 +192,11 @@ let test_driver_program_is_what_runs () =
     {
       Workloads.Trace.alloc =
         (fun ~id:_ ~site size ->
-          let addr = stack.Workloads.Harness.malloc_site ~site size in
+          let addr =
+            match stack.Workloads.Harness.malloc_site with
+            | Some malloc_site -> malloc_site ~site size
+            | None -> stack.Workloads.Harness.malloc size
+          in
           Alloc.Machine.charge machine
             (int_of_float
                (scaled.Workloads.Profile.cache_sensitivity
@@ -235,6 +261,8 @@ let suite =
       QCheck_alcotest.to_alcotest prop_driver_matches_reference_under_stress;
       Alcotest.test_case "driver program minor words per op" `Quick
         test_program_minor_words;
+      Alcotest.test_case "server and generated programs minor words per op"
+        `Quick test_other_programs_minor_words;
       Alcotest.test_case "driver program is what runs" `Quick
         test_driver_program_is_what_runs;
       Alcotest.test_case "server program is what runs" `Quick

@@ -178,6 +178,51 @@ let test_oracle_sound_on_clean_trace () =
   Alcotest.(check (list string)) "invariants hold" []
     (List.map Diagnostic.to_string r.Sanitizer.Sweep_oracle.audit)
 
+(* --- The oracle over the figures' run ------------------------------ *)
+
+(* What [msweep check --suite S -b B --scale 0.02 --oracle] judges: the
+   oracle laid over [Driver.run] through its observation seam. *)
+let oracle_over_run ?(config = Minesweeper.Config.default) suite bench =
+  let profile =
+    match Workloads.Harness.find_profile ~suite bench with
+    | Ok p -> p
+    | Error msg -> Alcotest.fail msg
+  in
+  Sanitizer.Sweep_oracle.over ~trace_name:bench (fun observe ->
+      ignore
+        (Workloads.Driver.run ~ops_scale:0.02 ~observe profile
+           (Workloads.Harness.Mine_sweeper config)))
+
+(* The oracle counts the sweeps and releases the run's registry exports.
+   xalancbmk's programs are the two on which a replay ticking after each
+   allocation, with no cold-reuse charge, counted other releases than
+   the figures' run (6,854 against 6,847 and 8,257 against 8,253). *)
+let test_oracle_judges_the_run () =
+  List.iter
+    (fun suite ->
+      let profile = Workloads.Harness.find_profile ~suite "xalancbmk" in
+      let run =
+        Workloads.Driver.run ~ops_scale:0.02 (Result.get_ok profile)
+          (Workloads.Harness.Mine_sweeper Minesweeper.Config.default)
+      in
+      let metric name = List.assoc name run.Workloads.Driver.metrics in
+      let r = oracle_over_run suite "xalancbmk" in
+      Alcotest.(check int) (suite ^ ": the run's sweeps") (metric "ms.sweeps")
+        r.Sanitizer.Sweep_oracle.sweeps;
+      Alcotest.(check int) (suite ^ ": the run's releases")
+        (metric "ms.releases") r.Sanitizer.Sweep_oracle.releases)
+    [ "spec2006"; "spec2017" ]
+
+(* Positive control on the same path: the [partial] preset recycles on
+   a timer, and the oracle over the figures' perlbench run catches it. *)
+let test_oracle_over_run_flags_partial () =
+  let r =
+    oracle_over_run ~config:Minesweeper.Config.partial_quarantine "spec2006"
+      "perlbench"
+  in
+  Alcotest.(check bool) "unsound releases detected" true
+    (Diagnostic.has_rule "oracle-unsound" r.Sanitizer.Sweep_oracle.soundness)
+
 (* The lint allocates only the events its heap hands back: at most 16.2
    minor words an op on perlbench at scale 0.05 (13.5 with the flat
    heap; the Hashtbl heap, which kept a boxed record per id and slot,
@@ -220,6 +265,10 @@ let suite =
         test_oracle_sound_on_default;
       Alcotest.test_case "oracle: unsound config flagged" `Quick
         test_oracle_flags_unsound_config;
+      Alcotest.test_case "oracle: judges the figures' run" `Quick
+        test_oracle_judges_the_run;
+      Alcotest.test_case "oracle: partial flagged on the figures' run" `Quick
+        test_oracle_over_run_flags_partial;
       Alcotest.test_case "oracle: clean trace sound" `Quick
         test_oracle_sound_on_clean_trace;
       Alcotest.test_case "lint minor words per op" `Quick

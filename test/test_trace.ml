@@ -723,9 +723,9 @@ let replay_baseline ops =
   let stack =
     {
       stack with
-      Workloads.Harness.malloc_site =
-        (fun ~site size ->
-          let addr = stack.Workloads.Harness.malloc_site ~site size in
+      Workloads.Harness.malloc =
+        (fun size ->
+          let addr = stack.Workloads.Harness.malloc size in
           Hashtbl.replace addrs !id addr;
           incr id;
           addr);
